@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from . import __version__
 from .flag_schubert import FlagType, betti, g_space, verify_free_decomposition
-from .lie_numerics import run_trials
+from .lie_numerics import NonConvergenceError, run_trials
 from .pipeline import (
     DEFAULT_ACTION_WINDOW,
     DEFAULT_D_GRID,
@@ -44,12 +44,11 @@ from .pipeline import (
     build_cone_model,
     resolve_window,
 )
-from .root_system import CenterClass, cartan
+from .root_system import CenterClass, IntegrityError, cartan
 from .sheaf_complex import (
     UMinusOpen,
     UOpen,
     build_standard_complex,
-    cohomology_dims,
     sections_complex,
     stalk_complex,
 )
@@ -289,7 +288,7 @@ def _cmd_sheaf(args) -> int:
         required = required_stalk_box(p)
         window = resolve_window(window, required, f"stalk at {p.coords}")
         model = build_cone_model(n, z, window)
-        dims = cohomology_dims(stalk_complex(model, z, p))
+        dims = stalk_complex(model, z, p).cohomology()
         _emit(
             {
                 "n": n,
@@ -308,7 +307,7 @@ def _cmd_sheaf(args) -> int:
         if window is None:
             raise ConfigError("sections require an explicit --window")
         model = build_standard_complex(n, window)
-        dims = cohomology_dims(sections_complex(model, z, u))
+        dims = sections_complex(model, z, u).cohomology()
         _emit(
             {
                 "n": n,
@@ -594,6 +593,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (IntegrityError, NonConvergenceError) as exc:
+        print(f"verification failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
 
 
 if __name__ == "__main__":

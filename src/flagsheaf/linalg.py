@@ -3,6 +3,8 @@
 Ranks are computed by fraction-free (Bareiss) elimination on integer
 matrices obtained by clearing denominators row by row; row scaling by
 nonzero rationals does not change the rank, so the result is exact.
+Integer entries stay ``int`` throughout, so an integer matrix never
+builds a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
-Triplet = tuple[int, int, Fraction]
+Scalar = int | Fraction
+Triplet = tuple[int, int, Scalar]
 
 
 def rank_dense_int(rows: list[list[int]]) -> int:
@@ -40,7 +43,7 @@ def rank_dense_int(rows: list[list[int]]) -> int:
     return rank
 
 
-def _clear_denominators(rows: list[list[Fraction]]) -> list[list[int]]:
+def _clear_denominators(rows: list[list[Scalar]]) -> list[list[int]]:
     out = []
     for row in rows:
         lcm = 1
@@ -55,7 +58,7 @@ def rank_triplets(entries: Iterable[Triplet], nrows: int, ncols: int) -> int:
     """Rank of the sparse matrix given by (row, col, value) triplets."""
     if nrows == 0 or ncols == 0:
         return 0
-    rows = [[Fraction(0)] * ncols for _ in range(nrows)]
+    rows = [[0] * ncols for _ in range(nrows)]
     for r, c, v in entries:
         rows[r][c] += v
     return rank_dense_int(_clear_denominators(rows))

@@ -45,7 +45,6 @@ from .sheaf_complex import (
     SheafComplex,
     SheafGenerator,
     _subset_sign,
-    cohomology_dims,
     jump_graded,
     stalk_complex,
 )
@@ -134,22 +133,24 @@ def build_cone_model(
     ranges = [range(lo, hi + 1) for lo, hi in window]
     if any(len(r) == 0 for r in ranges):
         raise ValueError("empty window")
+    # one apex object per lattice point, shared by every subset I, so
+    # stalk selection decides each apex once
+    apexes = []
+    for combo in itertools.product(*ranges):
+        m = cartan(n, combo)
+        if u_bounds is not None:
+            lo, hi = u_bounds
+            if any(u < lo or u > hi for u in e_profile(m)):
+                continue
+        cc = center_class(m)
+        if z is None or cc == z:
+            apexes.append((combo, m, cc, d_degree(m)))
     generators: list[SheafGenerator] = []
-    entries: list[tuple[int, int, Fraction]] = []
+    entries: list[tuple[int, int, int]] = []
     for subset in _all_subsets(n):
         iset = frozenset(subset)
         mult = g_space_cached(n, subset)
-        for combo in itertools.product(*ranges):
-            m = cartan(n, combo)
-            if u_bounds is not None:
-                prof = e_profile(m)
-                lo, hi = u_bounds
-                if any(u < lo or u > hi for u in prof):
-                    continue
-            cc = center_class(m)
-            if z is not None and cc != z:
-                continue
-            dm = d_degree(m)
+        for combo, m, cc, dm in apexes:
             # J must contain every direction where m + e_I sticks out
             forced = frozenset(
                 k
@@ -179,7 +180,7 @@ def build_cone_model(
                     j2 = j1 | {added}
                     if j2 in local:
                         entries.append(
-                            (gi, local[j2], Fraction(_subset_sign(j2, added)))
+                            (gi, local[j2], _subset_sign(j2, added))
                         )
     return SheafComplex(
         n,
@@ -379,7 +380,7 @@ def crosscheck_stalks(
         if not box_contains(window, req):
             report.excluded += 1
             continue
-        lhs = cohomology_dims(stalk_complex(model, z, p))
+        lhs = stalk_complex(model, z, p).cohomology()
         rhs = stalk_flag_sum(n, z, p, window=req)
         report.compared += 1
         if lhs != rhs:

@@ -7,7 +7,10 @@ tensored with a graded multiplicity space.  Differential entries are
 rational multiples of canonical maps (restrictions onto smaller closed
 cones, extensions into larger open lower sets), so stalks and sections
 turn the complex into an ordinary finite complex of K-vector spaces
-with the same coefficients.
+with the same coefficients.  That finite complex keeps one basis line
+per alive generator, carrying the generator's multiplicity space:
+taking cohomology commutes with tensoring by it.  Coefficients with
+denominator 1 are kept as ``int`` throughout.
 
 Supported regions (parameters are exact rational Cartan vectors):
 
@@ -36,13 +39,14 @@ determine the section complex entirely.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .graded import GradedDims
-from .linalg import connected_components, rank_triplets
+from .linalg import Scalar, Triplet, connected_components, rank_triplets
 from .root_system import (
     CartanVector,
     CenterClass,
@@ -107,7 +111,11 @@ def region_rank(region: Region) -> int:
     return region.x.n
 
 
-@lru_cache(maxsize=None)
+# holds a whole crosscheck window (216 apexes at N=4) and its points
+_PROFILE_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_PROFILE_CACHE_SIZE)
 def _u_profile(v: CartanVector) -> tuple[Fraction, ...]:
     return e_profile(v)
 
@@ -206,14 +214,36 @@ def _cone_meets_uminus(cone: KCone, x: CartanVector) -> bool:
 # ---------------------------------------------------------------------------
 # the complex
 
+def _exact(c) -> Scalar:
+    """``c`` as an int when its denominator is 1, else as a Fraction."""
+    c = c if type(c) is int else Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def verify_dd_zero(entries: Iterable[Triplet]):
+    """Symbolic d*d = 0 on the (src, dst, coeff) entries of a
+    differential; raises IntegrityError on a nonzero composite."""
+    outgoing: dict[int, list[tuple[int, Scalar]]] = {}
+    for i, j, c in entries:
+        outgoing.setdefault(i, []).append((j, c))
+    square: dict[tuple[int, int], Scalar] = {}
+    for i, firsts in outgoing.items():
+        for j, c1 in firsts:
+            for k, c2 in outgoing.get(j, ()):
+                square[i, k] = square.get((i, k), 0) + c1 * c2
+    bad = {k: v for k, v in square.items() if v != 0}
+    if bad:
+        raise IntegrityError(f"d*d != 0 on index pairs {bad}")
+
 
 @dataclass(frozen=True)
 class SheafGenerator:
     """One summand: (constant sheaf on region) placed in total complex
     degree ``degree``, tensored with the graded space ``mult``.
 
-    A multiplicity entry {delta: m} contributes m basis lines in total
-    degree ``degree + delta`` wherever the generator is alive.
+    Wherever the generator is alive it gives one basis line carrying
+    ``mult``: a multiplicity entry {delta: m} stands for m lines in
+    total degree ``degree + delta``.
     """
 
     region: Region
@@ -257,7 +287,7 @@ class SheafComplex:
         self.n = n
         self.generators = tuple(generators)
         self.entries = tuple(
-            (int(i), int(j), Fraction(c)) for i, j, c in entries
+            (int(i), int(j), _exact(c)) for i, j, c in entries
         )
         self.meta = dict(meta or {})
         if check:
@@ -278,22 +308,7 @@ class SheafComplex:
             if c == 0:
                 raise ValueError("zero differential entry")
             _check_entry_regions(src, dst)
-        self.verify_dd_zero()
-
-    def verify_dd_zero(self):
-        """Symbolic d*d = 0 on generator indices."""
-        outgoing: dict[int, list[tuple[int, Fraction]]] = {}
-        for i, j, c in self.entries:
-            outgoing.setdefault(i, []).append((j, c))
-        square: dict[tuple[int, int], Fraction] = {}
-        for i, firsts in outgoing.items():
-            for j, c1 in firsts:
-                for k, c2 in outgoing.get(j, ()):
-                    key = (i, k)
-                    square[key] = square.get(key, Fraction(0)) + c1 * c2
-        bad = {k: v for k, v in square.items() if v != 0}
-        if bad:
-            raise IntegrityError(f"d*d != 0 on generator pairs {bad}")
+        verify_dd_zero(self.entries)
 
     # -- serialization ------------------------------------------------
 
@@ -334,10 +349,7 @@ class SheafComplex:
             )
             for g in data["generators"]
         ]
-        entries = [
-            (int(i), int(j), Fraction(c)) for i, j, c in data["differential"]
-        ]
-        return cls(n, gens, entries)
+        return cls(n, gens, data["differential"])
 
 
 def _coords_json(v: CartanVector) -> list[str]:
@@ -432,7 +444,7 @@ def build_standard_complex(n: int, window: LatticeBox) -> SheafComplex:
                 )
                 index[(l.coords, j)] = len(generators)
                 generators.append(gen)
-    entries: list[tuple[int, int, Fraction]] = []
+    entries: list[Triplet] = []
     for (coords, j1), i in index.items():
         for added in all_indices:
             if added in j1:
@@ -441,7 +453,7 @@ def build_standard_complex(n: int, window: LatticeBox) -> SheafComplex:
             key = (coords, j2)
             if key in index:
                 entries.append(
-                    (i, index[key], Fraction(_subset_sign(j2, added)))
+                    (i, index[key], _subset_sign(j2, added))
                 )
     return SheafComplex(
         n,
@@ -456,151 +468,158 @@ def build_standard_complex(n: int, window: LatticeBox) -> SheafComplex:
 
 
 class FiniteComplex:
-    """Finite complex of K-vector spaces with rational differentials.
+    """Finite complex of K-vector spaces with rational differentials,
+    one basis line per alive generator.
 
-    Basis elements carry a total degree; entries are (src, dst, coeff)
-    with degree(dst) = degree(src) + 1.
+    Basis line i sits in total degree ``degrees[i]`` and carries the
+    graded multiplicity space ``mults[i]`` (default: one line); entries
+    (src, dst, coeff) have degree(dst) = degree(src) + 1 and act as
+    coeff times the identity of the shared multiplicity space.
     """
 
     def __init__(
         self,
         degrees: Sequence[int],
-        entries: Sequence[tuple[int, int, Fraction]],
-        labels: Sequence[tuple] | None = None,
+        entries: Iterable[Triplet],
+        mults: Sequence[GradedDims] | None = None,
     ):
         self.degrees = tuple(int(d) for d in degrees)
-        self.entries = tuple(
-            (int(i), int(j), Fraction(c)) for i, j, c in entries
-        )
-        self.labels = tuple(labels) if labels is not None else None
-        for i, j, c in self.entries:
+        self.entries = tuple(entries)
+        self.mults = tuple(mults or [GradedDims.line()] * len(self.degrees))
+        if len(self.mults) != len(self.degrees):
+            raise ValueError("expected one multiplicity per basis line")
+        for i, j, _ in self.entries:
             if self.degrees[j] != self.degrees[i] + 1:
                 raise ValueError("entry is not of degree +1")
 
-    def dims(self) -> GradedDims:
-        out: dict[int, int] = {}
-        for d in self.degrees:
-            out[d] = out.get(d, 0) + 1
-        return GradedDims(out)
-
-    def _verify_dd_zero(self):
-        outgoing: dict[int, list[tuple[int, Fraction]]] = {}
-        for i, j, c in self.entries:
-            outgoing.setdefault(i, []).append((j, c))
-        square: dict[tuple[int, int], Fraction] = {}
-        for i, firsts in outgoing.items():
-            for j, c1 in firsts:
-                for k, c2 in outgoing.get(j, ()):
-                    key = (i, k)
-                    square[key] = square.get(key, Fraction(0)) + c1 * c2
-        bad = {k: v for k, v in square.items() if v != 0}
-        if bad:
-            raise IntegrityError(f"d*d != 0 on basis pairs {bad}")
-
     def cohomology(self) -> GradedDims:
-        """dim H^k = dim_k - rank d_k - rank d_{k-1}, by exact
-        fraction-free elimination on connected components."""
-        self._verify_dd_zero()
+        """dim H^k = dim_k - rank d_k - rank d_{k-1} per connected
+        component, by exact fraction-free elimination, tensored with the
+        component's multiplicity space."""
+        verify_dd_zero(self.entries)
         comps = connected_components(
             len(self.degrees), [(i, j) for i, j, _ in self.entries]
         )
-        by_node: dict[int, int] = {}
-        for ci, comp in enumerate(comps):
-            for node in comp:
-                by_node[node] = ci
-        comp_entries: dict[int, list[tuple[int, int, Fraction]]] = {}
+        by_node = {node: ci for ci, comp in enumerate(comps) for node in comp}
+        comp_entries: dict[int, list[Triplet]] = {}
         for i, j, c in self.entries:
             comp_entries.setdefault(by_node[i], []).append((i, j, c))
-        result: dict[int, int] = {}
+        by_mult: dict[GradedDims, dict[int, int]] = {}
         for ci, comp in enumerate(comps):
+            mult = self.mults[comp[0]]
+            if any(self.mults[node] != mult for node in comp):
+                raise IntegrityError(f"component {comp} mixes multiplicities")
             local_dims: dict[int, int] = {}
             local_pos: dict[int, int] = {}
             for node in comp:
                 d = self.degrees[node]
                 local_pos[node] = local_dims.get(d, 0)
                 local_dims[d] = local_dims.get(d, 0) + 1
-            mats: dict[int, list[tuple[int, int, Fraction]]] = {}
+            mats: dict[int, list[Triplet]] = {}
             for i, j, c in comp_entries.get(ci, ()):
                 mats.setdefault(self.degrees[i], []).append(
                     (local_pos[i], local_pos[j], c)
                 )
-            ranks: dict[int, int] = {}
-            for d, triplets in mats.items():
-                ranks[d] = rank_triplets(
-                    triplets, local_dims[d], local_dims.get(d + 1, 0)
-                )
+            ranks = {
+                d: rank_triplets(t, local_dims[d], local_dims.get(d + 1, 0))
+                for d, t in mats.items()
+            }
+            acc = by_mult.setdefault(mult, {})
             for d, dim in local_dims.items():
                 h = dim - ranks.get(d, 0) - ranks.get(d - 1, 0)
                 if h:
-                    result[d] = result.get(d, 0) + h
-        return GradedDims(result)
-
-
-def cohomology_dims(c: FiniteComplex) -> GradedDims:
-    return c.cohomology()
+                    acc[d] = acc.get(d, 0) + h
+        result = GradedDims.empty()
+        for mult, dims in by_mult.items():
+            result = result + GradedDims(dims).tensor(mult)
+        return result
 
 
 # ---------------------------------------------------------------------------
 # stalks, sections, corner complexes
 
 
-def _expand_members(
-    s: SheafComplex,
-    alive: Sequence[bool],
-    degree_offset: Sequence[int] | None = None,
-) -> FiniteComplex:
-    """Finite complex spanned by the alive generators (multiplicity
-    expanded), with the induced differential entries."""
-    offsets = degree_offset or [0] * len(s.generators)
-    basis_of_gen: dict[int, list[int]] = {}
-    degrees: list[int] = []
-    labels: list[tuple] = []
+def _select(
+    s: SheafComplex, z: CenterClass | None, profile, compare, fallback
+) -> list[bool]:
+    """Alive flags of the generators of ``s`` in center class ``z``
+    (every class when None).
+
+    With ``compare``, a cone KCone(J, apex) is alive iff J lies in
+    {j : compare(profile_j, apex_j)}, computed once per apex object;
+    ``fallback(region)`` decides for every other generator.
+    """
+    alive: list[bool] = []
+    allowed_at: dict[int, set[int]] = {}  # id(apex) -> allowed indices
+    for gen in s.generators:
+        region = gen.region
+        if z is not None and gen.center != z:
+            alive.append(False)
+        elif compare is not None and isinstance(region, KCone):
+            allowed = allowed_at.get(id(region.apex))
+            if allowed is None:
+                pairs = enumerate(zip(profile, _u_profile(region.apex)), 1)
+                allowed = {j for j, (a, b) in pairs if compare(a, b)}
+                allowed_at[id(region.apex)] = allowed
+            alive.append(region.indices <= allowed)
+        else:
+            alive.append(fallback(region))
+    return alive
+
+
+def _restrict(
+    s: SheafComplex, alive: Sequence[bool], shift: int = 0
+) -> tuple[FiniteComplex, list[int]]:
+    """Complex of the alive generators (degrees moved by ``shift``),
+    and each generator's basis position in it (-1 when dead)."""
+    pos = [-1] * len(s.generators)
+    alive_gens = []
     for gi, gen in enumerate(s.generators):
-        if not alive[gi]:
-            continue
-        ids = []
-        for delta, count in gen.mult.items():
-            for copy in range(count):
-                ids.append(len(degrees))
-                degrees.append(gen.degree + delta + offsets[gi])
-                labels.append(gen.label + (delta, copy))
-        basis_of_gen[gi] = ids
-    entries = []
-    for i, j, c in s.entries:
-        if i in basis_of_gen and j in basis_of_gen:
-            for a, b in zip(basis_of_gen[i], basis_of_gen[j]):
-                entries.append((a, b, c))
-    return FiniteComplex(degrees, entries, labels)
+        if alive[gi]:
+            pos[gi] = len(alive_gens)
+            alive_gens.append(gen)
+    entries = [
+        (pos[i], pos[j], c)
+        for i, j, c in s.entries
+        if pos[i] >= 0 and pos[j] >= 0
+    ]
+    degrees = [g.degree + shift for g in alive_gens]
+    return FiniteComplex(degrees, entries, [g.mult for g in alive_gens]), pos
 
 
 def stalk_complex(
     s: SheafComplex, z: CenterClass, p: CartanVector
 ) -> FiniteComplex:
     """Stalk at p of the center-z part: keep generators whose region
-    contains p; restriction entries become identity scalars."""
+    contains p; restriction entries become identity scalars.  A cone
+    KCone(J, apex) contains p iff u_j(p) >= u_j(apex) for j in J."""
     if p.n != s.n:
         raise ValueError("rank mismatch")
-    alive = [
-        gen.center == z and region_contains(gen.region, p)
-        for gen in s.generators
-    ]
-    return _expand_members(s, alive)
-
-
-def _section_value(region: Region, u: UOpen | UMinusOpen) -> bool:
-    """Whether RGamma(U; K_region) = K (degree 0), per the module
-    soundness contract."""
-    if isinstance(region, UMinusOpen):
-        return dominance_leq(u.x, region.x)
-    if isinstance(region, KCone):
-        if isinstance(u, UOpen):
-            xu = _u_profile(u.x)
-            au = _u_profile(region.apex)
-            return all(xu[j - 1] > au[j - 1] for j in region.indices)
-        return _cone_meets_uminus(region, u.x)
-    raise ValueError(
-        f"unsupported generator region {type(region).__name__} in sections"
+    alive = _select(
+        s, z, _u_profile(p), operator.ge, lambda r: region_contains(r, p)
     )
+    return _restrict(s, alive)[0]
+
+
+def _sections_alive(
+    s: SheafComplex, z: CenterClass | None, u: UOpen | UMinusOpen
+) -> list[bool]:
+    """Generators with RGamma(U; K_region) = K (degree 0), per the
+    module soundness contract.  A cone meets UOpen(x) iff
+    u_j(x) > u_j(apex) on its index set, decided once per apex."""
+
+    def has_sections(region: Region) -> bool:
+        if isinstance(region, UMinusOpen):
+            return dominance_leq(u.x, region.x)
+        if isinstance(region, KCone) and isinstance(u, UMinusOpen):
+            return _cone_meets_uminus(region, u.x)
+        raise ValueError(
+            f"unsupported generator region {type(region).__name__} "
+            "in sections"
+        )
+
+    compare = operator.gt if isinstance(u, UOpen) else None
+    return _select(s, z, _u_profile(u.x), compare, has_sections)
 
 
 def sections_complex(
@@ -611,11 +630,7 @@ def sections_complex(
         raise ValueError("sections are supported over UOpen/UMinusOpen only")
     if region_rank(u) != s.n:
         raise ValueError("rank mismatch")
-    alive = [
-        gen.center == z and _section_value(gen.region, u)
-        for gen in s.generators
-    ]
-    return _expand_members(s, alive)
+    return _restrict(s, _sections_alive(s, z, u))[0]
 
 
 def select_epsilon(points: Sequence[CartanVector], l: CartanVector) -> Fraction:
@@ -686,64 +701,36 @@ def jump_complex(
     for k in idx:
         if not 1 <= k <= s.n - 1:
             raise ValueError(f"index {k} out of range")
-    for gen in s.generators:
-        if not isinstance(gen.region, (KCone, UMinusOpen)):
-            raise ValueError(
-                "jump functor requires cone or lower-set generators"
-            )
-
     corners = [
         frozenset(c)
         for r in range(len(idx) + 1)
         for c in itertools.combinations(idx, r)
     ]
-    corner_point = {
-        corner: sum(
-            (f_vec(s.n, k).scale(eps) for k in corner), start=m
-        )
-        for corner in corners
-    }
-    corner_u = {c: UOpen(corner_point[c]) for c in corners}
-
-    alive: dict[tuple[frozenset[int], int], list[int]] = {}
+    # per corner: the basis position of every generator (-1 when dead)
+    pos: dict[frozenset[int], list[int]] = {}
     degrees: list[int] = []
-    labels: list[tuple] = []
+    entries: list[Triplet] = []
+    mults: list[GradedDims] = []
     for corner in corners:
-        u = corner_u[corner]
-        for gi, gen in enumerate(s.generators):
-            if not _section_value(gen.region, u):
-                continue
-            ids = []
-            for delta, count in gen.mult.items():
-                for copy in range(count):
-                    ids.append(len(degrees))
-                    degrees.append(gen.degree + delta - len(corner))
-                    labels.append(
-                        (tuple(sorted(corner)),) + gen.label + (delta, copy)
-                    )
-            alive[(corner, gi)] = ids
-
-    entries: list[tuple[int, int, Fraction]] = []
+        point = sum((f_vec(s.n, k).scale(eps) for k in corner), start=m)
+        alive = _sections_alive(s, None, UOpen(point))
+        part, part_pos = _restrict(s, alive, -len(corner))
+        base = len(degrees)
+        sign_inner = -1 if len(corner) % 2 else 1
+        degrees += part.degrees
+        mults += part.mults
+        entries += [
+            (base + a, base + b, c * sign_inner) for a, b, c in part.entries
+        ]
+        pos[corner] = [base + q if q >= 0 else -1 for q in part_pos]
     for corner in corners:
-        sign_inner = Fraction(-1 if len(corner) % 2 else 1)
-        for i, j, c in s.entries:
-            src = alive.get((corner, i))
-            dst = alive.get((corner, j))
-            if src and dst:
-                for a, b in zip(src, dst):
-                    entries.append((a, b, c * sign_inner))
         for k in sorted(corner):
-            smaller = corner - {k}
-            sign = Fraction(
-                -1 if sum(1 for x in corner if x < k) % 2 else 1
-            )
-            for gi in range(len(s.generators)):
-                src = alive.get((corner, gi))
-                dst = alive.get((smaller, gi))
-                if src and dst:
-                    for a, b in zip(src, dst):
-                        entries.append((a, b, sign))
-    return FiniteComplex(degrees, entries, labels)
+            sign = -1 if sum(1 for x in corner if x < k) % 2 else 1
+            src, dst = pos[corner], pos[corner - {k}]
+            entries += [
+                (a, b, sign) for a, b in zip(src, dst) if a >= 0 and b >= 0
+            ]
+    return FiniteComplex(degrees, entries, mults)
 
 
 def jump_graded(

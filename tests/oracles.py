@@ -1,8 +1,10 @@
 """Independent oracles used by the test suite.
 
 Deliberately separate code paths: polynomial q-factorials for cell
-counts, literal diagonal matrices for the invariant pairing, and
-GF(2) cellular chain complexes for the mod-2 series of small SO(N).
+counts, literal diagonal matrices for the invariant pairing, GF(2)
+cellular chain complexes for the mod-2 series of small SO(N), and
+multiplicity-expanded complexes ranked by Fraction Gaussian elimination
+for finite-complex cohomology.
 """
 
 from __future__ import annotations
@@ -193,3 +195,71 @@ def so_betti_mod2(n: int) -> list[int]:
     if n == 4:
         return sphere_complex(3).product(rp_complex(3)).betti_mod2()
     raise ValueError("cell structures provided for N <= 4 only")
+
+
+# -- expanded cohomology by Fraction Gaussian elimination --------------------
+
+
+def expand_multiplicities(complex_):
+    """The finite complex with every basis line copied once per
+    dimension of its multiplicity space: lists of degrees and of
+    (src, dst, Fraction) entries, one entry per pair of matching
+    copies."""
+    copies: list[list[int]] = []
+    degrees: list[int] = []
+    for degree, mult in zip(complex_.degrees, complex_.mults):
+        ids = []
+        for delta, count in mult.items():
+            for _ in range(count):
+                ids.append(len(degrees))
+                degrees.append(degree + delta)
+        copies.append(ids)
+    entries = []
+    for i, j, c in complex_.entries:
+        assert len(copies[i]) == len(copies[j]), "mixed multiplicities"
+        for a, b in zip(copies[i], copies[j]):
+            entries.append((a, b, Fraction(c)))
+    return degrees, entries
+
+
+def fraction_rank(rows: list[dict[int, Fraction]]) -> int:
+    """Rank of a sparse matrix (rows as column -> value maps) by
+    Gaussian elimination over Fraction."""
+    pivots: dict[int, dict[int, Fraction]] = {}
+    for row in rows:
+        row = {c: Fraction(v) for c, v in row.items() if v}
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                lead = row[col]
+                pivots[col] = {c: v / lead for c, v in row.items()}
+                break
+            factor = row[col]
+            for c, v in pivot.items():
+                value = row.get(c, Fraction(0)) - factor * v
+                if value:
+                    row[c] = value
+                else:
+                    row.pop(c, None)
+    return len(pivots)
+
+
+def expanded_cohomology(complex_) -> dict[int, int]:
+    """Cohomology dimensions of the expanded complex, ranking every
+    differential d_k as one matrix (no component split)."""
+    degrees, entries = expand_multiplicities(complex_)
+    dims: dict[int, int] = {}
+    for d in degrees:
+        dims[d] = dims.get(d, 0) + 1
+    rows: dict[int, dict[int, dict[int, Fraction]]] = {}
+    for i, j, c in entries:
+        row = rows.setdefault(degrees[i], {}).setdefault(i, {})
+        row[j] = row.get(j, Fraction(0)) + c
+    ranks = {d: fraction_rank(list(r.values())) for d, r in rows.items()}
+    out = {}
+    for d, dim in dims.items():
+        h = dim - ranks.get(d, 0) - ranks.get(d - 1, 0)
+        if h:
+            out[d] = h
+    return dict(sorted(out.items()))

@@ -1,6 +1,11 @@
 import json
 
+import pytest
+
+from flagsheaf import cli
 from flagsheaf.cli import main
+from flagsheaf.lie_numerics import NonConvergenceError
+from flagsheaf.root_system import IntegrityError
 
 
 def run(capsys, *args):
@@ -177,3 +182,16 @@ def test_out_file(tmp_path, capsys, monkeypatch):
     assert code == 0
     data = json.loads((tmp_path / "betti.json").read_text())
     assert data["betti"]["1"] == {"0": 1, "2": 1}
+
+
+@pytest.mark.parametrize("error", (IntegrityError, NonConvergenceError))
+def test_verification_failures_exit_2(capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "model_jump", fail)
+    code = main(["sheaf", "delta", "--n", "3", "--i", "1,2", "--m", "0,0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.strip() == "verification failure: injected"
+    assert "Traceback" not in captured.out + captured.err

@@ -34,6 +34,7 @@ from flagsheaf.sheaf_complex import (
     sections_complex,
     select_epsilon,
     stalk_complex,
+    verify_dd_zero,
 )
 
 Z2 = CenterClass(2, 0)
@@ -93,7 +94,7 @@ def test_build_y_example_counts():
 @pytest.mark.parametrize("n", range(2, 6))
 def test_build_y_differential_squares_to_zero(n):
     y = build_standard_complex(n, ((-1, 0),) * (n - 1))
-    y.verify_dd_zero()
+    verify_dd_zero(y.entries)
 
 
 def test_build_y_entries_stay_at_one_apex():
@@ -317,9 +318,9 @@ def test_delta_jump_empty_index_set_is_sections():
 def test_delta_complex_differential_squares_to_zero():
     y = build_standard_complex(3, ((-2, 0), (-2, 0)))
     comp = jump_complex(y, (1, 2), cartan(3, (-1, -1)))
-    comp._verify_dd_zero()
+    verify_dd_zero(comp.entries)
     comp2 = jump_complex(y, (2,), zero(3))
-    comp2._verify_dd_zero()
+    verify_dd_zero(comp2.entries)
 
 
 def test_delta_jump_epsilon_validation():
