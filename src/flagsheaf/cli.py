@@ -421,8 +421,9 @@ def _cmd_pipeline(args) -> int:
         _emit(report.to_json(), args)
         return EXIT_OK if report.verdict in (True, None) else EXIT_VERIFICATION
     if args.action == "pair":
+        d = _fraction(args.d)
         dims = pair_hom(
-            params, args.side_a, args.side_b, _fraction(args.d),
+            params, args.side_a, args.side_b, d,
             degree_window, action_window, char_two=args.char2,
         )
         _emit(
@@ -430,7 +431,7 @@ def _cmd_pipeline(args) -> int:
                 "n": n,
                 "lambda": str(lam),
                 "sides": [args.side_a, args.side_b],
-                "d": str(args.d),
+                "d": str(d),
                 "char2": args.char2,
                 "pair_hom": dims.to_json(),
             },
@@ -441,15 +442,15 @@ def _cmd_pipeline(args) -> int:
     window = _pair_window(
         args.action_window, (Fraction(0), Fraction(3)), Fraction
     )
+    idx = _subset(args.i)
     values = jump_spectrum(
-        params, _subset(args.i), action_window=window,
-        degree_window=degree_window,
+        params, idx, action_window=window, degree_window=degree_window,
     )
     _emit(
         {
             "n": n,
             "lambda": str(lam),
-            "i": args.i,
+            "i": ",".join(map(str, idx)),
             "window": [str(window[0]), str(window[1])],
             "spectrum": [str(v) for v in values],
         },
@@ -541,6 +542,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# commands whose reports hold no graded table, so csv would carry only
+# its header; refused before any work runs
+_NO_GRADED_TABLE = {("flags", "verify"), ("pipeline", "crosscheck"),
+                    ("pipeline", "spectrum"), ("numerics", None)}
+
 _VALUE_FLAGS = {
     "--point", "--m", "--d", "--lambda", "--eps", "--window",
     "--degree-window", "--action-window", "--d-grid",
@@ -577,6 +583,12 @@ def main(argv: list[str] | None = None) -> int:
     argv = _merge_negative_values(list(argv))
     try:
         args = parser.parse_args(argv)
+        command = (args.command, getattr(args, "action", None))
+        if args.format == "csv" and command in _NO_GRADED_TABLE:
+            raise ConfigError(
+                "this report holds no graded table for csv; "
+                "use --format json or pretty"
+            )
         if args.command == "flags":
             return _cmd_flags(args)
         if args.command == "sheaf":

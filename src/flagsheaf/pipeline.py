@@ -18,6 +18,7 @@ required box itself.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -34,7 +35,6 @@ from .root_system import (
     d_degree,
     dominance_ll,
     e_profile,
-    gram_e,
     pair_f,
     weyl_chamber,
     WeylPosition,
@@ -134,17 +134,27 @@ def build_cone_model(
     if any(len(r) == 0 for r in ranges):
         raise ValueError("empty window")
     # one apex object per lattice point, shared by every subset I, so
-    # stalk selection decides each apex once
+    # stalk selection decides each apex once; apexes are pruned on ints
+    # first: the center class is -(sum_k k x_k) mod N, and the profile
+    # N<m, e_k> = sum_j x_j min(j,k) (N - max(j,k)) must lie in
+    # [ceil(N lo), floor(N hi)]
+    gram = [[min(j, k) * (n - max(j, k)) for j in all_indices]
+            for k in all_indices]
+    if u_bounds is not None:
+        u_lo, u_hi = _ceil(n * u_bounds[0]), _floor(n * u_bounds[1])
     apexes = []
     for combo in itertools.product(*ranges):
+        if z is not None and -sum(
+            k * x for k, x in enumerate(combo, 1)
+        ) % n != z.residue:
+            continue
+        if u_bounds is not None and any(
+            not u_lo <= sum(x * g for x, g in zip(combo, row)) <= u_hi
+            for row in gram
+        ):
+            continue
         m = cartan(n, combo)
-        if u_bounds is not None:
-            lo, hi = u_bounds
-            if any(u < lo or u > hi for u in e_profile(m)):
-                continue
-        cc = center_class(m)
-        if z is None or cc == z:
-            apexes.append((combo, m, cc, d_degree(m)))
+        apexes.append((combo, m, center_class(m), d_degree(m)))
     generators: list[SheafGenerator] = []
     entries: list[tuple[int, int, int]] = []
     for subset in _all_subsets(n):
@@ -447,10 +457,10 @@ class NovikovRecord:
 
 def action_of(params: OrbitParams, l: CartanVector) -> Fraction:
     """<l, lam * e_1> = lam * sum_k x_k (N - k) / N."""
+    n = params.n
     return params.lam * sum(
-        (x * gram_e(params.n, k, 1) for k, x in enumerate(l.coords, 1)),
-        Fraction(0),
-    )
+        x * (n - k) for k, x in enumerate(l.coords, 1)
+    ) / n
 
 
 DegreeWindow = tuple[int, int]
@@ -480,6 +490,12 @@ def module_terms(
     The two windows jointly bound the enumeration: eliminating x_1
     between the degree and action forms leaves a positive combination
     of (-x_j), j >= 2, so the admissible box is finite and certified.
+
+    Candidates are tested on ints, with t_j = -x_j for j >= 2: the
+    center class is 0 iff (x_1 + sum_{j>=2} j x_j) % N == 0, so x_1
+    steps through one residue class mod N, and the degree is
+    -D(l) = x_1 D_1 - sum_{j>=2} t_j D_j.  Only the terms that are
+    listed become a CartanVector, for ``action_of``.
     """
     n = params.n
     idx = frozenset(indices)
@@ -490,13 +506,12 @@ def module_terms(
     if dlo > dhi or alo > ahi:
         raise ValueError("empty window")
     dk = [2 * k * (n - k) for k in range(1, n)]
-    ck = [Fraction(n - k, n) for k in range(1, n)]
-    # weights of (-x_j) in c_1 * degree - D_1 * action/lam, all positive
-    w = {
-        j: ck[0] * dk[j - 1] - Fraction(dk[0]) * ck[j - 1]
-        for j in range(2, n)
-    }
-    m_hi = Fraction(dk[0]) * ahi / params.lam - ck[0] * Fraction(dlo)
+    # N * action / lam = x_1 (N - 1) - sum_{j>=2} t_j (N - j), an int
+    a_lo, a_hi = _ceil(n * alo / params.lam), _floor(n * ahi / params.lam)
+    # weights of t_j in D_1 * N * action/lam - (N - 1) * degree, all
+    # positive
+    w = {j: (n - 1) * dk[j - 1] - dk[0] * (n - j) for j in range(2, n)}
+    m_hi = dk[0] * n * ahi / params.lam - (n - 1) * dlo
     t_ranges = []
     for j in range(2, n):
         t_min = 1 if j in idx else 0
@@ -504,24 +519,20 @@ def module_terms(
         t_ranges.append(range(t_min, max(t_min - 1, t_max) + 1))
     elements = []
     for tail in itertools.product(*t_ranges):
-        sum_td = sum(t * dk[j - 1] for j, t in zip(range(2, n), tail))
-        sum_tc = sum(t * ck[j - 1] for j, t in zip(range(2, n), tail))
-        # degree window: dlo <= x1*D1 - sum_td <= dhi
-        x1_lo = _ceil(Fraction(dlo + sum_td, dk[0]))
-        x1_hi = _floor(Fraction(dhi + sum_td, dk[0]))
-        # action window: alo/lam <= x1*c1 - sum_tc <= ahi/lam
-        x1_lo = max(x1_lo, _ceil((alo / params.lam + sum_tc) / ck[0]))
-        x1_hi = min(x1_hi, _floor((ahi / params.lam + sum_tc) / ck[0]))
-        for x1 in range(x1_lo, x1_hi + 1):
+        sum_td = sum(t * dk[j - 1] for j, t in enumerate(tail, 2))
+        sum_ta = sum(t * (n - j) for j, t in enumerate(tail, 2))
+        # dlo <= x1 D_1 - sum_td <= dhi, a_lo <= x1 (N - 1) - sum_ta <= a_hi
+        x1_lo = max(-(-(dlo + sum_td) // dk[0]),
+                    -(-(a_lo + sum_ta) // (n - 1)))
+        x1_hi = min((dhi + sum_td) // dk[0], (a_hi + sum_ta) // (n - 1))
+        x1_lo += (sum(j * t for j, t in enumerate(tail, 2)) - x1_lo) % n
+        for x1 in range(x1_lo, x1_hi + 1, n):
             coords = (x1,) + tuple(-t for t in tail)
-            l = cartan(n, coords)
-            if center_class(l).residue != 0:
-                continue
             elements.append(
                 NovikovElement(
                     coords=coords,
-                    action=action_of(params, l),
-                    degree=-d_degree(l),
+                    action=action_of(params, CartanVector(n, coords)),
+                    degree=x1 * dk[0] - sum_td,
                 )
             )
     elements.sort(key=lambda e: (e.action, e.degree, e.coords))
@@ -543,11 +554,19 @@ def h_graded(
 ) -> NovikovRecord:
     """Graded dimensions of H_I(d): the terms of the module with
     action + d >= 0, in degree -D(l)."""
+    return _terms_at(
+        module_terms(params, indices, degree_window, action_window), d
+    )
+
+
+def _terms_at(base: NovikovRecord, d: Fraction) -> NovikovRecord:
+    """H_I(d) from the module's term list: the terms with
+    action + d >= 0, a tail of the list, which is sorted by action."""
     d = Fraction(d)
     if d < 0:
         raise ValueError("the structure maps exist for d >= 0 only")
-    base = module_terms(params, indices, degree_window, action_window)
-    kept = tuple(e for e in base.elements if e.action + d >= 0)
+    start = bisect_left(base.elements, -d, key=lambda e: e.action)
+    kept = base.elements[start:]
     return NovikovRecord(
         indices=base.indices,
         d=d,
@@ -668,17 +687,22 @@ def certificate(
 ) -> CertificateReport:
     """Run the non-vanishing check for every subset I and every d in
     the grid; aggregate the full graded answer as the direct sum over
-    I of g(I) tensor H_I(d)."""
+    I of g(I) tensor H_I(d).  Each subset's term list is built once
+    and filtered by every d."""
     n = params.n
     grid = tuple(sorted({Fraction(d) for d in d_grid}))
+    bases = {
+        subset: module_terms(params, subset, degree_window, action_window)
+        for subset in _all_subsets(n)
+    }
     nonvanishing_results: list[NonvanishingResult] = []
     hs: list[NovikovRecord] = []
     full: dict[Fraction, GradedDims] = {}
     for d in grid:
         total = GradedDims.empty()
-        for subset in _all_subsets(n):
+        for subset, base in bases.items():
             nonvanishing_results.append(structure_map_nonzero(params, subset, d))
-            rec = h_graded(params, subset, d, degree_window, action_window)
+            rec = _terms_at(base, d)
             hs.append(rec)
             total = total + g_space_cached(n, subset).tensor(rec.graded)
         full[d] = total

@@ -263,3 +263,81 @@ def expanded_cohomology(complex_) -> dict[int, int]:
         if h:
             out[d] = h
     return dict(sorted(out.items()))
+
+
+# -- Fraction reference for the Novikov term lists ---------------------------
+
+
+def fraction_module_terms(n, lam, indices, degree_window, action_window):
+    """Terms (coords, action, degree) of the one-parameter module for I,
+    sorted by (action, degree, coords): the Fraction enumeration the
+    integer kernel replaced.  Every candidate of the certified box
+    becomes a CartanVector and is tested with ``center_class``; the
+    action is the Gram pairing with lam * e_1 and the degree is
+    -``d_degree``."""
+    from flagsheaf.root_system import cartan, center_class, d_degree, gram_e
+
+    def floor(x):
+        return x.numerator // x.denominator
+
+    def ceil(x):
+        return -((-x.numerator) // x.denominator)
+
+    lam = Fraction(lam)
+    idx = frozenset(indices)
+    dlo, dhi = degree_window
+    alo, ahi = (Fraction(a) for a in action_window)
+    dk = [2 * k * (n - k) for k in range(1, n)]
+    ck = [Fraction(n - k, n) for k in range(1, n)]
+    w = {
+        j: ck[0] * dk[j - 1] - Fraction(dk[0]) * ck[j - 1]
+        for j in range(2, n)
+    }
+    m_hi = Fraction(dk[0]) * ahi / lam - ck[0] * Fraction(dlo)
+    t_ranges = []
+    for j in range(2, n):
+        t_min = 1 if j in idx else 0
+        t_max = floor(m_hi / w[j]) if m_hi >= 0 else t_min - 1
+        t_ranges.append(range(t_min, max(t_min - 1, t_max) + 1))
+    terms = []
+    for tail in itertools.product(*t_ranges):
+        sum_td = sum(t * dk[j - 1] for j, t in zip(range(2, n), tail))
+        sum_tc = sum(t * ck[j - 1] for j, t in zip(range(2, n), tail))
+        x1_lo = ceil(Fraction(dlo + sum_td, dk[0]))
+        x1_hi = floor(Fraction(dhi + sum_td, dk[0]))
+        x1_lo = max(x1_lo, ceil((alo / lam + sum_tc) / ck[0]))
+        x1_hi = min(x1_hi, floor((ahi / lam + sum_tc) / ck[0]))
+        for x1 in range(x1_lo, x1_hi + 1):
+            coords = (x1,) + tuple(-t for t in tail)
+            l = cartan(n, coords)
+            if center_class(l).residue != 0:
+                continue
+            action = lam * sum(
+                (x * gram_e(n, k, 1) for k, x in enumerate(l.coords, 1)),
+                Fraction(0),
+            )
+            terms.append((coords, action, -d_degree(l)))
+    terms.sort(key=lambda t: (t[1], t[2], t[0]))
+    return terms
+
+
+# -- apex pruning by Fraction pairing profiles --------------------------------
+
+
+def profile_pruned_apexes(n, z, window, u_bounds):
+    """Lattice points of the window whose ``e_profile`` lies inside
+    ``u_bounds`` (inclusive) and whose center class is z (any class for
+    z None), as coordinate tuples."""
+    from flagsheaf.root_system import cartan, center_class, e_profile
+
+    lo, hi = u_bounds
+    out = set()
+    for combo in itertools.product(
+        *[range(a, b + 1) for a, b in window]
+    ):
+        m = cartan(n, combo)
+        if any(u < lo or u > hi for u in e_profile(m)):
+            continue
+        if z is None or center_class(m) == z:
+            out.add(combo)
+    return out

@@ -127,6 +127,22 @@ def test_pipeline_spectrum(capsys):
     assert payload["spectrum"] == ["0", "1", "2"]
 
 
+def test_pipeline_echoes_normalized_inputs(capsys):
+    code, payload = run_json(capsys, "pipeline", "pair", "--n", "2",
+                             "--d", "2/4")
+    assert code == 0 and payload["d"] == "1/2"
+    code, payload = run_json(capsys, "pipeline", "spectrum", "--n", "3",
+                             "--i", "2,1")
+    assert code == 0 and payload["i"] == "1,2"
+    # equal inputs, equal bytes
+    assert run(capsys, "pipeline", "pair", "--n", "2", "--d", "2/4") == run(
+        capsys, "pipeline", "pair", "--n", "2", "--d", "1/2"
+    )
+    assert run(capsys, "pipeline", "spectrum", "--n", "3", "--i", "2,1") == (
+        run(capsys, "pipeline", "spectrum", "--n", "3", "--i", "1,2")
+    )
+
+
 def test_pipeline_pair_char_guard(capsys):
     code = main(
         ["pipeline", "pair", "--n", "2", "--side-a", "real_projective",
@@ -165,6 +181,26 @@ def test_csv_format(capsys):
     assert code == 0
     assert out.splitlines()[0] == "key,degree,dim"
     assert any("h_graded" in line for line in out.splitlines()[1:])
+
+
+def test_csv_refuses_reports_without_graded_rows(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the format was refused")
+
+    monkeypatch.setattr(cli, "run_trials", no_work)
+    monkeypatch.setattr(cli, "crosscheck_stalks", no_work)
+    for argv in (
+        ["numerics", "--n", "3", "--trials", "5", "--format", "csv"],
+        ["pipeline", "crosscheck", "--n", "2", "--format", "csv"],
+        ["pipeline", "spectrum", "--n", "2", "--format", "csv"],
+        ["flags", "verify", "--n", "3", "--format", "csv"],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error:")
+        assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_pretty_format(capsys):

@@ -1,0 +1,128 @@
+"""The integer Novikov kernel against its Fraction reference: term
+lists, H_I(d), the certificate's one term list per subset, and the
+integer apex pruning of the jump cone model."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from flagsheaf import pipeline
+from flagsheaf.graded import GradedDims
+from flagsheaf.pipeline import (
+    DEFAULT_ACTION_WINDOW,
+    DEFAULT_DEGREE_WINDOW,
+    CertificateReport,
+    OrbitParams,
+    build_cone_model,
+    g_space_cached,
+    h_graded,
+    jump_required_box,
+    module_terms,
+    structure_map_nonzero,
+)
+from flagsheaf.root_system import CenterClass, cartan
+
+from oracles import fraction_module_terms, profile_pruned_apexes
+
+
+@st.composite
+def module_queries(draw):
+    n = draw(st.integers(2, 5))
+    # lam >= 1 and windows inside the default degree window and [-6, 6]
+    # keep the certified box small enough for the Fraction reference;
+    # the windows straddle 0, where the terms are
+    lam = Fraction(draw(st.integers(2, 12)), draw(st.integers(1, 2)))
+    indices = tuple(sorted(draw(st.sets(st.integers(1, n - 1)))))
+    degree_window = (draw(st.integers(-40, 0)), draw(st.integers(0, 40)))
+    action_window = (
+        Fraction(draw(st.integers(-24, 0)), 4),
+        Fraction(draw(st.integers(0, 24)), 4),
+    )
+    d = Fraction(draw(st.integers(0, 12)), draw(st.integers(1, 4)))
+    return n, lam, indices, degree_window, action_window, d
+
+
+@settings(max_examples=120, deadline=None)
+@given(module_queries())
+def test_integer_module_terms_match_fraction_reference(query):
+    n, lam, indices, degree_window, action_window, d = query
+    params = OrbitParams(n, lam)
+    want = fraction_module_terms(n, lam, indices, degree_window, action_window)
+    rec = module_terms(params, indices, degree_window, action_window)
+    assert [(e.coords, e.action, e.degree) for e in rec.elements] == want
+    assert rec.graded == GradedDims((deg, 1) for _, _, deg in want)
+    kept = [t for t in want if t[1] + d >= 0]
+    h = h_graded(params, indices, d, degree_window, action_window)
+    assert h.d == d
+    assert [(e.coords, e.action, e.degree) for e in h.elements] == kept
+    assert h.graded == GradedDims((deg, 1) for _, _, deg in kept)
+
+
+@pytest.mark.parametrize("n, lam", [(3, Fraction(1)), (4, Fraction(5, 2))])
+def test_default_windows_match_fraction_reference(n, lam):
+    params = OrbitParams(n, lam)
+    for subset in pipeline._all_subsets(n):
+        rec = module_terms(params, subset)
+        want = fraction_module_terms(
+            n, lam, subset, DEFAULT_DEGREE_WINDOW, DEFAULT_ACTION_WINDOW
+        )
+        assert want
+        assert [(e.coords, e.action, e.degree) for e in rec.elements] == want
+
+
+def test_certificate_builds_each_term_list_once(monkeypatch):
+    params = OrbitParams(4, Fraction(3))
+    calls = []
+    original = pipeline.module_terms
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "module_terms", counted)
+    report = pipeline.certificate(params)
+    monkeypatch.undo()
+    assert len(calls) == 8
+    assert sorted(calls) == sorted(pipeline._all_subsets(4))
+    # the same report assembled from one h_graded call per (I, d)
+    nonvanishing, records, full = [], [], {}
+    for d in report.d_grid:
+        total = GradedDims.empty()
+        for subset in pipeline._all_subsets(4):
+            nonvanishing.append(structure_map_nonzero(params, subset, d))
+            rec = h_graded(params, subset, d)
+            records.append(rec)
+            total = total + g_space_cached(4, subset).tensor(rec.graded)
+        full[d] = total
+    expected = CertificateReport(
+        params=params,
+        d_grid=report.d_grid,
+        nonvanishing=nonvanishing,
+        h_records=records,
+        full_hom=full,
+        verdict=all(r.nonzero for r in nonvanishing),
+    )
+    assert report.to_json() == expected.to_json()
+
+
+@pytest.mark.parametrize(
+    "n, coords, eps",
+    [
+        (3, (0, 0), Fraction(1, 2)),
+        (3, (-1, -2), Fraction(1, 2)),
+        (3, (Fraction(-1, 2), -1), Fraction(1)),
+        (3, (-2, 0), Fraction(1, 4)),
+        (4, (0, 0, 0), Fraction(1, 2)),
+        (4, (-1, -1, -1), Fraction(1, 3)),
+        (4, (Fraction(-1, 2), -1, 0), Fraction(1, 2)),
+    ],
+)
+def test_integer_apex_pruning_matches_profile_pruning(n, coords, eps):
+    m = cartan(n, coords)
+    window, u_bounds = jump_required_box(n, m, (), eps)
+    classes = [None, *(CenterClass(n, r) for r in range(n))]
+    for z in classes if n == 3 else classes[:2]:
+        model = build_cone_model(n, z, window, u_bounds=u_bounds)
+        kept = {g.label[3] for g in model.generators}
+        assert kept == profile_pruned_apexes(n, z, window, u_bounds)
