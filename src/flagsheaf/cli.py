@@ -21,11 +21,16 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .flag_schubert import FlagType, betti, g_space, verify_free_decomposition
+from .flag_schubert import (
+    FlagType,
+    all_flag_types,
+    betti,
+    g_space,
+    verify_free_decomposition,
+)
 from .lie_numerics import NonConvergenceError, run_trials
 from .pipeline import (
     DEFAULT_ACTION_WINDOW,
@@ -63,35 +68,6 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run configuration shared by the pipeline commands."""
-
-    n: int
-    lam: Fraction
-    seed: int
-    degree_window: tuple[int, int]
-    action_window: tuple[Fraction, Fraction]
-    d_grid: tuple[Fraction, ...]
-    char_two: bool
-    output_format: str
-    jobs: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ConfigError(f"rank parameter must be >= 2, got {self.n}")
-        if self.lam <= 0:
-            raise ConfigError("lambda must be positive")
-        if self.degree_window[0] > self.degree_window[1]:
-            raise ConfigError("empty degree window")
-        if self.action_window[0] > self.action_window[1]:
-            raise ConfigError("empty action window")
-        if self.jobs < 1:
-            raise ConfigError("worker count must be >= 1")
-        if self.output_format not in ("json", "csv", "pretty"):
-            raise ConfigError(f"unknown format {self.output_format!r}")
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         raise ConfigError(message)
@@ -104,7 +80,9 @@ def _fraction(text: str) -> Fraction:
         raise ConfigError(f"not a rational number: {text!r} ({exc})")
 
 
-def _coords(text: str, n: int) -> tuple[Fraction, ...]:
+def _coords(text: str | None, n: int, flag: str) -> tuple[Fraction, ...]:
+    if text is None:
+        raise ConfigError(f"{flag} is required ({n - 1} rationals)")
     parts = [p for p in text.split(",") if p.strip() != ""]
     if len(parts) != n - 1:
         raise ConfigError(
@@ -122,7 +100,7 @@ def _subset(text: str) -> tuple[int, ...]:
         raise ConfigError(f"not a comma list of indices: {text!r}")
 
 
-def _window_box(text: str | None, n: int):
+def _lattice_window(text: str | None, n: int):
     """Window syntax: 'lo:hi' for all coordinates or comma list of
     per-coordinate lo:hi pairs."""
     if text is None:
@@ -147,9 +125,19 @@ def _pair_window(text: str | None, default, cast):
         return default
     try:
         lo, hi = text.split(":")
-        return (cast(lo), cast(hi))
+        lo, hi = cast(lo), cast(hi)
     except ValueError:
         raise ConfigError(f"bad window {text!r}, expected lo:hi")
+    if lo > hi:
+        raise ConfigError(f"empty window {text!r}")
+    return (lo, hi)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _check_n(n: int) -> int:
@@ -170,8 +158,11 @@ def _emit(payload: dict, args) -> None:
     if out:
         outdir = os.environ.get("FLAGSHEAF_OUTDIR", ".")
         path = out if os.path.isabs(out) else os.path.join(outdir, out)
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path!r}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
@@ -244,7 +235,7 @@ def _cmd_flags(args) -> int:
         targets = (
             [FlagType(n, _subset(args.i))]
             if args.i is not None
-            else [FlagType(n, ft.indices) for ft in _iter_flagtypes(n)]
+            else all_flag_types(n)
         )
         for ft in targets:
             key = ",".join(map(str, ft.indices))
@@ -253,14 +244,14 @@ def _cmd_flags(args) -> int:
         return EXIT_OK
     if args.action == "gtable":
         tables = {}
-        for ft in _iter_flagtypes(n):
+        for ft in all_flag_types(n):
             key = ",".join(map(str, ft.indices))
             tables[key] = g_space(ft).to_json()
         _emit({"n": n, "g": tables}, args)
         return EXIT_OK
     # verify
     failures = []
-    for ft in _iter_flagtypes(n):
+    for ft in all_flag_types(n):
         report = verify_free_decomposition(ft)
         if not report.ok:
             failures.append(
@@ -273,18 +264,12 @@ def _cmd_flags(args) -> int:
     return EXIT_OK if not failures else EXIT_VERIFICATION
 
 
-def _iter_flagtypes(n: int):
-    from .flag_schubert import all_flag_types
-
-    return all_flag_types(n)
-
-
 def _cmd_sheaf(args) -> int:
     n = _check_n(args.n)
     z = CenterClass(n, args.z)
-    window = _window_box(args.window, n)
+    window = _lattice_window(args.window, n)
     if args.action == "stalk":
-        p = cartan(n, _coords(args.point, n))
+        p = cartan(n, _coords(args.point, n, "--point"))
         required = required_stalk_box(p)
         window = resolve_window(window, required, f"stalk at {p.coords}")
         model = build_cone_model(n, z, window)
@@ -302,7 +287,7 @@ def _cmd_sheaf(args) -> int:
         )
         return EXIT_OK
     if args.action == "sections":
-        x = cartan(n, _coords(args.point, n))
+        x = cartan(n, _coords(args.point, n, "--point"))
         u = UMinusOpen(x) if args.u_kind == "uminus" else UOpen(x)
         if window is None:
             raise ConfigError("sections require an explicit --window")
@@ -321,7 +306,7 @@ def _cmd_sheaf(args) -> int:
         )
         return EXIT_OK
     # delta
-    m = cartan(n, _coords(args.m, n))
+    m = cartan(n, _coords(args.m, n, "--m"))
     idx = _subset(args.i)
     dims = model_jump(
         n, z, idx, m, eps=_fraction(args.eps), window=window
@@ -350,41 +335,33 @@ def _crosscheck_task(task):
 def _cmd_pipeline(args) -> int:
     n = _check_n(args.n)
     lam = _fraction(args.lam)
-    config = RunConfig(
-        n=n,
-        lam=lam,
-        seed=args.seed,
-        degree_window=_pair_window(
-            args.degree_window, DEFAULT_DEGREE_WINDOW, int
-        ),
-        action_window=_pair_window(
-            args.action_window, DEFAULT_ACTION_WINDOW, Fraction
-        ),
-        d_grid=(
-            tuple(_fraction(d) for d in args.d_grid.split(","))
-            if args.d_grid
-            else DEFAULT_D_GRID
-        ),
-        char_two=args.char2,
-        output_format=args.format,
-        jobs=args.jobs,
-    )
     params = OrbitParams(n, lam)
-    degree_window = config.degree_window
-    action_window = config.action_window
+    degree_window = _pair_window(
+        args.degree_window, DEFAULT_DEGREE_WINDOW, int
+    )
+    action_window = _pair_window(
+        args.action_window, DEFAULT_ACTION_WINDOW, Fraction
+    )
+    d_grid = (
+        tuple(_fraction(d) for d in args.d_grid.split(","))
+        if args.d_grid
+        else DEFAULT_D_GRID
+    )
     if args.action == "crosscheck":
+        if args.samples < 0:
+            raise ConfigError("sample count must be nonnegative")
         residues = (
             range(n) if args.z == "all" else [int(args.z)]
         )
         tasks = [
-            (n, z, args.samples, args.seed, _window_box(args.window, n))
+            (n, z, args.samples, args.seed, _lattice_window(args.window, n))
             for z in residues
         ]
-        if config.jobs > 1 and len(tasks) > 1:
+        if args.jobs > 1 and len(tasks) > 1:
             # order-preserving map keeps output deterministic
             import multiprocessing
 
-            with multiprocessing.Pool(min(config.jobs, len(tasks))) as pool:
+            with multiprocessing.Pool(min(args.jobs, len(tasks))) as pool:
                 reports = pool.map(_crosscheck_task, tasks)
         else:
             reports = [_crosscheck_task(t) for t in tasks]
@@ -416,7 +393,7 @@ def _cmd_pipeline(args) -> int:
         return EXIT_OK
     if args.action == "certificate":
         report = certificate(
-            params, config.d_grid, degree_window, action_window
+            params, d_grid, degree_window, action_window
         )
         _emit(report.to_json(), args)
         return EXIT_OK if report.verdict in (True, None) else EXIT_VERIFICATION
@@ -526,7 +503,7 @@ def _build_parser() -> _Parser:
     p_pipe.add_argument("--degree-window", dest="degree_window", default=None)
     p_pipe.add_argument("--action-window", dest="action_window", default=None)
     p_pipe.add_argument("--window", default=None)
-    p_pipe.add_argument("--jobs", type=int, default=1)
+    p_pipe.add_argument("--jobs", type=_positive_int, default=1)
     p_pipe.add_argument("--side-a", dest="side_a", default="diagonal")
     p_pipe.add_argument("--side-b", dest="side_b", default="diagonal")
     p_pipe.add_argument("--char2", action="store_true")

@@ -40,13 +40,13 @@ from .root_system import (
     WeylPosition,
 )
 from .sheaf_complex import (
-    KCone,
     LatticeBox,
     SheafComplex,
-    SheafGenerator,
-    _subset_sign,
+    cone_complex,
     jump_graded,
+    lattice_apex,
     stalk_complex,
+    window_points,
 )
 
 
@@ -127,23 +127,17 @@ def build_cone_model(
     coroot-pairing profile (a pure optimization: outside any box that
     contains the query's required profile range the summands cancel).
     """
-    if len(window) != n - 1:
-        raise ValueError(f"window must have {n - 1} coordinate ranges")
-    all_indices = list(range(1, n))
-    ranges = [range(lo, hi + 1) for lo, hi in window]
-    if any(len(r) == 0 for r in ranges):
-        raise ValueError("empty window")
     # one apex object per lattice point, shared by every subset I, so
     # stalk selection decides each apex once; apexes are pruned on ints
     # first: the center class is -(sum_k k x_k) mod N, and the profile
     # N<m, e_k> = sum_j x_j min(j,k) (N - max(j,k)) must lie in
     # [ceil(N lo), floor(N hi)]
-    gram = [[min(j, k) * (n - max(j, k)) for j in all_indices]
-            for k in all_indices]
+    gram = [[min(j, k) * (n - max(j, k)) for j in range(1, n)]
+            for k in range(1, n)]
     if u_bounds is not None:
         u_lo, u_hi = _ceil(n * u_bounds[0]), _floor(n * u_bounds[1])
     apexes = []
-    for combo in itertools.product(*ranges):
+    for combo in window_points(n, window):
         if z is not None and -sum(
             k * x for k, x in enumerate(combo, 1)
         ) % n != z.residue:
@@ -153,49 +147,12 @@ def build_cone_model(
             for row in gram
         ):
             continue
-        m = cartan(n, combo)
-        apexes.append((combo, m, center_class(m), d_degree(m)))
-    generators: list[SheafGenerator] = []
-    entries: list[tuple[int, int, int]] = []
-    for subset in _all_subsets(n):
-        iset = frozenset(subset)
-        mult = g_space_cached(n, subset)
-        for combo, m, cc, dm in apexes:
-            # J must contain every direction where m + e_I sticks out
-            forced = frozenset(
-                k
-                for k in all_indices
-                if pair_f(m, k) + (1 if k in iset else 0) > 0
-            )
-            local: dict[frozenset[int], int] = {}
-            for r in range(n):
-                for jc in itertools.combinations(all_indices, r):
-                    j = frozenset(jc)
-                    if not forced <= j:
-                        continue
-                    local[j] = len(generators)
-                    generators.append(
-                        SheafGenerator(
-                            region=KCone(j, m),
-                            center=cc,
-                            degree=len(j) - dm,
-                            mult=mult,
-                            label=("cone", subset, tuple(sorted(j)), combo),
-                        )
-                    )
-            for j1, gi in local.items():
-                for added in all_indices:
-                    if added in j1:
-                        continue
-                    j2 = j1 | {added}
-                    if j2 in local:
-                        entries.append(
-                            (gi, local[j2], _subset_sign(j2, added))
-                        )
-    return SheafComplex(
+        apexes.append(lattice_apex(n, combo))
+    mults = {subset: g_space_cached(n, subset) for subset in _all_subsets(n)}
+    return cone_complex(
         n,
-        generators,
-        entries,
+        ((subset, mult, apex) for subset, mult in mults.items()
+         for apex in apexes),
         meta={"kind": "cone-model", "window": window},
         check=False,
     )
@@ -729,12 +686,6 @@ TORUS = "clifford_torus"
 PROJECTIVE = "real_projective"
 DIAGONAL = "diagonal"
 
-# Mod-2 series of SO(N): simple system of generators in degrees
-# 1..N-1.  Standard background, kept as configuration; validated for
-# N <= 4 by the cellular computations in the test suite.
-SO_SERIES_VALIDATED_UPTO = 4
-
-
 def torus_factor(n: int) -> GradedDims:
     """H of the maximal torus: (1 + t)^(N-1)."""
     out = GradedDims.line(0)
@@ -745,7 +696,9 @@ def torus_factor(n: int) -> GradedDims:
 
 
 def so_factor(n: int) -> GradedDims:
-    """Mod-2 series of SO(N): product of (1 + t^i), i = 1..N-1."""
+    """Mod-2 series of SO(N): product of (1 + t^i), i = 1..N-1, a
+    simple system of generators in degrees 1..N-1 (checked against
+    cellular computations for N <= 4 in the test suite)."""
     out = GradedDims.line(0)
     for i in range(1, n):
         out = out.tensor(GradedDims({0: 1, i: 1}))
@@ -760,7 +713,6 @@ def pair_hom(
     degree_window: DegreeWindow = DEFAULT_DEGREE_WINDOW,
     action_window: ActionWindow = DEFAULT_ACTION_WINDOW,
     char_two: bool = False,
-    so_series: GradedDims | None = None,
 ) -> GradedDims:
     """Graded pairing answer: the diagonal answer times one factor per
     non-diagonal side (torus: (1+t)^(N-1); real form: the mod-2 SO(N)
@@ -782,9 +734,7 @@ def pair_hom(
         if side == TORUS:
             total = total.tensor(torus_factor(n))
         elif side == PROJECTIVE:
-            total = total.tensor(
-                so_series if so_series is not None else so_factor(n)
-            )
+            total = total.tensor(so_factor(n))
     return total
 
 

@@ -15,10 +15,9 @@ Conventions (fixed once, used by every module):
   (interior: strict).
 * exp(2*pi*e_k) is the central element exp(-2*pi*i*k/N) * Id, so an
   integral vector l has center class  -(sum_k k * x_k) mod N.
-* Degree weights D_k = 2k(N-k) and D(l) = -sum_k x_k D_k.  A legacy
-  variant with D_k = k(N-k) can be requested explicitly; nothing in
-  this package uses it by default (the cross-checks in the pipeline
-  only close up with the 2k(N-k) normalization).
+* Degree weights D_k = 2k(N-k), the real dimension of Gr(k, N), and
+  D(l) = -sum_k x_k D_k (the cross-checks in the pipeline only close
+  up with this normalization).
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class IntegrityError(RuntimeError):
@@ -113,15 +112,6 @@ def f_vec(n: int, k: int) -> CartanVector:
     return CartanVector(n, tuple(coords))
 
 
-def e_subset(n: int, indices: Iterable[int]) -> CartanVector:
-    """sum of e_i over i in the given subset of {1..N-1}."""
-    coords = [Fraction(0)] * (n - 1)
-    for i in indices:
-        _check_index(n, i)
-        coords[i - 1] += 1
-    return CartanVector(n, tuple(coords))
-
-
 def _check_index(n: int, k: int):
     if not 1 <= k <= n - 1:
         raise ValueError(f"index {k} out of range 1..{n - 1}")
@@ -202,11 +192,6 @@ def i_set(x: CartanVector) -> frozenset[int]:
     return frozenset(k for k in range(1, x.n) if pair_f(x, k) < 0)
 
 
-def j_positive_set(x: CartanVector) -> frozenset[int]:
-    """Indices with <x, f_k> > 0 (empty exactly on C_-)."""
-    return frozenset(k for k in range(1, x.n) if pair_f(x, k) > 0)
-
-
 @dataclass(frozen=True)
 class CenterClass:
     """Central element exp(2*pi*i*residue/N) * Id of SU(N)."""
@@ -237,42 +222,11 @@ def center_class(l: CartanVector) -> CenterClass:
     return CenterClass(l.n, -s)
 
 
-@dataclass(frozen=True)
-class DegreeWeights:
-    """Weights D_1..D_{N-1} entering the degree function D."""
-
-    n: int
-    d_k: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.d_k) != self.n - 1:
-            raise ValueError("weight count must be N-1")
-        for k, d in enumerate(self.d_k, start=1):
-            if d <= 0:
-                raise ValueError("degree weights must be positive")
-            if d != self.d_k[self.n - k - 1]:
-                raise ValueError("degree weights must satisfy D_k = D_{N-k}")
-
-    @classmethod
-    def standard(cls, n: int) -> "DegreeWeights":
-        """D_k = 2k(N-k), the real dimension of the Grassmannian Gr(k, N)."""
-        return cls(n, tuple(2 * k * (n - k) for k in range(1, n)))
-
-    @classmethod
-    def halved(cls, n: int) -> "DegreeWeights":
-        """Experimental override D_k = k(N-k).  The internal stalk
-        cross-check fails with this choice; it exists only so the
-        discrepancy can be demonstrated."""
-        return cls(n, tuple(k * (n - k) for k in range(1, n)))
-
-
-def d_degree(l: CartanVector, weights: DegreeWeights | None = None) -> int:
-    """D(l) = -sum_k x_k D_k for integral l."""
+def d_degree(l: CartanVector) -> int:
+    """D(l) = -sum_k x_k D_k for integral l, with D_k = 2k(N-k)."""
     _require_integral(l)
-    w = weights if weights is not None else DegreeWeights.standard(l.n)
-    if w.n != l.n:
-        raise ValueError("rank mismatch between vector and weights")
-    return -sum(int(x) * d for x, d in zip(l.coords, w.d_k))
+    n = l.n
+    return -sum(int(x) * 2 * k * (n - k) for k, x in enumerate(l.coords, 1))
 
 
 def enumerate_lattice(

@@ -17,7 +17,6 @@ Supported regions (parameters are exact rational Cartan vectors):
 * ``UMinusOpen(x)``  {y in interior(C_-) : y << x}
 * ``UOpen(x)``       {y : y << x}
 * ``KCone(J, l)``    {y : <y - l, e_j> >= 0 for all j in J}
-* ``WBox(I, x, eps)``  <y - x, e_k> in [0, eps) on I, < 0 off I
 
 Windowed direct sums over the central lattice truncate to a finite
 coordinate box; the apex box is recorded in the metadata, and queries
@@ -60,7 +59,6 @@ from .root_system import (
     i_set,
     in_c_minus,
     pair_e,
-    pair_f,
 )
 
 # ---------------------------------------------------------------------------
@@ -89,20 +87,7 @@ class KCone:
                 raise ValueError(f"cone index {j} out of range")
 
 
-@dataclass(frozen=True)
-class WBox:
-    indices: frozenset[int]
-    x: CartanVector
-    eps: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", frozenset(self.indices))
-        object.__setattr__(self, "eps", Fraction(self.eps))
-        if self.eps <= 0:
-            raise ValueError("box width must be positive")
-
-
-Region = UMinusOpen | UOpen | KCone | WBox
+Region = UMinusOpen | UOpen | KCone
 
 
 def region_rank(region: Region) -> int:
@@ -137,16 +122,6 @@ def region_contains(region: Region, p: CartanVector) -> bool:
     if isinstance(region, KCone):
         au = _u_profile(region.apex)
         return all(pu[j - 1] >= au[j - 1] for j in region.indices)
-    if isinstance(region, WBox):
-        xu = _u_profile(region.x)
-        for k in range(1, n):
-            d = pu[k - 1] - xu[k - 1]
-            if k in region.indices:
-                if not (0 <= d < region.eps):
-                    return False
-            elif not d < 0:
-                return False
-        return True
     raise TypeError(f"unknown region kind {type(region).__name__}")
 
 
@@ -312,7 +287,7 @@ class SheafComplex:
 
     # -- serialization ------------------------------------------------
 
-    SCHEMA = "flagsheaf/sheaf-complex/1"
+    SCHEMA = "flagsheaf/sheaf-complex/2"
 
     def to_json(self) -> dict:
         return {
@@ -367,13 +342,6 @@ def region_to_json(region: Region) -> dict:
             "indices": sorted(region.indices),
             "apex": _coords_json(region.apex),
         }
-    if isinstance(region, WBox):
-        return {
-            "kind": "w_box",
-            "indices": sorted(region.indices),
-            "x": _coords_json(region.x),
-            "eps": str(region.eps),
-        }
     raise TypeError(f"unknown region kind {type(region).__name__}")
 
 
@@ -388,29 +356,31 @@ def region_from_json(data: dict, n: int) -> Region:
             frozenset(data["indices"]),
             cartan(n, [Fraction(c) for c in data["apex"]]),
         )
-    if kind == "w_box":
-        return WBox(
-            frozenset(data["indices"]),
-            cartan(n, [Fraction(c) for c in data["x"]]),
-            Fraction(data["eps"]),
-        )
     raise ValueError(f"unknown region kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
-# the windowed standard complex Y
+# cone complexes: the windowed standard complex Y and the cone model
 
 LatticeBox = tuple[tuple[int, int], ...]
+# a lattice apex m: integer coordinates, the vector, exp(m) and D(m)
+Apex = tuple[tuple[int, ...], CartanVector, CenterClass, int]
 
 
-def _box_points(n: int, window: LatticeBox):
+def window_points(n: int, window: LatticeBox) -> Iterable[tuple[int, ...]]:
+    """Integer coordinate tuples of the window box, in lexicographic
+    order; the window is checked before the walk starts."""
     if len(window) != n - 1:
         raise ValueError(f"window must have {n - 1} coordinate ranges")
     ranges = [range(lo, hi + 1) for lo, hi in window]
     if any(len(r) == 0 for r in ranges):
         raise ValueError("empty window")
-    for combo in itertools.product(*ranges):
-        yield cartan(n, combo)
+    return itertools.product(*ranges)
+
+
+def lattice_apex(n: int, combo: tuple[int, ...]) -> Apex:
+    m = cartan(n, combo)
+    return combo, m, center_class(m), d_degree(m)
 
 
 def _subset_sign(j_small: frozenset[int], added: int) -> int:
@@ -419,47 +389,62 @@ def _subset_sign(j_small: frozenset[int], added: int) -> int:
     return -1 if sigma % 2 else 1
 
 
-def build_standard_complex(n: int, window: LatticeBox) -> SheafComplex:
-    """Windowed standard complex: for every subset J of {1..N-1} and
-    every lattice l in the window with <l, f_i> <= 0 off J, one cone
-    generator K(J, l) in total degree |J| - D(l) at center exp(l),
-    with differential the signed restrictions J -> J + {e}."""
-    all_indices = list(range(1, n))
+def cone_complex(
+    n: int,
+    blocks: Iterable[tuple[tuple[int, ...], GradedDims, Apex]],
+    meta: dict,
+    check: bool,
+) -> SheafComplex:
+    """Complex of constant sheaves on closed cones (Kashiwara-Schapira,
+    Sheaves on Manifolds, 1990), one block per (subset I, multiplicity,
+    apex m): a generator KCone(J, m) for every J containing
+    forced(I, m) = {k : <m, f_k> + [k in I] > 0}, in total degree
+    |J| - D(m) at center exp(m), labelled ("cone", I, J, m), with
+    differential the signed restrictions J -> J + {e} inside the
+    block."""
+    all_indices = range(1, n)
+    subsets = [
+        (jc, frozenset(jc))
+        for r in range(n)
+        for jc in itertools.combinations(all_indices, r)
+    ]
     generators: list[SheafGenerator] = []
-    index: dict[tuple[tuple[Fraction, ...], frozenset[int]], int] = {}
-    for l in _box_points(n, window):
-        jl = frozenset(k for k in all_indices if pair_f(l, k) > 0)
-        cc = center_class(l)
-        dl = d_degree(l)
-        for r in range(n):
-            for combo in itertools.combinations(all_indices, r):
-                j = frozenset(combo)
-                if not jl <= j:
-                    continue
-                gen = SheafGenerator(
-                    region=KCone(j, l),
-                    center=cc,
-                    degree=len(j) - dl,
-                    label=("std", tuple(sorted(j)), l.coords),
-                )
-                index[(l.coords, j)] = len(generators)
-                generators.append(gen)
     entries: list[Triplet] = []
-    for (coords, j1), i in index.items():
-        for added in all_indices:
-            if added in j1:
-                continue
-            j2 = j1 | {added}
-            key = (coords, j2)
-            if key in index:
-                entries.append(
-                    (i, index[key], _subset_sign(j2, added))
+    for subset, mult, (combo, m, cc, dm) in blocks:
+        forced = frozenset(
+            k for k in all_indices if combo[k - 1] + (k in subset) > 0
+        )
+        local: dict[frozenset[int], int] = {}
+        for jc, j in subsets:
+            if forced <= j:
+                local[j] = len(generators)
+                generators.append(
+                    SheafGenerator(
+                        region=KCone(j, m),
+                        center=cc,
+                        degree=len(j) - dm,
+                        mult=mult,
+                        label=("cone", subset, jc, combo),
+                    )
                 )
-    return SheafComplex(
-        n,
-        generators,
-        entries,
-        meta={"kind": "standard", "window": window},
+        for j1, gi in local.items():
+            for added in all_indices:
+                if added in j1:
+                    continue
+                j2 = j1 | {added}
+                if j2 in local:
+                    entries.append((gi, local[j2], _subset_sign(j2, added)))
+    return SheafComplex(n, generators, entries, meta=meta, check=check)
+
+
+def build_standard_complex(n: int, window: LatticeBox) -> SheafComplex:
+    """Windowed standard complex: the I = () block of the cone model,
+    one line per cone K(J, l) for every lattice l in the window and
+    every J containing {k : <l, f_k> > 0}."""
+    line = GradedDims.line()
+    blocks = [((), line, lattice_apex(n, c)) for c in window_points(n, window)]
+    return cone_complex(
+        n, blocks, meta={"kind": "standard", "window": window}, check=True
     )
 
 

@@ -167,10 +167,50 @@ def test_numerics_paths(capsys):
     assert code3 == 2
 
 
-def test_bad_lambda(capsys):
-    code = main(["pipeline", "certificate", "--n", "2", "--lambda", "0"])
-    capsys.readouterr()
+_REJECTED_PIPELINE_OPTIONS = {
+    "lambda-0": ["--lambda", "0"],
+    "lambda-neg": ["--lambda", "-1"],
+    "degree-window": ["--degree-window", "5:1"],
+    "action-window": ["--action-window", "3:0"],
+    "jobs-0": ["--jobs", "0"],
+    "d-grid": ["--d-grid", "x"],
+}
+
+_REJECTED_INPUTS = {
+    **{
+        f"{action}-{name}": ["pipeline", action, "--n", "2", *opts]
+        for action in ("certificate", "crosscheck")
+        for name, opts in _REJECTED_PIPELINE_OPTIONS.items()
+    },
+    "stalk-no-point": ["sheaf", "stalk", "--n", "2"],
+    "sections-no-point": ["sheaf", "sections", "--n", "2", "--window", "-2:0"],
+    "delta-no-m": ["sheaf", "delta", "--n", "2"],
+    "out-missing-dir": [
+        "flags", "betti", "--n", "2", "--out", "/nonexistent/x.json"
+    ],
+    "crosscheck-negative-samples": [
+        "pipeline", "crosscheck", "--n", "2", "--samples", "-1"
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "argv", _REJECTED_INPUTS.values(), ids=_REJECTED_INPUTS.keys()
+)
+def test_rejected_inputs_exit_1(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
     assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error:")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_crosscheck_jobs_keep_output(capsys):
+    args = ["pipeline", "crosscheck", "--n", "2", "--samples", "5"]
+    serial = run(capsys, *args, "--jobs", "1")
+    assert serial[0] == 0
+    assert run(capsys, *args, "--jobs", "2") == serial
 
 
 def test_csv_format(capsys):

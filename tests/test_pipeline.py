@@ -37,7 +37,7 @@ from flagsheaf.root_system import (
     WeylPosition,
     zero,
 )
-from flagsheaf.sheaf_complex import stalk_complex
+from flagsheaf.sheaf_complex import build_standard_complex, stalk_complex
 
 from oracles import so_betti_mod2
 
@@ -366,6 +366,18 @@ def test_cone_model_multiplicities_n2():
     }
     assert mults[()] == GradedDims({0: 1})
     assert mults[(1,)] == GradedDims({2: 1})
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_standard_complex_is_empty_subset_block(n):
+    window = ((-2, 1),) * (n - 1)
+    y = build_standard_complex(n, window)
+    model = build_cone_model(n, None, window)
+    size = len(y.generators)
+    assert all(g.label[1] == () for g in model.generators[:size])
+    assert model.generators[size].label[1] != ()
+    assert model.generators[:size] == y.generators
+    assert [e for e in model.entries if e[0] < size] == list(y.entries)
 
 
 def test_rhom_generators_matches_sections():

@@ -10,7 +10,6 @@ from flagsheaf.sheaf_complex import (
     KCone,
     UMinusOpen,
     UOpen,
-    WBox,
     _cone_meets_uminus,
     region_contains,
 )
@@ -22,7 +21,6 @@ def _zoo(n):
     yield UOpen(cartan(n, (1,) + (0,) * (n - 2)))
     yield KCone(frozenset({1}), cartan(n, (-2,) + (0,) * (n - 2)))
     yield KCone(frozenset(range(1, n)), cartan(n, (-1,) * (n - 1)))
-    yield WBox(frozenset({1}), cartan(n, (-1,) * (n - 1)), Q(1, 2))
 
 
 def _random_points(n, rng, count=200, denom=8, spread=4):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from flagsheaf.root_system import (
     CartanVector,
     CenterClass,
-    DegreeWeights,
     WeylPosition,
     cartan,
     center_class,
@@ -152,10 +151,6 @@ def test_d_degree_examples():
 def test_d_degree_weights(n):
     for k in range(1, n):
         assert d_degree(-e_vec(n, k)) == 2 * k * (n - k)
-    w = DegreeWeights.standard(n)
-    assert w.d_k == tuple(2 * k * (n - k) for k in range(1, n))
-    halved = DegreeWeights.halved(n)
-    assert d_degree(-e_vec(n, 1), weights=halved) == n - 1
 
 
 @settings(max_examples=100)

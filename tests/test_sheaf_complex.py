@@ -24,7 +24,6 @@ from flagsheaf.sheaf_complex import (
     SheafGenerator,
     UMinusOpen,
     UOpen,
-    WBox,
     _cone_meets_uminus,
     build_standard_complex,
     jump_complex,
@@ -46,26 +45,10 @@ Z3 = CenterClass(3, 0)
 
 def test_region_membership_examples():
     assert region_contains(UMinusOpen(zero(2)), -f_vec(2, 1))
-    assert region_contains(KCone(frozenset({1}), zero(2)), zero(2))
-    w = WBox(frozenset({1}), zero(2), Q(1, 2))
-    assert region_contains(w, zero(2))
-    # pairing of e_1 with itself is exactly the width: half-open, out
-    assert not region_contains(w, e_vec(2, 1))
-    # pairing 1/4 lies inside [0, 1/2)
-    assert region_contains(w, e_vec(2, 1).scale(Q(1, 2)))
-    assert not region_contains(w, e_vec(2, 1).scale(Q(-1, 4)))
+    cone = KCone(frozenset({1}), zero(2))
+    assert region_contains(cone, zero(2))
     with pytest.raises(ValueError):
-        region_contains(w, zero(3))
-
-
-def test_wbox_half_open_boundaries():
-    w = WBox(frozenset({1}), zero(3), Q(1, 2))
-    # profile (1/4, -1/4): inside the half-open box
-    assert region_contains(w, cartan(3, (Q(3, 4), Q(-3, 4))))
-    # profile (1/2, -1/2): on the excluded upper face
-    assert not region_contains(w, cartan(3, (Q(3, 2), Q(-3, 2))))
-    # profile (1/4, 0): the off-index coordinate must be negative
-    assert not region_contains(w, cartan(3, (Q(1, 2), Q(1, 4))))
+        region_contains(cone, zero(3))
 
 
 def test_cone_uminus_feasibility():
@@ -248,7 +231,7 @@ def test_sections_examples():
 
 
 def test_sections_unsupported_generator():
-    gen = SheafGenerator(WBox(frozenset({1}), zero(2), Q(1, 2)), Z2, 0)
+    gen = SheafGenerator(UOpen(zero(2)), Z2, 0)
     s = SheafComplex(2, [gen], [], check=False)
     with pytest.raises(ValueError):
         sections_complex(s, Z2, UOpen(zero(2)))
