@@ -114,9 +114,12 @@ def _lattice_window(text: str | None, n: int):
     for part in parts:
         try:
             lo, hi = part.split(":")
-            box.append((int(lo), int(hi)))
+            lo, hi = int(lo), int(hi)
         except ValueError:
             raise ConfigError(f"bad window range {part!r}")
+        if lo > hi:
+            raise ConfigError(f"empty window range {part!r}")
+        box.append((lo, hi))
     return tuple(box)
 
 
@@ -271,7 +274,7 @@ def _cmd_sheaf(args) -> int:
     if args.action == "stalk":
         p = cartan(n, _coords(args.point, n, "--point"))
         required = required_stalk_box(p)
-        window = resolve_window(window, required, f"stalk at {p.coords}")
+        window = resolve_window(window, required, f"stalk at {p}")
         model = build_cone_model(n, z, window)
         dims = stalk_complex(model, z, p).cohomology()
         _emit(

@@ -4,7 +4,8 @@ Everything here works with genuine complex matrices: skew-Hermitian
 traceless X with the invariant product <X, Y> = -Tr(XY), the dominant
 representative ||X|| (the descending spectrum of -iX), and products of
 special-unitary exponentials.  Eigendecompositions use a self-contained
-cyclic Jacobi iteration (intended for N <= 12); unitary matrices are
+round-robin (parallel-ordered) cyclic Jacobi iteration (Brent-Luk, 1985,
+intended for N <= 12), once per matrix per check; unitary matrices are
 diagonalized by two Hermitian Jacobi passes (Hermitian part for the
 frame, skew part inside clusters), so no external eigensolver is
 involved in the verified path.
@@ -22,6 +23,7 @@ Checked statements, each with an explicit tolerance:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -114,14 +116,36 @@ def coroot_spectrum(n: int, k: int) -> SpectrumVector:
 
 
 # ---------------------------------------------------------------------------
-# cyclic Jacobi for Hermitian matrices
+# round-robin cyclic Jacobi for Hermitian matrices
+
+
+@functools.lru_cache(maxsize=32)
+def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """One sweep of the circle-method tournament on n indices: rounds
+    of disjoint pairs (p, q), p < q, covering every pair once.  Odd n
+    is padded with a phantom index whose pair sits out the round."""
+    m = n + n % 2
+    rounds = []
+    for r in range(m - 1):
+        seats = [0] + [1 + (k + r) % (m - 1) for k in range(m - 1)]
+        pairs = zip(seats[: m // 2], seats[::-1])
+        ps, qs = np.array(
+            [sorted(pq) for pq in pairs if max(pq) < n], dtype=int
+        ).reshape(-1, 2).T
+        # flat offsets of the (p,p), (q,q), (p,q), (q,p) entries
+        put = np.concatenate([ps * (n + 1), qs * (n + 1), ps * n + qs,
+                              qs * n + ps])
+        rounds.append((ps, qs, put))
+    return tuple(rounds)
 
 
 def jacobi_eigh(
     h: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and unitary frame of a Hermitian
-    matrix by cyclic Jacobi rotations.
+    matrix by round-robin (parallel-ordered) cyclic Jacobi rotations
+    (Brent-Luk, 1985): each round rotates up to floor(n/2) disjoint
+    pairs at once, as one unitary g with a <- g^H a g and u <- u g.
 
     Returns (w, u) with h  =  u @ diag(w) @ u^H.  Raises
     :class:`NonConvergenceError` when the off-diagonal norm does not
@@ -130,32 +154,29 @@ def jacobi_eigh(
     a = np.array(h, dtype=complex)
     n = a.shape[0]
     scale = max(np.linalg.norm(a), 1e-300)
-    u = np.eye(n, dtype=complex)
+    eye = np.eye(n, dtype=complex)
+    u = eye
+    rounds = _round_robin(n)
     for _ in range(max_sweeps):
         off = np.linalg.norm(a - np.diag(np.diag(a)))
         if off <= tol * scale:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                app = a[p, p].real
-                aqq = a[q, q].real
-                phase = apq / abs(apq)
-                tau = (app - aqq) / (2.0 * abs(apq))
-                t = math.copysign(1.0, tau) / (
-                    abs(tau) + math.hypot(1.0, tau)
-                ) if tau != 0 else 1.0
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rot = np.array(
-                    [[c, -s * phase], [s * np.conj(phase), c]],
-                    dtype=complex,
-                )
-                a[:, [p, q]] = a[:, [p, q]] @ rot
-                a[[p, q], :] = rot.conj().T @ a[[p, q], :]
-                u[:, [p, q]] = u[:, [p, q]] @ rot
+        for ps, qs, put in rounds:
+            apq = a[ps, qs]
+            mag = np.abs(apq)
+            live = mag > 1e-300
+            mag = np.where(live, mag, 1.0)
+            diag = a.diagonal().real
+            tau = (diag[ps] - diag[qs]) / (2.0 * mag)
+            sign = np.where(tau != 0, np.copysign(1.0, tau), 1.0)
+            # skipped pairs get t = 0, the identity rotation
+            t = np.where(live, sign / (np.abs(tau) + np.hypot(1.0, tau)), 0)
+            c = 1.0 / np.hypot(1.0, t)
+            s_phase = t * c * (apq / mag)
+            g = eye.copy()
+            g.flat[put] = np.concatenate([c, c, -s_phase, s_phase.conj()])
+            a = g.conj().T @ a @ g
+            u = u @ g
     else:
         off = np.linalg.norm(a - np.diag(np.diag(a)))
         raise NonConvergenceError(
@@ -187,7 +208,11 @@ def norm_spectrum(x: SkewHermitian) -> SpectrumVector:
 
 def exp_skew(x: SkewHermitian) -> np.ndarray:
     """e^X via the Jacobi eigendecomposition of -iX."""
-    spec, u = hermitian_eigs(x)
+    return _exp_in_frame(x, hermitian_eigs(x)[1])
+
+
+def _exp_in_frame(x: SkewHermitian, u: np.ndarray) -> np.ndarray:
+    """e^X in a frame u diagonalizing -iX."""
     # hermitian_eigs re-centers; use the raw frame eigenvalues instead
     h = -1j * x.entries
     w = np.real(np.diag(u.conj().T @ h @ u))
@@ -278,7 +303,14 @@ def aligned_partner(
 ) -> SkewHermitian:
     """The conjugate of i*diag(spectrum) in a frame diagonalizing
     omega; realizes equality in the pairing bound."""
-    _, u = hermitian_eigs(omega)
+    return _aligned_in_frame(omega, hermitian_eigs(omega)[1], spectrum)
+
+
+def _aligned_in_frame(
+    omega: SkewHermitian, u: np.ndarray, spectrum: SpectrumVector
+) -> SkewHermitian:
+    """aligned_partner in a frame u diagonalizing -i omega, columns in
+    descending eigenvalue order."""
     x = u @ np.diag(1j * spectrum.lambdas) @ u.conj().T
     x = (x - x.conj().T) / 2.0
     x = x - np.trace(x) / omega.n * np.eye(omega.n)
@@ -295,10 +327,10 @@ def check_pairing_bound(
     w with the spectrum of X, equality within ``equality_tol``."""
     lhs = float(np.real(-np.trace(omega.entries @ x.entries)))
     sx = norm_spectrum(x)
-    so = norm_spectrum(omega)
+    so, uo = hermitian_eigs(omega)
     rhs = spectrum_pairing(so, sx)
     gap = lhs - rhs
-    aligned = aligned_partner(omega, sx)
+    aligned = _aligned_in_frame(omega, uo, sx)
     lhs_eq = float(np.real(-np.trace(omega.entries @ aligned.entries)))
     eq_gap = abs(lhs_eq - rhs)
     ok = gap <= tol and eq_gap <= equality_tol
@@ -321,14 +353,14 @@ def check_klyachko(
     cap = coroot_spectrum(n, 1).scale(1.0 / (100.0 * n))
     if not dominated_by(bound, cap, 0.0):
         raise ValueError("bound must lie strictly below e_1 / (100 N)")
-    sx, sy = norm_spectrum(x), norm_spectrum(y)
+    (sx, ux), (sy, uy) = hermitian_eigs(x), hermitian_eigs(y)
     if not (dominated_by(sx, bound, 1e-12) and dominated_by(sy, bound, 1e-12)):
         raise ValueError("inputs exceed the stated norm bound")
-    prod = exp_skew(x) @ exp_skew(y)
+    prod = _exp_in_frame(x, ux) @ _exp_in_frame(y, uy)
     z = log_unitary_small(prod)
-    recon = np.abs(exp_skew(z) - prod).max()
+    sz, uz = hermitian_eigs(z)
+    recon = np.abs(_exp_in_frame(z, uz) - prod).max()
     trace_res = abs(np.trace(z.entries))
-    sz = norm_spectrum(z)
     gap = sz.partial_sums() - (sx.partial_sums() + sy.partial_sums())
     worst = float(gap.max()) if len(gap) else 0.0
     ok = recon <= tol and worst <= tol and trace_res <= 1e-9

@@ -242,7 +242,7 @@ def stalk_flag_sum(
     flag-cohomology summand, shifted down by D(l), for every lattice
     l in C_- with exp(l) = z and p << l."""
     required = required_stalk_box(p)
-    window = resolve_window(window, required, f"stalk at {p.coords}")
+    window = resolve_window(window, required, f"stalk at {p}")
     out = GradedDims.empty()
     for combo in itertools.product(
         *[range(lo, hi + 1) for lo, hi in window]
@@ -373,7 +373,7 @@ def model_jump(
     margins."""
     idx = tuple(sorted(set(indices)))
     required, u_bounds = jump_required_box(n, m, idx, eps)
-    window = resolve_window(window, required, f"jump at {m.coords}")
+    window = resolve_window(window, required, f"jump at {m}")
     model = build_cone_model(n, z, window, u_bounds=u_bounds)
     return jump_graded(model, idx, m, eps)
 

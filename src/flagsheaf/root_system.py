@@ -57,6 +57,9 @@ class CartanVector:
             self, "coords", tuple(_as_fraction(c) for c in self.coords)
         )
 
+    def __str__(self) -> str:
+        return "(" + ", ".join(map(str, self.coords)) + ")"
+
     def __add__(self, other: "CartanVector") -> "CartanVector":
         _check_same_rank(self, other)
         return CartanVector(
@@ -212,7 +215,7 @@ class CenterClass:
 
 def _require_integral(l: CartanVector):
     if not l.is_integral():
-        raise ValueError(f"lattice operation on non-integral vector {l.coords}")
+        raise ValueError(f"lattice operation on non-integral vector {l}")
 
 
 def center_class(l: CartanVector) -> CenterClass:
@@ -279,6 +282,6 @@ def shevel_witness(x: CartanVector, y: CartanVector) -> int:
         if pair_e(y - x, k) > 0:
             return k
     raise IntegrityError(
-        f"no witness index for x={x.coords}, y={y.coords}; "
+        f"no witness index for x={x}, y={y}; "
         "this contradicts the chamber-walk lemma"
     )

@@ -648,7 +648,7 @@ def select_epsilon(points: Sequence[CartanVector], l: CartanVector) -> Fraction:
         second = any(pair_e(q, k) < pair_e(l, k) for k in off)
         if not (first or second):
             raise IntegrityError(
-                f"corner separation failed for l={l.coords}, l'={q.coords}"
+                f"corner separation failed for l={l}, l'={q}"
             )
     return eps
 

@@ -5,7 +5,8 @@ import pytest
 from flagsheaf import cli
 from flagsheaf.cli import main
 from flagsheaf.lie_numerics import NonConvergenceError
-from flagsheaf.root_system import IntegrityError
+from flagsheaf.pipeline import MarginError, stalk_flag_sum
+from flagsheaf.root_system import CenterClass, IntegrityError, cartan
 
 
 def run(capsys, *args):
@@ -57,8 +58,29 @@ def test_sheaf_stalk_margin_violation(capsys):
         ["sheaf", "stalk", "--n", "2", "--z", "0", "--point", "-5/2",
          "--window", "-1:0"]
     )
-    capsys.readouterr()
     assert code == 3
+    assert capsys.readouterr().err == (
+        "margin violation: window ((-1, 0),) does not contain the required "
+        "box ((-3, 0),) for stalk at (-5/2)\n"
+    )
+
+
+def test_sheaf_delta_margin_violation(capsys):
+    code = main(
+        ["sheaf", "delta", "--n", "3", "--i", "1", "--m", "-1/2,0",
+         "--window", "0:0"]
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("margin violation:")
+    assert err.endswith(" for jump at (-1/2, 0)\n")
+
+
+def test_stalk_flag_sum_margin_message():
+    with pytest.raises(MarginError, match=r"for stalk at \(-5/2\)$"):
+        stalk_flag_sum(
+            2, CenterClass(2, 0), cartan(2, ("-5/2",)), window=((-1, 0),)
+        )
 
 
 def test_sheaf_delta_flag_cohomology(capsys):
@@ -190,6 +212,12 @@ _REJECTED_INPUTS = {
     ],
     "crosscheck-negative-samples": [
         "pipeline", "crosscheck", "--n", "2", "--samples", "-1"
+    ],
+    "stalk-empty-window": [
+        "sheaf", "stalk", "--n", "2", "--window", "0:-1", "--point", "-1/2"
+    ],
+    "crosscheck-empty-window": [
+        "pipeline", "crosscheck", "--n", "3", "--window", "-2:0,1:0"
     ],
 }
 

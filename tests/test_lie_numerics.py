@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from flagsheaf import lie_numerics
 from flagsheaf.lie_numerics import (
     BranchAmbiguityError,
+    NonConvergenceError,
     SkewHermitian,
     SpectrumVector,
     aligned_partner,
@@ -25,6 +27,7 @@ from flagsheaf.lie_numerics import (
     sample_unitary_in_window,
     spectrum_pairing,
 )
+from flagsheaf.lie_numerics import _round_robin
 
 
 def test_skew_hermitian_validation():
@@ -52,6 +55,112 @@ def test_jacobi_matches_lapack():
         w, u = jacobi_eigh(h)
         assert np.abs(h @ u - u @ np.diag(w)).max() < 1e-9
         assert np.abs(np.sort(w) - np.linalg.eigvalsh(h)).max() < 1e-10
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_round_robin_sweep_covers_every_pair_once(n):
+    seen = []
+    for ps, qs, _ in _round_robin(n):
+        # pairs of one round are disjoint
+        assert len(set(ps) | set(qs)) == 2 * len(ps)
+        seen += [(int(p), int(q)) for p, q in zip(ps, qs)]
+    assert sorted(seen) == [
+        (p, q) for p in range(n) for q in range(p + 1, n)
+    ]
+
+
+def _jacobi_inputs(n, rng):
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    diag = np.diag(rng.normal(size=n))
+    frame, _ = np.linalg.qr(
+        rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    )
+    repeated = np.resize([1.0, 1.0, -1.0, -1.0, 0.0, 0.0], n)
+    return {
+        "random": (m + m.conj().T) / 2,
+        "zero": np.zeros((n, n)),
+        "diagonal": diag,
+        "diagonal+1e-200": diag + 1e-200 * (np.ones((n, n)) - np.eye(n)),
+        "repeated": frame @ np.diag(repeated) @ frame.conj().T,
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_jacobi_matches_eigvalsh_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    for kind, h in _jacobi_inputs(n, rng).items():
+        w, u = jacobi_eigh(h)
+        assert np.all(np.diff(w) <= 0), kind
+        assert np.abs(w - np.linalg.eigvalsh(h)[::-1]).max() < 1e-10, kind
+        assert np.abs(u.conj().T @ u - np.eye(n)).max() < 1e-12, kind
+
+
+def test_jacobi_sweep_limit_raises():
+    rng = np.random.default_rng(9)
+    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    with pytest.raises(NonConvergenceError):
+        jacobi_eigh((m + m.conj().T) / 2, max_sweeps=1)
+
+
+def _count_jacobi(monkeypatch):
+    """Record the matrix order of every jacobi_eigh call, and how many
+    of them each eig_unitary call made."""
+    calls, inside = [], []
+    jacobi, unitary = lie_numerics.jacobi_eigh, lie_numerics.eig_unitary
+
+    def counted_jacobi(h, *args, **kwargs):
+        calls.append(len(h))
+        return jacobi(h, *args, **kwargs)
+
+    def counted_unitary(p, *args, **kwargs):
+        before = len(calls)
+        out = unitary(p, *args, **kwargs)
+        inside.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(lie_numerics, "jacobi_eigh", counted_jacobi)
+    monkeypatch.setattr(lie_numerics, "eig_unitary", counted_unitary)
+    return calls, inside
+
+
+def test_pairing_bound_decomposes_each_matrix_once(monkeypatch):
+    rng = np.random.default_rng(60)
+    omega = random_skew_hermitian(6, rng)
+    x = random_skew_hermitian(6, rng)
+    calls, _ = _count_jacobi(monkeypatch)
+    assert check_pairing_bound(omega, x).ok
+    assert calls == [6, 6]
+
+
+def test_klyachko_decomposes_each_matrix_once(monkeypatch):
+    n = 6
+    rng = np.random.default_rng(61)
+    bound = coroot_spectrum(n, 1).scale(0.9 / (100 * n))
+    x = rescaled_to_bound(random_skew_hermitian(n, rng), bound)
+    y = rescaled_to_bound(random_skew_hermitian(n, rng), bound)
+    calls, inside = _count_jacobi(monkeypatch)
+    assert check_klyachko(x, y, bound).ok
+    # x, y and z once each; eig_unitary adds one run per cosine cluster,
+    # and under this bound at N = 6 the cosines of e^X e^Y always cluster
+    assert len(inside) == 1
+    assert len(calls) - inside[0] == 3
+
+
+def test_klyachko_without_clusters_makes_four_jacobi_runs(monkeypatch):
+    # commuting diagonal inputs whose product has well-separated cosines
+    n = 3
+    bound = coroot_spectrum(n, 1).scale(0.9 / (100 * n))
+    x = SkewHermitian(1j * np.diag([1.5e-3, -0.6e-3, -0.9e-3]))
+    calls, inside = _count_jacobi(monkeypatch)
+    assert check_klyachko(x, x, bound).ok
+    assert inside == [1]
+    assert calls == [3, 3, 3, 3]
+
+
+def test_run_trials_rank_12():
+    stats = run_trials(12, 3, seed=12)
+    assert all(s.failures == 0 for s in stats)
+    assert all(s.max_residual <= 1e-8 for s in stats)
 
 
 def test_hermitian_eigs_zero_and_diagonal():
