@@ -202,7 +202,7 @@ def _is_int_key(k) -> bool:
         return False
 
 
-def _pretty(payload: dict, indent: int = 0) -> str:
+def _pretty(payload: dict) -> str:
     lines = []
 
     def walk(node, depth):
@@ -223,8 +223,8 @@ def _pretty(payload: dict, indent: int = 0) -> str:
                 else:
                     lines.append(f"{pad}- {item}")
 
-    walk(payload, indent)
-    return "\n".join(line for line in lines if line is not None) + "\n"
+    walk(payload, 0)
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -60,10 +60,15 @@ class FlagType:
         return self.n == other.n and set(other.indices) <= set(self.indices)
 
 
+def _all_subsets(n: int) -> list[tuple[int, ...]]:
+    """Subsets of {1..N-1} by size, then lexicographically: the one
+    order of flag types, cone-model blocks and certificate records."""
+    return [c for r in range(n) for c in itertools.combinations(range(1, n), r)]
+
+
 def all_flag_types(n: int) -> Iterator[FlagType]:
-    for r in range(n):
-        for combo in itertools.combinations(range(1, n), r):
-            yield FlagType(n, combo)
+    for combo in _all_subsets(n):
+        yield FlagType(n, combo)
 
 
 @dataclass(frozen=True)

@@ -77,22 +77,12 @@ class GradedDims:
     def scale(self, c: int) -> "GradedDims":
         return GradedDims({deg: c * dim for deg, dim in self._data.items()})
 
-    def restricted(self, lo: int, hi: int) -> "GradedDims":
-        """Keep only degrees in the closed window [lo, hi]."""
-        return GradedDims(
-            {d: m for d, m in self._data.items() if lo <= d <= hi}
-        )
-
     def dominates(self, other: "GradedDims") -> bool:
         """Componentwise >=."""
         return all(self[d] >= m for d, m in other.items())
 
     def to_json(self) -> dict[str, int]:
         return {str(deg): dim for deg, dim in self._data.items()}
-
-    @classmethod
-    def from_json(cls, data: Mapping[str, int]) -> "GradedDims":
-        return cls({int(k): v for k, v in data.items()})
 
     def __repr__(self):
         body = ", ".join(f"{d}: {m}" for d, m in self._data.items())

@@ -18,13 +18,14 @@ required box itself.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import __version__ as _package_version
-from .flag_schubert import FlagType, betti, g_space
+from .flag_schubert import FlagType, _all_subsets, betti, g_space
 from .graded import GradedDims
 from .root_system import (
     CartanVector,
@@ -43,7 +44,7 @@ from .sheaf_complex import (
     LatticeBox,
     SheafComplex,
     cone_complex,
-    jump_graded,
+    jump_complex,
     lattice_apex,
     stalk_complex,
     window_points,
@@ -99,13 +100,6 @@ def g_space_cached(n: int, indices: Iterable[int]) -> GradedDims:
     return _g_cache[key]
 
 
-def _all_subsets(n: int) -> list[tuple[int, ...]]:
-    out = []
-    for r in range(n):
-        out.extend(itertools.combinations(range(1, n), r))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the cone model of the central-fiber sheaf
 
@@ -135,7 +129,7 @@ def build_cone_model(
     gram = [[min(j, k) * (n - max(j, k)) for j in range(1, n)]
             for k in range(1, n)]
     if u_bounds is not None:
-        u_lo, u_hi = _ceil(n * u_bounds[0]), _floor(n * u_bounds[1])
+        u_lo, u_hi = math.ceil(n * u_bounds[0]), math.floor(n * u_bounds[1])
     apexes = []
     for combo in window_points(n, window):
         if z is not None and -sum(
@@ -153,21 +147,12 @@ def build_cone_model(
         n,
         ((subset, mult, apex) for subset, mult in mults.items()
          for apex in apexes),
-        meta={"kind": "cone-model", "window": window},
         check=False,
     )
 
 
 # ---------------------------------------------------------------------------
 # required boxes (certified truncation margins)
-
-
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
-
-
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 def required_stalk_box(p: CartanVector) -> LatticeBox:
@@ -183,8 +168,8 @@ def required_stalk_box(p: CartanVector) -> LatticeBox:
     u = (Fraction(0),) + e_profile(p) + (Fraction(0),)
     box = []
     for j in range(1, p.n):
-        lo = _floor(2 * u[j])
-        hi = min(_ceil(-u[j - 1] - u[j + 1]), 0)
+        lo = math.floor(2 * u[j])
+        hi = min(math.ceil(-u[j - 1] - u[j + 1]), 0)
         box.append((lo, hi))
     return tuple(box)
 
@@ -203,8 +188,8 @@ def jump_required_box(
     prof = e_profile(m)
     lo_u = min([Fraction(0), *prof]) - 1
     hi_u = max([Fraction(0), *prof]) + Fraction(eps) + 1
-    lo_x = _floor(2 * lo_u - 2 * hi_u)
-    hi_x = _ceil(2 * hi_u - 2 * lo_u)
+    lo_x = math.floor(2 * lo_u - 2 * hi_u)
+    hi_x = math.ceil(2 * hi_u - 2 * lo_u)
     return tuple((lo_x, hi_x) for _ in range(n - 1)), (lo_u, hi_u)
 
 
@@ -244,9 +229,7 @@ def stalk_flag_sum(
     required = required_stalk_box(p)
     window = resolve_window(window, required, f"stalk at {p}")
     out = GradedDims.empty()
-    for combo in itertools.product(
-        *[range(lo, hi + 1) for lo, hi in window]
-    ):
+    for combo in window_points(n, window):
         l = cartan(n, combo)
         if center_class(l) != z:
             continue
@@ -375,7 +358,7 @@ def model_jump(
     required, u_bounds = jump_required_box(n, m, idx, eps)
     window = resolve_window(window, required, f"jump at {m}")
     model = build_cone_model(n, z, window, u_bounds=u_bounds)
-    return jump_graded(model, idx, m, eps)
+    return jump_complex(model, idx, m, eps).cohomology()
 
 
 # ---------------------------------------------------------------------------
@@ -412,11 +395,12 @@ class NovikovRecord:
         }
 
 
-def action_of(params: OrbitParams, l: CartanVector) -> Fraction:
-    """<l, lam * e_1> = lam * sum_k x_k (N - k) / N."""
+def action_of(params: OrbitParams, coords: Sequence[int]) -> Fraction:
+    """<l, lam * e_1> = lam * sum_k x_k (N - k) / N for the lattice
+    point l with integer coordinates ``coords``."""
     n = params.n
     return params.lam * sum(
-        x * (n - k) for k, x in enumerate(l.coords, 1)
+        x * (n - k) for k, x in enumerate(coords, 1)
     ) / n
 
 
@@ -451,8 +435,8 @@ def module_terms(
     Candidates are tested on ints, with t_j = -x_j for j >= 2: the
     center class is 0 iff (x_1 + sum_{j>=2} j x_j) % N == 0, so x_1
     steps through one residue class mod N, and the degree is
-    -D(l) = x_1 D_1 - sum_{j>=2} t_j D_j.  Only the terms that are
-    listed become a CartanVector, for ``action_of``.
+    -D(l) = x_1 D_1 - sum_{j>=2} t_j D_j.  The action of each listed
+    term comes from ``action_of`` on its integer coordinates.
     """
     n = params.n
     idx = frozenset(indices)
@@ -464,7 +448,8 @@ def module_terms(
         raise ValueError("empty window")
     dk = [2 * k * (n - k) for k in range(1, n)]
     # N * action / lam = x_1 (N - 1) - sum_{j>=2} t_j (N - j), an int
-    a_lo, a_hi = _ceil(n * alo / params.lam), _floor(n * ahi / params.lam)
+    a_lo = math.ceil(n * alo / params.lam)
+    a_hi = math.floor(n * ahi / params.lam)
     # weights of t_j in D_1 * N * action/lam - (N - 1) * degree, all
     # positive
     w = {j: (n - 1) * dk[j - 1] - dk[0] * (n - j) for j in range(2, n)}
@@ -472,7 +457,7 @@ def module_terms(
     t_ranges = []
     for j in range(2, n):
         t_min = 1 if j in idx else 0
-        t_max = _floor(m_hi / w[j]) if m_hi >= 0 else t_min - 1
+        t_max = math.floor(m_hi / w[j]) if m_hi >= 0 else t_min - 1
         t_ranges.append(range(t_min, max(t_min - 1, t_max) + 1))
     elements = []
     for tail in itertools.product(*t_ranges):
@@ -488,7 +473,7 @@ def module_terms(
             elements.append(
                 NovikovElement(
                     coords=coords,
-                    action=action_of(params, CartanVector(n, coords)),
+                    action=action_of(params, coords),
                     degree=x1 * dk[0] - sum_td,
                 )
             )
@@ -580,13 +565,13 @@ def structure_map_nonzero(
         raise ValueError("subset indices out of range")
     tail = {j: (-1 if j in idx else 0) for j in range(2, n)}
     need = sum(n - j for j in idx if j >= 2)
-    x1_lo = _ceil(Fraction(need, n - 1))
+    x1_lo = math.ceil(Fraction(need, n - 1))
     target = sum(j for j in idx if j >= 2) % n
     for x1 in range(x1_lo, x1_lo + n):
         if x1 % n == target:
             coords = (x1,) + tuple(tail[j] for j in range(2, n))
             l = cartan(n, coords)
-            act = action_of(params, l)
+            act = action_of(params, coords)
             if center_class(l).residue != 0 or act < 0:
                 raise IntegrityError(
                     "canonical witness construction produced an invalid "

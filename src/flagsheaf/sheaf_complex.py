@@ -19,9 +19,9 @@ Supported regions (parameters are exact rational Cartan vectors):
 * ``KCone(J, l)``    {y : <y - l, e_j> >= 0 for all j in J}
 
 Windowed direct sums over the central lattice truncate to a finite
-coordinate box; the apex box is recorded in the metadata, and queries
-are exact for every lattice summand inside it.  Certified margins for
-specific queries are derived in :mod:`flagsheaf.pipeline`.
+coordinate box, and queries are exact for every lattice summand inside
+it.  Certified margins for specific queries are derived in
+:mod:`flagsheaf.pipeline`.
 
 Soundness contract for sections: for a generator which is a cone
 ``KCone(J, l)``, sections over a convex open U are K exactly when the
@@ -44,6 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from .flag_schubert import _all_subsets
 from .graded import GradedDims
 from .linalg import Scalar, Triplet, connected_components, rank_triplets
 from .root_system import (
@@ -256,7 +257,6 @@ class SheafComplex:
         n: int,
         generators: Sequence[SheafGenerator],
         entries: Sequence[tuple[int, int, Fraction]],
-        meta: dict | None = None,
         check: bool = True,
     ):
         self.n = n
@@ -264,7 +264,6 @@ class SheafComplex:
         self.entries = tuple(
             (int(i), int(j), _exact(c)) for i, j, c in entries
         )
-        self.meta = dict(meta or {})
         if check:
             self.validate()
 
@@ -284,79 +283,6 @@ class SheafComplex:
                 raise ValueError("zero differential entry")
             _check_entry_regions(src, dst)
         verify_dd_zero(self.entries)
-
-    # -- serialization ------------------------------------------------
-
-    SCHEMA = "flagsheaf/sheaf-complex/2"
-
-    def to_json(self) -> dict:
-        return {
-            "schema": self.SCHEMA,
-            "n": self.n,
-            "generators": [
-                {
-                    "region": region_to_json(g.region),
-                    "center": g.center.residue,
-                    "degree": g.degree,
-                    "mult": g.mult.to_json(),
-                    "label": [str(part) for part in g.label],
-                }
-                for g in self.generators
-            ],
-            "differential": [
-                [i, j, str(c)] for i, j, c in self.entries
-            ],
-            "meta": {k: str(v) for k, v in self.meta.items()},
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "SheafComplex":
-        if data.get("schema") != cls.SCHEMA:
-            raise ValueError(f"unsupported schema {data.get('schema')!r}")
-        n = int(data["n"])
-        gens = [
-            SheafGenerator(
-                region=region_from_json(g["region"], n),
-                center=CenterClass(n, int(g["center"])),
-                degree=int(g["degree"]),
-                mult=GradedDims.from_json(g["mult"]),
-                label=tuple(g.get("label", ())),
-            )
-            for g in data["generators"]
-        ]
-        return cls(n, gens, data["differential"])
-
-
-def _coords_json(v: CartanVector) -> list[str]:
-    return [str(c) for c in v.coords]
-
-
-def region_to_json(region: Region) -> dict:
-    if isinstance(region, UMinusOpen):
-        return {"kind": "u_minus_open", "x": _coords_json(region.x)}
-    if isinstance(region, UOpen):
-        return {"kind": "u_open", "x": _coords_json(region.x)}
-    if isinstance(region, KCone):
-        return {
-            "kind": "k_cone",
-            "indices": sorted(region.indices),
-            "apex": _coords_json(region.apex),
-        }
-    raise TypeError(f"unknown region kind {type(region).__name__}")
-
-
-def region_from_json(data: dict, n: int) -> Region:
-    kind = data["kind"]
-    if kind == "u_minus_open":
-        return UMinusOpen(cartan(n, [Fraction(c) for c in data["x"]]))
-    if kind == "u_open":
-        return UOpen(cartan(n, [Fraction(c) for c in data["x"]]))
-    if kind == "k_cone":
-        return KCone(
-            frozenset(data["indices"]),
-            cartan(n, [Fraction(c) for c in data["apex"]]),
-        )
-    raise ValueError(f"unknown region kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +318,6 @@ def _subset_sign(j_small: frozenset[int], added: int) -> int:
 def cone_complex(
     n: int,
     blocks: Iterable[tuple[tuple[int, ...], GradedDims, Apex]],
-    meta: dict,
     check: bool,
 ) -> SheafComplex:
     """Complex of constant sheaves on closed cones (Kashiwara-Schapira,
@@ -403,11 +328,7 @@ def cone_complex(
     differential the signed restrictions J -> J + {e} inside the
     block."""
     all_indices = range(1, n)
-    subsets = [
-        (jc, frozenset(jc))
-        for r in range(n)
-        for jc in itertools.combinations(all_indices, r)
-    ]
+    subsets = [(jc, frozenset(jc)) for jc in _all_subsets(n)]
     generators: list[SheafGenerator] = []
     entries: list[Triplet] = []
     for subset, mult, (combo, m, cc, dm) in blocks:
@@ -434,7 +355,7 @@ def cone_complex(
                 j2 = j1 | {added}
                 if j2 in local:
                     entries.append((gi, local[j2], _subset_sign(j2, added)))
-    return SheafComplex(n, generators, entries, meta=meta, check=check)
+    return SheafComplex(n, generators, entries, check=check)
 
 
 def build_standard_complex(n: int, window: LatticeBox) -> SheafComplex:
@@ -443,9 +364,7 @@ def build_standard_complex(n: int, window: LatticeBox) -> SheafComplex:
     every J containing {k : <l, f_k> > 0}."""
     line = GradedDims.line()
     blocks = [((), line, lattice_apex(n, c)) for c in window_points(n, window)]
-    return cone_complex(
-        n, blocks, meta={"kind": "standard", "window": window}, check=True
-    )
+    return cone_complex(n, blocks, check=True)
 
 
 # ---------------------------------------------------------------------------
@@ -717,12 +636,3 @@ def jump_complex(
             ]
     return FiniteComplex(degrees, entries, mults)
 
-
-def jump_graded(
-    s: SheafComplex,
-    indices: Iterable[int],
-    m: CartanVector,
-    eps: Fraction = Fraction(1, 2),
-) -> GradedDims:
-    """Graded cohomology of the jump functor's corner complex."""
-    return jump_complex(s, indices, m, eps).cohomology()

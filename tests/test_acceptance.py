@@ -47,7 +47,7 @@ from flagsheaf.sheaf_complex import (
     SheafGenerator,
     UMinusOpen,
     build_standard_complex,
-    jump_graded,
+    jump_complex,
     stalk_complex,
 )
 from flagsheaf.lie_numerics import run_trials
@@ -145,7 +145,7 @@ def test_acceptance_5_jump_functor():
                     UMinusOpen(y), center_class(y), -d_degree(y)
                 )
                 single = SheafComplex(n, [gen], [])
-                got = jump_graded(single, idx, x, eps)
+                got = jump_complex(single, idx, x, eps).cohomology()
                 if y.coords == x.coords:
                     assert got == GradedDims({-d_degree(x): 1})
                     continue

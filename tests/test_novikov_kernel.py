@@ -21,7 +21,7 @@ from flagsheaf.pipeline import (
     module_terms,
     structure_map_nonzero,
 )
-from flagsheaf.root_system import CenterClass, cartan
+from flagsheaf.root_system import CartanVector, CenterClass, cartan
 
 from oracles import fraction_module_terms, profile_pruned_apexes
 
@@ -69,6 +69,30 @@ def test_default_windows_match_fraction_reference(n, lam):
         )
         assert want
         assert [(e.coords, e.action, e.degree) for e in rec.elements] == want
+
+
+def test_module_terms_builds_no_cartan_vector(monkeypatch):
+    # each listed term gets its action from one action_of call on its
+    # integer coordinates, and no CartanVector is built on the way
+    built, actions = [], []
+    post_init = CartanVector.__post_init__
+    action_of = pipeline.action_of
+
+    def counted_post_init(self):
+        built.append(self.coords)
+        post_init(self)
+
+    def counted_action(params, coords):
+        actions.append(coords)
+        return action_of(params, coords)
+
+    monkeypatch.setattr(CartanVector, "__post_init__", counted_post_init)
+    monkeypatch.setattr(pipeline, "action_of", counted_action)
+    rec = module_terms(OrbitParams(4, Fraction(5, 2)), (1, 2))
+    monkeypatch.undo()
+    assert rec.elements
+    assert built == []
+    assert sorted(actions) == sorted(e.coords for e in rec.elements)
 
 
 def test_certificate_builds_each_term_list_once(monkeypatch):

@@ -37,7 +37,11 @@ from flagsheaf.root_system import (
     WeylPosition,
     zero,
 )
-from flagsheaf.sheaf_complex import build_standard_complex, stalk_complex
+from flagsheaf.sheaf_complex import (
+    build_standard_complex,
+    jump_complex,
+    stalk_complex,
+)
 
 from oracles import so_betti_mod2
 
@@ -137,11 +141,9 @@ def test_delta_window_stability():
     # the jump: apexes outside the derived box contribute nothing
     n, z = 3, CenterClass(3, 0)
     big = build_cone_model(n, z, ((-4, 2), (-4, 2)))
-    from flagsheaf.sheaf_complex import jump_graded
-
     for idx in ((), (1,), (1, 2)):
         auto = model_jump(n, z, idx, zero(n))
-        assert jump_graded(big, idx, zero(n)) == auto
+        assert jump_complex(big, idx, zero(n)).cohomology() == auto
 
 
 def test_delta_margin_error():
@@ -232,6 +234,16 @@ def test_structure_map_witnesses():
     assert res.action == Q(1)
 
 
+def test_subsets_in_flag_type_order():
+    # the one order of flag types, cone-model blocks and certificate
+    # records: by size, then lexicographically
+    from flagsheaf.pipeline import _all_subsets
+
+    assert _all_subsets(4) == [
+        (), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)
+    ]
+
+
 def test_structure_map_witness_satisfies_constraints():
     for n in (2, 3, 4):
         par = OrbitParams(n, Q(3, 2))
@@ -242,7 +254,7 @@ def test_structure_map_witness_satisfies_constraints():
             assert res.nonzero
             l = cartan(n, res.witness)
             assert center_class(l).residue == 0
-            assert action_of(par, l) >= 0
+            assert action_of(par, res.witness) >= 0
             for j in range(2, n):
                 bound = -1 if j in subset else 0
                 assert int(l.coords[j - 1]) <= bound
