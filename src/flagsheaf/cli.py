@@ -7,9 +7,10 @@ sheaf     stalk / sections / delta         (windowed sheaf queries)
 pipeline  crosscheck / hom / certificate / pair / spectrum
 numerics  randomized matrix-lemma trials
 
-Exit codes: 0 success, 1 configuration error, 2 verification failure,
-3 margin violation.  Exact rationals are passed and printed as "p/q"
-strings; JSON output is byte-stable for a fixed configuration and
+Options follow the action, and each action accepts only the options it
+reads.  Exit codes: 0 success, 1 configuration error, 2 verification
+failure, 3 margin violation.  Exact rationals are passed and printed as
+"p/q" strings; JSON output is byte-stable for a fixed configuration and
 seed.  FLAGSHEAF_OUTDIR sets the default directory for --out paths.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -64,8 +66,8 @@ EXIT_VERIFICATION = 2
 EXIT_MARGIN = 3
 
 
-class ConfigError(ValueError):
-    pass
+class ConfigError(argparse.ArgumentTypeError):
+    """Exit code 1; argparse reports it when an option's type raises it."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,9 +82,13 @@ def _fraction(text: str) -> Fraction:
         raise ConfigError(f"not a rational number: {text!r} ({exc})")
 
 
-def _coords(text: str | None, n: int, flag: str) -> tuple[Fraction, ...]:
-    if text is None:
-        raise ConfigError(f"{flag} is required ({n - 1} rationals)")
+def _d_grid(text: str) -> tuple[Fraction, ...]:
+    if not text:  # an empty --d-grid keeps the default grid
+        return DEFAULT_D_GRID
+    return tuple(_fraction(d) for d in text.split(","))
+
+
+def _coords(text: str, n: int) -> tuple[Fraction, ...]:
     parts = [p for p in text.split(",") if p.strip() != ""]
     if len(parts) != n - 1:
         raise ConfigError(
@@ -100,6 +106,22 @@ def _subset(text: str) -> tuple[int, ...]:
         raise ConfigError(f"not a comma list of indices: {text!r}")
 
 
+def _pair_window(cast):
+    """Type function for a 'lo:hi' window with ``cast`` endpoints."""
+
+    def parse(text: str):
+        try:
+            lo, hi = text.split(":")
+            lo, hi = cast(lo), cast(hi)
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"bad window {text!r}, expected lo:hi")
+        if lo > hi:
+            raise ConfigError(f"empty window {text!r}")
+        return (lo, hi)
+
+    return parse
+
+
 def _lattice_window(text: str | None, n: int):
     """Window syntax: 'lo:hi' for all coordinates or comma list of
     per-coordinate lo:hi pairs."""
@@ -110,30 +132,7 @@ def _lattice_window(text: str | None, n: int):
         parts = parts * (n - 1)
     if len(parts) != n - 1:
         raise ConfigError(f"window needs 1 or {n - 1} ranges, got {text!r}")
-    box = []
-    for part in parts:
-        try:
-            lo, hi = part.split(":")
-            lo, hi = int(lo), int(hi)
-        except ValueError:
-            raise ConfigError(f"bad window range {part!r}")
-        if lo > hi:
-            raise ConfigError(f"empty window range {part!r}")
-        box.append((lo, hi))
-    return tuple(box)
-
-
-def _pair_window(text: str | None, default, cast):
-    if text is None:
-        return default
-    try:
-        lo, hi = text.split(":")
-        lo, hi = cast(lo), cast(hi)
-    except ValueError:
-        raise ConfigError(f"bad window {text!r}, expected lo:hi")
-    if lo > hi:
-        raise ConfigError(f"empty window {text!r}")
-    return (lo, hi)
+    return tuple(map(_pair_window(int), parts))
 
 
 def _positive_int(text: str) -> int:
@@ -143,21 +142,26 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _check_n(n: int) -> int:
-    if n < 2:
-        raise ConfigError(f"rank parameter must be >= 2, got {n}")
-    return n
+def _rank(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise ConfigError(f"rank parameter must be >= 2, got {value}")
+    return value
 
 
-def _emit(payload: dict, args) -> None:
-    fmt = getattr(args, "format", "json")
-    if fmt == "json":
+def _join(indices) -> str:
+    return ",".join(map(str, indices))
+
+
+def _emit(payload: dict, args, ok: bool = True) -> int:
+    """Write the report; the exit code says whether its check passed."""
+    if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    elif fmt == "csv":
+    elif args.format == "csv":
         text = _to_csv(payload)
     else:
         text = _pretty(payload)
-    out = getattr(args, "out", None)
+    out = args.out
     if out:
         outdir = os.environ.get("FLAGSHEAF_OUTDIR", ".")
         path = out if os.path.isabs(out) else os.path.join(outdir, out)
@@ -168,6 +172,7 @@ def _emit(payload: dict, args) -> None:
             raise ConfigError(f"cannot write {path!r}: {exc.strerror}")
     else:
         sys.stdout.write(text)
+    return EXIT_OK if ok else EXIT_VERIFICATION
 
 
 def _to_csv(payload: dict) -> str:
@@ -228,304 +233,304 @@ def _pretty(payload: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# handlers, one per (command, action); each reads only its leaf's options
 
 
-def _cmd_flags(args) -> int:
-    n = _check_n(args.n)
-    if args.action == "betti":
-        tables = {}
-        targets = (
-            [FlagType(n, _subset(args.i))]
-            if args.i is not None
-            else all_flag_types(n)
-        )
-        for ft in targets:
-            key = ",".join(map(str, ft.indices))
-            tables[key] = betti(ft).to_json()
-        _emit({"n": n, "betti": tables}, args)
-        return EXIT_OK
-    if args.action == "gtable":
-        tables = {}
-        for ft in all_flag_types(n):
-            key = ",".join(map(str, ft.indices))
-            tables[key] = g_space(ft).to_json()
-        _emit({"n": n, "g": tables}, args)
-        return EXIT_OK
-    # verify
+def _flags_betti(args) -> int:
+    targets = (
+        [FlagType(args.n, args.i)]
+        if args.i is not None
+        else all_flag_types(args.n)
+    )
+    tables = {_join(ft.indices): betti(ft).to_json() for ft in targets}
+    return _emit({"n": args.n, "betti": tables}, args)
+
+
+def _flags_gtable(args) -> int:
+    tables = {
+        _join(ft.indices): g_space(ft).to_json()
+        for ft in all_flag_types(args.n)
+    }
+    return _emit({"n": args.n, "g": tables}, args)
+
+
+def _flags_verify(args) -> int:
     failures = []
-    for ft in all_flag_types(n):
+    for ft in all_flag_types(args.n):
         report = verify_free_decomposition(ft)
         if not report.ok:
             failures.append(
-                {
-                    "i": ",".join(map(str, ft.indices)),
-                    "mismatch": report.first_mismatch,
-                }
+                {"i": _join(ft.indices), "mismatch": report.first_mismatch}
             )
-    _emit({"n": n, "failures": failures, "ok": not failures}, args)
-    return EXIT_OK if not failures else EXIT_VERIFICATION
+    payload = {"n": args.n, "failures": failures, "ok": not failures}
+    return _emit(payload, args, ok=not failures)
 
 
-def _cmd_sheaf(args) -> int:
-    n = _check_n(args.n)
-    z = CenterClass(n, args.z)
-    window = _lattice_window(args.window, n)
-    if args.action == "stalk":
-        p = cartan(n, _coords(args.point, n, "--point"))
-        required = required_stalk_box(p)
-        window = resolve_window(window, required, f"stalk at {p}")
-        model = build_cone_model(n, z, window)
-        dims = stalk_complex(model, z, p).cohomology()
-        _emit(
-            {
-                "n": n,
-                "z": z.residue,
-                "point": [str(c) for c in p.coords],
-                "window": [list(b) for b in window],
-                "margin_certified": True,
-                "stalk": dims.to_json(),
-            },
-            args,
-        )
-        return EXIT_OK
-    if args.action == "sections":
-        x = cartan(n, _coords(args.point, n, "--point"))
-        u = UMinusOpen(x) if args.u_kind == "uminus" else UOpen(x)
-        if window is None:
-            raise ConfigError("sections require an explicit --window")
-        model = build_standard_complex(n, window)
-        dims = sections_complex(model, z, u).cohomology()
-        _emit(
-            {
-                "n": n,
-                "z": z.residue,
-                "u_kind": args.u_kind,
-                "x": [str(c) for c in x.coords],
-                "window": [list(b) for b in window],
-                "sections": dims.to_json(),
-            },
-            args,
-        )
-        return EXIT_OK
-    # delta
-    m = cartan(n, _coords(args.m, n, "--m"))
-    idx = _subset(args.i)
-    dims = model_jump(
-        n, z, idx, m, eps=_fraction(args.eps), window=window
+def _sheaf_stalk(args) -> int:
+    n, z = args.n, CenterClass(args.n, args.z)
+    p = cartan(n, _coords(args.point, n))
+    window = resolve_window(
+        _lattice_window(args.window, n), required_stalk_box(p),
+        f"stalk at {p}",
     )
-    _emit(
+    model = build_cone_model(n, z, window)
+    dims = stalk_complex(model, z, p).cohomology()
+    return _emit(
         {
             "n": n,
             "z": z.residue,
-            "i": ",".join(map(str, idx)),
+            "point": [str(c) for c in p.coords],
+            "window": [list(b) for b in window],
+            "margin_certified": True,
+            "stalk": dims.to_json(),
+        },
+        args,
+    )
+
+
+def _sheaf_sections(args) -> int:
+    n, z = args.n, CenterClass(args.n, args.z)
+    window = _lattice_window(args.window, n)
+    x = cartan(n, _coords(args.point, n))
+    u = UMinusOpen(x) if args.u_kind == "uminus" else UOpen(x)
+    model = build_standard_complex(n, window)
+    dims = sections_complex(model, z, u).cohomology()
+    return _emit(
+        {
+            "n": n,
+            "z": z.residue,
+            "u_kind": args.u_kind,
+            "x": [str(c) for c in x.coords],
+            "window": [list(b) for b in window],
+            "sections": dims.to_json(),
+        },
+        args,
+    )
+
+
+def _sheaf_delta(args) -> int:
+    n, z = args.n, CenterClass(args.n, args.z)
+    window = _lattice_window(args.window, n)
+    m = cartan(n, _coords(args.m, n))
+    dims = model_jump(n, z, args.i, m, eps=args.eps, window=window)
+    return _emit(
+        {
+            "n": n,
+            "z": z.residue,
+            "i": _join(args.i),
             "m": [str(c) for c in m.coords],
             "margin_certified": True,
             "delta": dims.to_json(),
         },
         args,
     )
-    return EXIT_OK
 
 
-def _crosscheck_task(task):
-    n, z, samples, seed, window = task
+def _crosscheck_task(n, samples, seed, window, z):
     return crosscheck_stalks(
         n, CenterClass(n, z), samples, seed=seed, window=window
     )
 
 
-def _cmd_pipeline(args) -> int:
-    n = _check_n(args.n)
-    lam = _fraction(args.lam)
-    params = OrbitParams(n, lam)
-    degree_window = _pair_window(
-        args.degree_window, DEFAULT_DEGREE_WINDOW, int
+def _pipeline_crosscheck(args) -> int:
+    n = args.n
+    residues = range(n) if args.z == "all" else [int(args.z)]
+    window = _lattice_window(args.window, n)
+    task = functools.partial(
+        _crosscheck_task, n, args.samples, args.seed, window
     )
-    action_window = _pair_window(
-        args.action_window, DEFAULT_ACTION_WINDOW, Fraction
-    )
-    d_grid = (
-        tuple(_fraction(d) for d in args.d_grid.split(","))
-        if args.d_grid
-        else DEFAULT_D_GRID
-    )
-    if args.action == "crosscheck":
-        if args.samples < 0:
-            raise ConfigError("sample count must be nonnegative")
-        residues = (
-            range(n) if args.z == "all" else [int(args.z)]
-        )
-        tasks = [
-            (n, z, args.samples, args.seed, _lattice_window(args.window, n))
-            for z in residues
-        ]
-        if args.jobs > 1 and len(tasks) > 1:
-            # order-preserving map keeps output deterministic
-            import multiprocessing
+    if args.jobs > 1 and len(residues) > 1:
+        # order-preserving map keeps output deterministic
+        import multiprocessing
 
-            with multiprocessing.Pool(min(args.jobs, len(tasks))) as pool:
-                reports = pool.map(_crosscheck_task, tasks)
-        else:
-            reports = [_crosscheck_task(t) for t in tasks]
-        payload = {
-            "n": n,
-            "seed": args.seed,
-            "reports": [r.to_json() for r in reports],
-            "ok": all(r.ok for r in reports),
-        }
-        _emit(payload, args)
-        return EXIT_OK if payload["ok"] else EXIT_VERIFICATION
-    if args.action == "hom":
-        rec = h_graded(
-            params, _subset(args.i), _fraction(args.d),
-            degree_window, action_window,
-        )
-        _emit(
-            {
-                "n": n,
-                "lambda": str(lam),
-                "i": ",".join(map(str, rec.indices)),
-                "d": str(rec.d),
-                "normalization_shift": normalization_shift(n),
-                "h_graded": rec.graded.to_json(),
-                "elements": [e.to_json() for e in rec.elements],
-            },
-            args,
-        )
-        return EXIT_OK
-    if args.action == "certificate":
-        report = certificate(
-            params, d_grid, degree_window, action_window
-        )
-        _emit(report.to_json(), args)
-        return EXIT_OK if report.verdict in (True, None) else EXIT_VERIFICATION
-    if args.action == "pair":
-        d = _fraction(args.d)
-        dims = pair_hom(
-            params, args.side_a, args.side_b, d,
-            degree_window, action_window, char_two=args.char2,
-        )
-        _emit(
-            {
-                "n": n,
-                "lambda": str(lam),
-                "sides": [args.side_a, args.side_b],
-                "d": str(d),
-                "char2": args.char2,
-                "pair_hom": dims.to_json(),
-            },
-            args,
-        )
-        return EXIT_OK
-    # spectrum
-    window = _pair_window(
-        args.action_window, (Fraction(0), Fraction(3)), Fraction
+        with multiprocessing.Pool(min(args.jobs, len(residues))) as pool:
+            reports = pool.map(task, residues)
+    else:
+        reports = [task(z) for z in residues]
+    payload = {
+        "n": n,
+        "seed": args.seed,
+        "reports": [r.to_json() for r in reports],
+        "ok": all(r.ok for r in reports),
+    }
+    return _emit(payload, args, payload["ok"])
+
+
+def _pipeline_hom(args) -> int:
+    rec = h_graded(
+        OrbitParams(args.n, args.lam), args.i, args.d,
+        args.degree_window, args.action_window,
     )
-    idx = _subset(args.i)
-    values = jump_spectrum(
-        params, idx, action_window=window, degree_window=degree_window,
-    )
-    _emit(
+    return _emit(
         {
-            "n": n,
-            "lambda": str(lam),
-            "i": ",".join(map(str, idx)),
-            "window": [str(window[0]), str(window[1])],
+            "n": args.n,
+            "lambda": str(args.lam),
+            "i": _join(rec.indices),
+            "d": str(rec.d),
+            "normalization_shift": normalization_shift(args.n),
+            "h_graded": rec.graded.to_json(),
+            "elements": [e.to_json() for e in rec.elements],
+        },
+        args,
+    )
+
+
+def _pipeline_certificate(args) -> int:
+    report = certificate(
+        OrbitParams(args.n, args.lam), args.d_grid,
+        args.degree_window, args.action_window,
+    )
+    return _emit(report.to_json(), args, report.verdict)
+
+
+def _pipeline_pair(args) -> int:
+    dims = pair_hom(
+        OrbitParams(args.n, args.lam), args.side_a, args.side_b, args.d,
+        args.degree_window, args.action_window, char_two=args.char2,
+    )
+    return _emit(
+        {
+            "n": args.n,
+            "lambda": str(args.lam),
+            "sides": [args.side_a, args.side_b],
+            "d": str(args.d),
+            "char2": args.char2,
+            "pair_hom": dims.to_json(),
+        },
+        args,
+    )
+
+
+def _pipeline_spectrum(args) -> int:
+    values = jump_spectrum(
+        OrbitParams(args.n, args.lam), args.i,
+        action_window=args.action_window, degree_window=args.degree_window,
+    )
+    return _emit(
+        {
+            "n": args.n,
+            "lambda": str(args.lam),
+            "i": _join(args.i),
+            "window": [str(w) for w in args.action_window],
             "spectrum": [str(v) for v in values],
         },
         args,
     )
-    return EXIT_OK
 
 
-def _cmd_numerics(args) -> int:
-    n = _check_n(args.n)
-    if args.trials < 0:
-        raise ConfigError("trial count must be nonnegative")
-    payload = {"n": n, "seed": args.seed, "trials": args.trials}
-    if args.trials == 0:
-        payload["warning"] = "no trials requested; vacuous pass"
-        payload["lemmas"] = []
-        _emit(payload, args)
-        return EXIT_OK
-    stats = run_trials(n, args.trials, seed=args.seed, corrupt=args.corrupt)
-    payload["lemmas"] = [s.to_json() for s in stats]
+def _numerics(args) -> int:
+    stats = run_trials(
+        args.n, args.trials, seed=args.seed, corrupt=args.corrupt
+    )
     failures = sum(s.failures for s in stats)
-    payload["failures"] = failures
-    _emit(payload, args)
-    return EXIT_OK if failures == 0 else EXIT_VERIFICATION
+    return _emit(
+        {
+            "n": args.n,
+            "seed": args.seed,
+            "trials": args.trials,
+            "lemmas": [s.to_json() for s in stats],
+            "failures": failures,
+        },
+        args,
+        failures == 0,
+    )
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """One leaf parser per (command, action), with exactly the options
+    its ``run`` handler reads; built once per process, on first use."""
     parser = _Parser(prog="flagsheaf", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument(
-            "--format", choices=("json", "csv", "pretty"), default="json"
+    def actions(command, help):
+        return commands.add_parser(command, help=help).add_subparsers(
+            dest="action", required=True
         )
+
+    def leaf(group, name, run, graded=True, **kwargs):
+        # csv flattens graded tables, so reports without one omit it
+        formats = ("json", "csv", "pretty") if graded else ("json", "pretty")
+        p = group.add_parser(name, allow_abbrev=False, **kwargs)
+        p.add_argument("--n", type=_rank, required=True)
+        p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default=None)
+        p.set_defaults(run=run)
+        return p
 
-    p_flags = sub.add_parser("flags", help="Schubert tables")
-    p_flags.add_argument("action", choices=("betti", "gtable", "verify"))
-    common(p_flags)
-    p_flags.add_argument("--i", default=None, help="single subset, comma list")
-
-    p_sheaf = sub.add_parser("sheaf", help="windowed sheaf queries")
-    p_sheaf.add_argument("action", choices=("stalk", "sections", "delta"))
-    common(p_sheaf)
-    p_sheaf.add_argument("--z", type=int, default=0)
-    p_sheaf.add_argument("--point", default=None, help="rational coords p/q")
-    p_sheaf.add_argument("--u-kind", choices=("uopen", "uminus"),
-                         default="uopen", dest="u_kind")
-    p_sheaf.add_argument("--i", default="")
-    p_sheaf.add_argument("--m", default=None)
-    p_sheaf.add_argument("--eps", default="1/2")
-    p_sheaf.add_argument("--window", default=None)
-
-    p_pipe = sub.add_parser("pipeline", help="cross-checks and certificates")
-    p_pipe.add_argument(
-        "action",
-        choices=("crosscheck", "hom", "certificate", "pair", "spectrum"),
+    flags = actions("flags", "Schubert tables")
+    leaf(flags, "betti", _flags_betti).add_argument(
+        "--i", type=_subset, default=None, help="single subset, comma list"
     )
-    common(p_pipe)
-    p_pipe.add_argument("--lambda", dest="lam", default="1")
-    p_pipe.add_argument("--z", default="all")
-    p_pipe.add_argument("--seed", type=int, default=0)
-    p_pipe.add_argument("--samples", type=int, default=100)
-    p_pipe.add_argument("--i", default="")
-    p_pipe.add_argument("--d", default="0")
-    p_pipe.add_argument("--d-grid", dest="d_grid", default=None)
-    p_pipe.add_argument("--degree-window", dest="degree_window", default=None)
-    p_pipe.add_argument("--action-window", dest="action_window", default=None)
-    p_pipe.add_argument("--window", default=None)
-    p_pipe.add_argument("--jobs", type=_positive_int, default=1)
-    p_pipe.add_argument("--side-a", dest="side_a", default="diagonal")
-    p_pipe.add_argument("--side-b", dest="side_b", default="diagonal")
-    p_pipe.add_argument("--char2", action="store_true")
+    leaf(flags, "gtable", _flags_gtable)
+    leaf(flags, "verify", _flags_verify, graded=False)
 
-    p_num = sub.add_parser("numerics", help="matrix lemma trials")
-    common(p_num)
-    p_num.add_argument("--trials", type=int, default=1000)
-    p_num.add_argument("--seed", type=int, default=0)
-    p_num.add_argument(
+    sheaf = actions("sheaf", "windowed sheaf queries")
+    stalk = leaf(sheaf, "stalk", _sheaf_stalk)
+    sections = leaf(sheaf, "sections", _sheaf_sections)
+    delta = leaf(sheaf, "delta", _sheaf_delta)
+    for p in (stalk, sections, delta):
+        p.add_argument("--z", type=int, default=0)
+        p.add_argument("--window", required=p is sections)
+    for p in (stalk, sections):
+        p.add_argument("--point", required=True, help="rational coords p/q")
+    sections.add_argument("--u-kind", choices=("uopen", "uminus"),
+                          default="uopen")
+    delta.add_argument("--i", type=_subset, default=())
+    delta.add_argument("--m", required=True)
+    delta.add_argument("--eps", type=_fraction, default=Fraction(1, 2))
+
+    pipeline = actions("pipeline", "cross-checks and certificates")
+    crosscheck = leaf(pipeline, "crosscheck", _pipeline_crosscheck,
+                      graded=False)
+    crosscheck.add_argument("--z", default="all")
+    crosscheck.add_argument("--seed", type=int, default=0)
+    crosscheck.add_argument("--samples", type=_positive_int, default=100)
+    crosscheck.add_argument("--window", default=None)
+    crosscheck.add_argument("--jobs", type=_positive_int, default=1)
+
+    def orbit(name, run, graded=True, action_window=DEFAULT_ACTION_WINDOW):
+        # the orbit of scale --lambda and the windows of its Novikov module
+        p = leaf(pipeline, name, run, graded)
+        p.add_argument("--lambda", dest="lam", type=_fraction,
+                       default=Fraction(1))
+        p.add_argument("--degree-window", type=_pair_window(int),
+                       default=DEFAULT_DEGREE_WINDOW)
+        p.add_argument("--action-window", type=_pair_window(Fraction),
+                       default=action_window)
+        return p
+
+    hom = orbit("hom", _pipeline_hom)
+    hom.add_argument("--i", type=_subset, default=())
+    hom.add_argument("--d", type=_fraction, default=Fraction(0))
+    orbit("certificate", _pipeline_certificate).add_argument(
+        "--d-grid", type=_d_grid, default=DEFAULT_D_GRID
+    )
+    pair = orbit("pair", _pipeline_pair)
+    pair.add_argument("--d", type=_fraction, default=Fraction(0))
+    pair.add_argument("--side-a", default="diagonal")
+    pair.add_argument("--side-b", default="diagonal")
+    pair.add_argument("--char2", action="store_true")
+    orbit(
+        "spectrum", _pipeline_spectrum, graded=False,
+        action_window=(Fraction(0), Fraction(3)),
+    ).add_argument("--i", type=_subset, default=())
+
+    numerics = leaf(commands, "numerics", _numerics, graded=False,
+                    help="matrix lemma trials")
+    numerics.add_argument("--trials", type=_positive_int, default=1000)
+    numerics.add_argument("--seed", type=int, default=0)
+    numerics.add_argument(
         "--corrupt", action="store_true",
         help="inject one corrupted fixture (exercises the failure path)",
     )
     return parser
 
-
-# commands whose reports hold no graded table, so csv would carry only
-# its header; refused before any work runs
-_NO_GRADED_TABLE = {("flags", "verify"), ("pipeline", "crosscheck"),
-                    ("pipeline", "spectrum"), ("numerics", None)}
 
 _VALUE_FLAGS = {
     "--point", "--m", "--d", "--lambda", "--eps", "--window",
@@ -557,32 +562,15 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    argv = _merge_negative_values(list(argv))
     try:
-        args = parser.parse_args(argv)
-        command = (args.command, getattr(args, "action", None))
-        if args.format == "csv" and command in _NO_GRADED_TABLE:
-            raise ConfigError(
-                "this report holds no graded table for csv; "
-                "use --format json or pretty"
-            )
-        if args.command == "flags":
-            return _cmd_flags(args)
-        if args.command == "sheaf":
-            return _cmd_sheaf(args)
-        if args.command == "pipeline":
-            return _cmd_pipeline(args)
-        return _cmd_numerics(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MarginError as exc:
+        args = _build_parser().parse_args(_merge_negative_values(list(argv)))
+        return args.run(args)
+    except MarginError as exc:  # a ValueError, so caught first
         print(f"margin violation: {exc}", file=sys.stderr)
         return EXIT_MARGIN
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (IntegrityError, NonConvergenceError) as exc:

@@ -74,9 +74,6 @@ class GradedDims:
                 out[d1 + d2] = out.get(d1 + d2, 0) + m1 * m2
         return GradedDims(out)
 
-    def scale(self, c: int) -> "GradedDims":
-        return GradedDims({deg: c * dim for deg, dim in self._data.items()})
-
     def dominates(self, other: "GradedDims") -> bool:
         """Componentwise >=."""
         return all(self[d] >= m for d, m in other.items())

@@ -303,7 +303,7 @@ def crosscheck_stalks(
     description at random (or given) points of the open chamber.
 
     Points whose required box is not inside the window are excluded
-    from the comparison, not failed.
+    from the comparison, not failed.  No points is a ``ValueError``.
     """
     if isinstance(samples, int):
         import numpy as np
@@ -315,12 +315,14 @@ def crosscheck_stalks(
         ]
     else:
         points = list(samples)
+    if not points:
+        raise ValueError("crosscheck needs at least one sample point")
     required_boxes = [required_stalk_box(p) for p in points]
     if window is None:
         window = tuple(
             (min(b[j][0] for b in required_boxes), 0)
             for j in range(n - 1)
-        ) if required_boxes else tuple((0, 0) for _ in range(n - 1))
+        )
     model = build_cone_model(n, z, window)
     report = CrosscheckReport(
         n=n, z=z.residue, requested=len(points), compared=0, excluded=0,
@@ -598,7 +600,7 @@ class CertificateReport:
     nonvanishing: list[NonvanishingResult]
     h_records: list[NovikovRecord]
     full_hom: dict[Fraction, GradedDims]
-    verdict: bool | None  # None: no samples
+    verdict: bool
 
     def to_json(self) -> dict:
         return {
@@ -616,7 +618,7 @@ class CertificateReport:
             "full_hom": {
                 str(d): g.to_json() for d, g in self.full_hom.items()
             },
-            "verdict": "no samples" if self.verdict is None else self.verdict,
+            "verdict": self.verdict,
             "versions": {"flagsheaf": _package_version},
         }
 
@@ -630,9 +632,11 @@ def certificate(
     """Run the non-vanishing check for every subset I and every d in
     the grid; aggregate the full graded answer as the direct sum over
     I of g(I) tensor H_I(d).  Each subset's term list is built once
-    and filtered by every d."""
+    and filtered by every d.  An empty grid is a ``ValueError``."""
     n = params.n
     grid = tuple(sorted({Fraction(d) for d in d_grid}))
+    if not grid:
+        raise ValueError("certificate needs a nonempty d grid")
     bases = {
         subset: module_terms(params, subset, degree_window, action_window)
         for subset in _all_subsets(n)
@@ -648,18 +652,13 @@ def certificate(
             hs.append(rec)
             total = total + g_space_cached(n, subset).tensor(rec.graded)
         full[d] = total
-    verdict: bool | None
-    if not grid:
-        verdict = None
-    else:
-        verdict = all(t.nonzero for t in nonvanishing_results)
     return CertificateReport(
         params=params,
         d_grid=grid,
         nonvanishing=nonvanishing_results,
         h_records=hs,
         full_hom=full,
-        verdict=verdict,
+        verdict=all(t.nonzero for t in nonvanishing_results),
     )
 
 

@@ -1,4 +1,12 @@
+import argparse
 import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+from string import Template
 
 import pytest
 
@@ -149,6 +157,25 @@ def test_pipeline_spectrum(capsys):
     assert payload["spectrum"] == ["0", "1", "2"]
 
 
+_EQUAL_INPUTS = (
+    ("pipeline pair --n 2 --d 2/4", "pipeline pair --n 2 --d 1/2"),
+    ("pipeline spectrum --n 3 --i 2,1", "pipeline spectrum --n 3 --i 1,2"),
+    ("sheaf stalk --n 2 --point -5/2", "sheaf stalk --n 2 --point -10/4"),
+    ("sheaf delta --n 3 --m 0,0 --i 2,1",
+     "sheaf delta --n 3 --m 0/1,0 --i 1,2"),
+    ("pipeline hom --n 2 --lambda 2/4", "pipeline hom --n 2 --lambda 1/2"),
+    ("pipeline crosscheck --n 2 --z 3 --samples 5",
+     "pipeline crosscheck --n 2 --z 1 --samples 5"),
+    ("flags betti --n 3 --i 2,1", "flags betti --n 3 --i 1,2"),
+    ("pipeline spectrum --n 2 --action-window 0:3",
+     "pipeline spectrum --n 2 --action-window 0/1:6/2"),
+    ("pipeline certificate --n 2 --d-grid 1/2,0",
+     "pipeline certificate --n 2 --d-grid 0,2/4"),
+    ("sheaf stalk --n 3 --point -1/2,-1/2 --window -3:0",
+     "sheaf stalk --n 3 --point -1/2,-1/2 --window -3:0,-3:0"),
+)
+
+
 def test_pipeline_echoes_normalized_inputs(capsys):
     code, payload = run_json(capsys, "pipeline", "pair", "--n", "2",
                              "--d", "2/4")
@@ -157,12 +184,10 @@ def test_pipeline_echoes_normalized_inputs(capsys):
                              "--i", "2,1")
     assert code == 0 and payload["i"] == "1,2"
     # equal inputs, equal bytes
-    assert run(capsys, "pipeline", "pair", "--n", "2", "--d", "2/4") == run(
-        capsys, "pipeline", "pair", "--n", "2", "--d", "1/2"
-    )
-    assert run(capsys, "pipeline", "spectrum", "--n", "3", "--i", "2,1") == (
-        run(capsys, "pipeline", "spectrum", "--n", "3", "--i", "1,2")
-    )
+    for first, second in _EQUAL_INPUTS:
+        code, out = run(capsys, *first.split())
+        assert code == 0
+        assert run(capsys, *second.split()) == (code, out), second
 
 
 def test_pipeline_pair_char_guard(capsys):
@@ -179,31 +204,34 @@ def test_numerics_paths(capsys):
         capsys, "numerics", "--n", "3", "--trials", "10", "--seed", "1"
     )
     assert code == 0 and payload["failures"] == 0
-    code2, payload2 = run_json(
-        capsys, "numerics", "--n", "3", "--trials", "0", "--seed", "1"
-    )
-    assert code2 == 0 and "warning" in payload2
+    code2 = main(["numerics", "--n", "3", "--trials", "0", "--seed", "1"])
+    assert code2 == 1 and capsys.readouterr().out == ""
     code3 = main(["numerics", "--n", "3", "--trials", "5", "--seed", "1",
                   "--corrupt"])
     capsys.readouterr()
     assert code3 == 2
 
 
-_REJECTED_PIPELINE_OPTIONS = {
-    "lambda-0": ["--lambda", "0"],
-    "lambda-neg": ["--lambda", "-1"],
-    "degree-window": ["--degree-window", "5:1"],
-    "action-window": ["--action-window", "3:0"],
-    "jobs-0": ["--jobs", "0"],
-    "d-grid": ["--d-grid", "x"],
+# bad values, each on a leaf that reads the option
+_REJECTED_VALUES = {
+    "certificate-lambda-0": ["certificate", "--lambda", "0"],
+    "certificate-lambda-neg": ["certificate", "--lambda", "-1"],
+    "certificate-degree-window": ["certificate", "--degree-window", "5:1"],
+    "certificate-action-window": ["certificate", "--action-window", "3:0"],
+    "certificate-action-window-zero-denominator": [
+        "certificate", "--action-window", "0:1/0"
+    ],
+    "certificate-d-grid": ["certificate", "--d-grid", "x"],
+    "crosscheck-jobs-0": ["crosscheck", "--jobs", "0"],
+    "crosscheck-samples-0": ["crosscheck", "--samples", "0"],
 }
 
 _REJECTED_INPUTS = {
     **{
-        f"{action}-{name}": ["pipeline", action, "--n", "2", *opts]
-        for action in ("certificate", "crosscheck")
-        for name, opts in _REJECTED_PIPELINE_OPTIONS.items()
+        name: ["pipeline", action, "--n", "2", *opts]
+        for name, (action, *opts) in _REJECTED_VALUES.items()
     },
+    "numerics-trials-0": ["numerics", "--n", "2", "--trials", "0"],
     "stalk-no-point": ["sheaf", "stalk", "--n", "2"],
     "sections-no-point": ["sheaf", "sections", "--n", "2", "--window", "-2:0"],
     "delta-no-m": ["sheaf", "delta", "--n", "2"],
@@ -218,6 +246,13 @@ _REJECTED_INPUTS = {
     ],
     "crosscheck-empty-window": [
         "pipeline", "crosscheck", "--n", "3", "--window", "-2:0,1:0"
+    ],
+    # crosscheck does not read --lambda, whatever its value
+    "crosscheck-lambda-0": [
+        "pipeline", "crosscheck", "--n", "2", "--lambda", "0"
+    ],
+    "crosscheck-lambda-neg": [
+        "pipeline", "crosscheck", "--n", "2", "--lambda", "-1"
     ],
 }
 
@@ -299,3 +334,167 @@ def test_verification_failures_exit_2(capsys, monkeypatch, error):
     assert code == 2
     assert captured.err.strip() == "verification failure: injected"
     assert "Traceback" not in captured.out + captured.err
+
+
+# -- the grammar ---------------------------------------------------------------
+
+_COMMON = {"--n", "--format", "--out"}
+_GRAMMAR = {
+    ("flags", "betti"): {"--i"},
+    ("flags", "gtable"): set(),
+    ("flags", "verify"): set(),
+    ("sheaf", "stalk"): {"--z", "--point", "--window"},
+    ("sheaf", "sections"): {"--z", "--point", "--u-kind", "--window"},
+    ("sheaf", "delta"): {"--z", "--i", "--m", "--eps", "--window"},
+    ("pipeline", "crosscheck"): {
+        "--z", "--seed", "--samples", "--window", "--jobs"
+    },
+    ("pipeline", "hom"): {
+        "--lambda", "--i", "--d", "--degree-window", "--action-window"
+    },
+    ("pipeline", "certificate"): {
+        "--lambda", "--d-grid", "--degree-window", "--action-window"
+    },
+    ("pipeline", "pair"): {
+        "--lambda", "--d", "--side-a", "--side-b", "--char2",
+        "--degree-window", "--action-window",
+    },
+    ("pipeline", "spectrum"): {
+        "--lambda", "--i", "--degree-window", "--action-window"
+    },
+    ("numerics", None): {"--trials", "--seed", "--corrupt"},
+}
+# reports without a graded table, which csv could not carry
+_NO_CSV = {
+    ("flags", "verify"), ("pipeline", "crosscheck"),
+    ("pipeline", "spectrum"), ("numerics", None),
+}
+
+
+def _children(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return None
+
+
+def _leaves():
+    leaves = {}
+    for command, parser in _children(cli._build_parser()).items():
+        for action, leaf in (_children(parser) or {None: parser}).items():
+            leaves[(command, action)] = leaf
+    return leaves
+
+
+def test_each_leaf_accepts_exactly_its_options():
+    accepted = {
+        key: {
+            option
+            for action in leaf._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        }
+        for key, leaf in _leaves().items()
+    }
+    assert accepted == {key: _COMMON | opts for key, opts in _GRAMMAR.items()}
+    assert sum(map(len, accepted.values())) == 77
+    for key, leaf in _leaves().items():
+        (fmt,) = [a for a in leaf._actions if "--format" in a.option_strings]
+        csv = () if key in _NO_CSV else ("csv",)
+        assert set(fmt.choices) == {"json", "pretty", *csv}, key
+
+
+class _WorkRan(Exception):
+    pass
+
+
+_WORK = (
+    "betti", "g_space", "verify_free_decomposition", "build_cone_model",
+    "build_standard_complex", "model_jump", "crosscheck_stalks", "h_graded",
+    "certificate", "pair_hom", "jump_spectrum", "run_trials",
+)
+_REQUIRED = {
+    ("sheaf", "stalk"): ["--point", "-1/2"],
+    ("sheaf", "sections"): ["--point", "0", "--window", "-2:0"],
+    ("sheaf", "delta"): ["--m", "0"],
+}
+_NO_VALUE = {"--char2", "--corrupt"}
+_UNREAD = [
+    (key, option)
+    for key, opts in _GRAMMAR.items()
+    for option in sorted(set().union(*_GRAMMAR.values()) - opts)
+]
+
+
+@pytest.mark.parametrize(
+    "key, option", _UNREAD,
+    ids=[f"{'-'.join(filter(None, k))}:{o}" for k, o in _UNREAD],
+)
+def test_unread_option_exits_1_before_work(capsys, monkeypatch, key, option):
+    def work(*args, **kwargs):
+        raise _WorkRan
+
+    for name in _WORK:
+        monkeypatch.setattr(cli, name, work)
+    argv = [c for c in key if c] + ["--n", "2", *_REQUIRED.get(key, [])]
+    with pytest.raises(_WorkRan):
+        main(argv)  # the leaf's own options reach its work
+    value = [] if option in _NO_VALUE else ["1"]
+    assert main(argv + [option, *value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"configuration error: unrecognized arguments: "
+        f"{' '.join([option, *value])}\n"
+    )
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    assert main(["flags", "betti", "--n", "2"]) == 0
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    assert main(["flags", "betti", "--n", "2"]) == 0
+    capsys.readouterr()
+    assert built == []
+    # and not at import
+    probe = subprocess.run(
+        [sys.executable, "-c", "import flagsheaf.cli as c; "
+         "print(c._build_parser.cache_info().currsize)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert probe.stdout == "0\n"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_commands() -> list[list[str]]:
+    """Every ``flagsheaf`` line of the README's sh blocks, as argv; a
+    shell loop variable takes its first value."""
+    loops, commands = {}, []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["for"]:
+                loops[words[1]] = words[3]
+            elif words[:1] == ["flagsheaf"]:
+                line = Template(line).substitute(loops)
+                commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_readme_examples_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        try:
+            cli._build_parser().parse_args(cli._merge_negative_values(argv))
+        except cli.ConfigError as exc:
+            pytest.fail(f"README example {argv}: {exc}")

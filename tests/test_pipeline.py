@@ -102,6 +102,12 @@ def test_crosscheck_excludes_out_of_margin_points():
     assert report.excluded == 1 and report.compared == 1
 
 
+def test_crosscheck_needs_points():
+    for samples in (0, []):
+        with pytest.raises(ValueError):
+            crosscheck_stalks(2, CenterClass(2, 0), samples)
+
+
 def test_sampler_lands_in_open_chamber():
     rng = np.random.default_rng(3)
     for n in (2, 3, 4):
@@ -279,9 +285,8 @@ def test_certificate_verdict_true():
 
 
 def test_certificate_empty_grid():
-    report = certificate(OrbitParams(2, Q(1)), d_grid=())
-    assert report.verdict is None
-    assert report.to_json()["verdict"] == "no samples"
+    with pytest.raises(ValueError):
+        certificate(OrbitParams(2, Q(1)), d_grid=())
 
 
 def test_normalization_shift_value():
