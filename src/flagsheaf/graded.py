@@ -51,6 +51,8 @@ class GradedDims:
         return bool(self._data)
 
     def __eq__(self, other) -> bool:
+        if self is other:  # blocks share their multiplicity spaces
+            return True
         return isinstance(other, GradedDims) and self._data == other._data
 
     def __hash__(self):

@@ -67,7 +67,10 @@ def rank_triplets(entries: Iterable[Triplet], nrows: int, ncols: int) -> int:
 def connected_components(
     node_count: int, edges: Iterable[tuple[int, int]]
 ) -> list[list[int]]:
-    """Union-find components; isolated nodes form singleton components."""
+    """Union-find components; isolated nodes form singleton components.
+
+    Cohomology no longer splits complexes into components; the
+    component-split reference oracle of the test suite does."""
     parent = list(range(node_count))
 
     def find(a: int) -> int:

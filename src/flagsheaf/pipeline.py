@@ -147,7 +147,6 @@ def build_cone_model(
         n,
         ((subset, mult, apex) for subset, mult in mults.items()
          for apex in apexes),
-        check=False,
     )
 
 
@@ -303,7 +302,8 @@ def crosscheck_stalks(
     description at random (or given) points of the open chamber.
 
     Points whose required box is not inside the window are excluded
-    from the comparison, not failed.  No points is a ``ValueError``.
+    from the comparison, not failed.  No points, or a window that
+    excludes every point, is a ``ValueError``: it would check nothing.
     """
     if isinstance(samples, int):
         import numpy as np
@@ -323,13 +323,18 @@ def crosscheck_stalks(
             (min(b[j][0] for b in required_boxes), 0)
             for j in range(n - 1)
         )
+    inside = [box_contains(window, req) for req in required_boxes]
+    if not any(inside):
+        raise ValueError(
+            f"window {window} excludes all {len(points)} sample points"
+        )
     model = build_cone_model(n, z, window)
     report = CrosscheckReport(
         n=n, z=z.residue, requested=len(points), compared=0, excluded=0,
         window=window,
     )
-    for p, req in zip(points, required_boxes):
-        if not box_contains(window, req):
+    for p, req, kept in zip(points, required_boxes, inside):
+        if not kept:
             report.excluded += 1
             continue
         lhs = stalk_complex(model, z, p).cohomology()

@@ -12,6 +12,14 @@ per alive generator, carrying the generator's multiplicity space:
 taking cohomology commutes with tensoring by it.  Coefficients with
 denominator 1 are kept as ``int`` throughout.
 
+Cohomology is computed by unit-pivot (algebraic Morse) reduction
+(Kaczynski-Mischaikow-Mrozek, Computational Homology, 2004; Skoldberg,
+Trans. AMS 2006): every entry d(i->j) = +-1 cancels the lines i and j,
+and exact rank runs only on what is left.  d*d = 0 is checked once per
+``SheafComplex`` when it is built; stalks and sections restricted from
+a validated complex inherit it (see ``_restrict``), while every other
+``FiniteComplex``, jump complexes included, checks its own entries.
+
 Supported regions (parameters are exact rational Cartan vectors):
 
 * ``UMinusOpen(x)``  {y in interior(C_-) : y << x}
@@ -46,7 +54,7 @@ from typing import Iterable, Sequence
 
 from .flag_schubert import _all_subsets
 from .graded import GradedDims
-from .linalg import Scalar, Triplet, connected_components, rank_triplets
+from .linalg import Scalar, Triplet, rank_triplets
 from .root_system import (
     CartanVector,
     CenterClass,
@@ -264,6 +272,8 @@ class SheafComplex:
         self.entries = tuple(
             (int(i), int(j), _exact(c)) for i, j, c in entries
         )
+        # d*d = 0 is known (and inherited by restrictions) once validated
+        self.validated = False
         if check:
             self.validate()
 
@@ -283,6 +293,7 @@ class SheafComplex:
                 raise ValueError("zero differential entry")
             _check_entry_regions(src, dst)
         verify_dd_zero(self.entries)
+        self.validated = True
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +327,7 @@ def _subset_sign(j_small: frozenset[int], added: int) -> int:
 
 
 def cone_complex(
-    n: int,
-    blocks: Iterable[tuple[tuple[int, ...], GradedDims, Apex]],
-    check: bool,
+    n: int, blocks: Iterable[tuple[tuple[int, ...], GradedDims, Apex]]
 ) -> SheafComplex:
     """Complex of constant sheaves on closed cones (Kashiwara-Schapira,
     Sheaves on Manifolds, 1990), one block per (subset I, multiplicity,
@@ -326,7 +335,7 @@ def cone_complex(
     forced(I, m) = {k : <m, f_k> + [k in I] > 0}, in total degree
     |J| - D(m) at center exp(m), labelled ("cone", I, J, m), with
     differential the signed restrictions J -> J + {e} inside the
-    block."""
+    block.  The result is validated, d*d = 0 included."""
     all_indices = range(1, n)
     subsets = [(jc, frozenset(jc)) for jc in _all_subsets(n)]
     generators: list[SheafGenerator] = []
@@ -355,7 +364,7 @@ def cone_complex(
                 j2 = j1 | {added}
                 if j2 in local:
                     entries.append((gi, local[j2], _subset_sign(j2, added)))
-    return SheafComplex(n, generators, entries, check=check)
+    return SheafComplex(n, generators, entries)
 
 
 def build_standard_complex(n: int, window: LatticeBox) -> SheafComplex:
@@ -364,11 +373,49 @@ def build_standard_complex(n: int, window: LatticeBox) -> SheafComplex:
     every J containing {k : <l, f_k> > 0}."""
     line = GradedDims.line()
     blocks = [((), line, lattice_apex(n, c)) for c in window_points(n, window)]
-    return cone_complex(n, blocks, check=True)
+    return cone_complex(n, blocks)
 
 
 # ---------------------------------------------------------------------------
 # finite complexes and exact cohomology
+
+
+def _cancel_unit_pivots(
+    out: list[dict[int, Scalar]], inc: list[dict[int, Scalar]]
+) -> list[bool]:
+    """Unit-pivot reduction in place (see ``FiniteComplex.cohomology``):
+    ``out[i]`` maps the targets of line i to their entries, ``inc[j]``
+    the sources of line j.  Returns which lines are left."""
+    left = [True] * len(out)
+    for i, targets in enumerate(out):
+        for j, c in targets.items():
+            if c == 1 or c == -1:
+                break
+        else:
+            continue
+        del targets[j]
+        sources = inc[j]
+        del sources[i]
+        for b in targets:
+            del inc[b][i]
+        for a in inc[i]:
+            del out[a][i]
+        for b in out[j]:
+            del inc[b][j]
+        for a in sources:
+            del out[a][j]
+        # d(a->b) -= d(a->j) * c * d(i->b)
+        for a, a_j in sources.items():
+            row, factor = out[a], a_j * c
+            for b, i_b in targets.items():
+                v = row.get(b, 0) - factor * i_b
+                if v:
+                    row[b] = inc[b][a] = v
+                else:
+                    del row[b], inc[b][a]
+        out[i] = inc[i] = out[j] = inc[j] = {}
+        left[i] = left[j] = False
+    return left
 
 
 class FiniteComplex:
@@ -379,6 +426,8 @@ class FiniteComplex:
     graded multiplicity space ``mults[i]`` (default: one line); entries
     (src, dst, coeff) have degree(dst) = degree(src) + 1 and act as
     coeff times the identity of the shared multiplicity space.
+    ``dd_zero_known`` skips the d*d = 0 check of ``cohomology``; only
+    restrictions of a validated ``SheafComplex`` set it.
     """
 
     def __init__(
@@ -386,10 +435,13 @@ class FiniteComplex:
         degrees: Sequence[int],
         entries: Iterable[Triplet],
         mults: Sequence[GradedDims] | None = None,
+        *,
+        dd_zero_known: bool = False,
     ):
         self.degrees = tuple(int(d) for d in degrees)
         self.entries = tuple(entries)
         self.mults = tuple(mults or [GradedDims.line()] * len(self.degrees))
+        self.dd_zero_known = dd_zero_known
         if len(self.mults) != len(self.degrees):
             raise ValueError("expected one multiplicity per basis line")
         for i, j, _ in self.entries:
@@ -397,45 +449,63 @@ class FiniteComplex:
                 raise ValueError("entry is not of degree +1")
 
     def cohomology(self) -> GradedDims:
-        """dim H^k = dim_k - rank d_k - rank d_{k-1} per connected
-        component, by exact fraction-free elimination, tensored with the
-        component's multiplicity space."""
-        verify_dd_zero(self.entries)
-        comps = connected_components(
-            len(self.degrees), [(i, j) for i, j, _ in self.entries]
-        )
-        by_node = {node: ci for ci, comp in enumerate(comps) for node in comp}
-        comp_entries: dict[int, list[Triplet]] = {}
+        """Cohomology dimensions, each line's part tensored with its
+        multiplicity space, by unit-pivot reduction.
+
+        d*d = 0 is verified first unless ``dd_zero_known``.  Each entry
+        d(i->j) = c = +-1 met in line order cancels lines i and j: for
+        every other source a of j and target b of i, d(a->b) -=
+        d(a->j) * c * d(i->b) (c is its own inverse), and all entries
+        of i and j go.  The reduced complex is homotopy equivalent to
+        the old one, and ``int`` entries stay ``int``.  An entry between
+        lines of unequal multiplicity raises IntegrityError, so every
+        fill-in joins equal multiplicities too.  What is left is ranked
+        exactly per (multiplicity, degree): dim H^k = dim_k - rank d_k -
+        rank d_{k-1}.  Cone-model stalks and jump complexes reduce to
+        lines without entries, so they need no rank at all.
+        """
+        if not self.dd_zero_known:
+            verify_dd_zero(self.entries)
+        degrees, mults = self.degrees, self.mults
+        size = len(degrees)
+        out: list[dict[int, Scalar]] = [{} for _ in range(size)]
+        inc: list[dict[int, Scalar]] = [{} for _ in range(size)]
         for i, j, c in self.entries:
-            comp_entries.setdefault(by_node[i], []).append((i, j, c))
-        by_mult: dict[GradedDims, dict[int, int]] = {}
-        for ci, comp in enumerate(comps):
-            mult = self.mults[comp[0]]
-            if any(self.mults[node] != mult for node in comp):
-                raise IntegrityError(f"component {comp} mixes multiplicities")
-            local_dims: dict[int, int] = {}
-            local_pos: dict[int, int] = {}
-            for node in comp:
-                d = self.degrees[node]
-                local_pos[node] = local_dims.get(d, 0)
-                local_dims[d] = local_dims.get(d, 0) + 1
-            mats: dict[int, list[Triplet]] = {}
-            for i, j, c in comp_entries.get(ci, ()):
-                mats.setdefault(self.degrees[i], []).append(
-                    (local_pos[i], local_pos[j], c)
+            if mults[i] != mults[j]:
+                raise IntegrityError(f"entry {i} -> {j} mixes multiplicities")
+            c += out[i].get(j, 0)
+            if c:
+                out[i][j] = inc[j][i] = c
+            else:
+                out[i].pop(j, None)
+                inc[j].pop(i, None)
+        left = _cancel_unit_pivots(out, inc)
+        # the residue, ranked per (multiplicity, degree)
+        pos: dict[int, int] = {}
+        dims: dict[tuple[GradedDims, int], int] = {}
+        for i in range(size):
+            if left[i]:
+                key = (mults[i], degrees[i])
+                pos[i] = dims.get(key, 0)
+                dims[key] = pos[i] + 1
+        mats: dict[tuple[GradedDims, int], list[Triplet]] = {}
+        for i, p in pos.items():
+            if out[i]:
+                mats.setdefault((mults[i], degrees[i]), []).extend(
+                    (p, pos[j], c) for j, c in out[i].items()
                 )
-            ranks = {
-                d: rank_triplets(t, local_dims[d], local_dims.get(d + 1, 0))
-                for d, t in mats.items()
-            }
-            acc = by_mult.setdefault(mult, {})
-            for d, dim in local_dims.items():
-                h = dim - ranks.get(d, 0) - ranks.get(d - 1, 0)
-                if h:
-                    acc[d] = acc.get(d, 0) + h
+        ranks = {
+            (mult, d): rank_triplets(t, dims[mult, d], dims[mult, d + 1])
+            for (mult, d), t in mats.items()
+        }
+        by_mult: dict[GradedDims, dict[int, int]] = {}
+        for (mult, d), dim in dims.items():
+            h = dim - ranks.get((mult, d), 0) - ranks.get((mult, d - 1), 0)
+            if h:
+                by_mult.setdefault(mult, {})[d] = h
         result = GradedDims.empty()
-        for mult, dims in by_mult.items():
-            result = result + GradedDims(dims).tensor(mult)
+        for mult, h in by_mult.items():
+            result = result + GradedDims(h).tensor(mult)
         return result
 
 
@@ -475,7 +545,21 @@ def _restrict(
     s: SheafComplex, alive: Sequence[bool], shift: int = 0
 ) -> tuple[FiniteComplex, list[int]]:
     """Complex of the alive generators (degrees moved by ``shift``),
-    and each generator's basis position in it (-1 when dead)."""
+    and each generator's basis position in it (-1 when dead).
+
+    It inherits d*d = 0 from a validated ``s`` when, for every i -> j
+    -> k in ``s`` with i and k alive, j is alive too: the (i, k) entry
+    of d*d then sums over the same j before and after.  That holds for
+    the stalk and sections rules, whose flags are monotone in the
+    region: a generator on a larger region is alive whenever one on a
+    smaller region is.  Validated entries join nested regions.  A lower
+    set extends into a larger one, so i alive makes j alive.  A cone
+    restricts onto the smaller cone K(J + {e}) of the same apex, so k
+    alive makes j alive; within a block (I, apex) the alive J are the
+    interval of subsets of the allowed indices that contain forced(I,
+    apex).  Jump complexes glue several restrictions with corner maps
+    and check their own d*d = 0.
+    """
     pos = [-1] * len(s.generators)
     alive_gens = []
     for gi, gen in enumerate(s.generators):
@@ -488,7 +572,10 @@ def _restrict(
         if pos[i] >= 0 and pos[j] >= 0
     ]
     degrees = [g.degree + shift for g in alive_gens]
-    return FiniteComplex(degrees, entries, [g.mult for g in alive_gens]), pos
+    mults = [g.mult for g in alive_gens]
+    return FiniteComplex(
+        degrees, entries, mults, dd_zero_known=s.validated
+    ), pos
 
 
 def stalk_complex(

@@ -2,9 +2,10 @@
 
 Deliberately separate code paths: polynomial q-factorials for cell
 counts, literal diagonal matrices for the invariant pairing, GF(2)
-cellular chain complexes for the mod-2 series of small SO(N), and
-multiplicity-expanded complexes ranked by Fraction Gaussian elimination
-for finite-complex cohomology.
+cellular chain complexes for the mod-2 series of small SO(N), and, for
+finite-complex cohomology, multiplicity-expanded complexes ranked by
+Fraction Gaussian elimination and the component-split Bareiss ranks
+that unit-pivot reduction replaced.
 """
 
 from __future__ import annotations
@@ -263,6 +264,51 @@ def expanded_cohomology(complex_) -> dict[int, int]:
         if h:
             out[d] = h
     return dict(sorted(out.items()))
+
+
+def component_cohomology(complex_) -> dict[int, int]:
+    """Cohomology dimensions by the former production path: d*d = 0
+    checked, the lines split into connected components, each component
+    ranked per degree by fraction-free (Bareiss) elimination and
+    tensored with its one multiplicity space."""
+    from flagsheaf.graded import GradedDims
+    from flagsheaf.linalg import connected_components, rank_triplets
+    from flagsheaf.sheaf_complex import verify_dd_zero
+
+    verify_dd_zero(complex_.entries)
+    degrees, mults = complex_.degrees, complex_.mults
+    comps = connected_components(
+        len(degrees), [(i, j) for i, j, _ in complex_.entries]
+    )
+    by_node = {node: ci for ci, comp in enumerate(comps) for node in comp}
+    comp_entries: dict[int, list] = {}
+    for i, j, c in complex_.entries:
+        comp_entries.setdefault(by_node[i], []).append((i, j, c))
+    result = GradedDims.empty()
+    for ci, comp in enumerate(comps):
+        mult = mults[comp[0]]
+        assert all(mults[node] == mult for node in comp), "mixed multiplicities"
+        local_dims: dict[int, int] = {}
+        local_pos: dict[int, int] = {}
+        for node in comp:
+            d = degrees[node]
+            local_pos[node] = local_dims.get(d, 0)
+            local_dims[d] = local_dims.get(d, 0) + 1
+        mats: dict[int, list] = {}
+        for i, j, c in comp_entries.get(ci, ()):
+            mats.setdefault(degrees[i], []).append(
+                (local_pos[i], local_pos[j], c)
+            )
+        ranks = {
+            d: rank_triplets(t, local_dims[d], local_dims.get(d + 1, 0))
+            for d, t in mats.items()
+        }
+        dims = {
+            d: dim - ranks.get(d, 0) - ranks.get(d - 1, 0)
+            for d, dim in local_dims.items()
+        }
+        result = result + GradedDims(dims).tensor(mult)
+    return dict(result.items())
 
 
 # -- Fraction reference for the Novikov term lists ---------------------------

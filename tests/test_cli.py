@@ -247,6 +247,11 @@ _REJECTED_INPUTS = {
     "crosscheck-empty-window": [
         "pipeline", "crosscheck", "--n", "3", "--window", "-2:0,1:0"
     ],
+    # a window that excludes every sample would check nothing
+    "crosscheck-window-excludes-all": [
+        "pipeline", "crosscheck", "--n", "2", "--samples", "3",
+        "--window", "-1:0"
+    ],
     # crosscheck does not read --lambda, whatever its value
     "crosscheck-lambda-0": [
         "pipeline", "crosscheck", "--n", "2", "--lambda", "0"

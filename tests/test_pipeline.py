@@ -108,6 +108,12 @@ def test_crosscheck_needs_points():
             crosscheck_stalks(2, CenterClass(2, 0), samples)
 
 
+def test_crosscheck_window_excluding_every_point_fails():
+    deep = cartan(2, (Q(-7, 2),))
+    with pytest.raises(ValueError, match="excludes all 1 sample points"):
+        crosscheck_stalks(2, CenterClass(2, 0), [deep], window=((-2, 0),))
+
+
 def test_sampler_lands_in_open_chamber():
     rng = np.random.default_rng(3)
     for n in (2, 3, 4):

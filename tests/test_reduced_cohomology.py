@@ -1,9 +1,12 @@
-"""Cohomology of the unexpanded complexes against the expanded oracle.
+"""Cohomology of the unexpanded complexes against the oracles.
 
 Stalk, section and jump complexes keep one basis line per generator
-with its multiplicity space alongside; the oracle copies every line
-once per dimension of that space and ranks each differential as one
-Fraction matrix, with no component split.
+with its multiplicity space alongside.  The expanded oracle copies every
+line once per dimension of that space and ranks each differential as
+one Fraction matrix, with no component split; the component oracle is
+the Bareiss path that unit-pivot reduction replaced.  d*d = 0 is
+re-verified on every complex here, since production checks it once per
+cone model and not per stalk or section.
 """
 
 import itertools
@@ -13,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flagsheaf import sheaf_complex
 from flagsheaf.graded import GradedDims
 from flagsheaf.linalg import rank_triplets
 from flagsheaf.pipeline import (
@@ -37,21 +41,36 @@ from flagsheaf.sheaf_complex import (
     region_contains,
     sections_complex,
     stalk_complex,
+    verify_dd_zero,
 )
 
-from oracles import expanded_cohomology, fraction_rank
+from oracles import component_cohomology, expanded_cohomology, fraction_rank
 
 
 def assert_matches_oracle(complex_):
+    verify_dd_zero(complex_.entries)
     got = complex_.cohomology()
     assert got.to_json() == GradedDims(expanded_cohomology(complex_)).to_json()
     return got
 
 
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """Count the exact-rank calls cohomology makes on its residue."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rank_triplets(*args)
+
+    monkeypatch.setattr(sheaf_complex, "rank_triplets", counted)
+    return calls
+
+
 @pytest.mark.parametrize(
     "n,points,centers", [(3, 4, (0, 1, 2)), (4, 3, (0, 1, 2, 3))]
 )
-def test_stalks_match_expanded_oracle(n, points, centers):
+def test_stalks_match_expanded_oracle(n, points, centers, rank_calls):
     rng = np.random.default_rng(20)
     # lattice points put profiles of p and of apexes level, where the
     # closed cone conditions decide
@@ -70,7 +89,10 @@ def test_stalks_match_expanded_oracle(n, points, centers):
                 for g in model.generators
             )
             assert any(m.total() > 1 for m in stalk.mults)
-            assert_matches_oracle(stalk)
+            got = assert_matches_oracle(stalk)
+            assert dict(got.items()) == component_cohomology(stalk)
+    # every stalk reduces to lines without entries
+    assert not rank_calls
 
 
 @pytest.mark.parametrize("kind", (UOpen, UMinusOpen))
@@ -86,7 +108,7 @@ def test_sections_match_expanded_oracle(kind):
             )
 
 
-def test_jumps_match_expanded_oracle():
+def test_jumps_match_expanded_oracle(rank_calls):
     eps = Q(1, 2)
     nonzero = 0
     for coords in itertools.product(range(-2, 1), repeat=2):
@@ -99,6 +121,27 @@ def test_jumps_match_expanded_oracle():
             got = assert_matches_oracle(jump_complex(model, indices, m, eps))
             nonzero += not got.is_zero()
     assert nonzero
+    assert not rank_calls
+
+
+def test_cone_model_with_a_flipped_sign_fails_at_build(monkeypatch):
+    z, window = CenterClass(3, 0), ((-2, 0), (-2, 0))
+    assert build_cone_model(3, z, window).validated
+    original = sheaf_complex._subset_sign
+    flipped = []
+
+    def flip_first(j_small, added):
+        sign = original(j_small, added)
+        if flipped:
+            return sign
+        # the first entry, J = {} -> {1}, lies on a square of its block
+        flipped.append((j_small, added))
+        return -sign
+
+    monkeypatch.setattr(sheaf_complex, "_subset_sign", flip_first)
+    with pytest.raises(IntegrityError):
+        build_cone_model(3, z, window)
+    assert flipped
 
 
 def test_mixed_multiplicities_in_one_component_fail():
@@ -118,9 +161,79 @@ def test_multiplicity_tensors_each_component():
     assert c.cohomology() == GradedDims({3: 1, 5: 3})
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [(0, 2, 2), (0, 3, 4), (1, 2, 1), (1, 3, 2)],
+        [(0, 2, 2), (0, 3, 1), (1, 2, 1), (1, 3, Q(1, 2))],
+    ],
+)
+def test_singular_block_with_non_unit_pivots(entries):
+    # det 0: the first unit pivot must cancel the remaining entry exactly
+    c = FiniteComplex((0, 0, 1, 1), entries)
+    assert c.cohomology() == GradedDims({0: 1, 1: 1})
+    assert_matches_oracle(c)
+
+
 def test_profile_cache_is_bounded():
     # a whole N=4 crosscheck window (216 apexes) plus its points
     assert 216 + 64 <= _u_profile.cache_info().maxsize < 10**5
+
+
+def _whole_as_int(c: Q):
+    return c.numerator if c.denominator == 1 else c
+
+
+koszul_cubes = st.lists(
+    st.tuples(
+        st.lists(st.integers(-3, 3), max_size=3),  # weight per direction
+        st.integers(-2, 2),  # degree of the empty corner
+        st.sampled_from([{0: 1}, {0: 2}, {0: 1, 2: 1}]),
+    ),
+    min_size=1,
+    max_size=3,
+)
+nonzero_scales = st.fractions(-4, 4, max_denominator=5).filter(bool)
+
+
+@settings(max_examples=200, deadline=None)
+@given(koszul_cubes, st.data())
+def test_rescaled_koszul_cubes_match_expanded_oracle(cubes, data):
+    """Koszul cubes d(J -> J + e) = +-w_e have d*d = 0; conjugating by
+    a diagonal rescaling, d(i -> j) * s_j / s_i, keeps d*d = 0 and the
+    cohomology but leaves non-unit int and Fraction pivots, so the
+    residue is ranked too.  Lines are renumbered at random, which
+    changes the pivot order."""
+    degrees, mults, entries = [], [], []
+    for weights, base, mult in cubes:
+        mult = GradedDims(mult)  # equal spaces need not be one object
+        corner = {}
+        for r in range(len(weights) + 1):
+            for subset in itertools.combinations(range(len(weights)), r):
+                corner[frozenset(subset)] = len(degrees)
+                degrees.append(base + r)
+                mults.append(mult)
+        for subset, i in corner.items():
+            for e, w in enumerate(weights):
+                if e not in subset and w:
+                    sign = -1 if sum(1 for x in subset if x < e) % 2 else 1
+                    entries.append((i, corner[subset | {e}], sign * w))
+    size = len(degrees)
+    scale = data.draw(st.lists(nonzero_scales, min_size=size, max_size=size))
+    order = data.draw(st.permutations(range(size)))
+    new_degrees, new_mults = [0] * size, [None] * size
+    for i, k in enumerate(order):
+        new_degrees[k], new_mults[k] = degrees[i], mults[i]
+    rescaled = FiniteComplex(
+        new_degrees,
+        [
+            (order[i], order[j], _whole_as_int(c * scale[j] / scale[i]))
+            for i, j, c in entries
+        ],
+        new_mults,
+    )
+    got = assert_matches_oracle(rescaled)
+    assert got == FiniteComplex(degrees, entries, mults).cohomology()
 
 
 triplet_matrices = st.integers(1, 6).flatmap(
