@@ -32,11 +32,10 @@ from .root_system import (
     CenterClass,
     IntegrityError,
     cartan,
-    center_class,
-    d_degree,
-    dominance_ll,
     e_profile,
-    pair_f,
+    lattice_center,
+    lattice_degree,
+    scaled_profile,
     weyl_chamber,
     WeylPosition,
 )
@@ -122,23 +121,16 @@ def build_cone_model(
     contains the query's required profile range the summands cancel).
     """
     # one apex object per lattice point, shared by every subset I, so
-    # stalk selection decides each apex once; apexes are pruned on ints
-    # first: the center class is -(sum_k k x_k) mod N, and the profile
-    # N<m, e_k> = sum_j x_j min(j,k) (N - max(j,k)) must lie in
-    # [ceil(N lo), floor(N hi)]
-    gram = [[min(j, k) * (n - max(j, k)) for j in range(1, n)]
-            for k in range(1, n)]
+    # stalk selection decides each apex once; apexes are pruned on ints,
+    # the scaled profile N<m, e_k> lying in [ceil(N lo), floor(N hi)]
     if u_bounds is not None:
         u_lo, u_hi = math.ceil(n * u_bounds[0]), math.floor(n * u_bounds[1])
     apexes = []
     for combo in window_points(n, window):
-        if z is not None and -sum(
-            k * x for k, x in enumerate(combo, 1)
-        ) % n != z.residue:
+        if z is not None and lattice_center(n, combo) != z.residue:
             continue
-        if u_bounds is not None and any(
-            not u_lo <= sum(x * g for x, g in zip(combo, row)) <= u_hi
-            for row in gram
+        if u_bounds is not None and not all(
+            u_lo <= c <= u_hi for c in scaled_profile(n, combo)
         ):
             continue
         apexes.append(lattice_apex(n, combo))
@@ -224,20 +216,19 @@ def stalk_flag_sum(
 ) -> GradedDims:
     """Stalk at p of the center-z fiber in the second description: one
     flag-cohomology summand, shifted down by D(l), for every lattice
-    l in C_- with exp(l) = z and p << l."""
+    l in C_- (every x_k <= 0) with exp(l) = z and p << l, that is
+    N<l, e_k> >= floor(N<p, e_k>) + 1 for every k."""
     required = required_stalk_box(p)
     window = resolve_window(window, required, f"stalk at {p}")
+    lower = [math.floor(c) + 1 for c in scaled_profile(n, p.coords)]
     out = GradedDims.empty()
     for combo in window_points(n, window):
-        l = cartan(n, combo)
-        if center_class(l) != z:
+        if any(x > 0 for x in combo) or lattice_center(n, combo) != z.residue:
             continue
-        if weyl_chamber(l) is WeylPosition.OUTSIDE:
+        if any(c < b for c, b in zip(scaled_profile(n, combo), lower)):
             continue
-        if not dominance_ll(p, l):
-            continue
-        iset = tuple(sorted(k for k in range(1, n) if pair_f(l, k) < 0))
-        out = out + betti_cached(n, iset).shifted(-d_degree(l))
+        iset = tuple(k for k, x in enumerate(combo, 1) if x < 0)
+        out = out + betti_cached(n, iset).shifted(-lattice_degree(n, combo))
     return out
 
 
@@ -577,9 +568,8 @@ def structure_map_nonzero(
     for x1 in range(x1_lo, x1_lo + n):
         if x1 % n == target:
             coords = (x1,) + tuple(tail[j] for j in range(2, n))
-            l = cartan(n, coords)
             act = action_of(params, coords)
-            if center_class(l).residue != 0 or act < 0:
+            if lattice_center(n, coords) != 0 or act < 0:
                 raise IntegrityError(
                     "canonical witness construction produced an invalid "
                     f"element {coords}"
@@ -590,7 +580,7 @@ def structure_map_nonzero(
                 nonzero=True,
                 witness=coords,
                 action=act,
-                degree=-d_degree(l),
+                degree=-lattice_degree(n, coords),
             )
     return NonvanishingResult(
         indices=idx, d=d, nonzero=False, witness=None, action=None,

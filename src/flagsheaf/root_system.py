@@ -8,7 +8,9 @@ Conventions (fixed once, used by every module):
   integral coordinate vectors.  All arithmetic is exact rational.
 * e_1, .., e_{N-1} are the coroots, f_k = 2 e_k - e_{k-1} - e_{k+1}
   the simple roots (e_0 = e_N = 0), and <f_k, e_l> = delta_{kl}.
-* <e_j, e_k> = min(j,k) * (N - max(j,k)) / N, in units of 2*pi.
+* <e_j, e_k> = min(j,k) * (N - max(j,k)) / N, in units of 2*pi, so
+  on the lattice the scaled pairings N<l, e_k> are integers
+  (``scaled_profile``); lattice rules compare those integers.
 * Dominance: x <= y iff <y - x, e_k> >= 0 for every k; "<<" is the
   strict variant.
 * The negative Weyl chamber C_- is the locus <x, f_k> <= 0 for all k
@@ -23,6 +25,7 @@ Conventions (fixed once, used by every module):
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -147,9 +150,19 @@ def pair_f(v: CartanVector, k: int) -> Fraction:
     return v.coords[k - 1]
 
 
+def scaled_profile(n: int, coords: Sequence) -> tuple:
+    """N<v, e_k> = sum_j x_j min(j,k) (N - max(j,k)), k = 1..N-1, by
+    running sums: ints for integer coordinates."""
+    low, high, out = 0, sum((n - j) * x for j, x in enumerate(coords, 1)), []
+    for k, x in enumerate(coords, 1):
+        low, high = low + k * x, high - (n - k) * x
+        out.append((n - k) * low + k * high)
+    return tuple(out)
+
+
 def e_profile(v: CartanVector) -> tuple[Fraction, ...]:
     """All pairings (<v,e_1>, .., <v,e_{N-1}>) at once."""
-    return tuple(pair_e(v, k) for k in range(1, v.n))
+    return tuple(c / v.n for c in scaled_profile(v.n, v.coords))
 
 
 def dominance_leq(x: CartanVector, y: CartanVector) -> bool:
@@ -207,29 +220,32 @@ class CenterClass:
             raise ValueError(f"rank parameter must be >= 2, got {self.n}")
         object.__setattr__(self, "residue", self.residue % self.n)
 
-    def __add__(self, other: "CenterClass") -> "CenterClass":
-        if self.n != other.n:
-            raise ValueError("rank mismatch")
-        return CenterClass(self.n, self.residue + other.residue)
 
-
-def _require_integral(l: CartanVector):
+def _require_integral(l: CartanVector) -> list[int]:
+    """The integer coordinates of l, which must be a lattice point."""
     if not l.is_integral():
         raise ValueError(f"lattice operation on non-integral vector {l}")
+    return [x.numerator for x in l.coords]
+
+
+def lattice_center(n: int, coords: Sequence[int]) -> int:
+    """Residue -(sum_k k x_k) mod N of exp(l), for integer ``coords``."""
+    return -sum(k * x for k, x in enumerate(coords, 1)) % n
+
+
+def lattice_degree(n: int, coords: Sequence[int]) -> int:
+    """D(l) = -sum_k x_k D_k, D_k = 2k(N-k), for integer ``coords``."""
+    return -sum(x * 2 * k * (n - k) for k, x in enumerate(coords, 1))
 
 
 def center_class(l: CartanVector) -> CenterClass:
-    """Center class of exp(l): residue = -(sum_k k * x_k) mod N."""
-    _require_integral(l)
-    s = sum(k * int(x) for k, x in enumerate(l.coords, start=1))
-    return CenterClass(l.n, -s)
+    """Center class of exp(l), for integral l."""
+    return CenterClass(l.n, lattice_center(l.n, _require_integral(l)))
 
 
 def d_degree(l: CartanVector) -> int:
-    """D(l) = -sum_k x_k D_k for integral l, with D_k = 2k(N-k)."""
-    _require_integral(l)
-    n = l.n
-    return -sum(int(x) * 2 * k * (n - k) for k, x in enumerate(l.coords, 1))
+    """D(l), for integral l."""
+    return lattice_degree(l.n, _require_integral(l))
 
 
 def enumerate_lattice(
@@ -249,17 +265,10 @@ def enumerate_lattice(
     for lo, hi in bounds:
         if lo is None or hi is None:
             raise ValueError("unbounded box")
-        lo_f, hi_f = _as_fraction(lo), _as_fraction(hi)
-        lo_i = -((-lo_f.numerator) // lo_f.denominator)  # ceil
-        hi_i = hi_f.numerator // hi_f.denominator  # floor
+        lo_i, hi_i = math.ceil(_as_fraction(lo)), math.floor(_as_fraction(hi))
         ranges.append(range(lo_i, hi_i + 1))
-    out = []
-    for combo in itertools.product(*ranges):
-        v = CartanVector(n, tuple(Fraction(c) for c in combo))
-        if center_class(v) == z:
-            out.append(v)
-    out.sort(key=lambda v: v.coords)
-    return out
+    vectors = (cartan(n, combo) for combo in itertools.product(*ranges))
+    return [v for v in vectors if center_class(v) == z]
 
 
 def shevel_witness(x: CartanVector, y: CartanVector) -> int:

@@ -17,14 +17,15 @@ Cohomology is computed by unit-pivot (algebraic Morse) reduction
 Trans. AMS 2006): every entry d(i->j) = +-1 cancels the lines i and j,
 and exact rank runs only on what is left.  d*d = 0 is checked once per
 ``SheafComplex`` when it is built; stalks and sections restricted from
-a validated complex inherit it (see ``_restrict``), while every other
-``FiniteComplex``, jump complexes included, checks its own entries.
+it inherit it (see ``_restrict``), while every other ``FiniteComplex``,
+jump complexes included, checks its own entries.
 
 Supported regions (parameters are exact rational Cartan vectors):
 
 * ``UMinusOpen(x)``  {y in interior(C_-) : y << x}
 * ``UOpen(x)``       {y : y << x}
-* ``KCone(J, l)``    {y : <y - l, e_j> >= 0 for all j in J}
+* ``KCone(J, l)``    {y : <y - l, e_j> >= 0 for all j in J}, at a
+  lattice apex l, so its bounds N<l, e_j> are integers
 
 Windowed direct sums over the central lattice truncate to a finite
 coordinate box, and queries are exact for every lattice summand inside
@@ -46,10 +47,9 @@ determine the section complex entirely.
 from __future__ import annotations
 
 import itertools
-import operator
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .flag_schubert import _all_subsets
@@ -61,13 +61,15 @@ from .root_system import (
     IntegrityError,
     cartan,
     center_class,
-    d_degree,
     dominance_leq,
     e_profile,
     f_vec,
     i_set,
     in_c_minus,
+    lattice_center,
+    lattice_degree,
     pair_e,
+    scaled_profile,
 )
 
 # ---------------------------------------------------------------------------
@@ -91,6 +93,8 @@ class KCone:
 
     def __post_init__(self):
         object.__setattr__(self, "indices", frozenset(self.indices))
+        if not self.apex.is_integral():
+            raise ValueError(f"cone apex {self.apex} is not a lattice point")
         for j in self.indices:
             if not 1 <= j <= self.apex.n - 1:
                 raise ValueError(f"cone index {j} out of range")
@@ -105,31 +109,18 @@ def region_rank(region: Region) -> int:
     return region.x.n
 
 
-# holds a whole crosscheck window (216 apexes at N=4) and its points
-_PROFILE_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=_PROFILE_CACHE_SIZE)
-def _u_profile(v: CartanVector) -> tuple[Fraction, ...]:
-    return e_profile(v)
-
-
 def region_contains(region: Region, p: CartanVector) -> bool:
-    """Exact membership via the defining pairings."""
+    """Exact membership via the defining pairings (scaled by N)."""
     n = region_rank(region)
     if p.n != n:
         raise ValueError(f"rank mismatch: region has N={n}, point N={p.n}")
-    pu = _u_profile(p)
-    if isinstance(region, UMinusOpen):
-        xu = _u_profile(region.x)
-        return all(c < 0 for c in p.coords) and all(
-            pu[k] < xu[k] for k in range(n - 1)
-        )
-    if isinstance(region, UOpen):
-        xu = _u_profile(region.x)
-        return all(pu[k] < xu[k] for k in range(n - 1))
+    pu = scaled_profile(n, p.coords)
+    if isinstance(region, (UMinusOpen, UOpen)):
+        xu = scaled_profile(n, region.x.coords)
+        inside = isinstance(region, UOpen) or all(c < 0 for c in p.coords)
+        return inside and all(a < b for a, b in zip(pu, xu))
     if isinstance(region, KCone):
-        au = _u_profile(region.apex)
+        au = scaled_profile(n, region.apex.coords)
         return all(pu[j - 1] >= au[j - 1] for j in region.indices)
     raise TypeError(f"unknown region kind {type(region).__name__}")
 
@@ -173,25 +164,16 @@ def _feasible(constraints: list[Constraint], nvars: int) -> bool:
 def _cone_meets_uminus(cone: KCone, x: CartanVector) -> bool:
     """Nonemptiness of KCone(J, l) & interior(C_-) & {u << x}, exactly."""
     n = cone.apex.n
-    au = _u_profile(cone.apex)
-    xu = _u_profile(x)
-    cons: list[Constraint] = []
-    for j in cone.indices:  # u_j >= apex_j
-        coeffs = tuple(
-            Fraction(-1 if k == j - 1 else 0) for k in range(n - 1)
-        )
-        cons.append((coeffs, -au[j - 1], False))
-    for k in range(n - 1):  # u_k < x_k
-        coeffs = tuple(Fraction(1 if i == k else 0) for i in range(n - 1))
-        cons.append((coeffs, xu[k], True))
-    for m in range(1, n):  # <y, f_m> < 0 in u-coordinates
-        coeffs = [Fraction(0)] * (n - 1)
-        coeffs[m - 1] += 2
-        if m - 2 >= 0:
-            coeffs[m - 2] -= 1
-        if m < n - 1:
-            coeffs[m] -= 1
-        cons.append((tuple(coeffs), Fraction(0), True))
+    au, xu = e_profile(cone.apex), e_profile(x)
+    unit = [tuple(int(i == k) for i in range(n - 1)) for k in range(n - 1)]
+    # u_j >= apex_j on J, u_k < x_k, and <y, f_m> < 0, whose coefficients
+    # in u-coordinates are the coroot coordinates of f_m
+    cons: list[Constraint] = [
+        (tuple(-c for c in unit[j - 1]), -au[j - 1], False)
+        for j in cone.indices
+    ]
+    cons += [(unit[k], xu[k], True) for k in range(n - 1)]
+    cons += [(f_vec(n, m).coords, Fraction(0), True) for m in range(1, n)]
     return _feasible(cons, n - 1)
 
 
@@ -227,7 +209,7 @@ class SheafGenerator:
 
     Wherever the generator is alive it gives one basis line carrying
     ``mult``: a multiplicity entry {delta: m} stands for m lines in
-    total degree ``degree + delta``.
+    total degree ``degree + delta``.  Cones at one apex share a center.
     """
 
     region: Region
@@ -258,29 +240,29 @@ def _check_entry_regions(src: SheafGenerator, dst: SheafGenerator):
 
 
 class SheafComplex:
-    """Immutable windowed complex of labelled constant sheaves."""
+    """Immutable windowed complex of labelled constant sheaves, checked
+    when it is built, d*d = 0 included."""
 
     def __init__(
         self,
         n: int,
         generators: Sequence[SheafGenerator],
         entries: Sequence[tuple[int, int, Fraction]],
-        check: bool = True,
     ):
         self.n = n
         self.generators = tuple(generators)
         self.entries = tuple(
             (int(i), int(j), _exact(c)) for i, j, c in entries
         )
-        # d*d = 0 is known (and inherited by restrictions) once validated
-        self.validated = False
-        if check:
-            self.validate()
-
-    def validate(self):
+        apex_center: dict[int, int] = {}  # id(apex) -> its cones' residue
         for gen in self.generators:
-            if region_rank(gen.region) != self.n or gen.center.n != self.n:
+            region, residue = gen.region, gen.center.residue
+            if region_rank(region) != n or gen.center.n != n:
                 raise ValueError("generator rank mismatch")
+            if isinstance(region, KCone):
+                shared = apex_center.setdefault(id(region.apex), residue)
+                if shared != residue:
+                    raise ValueError("cones at one apex in two center classes")
         for i, j, c in self.entries:
             src, dst = self.generators[i], self.generators[j]
             if src.center != dst.center:
@@ -293,7 +275,6 @@ class SheafComplex:
                 raise ValueError("zero differential entry")
             _check_entry_regions(src, dst)
         verify_dd_zero(self.entries)
-        self.validated = True
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +297,8 @@ def window_points(n: int, window: LatticeBox) -> Iterable[tuple[int, ...]]:
 
 
 def lattice_apex(n: int, combo: tuple[int, ...]) -> Apex:
-    m = cartan(n, combo)
-    return combo, m, center_class(m), d_degree(m)
+    center = CenterClass(n, lattice_center(n, combo))
+    return combo, cartan(n, combo), center, lattice_degree(n, combo)
 
 
 def _subset_sign(j_small: frozenset[int], added: int) -> int:
@@ -340,6 +321,7 @@ def cone_complex(
     subsets = [(jc, frozenset(jc)) for jc in _all_subsets(n)]
     generators: list[SheafGenerator] = []
     entries: list[Triplet] = []
+    cones: dict[tuple[int, frozenset[int]], KCone] = {}  # one per (m, J)
     for subset, mult, (combo, m, cc, dm) in blocks:
         forced = frozenset(
             k for k in all_indices if combo[k - 1] + (k in subset) > 0
@@ -348,9 +330,12 @@ def cone_complex(
         for jc, j in subsets:
             if forced <= j:
                 local[j] = len(generators)
+                cone = cones.get((id(m), j))
+                if cone is None:
+                    cone = cones[id(m), j] = KCone(j, m)
                 generators.append(
                     SheafGenerator(
-                        region=KCone(j, m),
+                        region=cone,
                         center=cc,
                         degree=len(j) - dm,
                         mult=mult,
@@ -427,7 +412,7 @@ class FiniteComplex:
     (src, dst, coeff) have degree(dst) = degree(src) + 1 and act as
     coeff times the identity of the shared multiplicity space.
     ``dd_zero_known`` skips the d*d = 0 check of ``cohomology``; only
-    restrictions of a validated ``SheafComplex`` set it.
+    restrictions of a ``SheafComplex`` set it.
     """
 
     def __init__(
@@ -514,30 +499,41 @@ class FiniteComplex:
 
 
 def _select(
-    s: SheafComplex, z: CenterClass | None, profile, compare, fallback
+    s: SheafComplex, z: CenterClass | None, bound, fallback
 ) -> list[bool]:
     """Alive flags of the generators of ``s`` in center class ``z``
     (every class when None).
 
-    With ``compare``, a cone KCone(J, apex) is alive iff J lies in
-    {j : compare(profile_j, apex_j)}, computed once per apex object;
-    ``fallback(region)`` decides for every other generator.
+    With an int ``bound``, a cone KCone(J, l) is alive iff N<l, e_j> <=
+    bound[j - 1] for every j in J, exactly, as N<l, e_j> is an integer:
+    floor(N<p, e_j>) for the stalk at p, ceil(N<x, e_j>) - 1 for the
+    sections over UOpen(x).  Each apex object's center class (shared by
+    its cones) and allowed indices are decided together, once;
+    ``fallback(region)`` decides every other generator.
     """
+    residue = None if z is None else z.residue
     alive: list[bool] = []
-    allowed_at: dict[int, set[int]] = {}  # id(apex) -> allowed indices
+    # id(apex) -> allowed indices, None when its cones are not in class z
+    allowed_at: dict[int, set[int] | None] = {}
     for gen in s.generators:
         region = gen.region
-        if z is not None and gen.center != z:
-            alive.append(False)
-        elif compare is not None and isinstance(region, KCone):
-            allowed = allowed_at.get(id(region.apex))
-            if allowed is None:
-                pairs = enumerate(zip(profile, _u_profile(region.apex)), 1)
-                allowed = {j for j, (a, b) in pairs if compare(a, b)}
-                allowed_at[id(region.apex)] = allowed
-            alive.append(region.indices <= allowed)
+        if bound is not None and isinstance(region, KCone):
+            key = id(region.apex)
+            if key not in allowed_at:
+                coords = [c.numerator for c in region.apex.coords]
+                profile = scaled_profile(s.n, coords)
+                allowed_at[key] = (
+                    {j for j, a in enumerate(profile, 1) if a <= bound[j - 1]}
+                    if residue in (None, gen.center.residue)
+                    else None
+                )
+            allowed = allowed_at[key]
+            alive.append(allowed is not None and region.indices <= allowed)
         else:
-            alive.append(fallback(region))
+            alive.append(
+                (residue is None or gen.center.residue == residue)
+                and fallback(region)
+            )
     return alive
 
 
@@ -547,12 +543,12 @@ def _restrict(
     """Complex of the alive generators (degrees moved by ``shift``),
     and each generator's basis position in it (-1 when dead).
 
-    It inherits d*d = 0 from a validated ``s`` when, for every i -> j
-    -> k in ``s`` with i and k alive, j is alive too: the (i, k) entry
-    of d*d then sums over the same j before and after.  That holds for
-    the stalk and sections rules, whose flags are monotone in the
-    region: a generator on a larger region is alive whenever one on a
-    smaller region is.  Validated entries join nested regions.  A lower
+    It inherits d*d = 0, checked when ``s`` was built, when for every
+    i -> j -> k in ``s`` with i and k alive, j is alive too: the (i, k)
+    entry of d*d then sums over the same j before and after.  That
+    holds for the stalk and sections rules, whose flags are monotone in
+    the region: a generator on a larger region is alive whenever one on
+    a smaller region is.  Validated entries join nested regions.  A lower
     set extends into a larger one, so i alive makes j alive.  A cone
     restricts onto the smaller cone K(J + {e}) of the same apex, so k
     alive makes j alive; within a block (I, apex) the alive J are the
@@ -574,7 +570,7 @@ def _restrict(
     degrees = [g.degree + shift for g in alive_gens]
     mults = [g.mult for g in alive_gens]
     return FiniteComplex(
-        degrees, entries, mults, dd_zero_known=s.validated
+        degrees, entries, mults, dd_zero_known=True
     ), pos
 
 
@@ -583,12 +579,12 @@ def stalk_complex(
 ) -> FiniteComplex:
     """Stalk at p of the center-z part: keep generators whose region
     contains p; restriction entries become identity scalars.  A cone
-    KCone(J, apex) contains p iff u_j(p) >= u_j(apex) for j in J."""
+    KCone(J, l) contains p iff <p, e_j> >= <l, e_j> for j in J, that is
+    iff N<l, e_j> <= floor(N<p, e_j>), the int bound given ``_select``."""
     if p.n != s.n:
         raise ValueError("rank mismatch")
-    alive = _select(
-        s, z, _u_profile(p), operator.ge, lambda r: region_contains(r, p)
-    )
+    bound = [math.floor(c) for c in scaled_profile(s.n, p.coords)]
+    alive = _select(s, z, bound, lambda r: region_contains(r, p))
     return _restrict(s, alive)[0]
 
 
@@ -596,8 +592,9 @@ def _sections_alive(
     s: SheafComplex, z: CenterClass | None, u: UOpen | UMinusOpen
 ) -> list[bool]:
     """Generators with RGamma(U; K_region) = K (degree 0), per the
-    module soundness contract.  A cone meets UOpen(x) iff
-    u_j(x) > u_j(apex) on its index set, decided once per apex."""
+    module soundness contract.  A cone KCone(J, l) meets UOpen(x) iff
+    <x, e_j> > <l, e_j> for j in J, that is iff N<l, e_j> <=
+    ceil(N<x, e_j>) - 1, the int bound given ``_select``."""
 
     def has_sections(region: Region) -> bool:
         if isinstance(region, UMinusOpen):
@@ -609,8 +606,10 @@ def _sections_alive(
             "in sections"
         )
 
-    compare = operator.gt if isinstance(u, UOpen) else None
-    return _select(s, z, _u_profile(u.x), compare, has_sections)
+    bound = None
+    if isinstance(u, UOpen):
+        bound = [math.ceil(c) - 1 for c in scaled_profile(s.n, u.x.coords)]
+    return _select(s, z, bound, has_sections)
 
 
 def sections_complex(

@@ -371,10 +371,10 @@ def fraction_module_terms(n, lam, indices, degree_window, action_window):
 
 
 def profile_pruned_apexes(n, z, window, u_bounds):
-    """Lattice points of the window whose ``e_profile`` lies inside
-    ``u_bounds`` (inclusive) and whose center class is z (any class for
-    z None), as coordinate tuples."""
-    from flagsheaf.root_system import cartan, center_class, e_profile
+    """Lattice points of the window whose Gram pairings ``pair_e`` lie
+    inside ``u_bounds`` (inclusive) and whose center class is z (any
+    class for z None), as coordinate tuples."""
+    from flagsheaf.root_system import cartan, center_class, pair_e
 
     lo, hi = u_bounds
     out = set()
@@ -382,8 +382,69 @@ def profile_pruned_apexes(n, z, window, u_bounds):
         *[range(a, b + 1) for a, b in window]
     ):
         m = cartan(n, combo)
-        if any(u < lo or u > hi for u in e_profile(m)):
+        if any(not lo <= pair_e(m, k) <= hi for k in range(1, n)):
             continue
         if z is None or center_class(m) == z:
             out.add(combo)
+    return out
+
+
+# -- Fraction references for the lattice selection rules ----------------------
+
+
+def fraction_cone_alive(s, x, strict):
+    """Alive flags of the cone generators of ``s``, every center class,
+    by the Fraction rule one generator at a time: KCone(J, l) is alive
+    iff <x, e_j> >= <l, e_j> for every j in J (the stalk at x), or >
+    when ``strict`` (the sections over UOpen(x)), each pairing taken
+    through ``pair_e``."""
+    from flagsheaf.root_system import pair_e
+
+    alive = []
+    for gen in s.generators:
+        cone = gen.region
+        ok = True
+        for j in cone.indices:
+            a, b = pair_e(x, j), pair_e(cone.apex, j)
+            ok = ok and (a > b if strict else a >= b)
+        alive.append(ok)
+    return alive
+
+
+def fraction_stalk_flag_sum(n, z, p, window=None):
+    """Stalk at p of the center-z fiber in the second description: one
+    flag-cohomology summand, shifted down by D(l), for every lattice
+    l in C_- with exp(l) = z and p << l.  The Fraction path the integer
+    rule of ``pipeline.stalk_flag_sum`` replaced: a ``CartanVector``,
+    ``center_class``, ``weyl_chamber`` and ``dominance_ll`` per point."""
+    from flagsheaf.graded import GradedDims
+    from flagsheaf.pipeline import (
+        betti_cached,
+        required_stalk_box,
+        resolve_window,
+    )
+    from flagsheaf.root_system import (
+        WeylPosition,
+        cartan,
+        center_class,
+        d_degree,
+        dominance_ll,
+        pair_f,
+        weyl_chamber,
+    )
+    from flagsheaf.sheaf_complex import window_points
+
+    required = required_stalk_box(p)
+    window = resolve_window(window, required, f"stalk at {p}")
+    out = GradedDims.empty()
+    for combo in window_points(n, window):
+        l = cartan(n, combo)
+        if center_class(l) != z:
+            continue
+        if weyl_chamber(l) is WeylPosition.OUTSIDE:
+            continue
+        if not dominance_ll(p, l):
+            continue
+        iset = tuple(sorted(k for k in range(1, n) if pair_f(l, k) < 0))
+        out = out + betti_cached(n, iset).shifted(-d_degree(l))
     return out

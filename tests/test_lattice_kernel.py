@@ -1,0 +1,212 @@
+"""The integer lattice kernel against the Fraction rules it replaced.
+
+``scaled_profile``, ``lattice_center`` and ``lattice_degree`` are
+checked against the Gram pairing ``pair_e``, the scalar exponential of
+the coroot diagonal and the Grassmannian dimensions; stalk and section
+selection on int bounds against the Fraction rule one generator at a
+time, at sampled points and at points whose scaled profile ties an
+apex's; and ``stalk_flag_sum`` against its Fraction form.
+"""
+
+import itertools
+from fractions import Fraction as Q
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from flagsheaf.flag_schubert import FlagType, betti
+from flagsheaf.pipeline import (
+    build_cone_model,
+    sample_c_minus_interior,
+    stalk_flag_sum,
+)
+from flagsheaf.root_system import (
+    CenterClass,
+    cartan,
+    enumerate_lattice,
+    f_vec,
+    lattice_center,
+    lattice_degree,
+    pair_e,
+    scaled_profile,
+)
+from flagsheaf.sheaf_complex import (
+    KCone,
+    SheafComplex,
+    SheafGenerator,
+    UOpen,
+    _restrict,
+    _sections_alive,
+    stalk_complex,
+)
+
+from oracles import (
+    coroot_diagonal,
+    fraction_cone_alive,
+    fraction_stalk_flag_sum,
+)
+
+
+@st.composite
+def rational_points(draw, lo=2, hi=6):
+    n = draw(st.integers(lo, hi))
+    coords = draw(
+        st.lists(
+            st.fractions(-6, 6, max_denominator=7),
+            min_size=n - 1,
+            max_size=n - 1,
+        )
+    )
+    return n, coords
+
+
+@st.composite
+def lattice_points(draw, lo=2, hi=6):
+    n = draw(st.integers(lo, hi))
+    coords = draw(
+        st.lists(st.integers(-9, 9), min_size=n - 1, max_size=n - 1)
+    )
+    return n, tuple(coords)
+
+
+# -- the kernel ---------------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(rational_points())
+def test_scaled_profile_is_n_times_pair_e(point):
+    n, coords = point
+    v = cartan(n, coords)
+    want = tuple(n * pair_e(v, k) for k in range(1, n))
+    assert scaled_profile(n, v.coords) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_points())
+def test_scaled_profile_is_int_on_the_lattice(point):
+    n, coords = point
+    prof = scaled_profile(n, coords)
+    assert all(type(c) is int for c in prof)
+    v = cartan(n, coords)
+    assert prof == tuple(n * pair_e(v, k) for k in range(1, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_points())
+def test_lattice_center_is_the_scalar_of_exp(point):
+    # exp(l) = exp(2 pi i diag(l)) is the scalar exp(2 pi i r / N) iff
+    # every diagonal entry is r / N mod 1
+    n, coords = point
+    r = lattice_center(n, coords)
+    assert 0 <= r < n
+    for i in range(n):
+        entry = sum(
+            x * coroot_diagonal(n, j)[i] for j, x in enumerate(coords, 1)
+        )
+        assert (entry - Q(r, n)).denominator == 1
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_lattice_center_matches_enumerate_lattice(n):
+    box = ((-3, 2),) * (n - 1)
+    for residue in range(n):
+        listed = {
+            tuple(int(c) for c in v.coords)
+            for v in enumerate_lattice(CenterClass(n, residue), box)
+        }
+        combos = itertools.product(*[range(lo, hi + 1) for lo, hi in box])
+        assert listed == {
+            c for c in combos if lattice_center(n, c) == residue
+        }
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_points())
+def test_lattice_degree_is_minus_the_d_k_sum(point):
+    # D_k is the real dimension of Gr(k, N): the top degree of its Betti
+    # numbers
+    n, coords = point
+    dk = [
+        max(d for d, _ in betti(FlagType(n, (k,))).items())
+        for k in range(1, n)
+    ]
+    assert lattice_degree(n, coords) == -sum(
+        x * d for x, d in zip(coords, dk)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_points(), st.data())
+def test_non_lattice_cone_apex_raises(point, data):
+    n, coords = point
+    k = data.draw(st.integers(0, n - 2))
+    coords[k] = Q(coords[k].numerator * 2 + 1, 2)  # a half-integer
+    with pytest.raises(ValueError):
+        KCone(frozenset(), cartan(n, coords))
+
+
+def test_cones_at_one_apex_in_two_center_classes_raise():
+    # selection decides each apex's center class once, from its cones
+    apex = cartan(3, (1, 0))
+    first = SheafGenerator(KCone((), apex), CenterClass(3, 2), 0)
+    SheafComplex(3, [first], [])
+    other = SheafGenerator(KCone({1}, apex), CenterClass(3, 0), 1)
+    with pytest.raises(ValueError):
+        SheafComplex(3, [first, other], [])
+
+
+# -- selection on int bounds --------------------------------------------------
+
+
+def _probe_points(n, model, rng, samples=3):
+    """Sampled points, apexes of the model, and apexes moved by +-1/3
+    along one f_k, which keeps every other scaled pairing tied."""
+    points = [sample_c_minus_interior(n, rng) for _ in range(samples)]
+    apexes = {g.region.apex.coords: g.region.apex for g in model.generators}
+    chosen = [apexes[c] for c in sorted(apexes)[:: max(1, len(apexes) // 3)]]
+    for m in chosen:
+        points.append(m)
+        for k in range(1, n):
+            for t in (Q(1, 3), Q(-1, 3)):
+                points.append(m + f_vec(n, k).scale(t))
+    return points
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_selection_matches_fraction_rule(n):
+    rng = np.random.default_rng(n)
+    window = ((-2, 1),) * (n - 1) if n < 4 else ((-2, 0),) * (n - 1)
+    model = build_cone_model(n, None, window)
+    ties = 0
+    for p in _probe_points(n, model, rng):
+        ties += p.is_integral()
+        stalk = fraction_cone_alive(model, p, strict=False)
+        sections = fraction_cone_alive(model, p, strict=True)
+        for z in [None, *(CenterClass(n, r) for r in range(n))]:
+            on_z = [z is None or g.center == z for g in model.generators]
+            alive = [a and b for a, b in zip(stalk, on_z)]
+            got = stalk_complex(model, z, p)
+            want = _restrict(model, alive)[0]
+            assert (got.degrees, got.entries, got.mults) == (
+                want.degrees, want.entries, want.mults
+            )
+            alive = [a and b for a, b in zip(sections, on_z)]
+            assert _sections_alive(model, z, UOpen(p)) == alive
+    assert ties
+
+
+# -- the direct sum -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_stalk_flag_sum_matches_fraction_form(n):
+    rng = np.random.default_rng(10 + n)
+    points = [sample_c_minus_interior(n, rng) for _ in range(4)]
+    base = cartan(n, (-1,) * (n - 1))
+    points += [base, cartan(n, (-2,) + (-1,) * (n - 2))]
+    points += [base + f_vec(n, k).scale(Q(1, 3)) for k in range(1, n)]
+    for p in points:
+        for r in range(n):
+            z = CenterClass(n, r)
+            assert stalk_flag_sum(n, z, p) == fraction_stalk_flag_sum(n, z, p)

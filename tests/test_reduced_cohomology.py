@@ -36,7 +36,6 @@ from flagsheaf.sheaf_complex import (
     FiniteComplex,
     UMinusOpen,
     UOpen,
-    _u_profile,
     jump_complex,
     region_contains,
     sections_complex,
@@ -126,7 +125,7 @@ def test_jumps_match_expanded_oracle(rank_calls):
 
 def test_cone_model_with_a_flipped_sign_fails_at_build(monkeypatch):
     z, window = CenterClass(3, 0), ((-2, 0), (-2, 0))
-    assert build_cone_model(3, z, window).validated
+    build_cone_model(3, z, window)
     original = sheaf_complex._subset_sign
     flipped = []
 
@@ -173,11 +172,6 @@ def test_singular_block_with_non_unit_pivots(entries):
     c = FiniteComplex((0, 0, 1, 1), entries)
     assert c.cohomology() == GradedDims({0: 1, 1: 1})
     assert_matches_oracle(c)
-
-
-def test_profile_cache_is_bounded():
-    # a whole N=4 crosscheck window (216 apexes) plus its points
-    assert 216 + 64 <= _u_profile.cache_info().maxsize < 10**5
 
 
 def _whole_as_int(c: Q):

@@ -215,7 +215,7 @@ def test_sections_examples():
 
 def test_sections_unsupported_generator():
     gen = SheafGenerator(UOpen(zero(2)), Z2, 0)
-    s = SheafComplex(2, [gen], [], check=False)
+    s = SheafComplex(2, [gen], [])
     with pytest.raises(ValueError):
         sections_complex(s, Z2, UOpen(zero(2)))
 
