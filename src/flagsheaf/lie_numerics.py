@@ -5,10 +5,12 @@ traceless X with the invariant product <X, Y> = -Tr(XY), the dominant
 representative ||X|| (the descending spectrum of -iX), and products of
 special-unitary exponentials.  Eigendecompositions use a self-contained
 round-robin (parallel-ordered) cyclic Jacobi iteration (Brent-Luk, 1985,
-intended for N <= 12), once per matrix per check; unitary matrices are
-diagonalized by two Hermitian Jacobi passes (Hermitian part for the
-frame, skew part inside clusters), so no external eigensolver is
-involved in the verified path.
+intended for N <= 12) that runs on a stack of matrices at once: a check
+decomposes all of its matrices, and a chunk of trials all of its
+inputs, in one stacked call per stage, each matrix once.  Unitary
+matrices are diagonalized by Hermitian Jacobi passes (Hermitian part
+for the frame, skew part inside clusters), so no external eigensolver
+is involved in the verified path.
 
 Checked statements, each with an explicit tolerance:
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,7 +119,7 @@ def coroot_spectrum(n: int, k: int) -> SpectrumVector:
 
 
 # ---------------------------------------------------------------------------
-# round-robin cyclic Jacobi for Hermitian matrices
+# round-robin cyclic Jacobi for stacks of Hermitian matrices
 
 
 @functools.lru_cache(maxsize=32)
@@ -142,141 +145,200 @@ def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
 def jacobi_eigh(
     h: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and unitary frame of a Hermitian
-    matrix by round-robin (parallel-ordered) cyclic Jacobi rotations
+    """Eigenvalues (descending) and unitary frames of Hermitian
+    matrices by round-robin (parallel-ordered) cyclic Jacobi rotations
     (Brent-Luk, 1985): each round rotates up to floor(n/2) disjoint
     pairs at once, as one unitary g with a <- g^H a g and u <- u g.
 
-    Returns (w, u) with h  =  u @ diag(w) @ u^H.  Raises
-    :class:`NonConvergenceError` when the off-diagonal norm does not
-    fall below tol * ||h||_F within ``max_sweeps`` sweeps.
+    ``h`` is one matrix (n, n) or a stack (b, n, n).  Every matrix of a
+    stack goes through the same rounds at once, with ``np.matmul`` over
+    the stack; a matrix whose off-diagonal norm is already at most
+    tol * ||h||_F at the start of a sweep gets the identity rotation.
+
+    Returns (w, u) with h  =  u @ diag(w) @ u^H, shaped (n,), (n, n)
+    for one matrix and (b, n), (b, n, n) for a stack.  Raises
+    :class:`NonConvergenceError` when the off-diagonal norm of some
+    matrix does not fall below tol * ||h||_F within ``max_sweeps``
+    sweeps.
     """
-    a = np.array(h, dtype=complex)
-    n = a.shape[0]
-    scale = max(np.linalg.norm(a), 1e-300)
-    eye = np.eye(n, dtype=complex)
-    u = eye
-    rounds = _round_robin(n)
+    h = np.asarray(h, dtype=complex)
+    stack = h if h.ndim == 3 else h[None]
+    b, n, _ = stack.shape
+    scale = np.maximum(np.linalg.norm(stack, axis=(1, 2)), 1e-300)
+    # a on top of u, so that one product rotates the columns of both
+    m = np.concatenate([stack, np.broadcast_to(np.eye(n), stack.shape)],
+                       axis=1)
+    eye = np.broadcast_to(np.eye(n, dtype=complex), stack.shape)
+    off_diagonal = ~np.eye(n, dtype=bool)
+    k = n // 2  # pairs per round
+    entries = np.empty((b, 4 * k), dtype=complex)
+
+    def off_norm():
+        # from the off-diagonal entries themselves: total minus diagonal
+        # cancels and stops sweeps early
+        return np.linalg.norm(m[:, :n] * off_diagonal, axis=(1, 2))
+
     for _ in range(max_sweeps):
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off <= tol * scale:
+        live = off_norm() > tol * scale
+        if not live.any():
             break
-        for ps, qs, put in rounds:
-            apq = a[ps, qs]
+        keep = None if live.all() else live[:, None]
+        for _, _, put in _round_robin(n):
+            flat = m.reshape(b, -1)
+            diag = flat.real.take(put[: 2 * k], axis=1)
+            apq = flat.take(put[2 * k: 3 * k], axis=1)
+            if keep is not None:
+                apq *= keep  # converged matrices get the identity rotation
+            r = 0.5 * (diag[:, :k] - diag[:, k:])
             mag = np.abs(apq)
-            live = mag > 1e-300
-            mag = np.where(live, mag, 1.0)
-            diag = a.diagonal().real
-            tau = (diag[ps] - diag[qs]) / (2.0 * mag)
-            sign = np.where(tau != 0, np.copysign(1.0, tau), 1.0)
-            # skipped pairs get t = 0, the identity rotation
-            t = np.where(live, sign / (np.abs(tau) + np.hypot(1.0, tau)), 0)
-            c = 1.0 / np.hypot(1.0, t)
-            s_phase = t * c * (apq / mag)
+            # skipped pairs (a_pq = 0) get c = 1, s = 0
+            den = np.maximum(np.abs(r) + np.hypot(r, mag), 1e-300)
+            hyp = np.hypot(den, mag)
+            c = den / hyp
+            s = apq / np.copysign(hyp, r)
+            entries[:, :k] = c
+            entries[:, k: 2 * k] = c
+            np.negative(s, out=entries[:, 2 * k: 3 * k])
+            np.conjugate(s, out=entries[:, 3 * k:])
             g = eye.copy()
-            g.flat[put] = np.concatenate([c, c, -s_phase, s_phase.conj()])
-            a = g.conj().T @ a @ g
-            u = u @ g
+            g.reshape(b, -1)[:, put] = entries
+            m = m @ g
+            m[:, :n] = g.conj().swapaxes(1, 2) @ m[:, :n]
     else:
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
         raise NonConvergenceError(
-            f"Jacobi iteration stalled with off-diagonal residual {off:.3e}"
+            "Jacobi iteration stalled with off-diagonal residual "
+            f"{off_norm().max():.3e}"
         )
-    w = np.diag(a).real
-    order = np.argsort(-w)
-    return w[order], u[:, order]
+    w = m[:, :n].diagonal(axis1=1, axis2=2).real
+    order = np.argsort(-w, axis=1)
+    w = np.take_along_axis(w, order, axis=1)
+    u = np.take_along_axis(m[:, n:], order[:, None, :], axis=2)
+    return (w, u) if h.ndim == 3 else (w[0], u[0])
+
+
+def _array(x: SkewHermitian | Sequence[SkewHermitian]) -> np.ndarray:
+    """Entries of one matrix, or the (b, n, n) stack of a sequence."""
+    if isinstance(x, SkewHermitian):
+        return x.entries
+    return np.array([m.entries for m in x])
 
 
 def hermitian_eigs(
-    x: SkewHermitian, residual_tol: float = 1e-9
-) -> tuple[SpectrumVector, np.ndarray]:
+    x: SkewHermitian | Sequence[SkewHermitian], residual_tol: float = 1e-9
+) -> tuple[SpectrumVector | list[SpectrumVector], np.ndarray]:
     """Spectrum of -iX (descending) and a diagonalizing frame, with a
-    per-pair residual check."""
-    h = -1j * x.entries
+    per-pair residual check on every matrix.
+
+    A sequence of matrices is decomposed in one stacked Jacobi call and
+    gives a list of spectra and a (b, n, n) stack of frames.
+    """
+    h = -1j * _array(x)
     w, u = jacobi_eigh(h)
-    res = np.abs(h @ u - u @ np.diag(w)).max()
+    res = np.abs(h @ u - u * w[..., None, :]).max()
     if res > residual_tol:
         raise NonConvergenceError(f"eigenpair residual {res:.3e}")
-    lam = w - w.sum() / len(w)  # exact tracelessness drifted by rounding
-    return SpectrumVector(np.sort(lam)[::-1]), u
+    # exact tracelessness drifted by rounding; the shift keeps the order
+    lam = w - w.mean(axis=-1, keepdims=True)
+    if lam.ndim == 1:
+        return SpectrumVector(lam), u
+    return [SpectrumVector(row) for row in lam], u
 
 
-def norm_spectrum(x: SkewHermitian) -> SpectrumVector:
-    """The dominant representative ||X||."""
+def norm_spectrum(
+    x: SkewHermitian | Sequence[SkewHermitian],
+) -> SpectrumVector | list[SpectrumVector]:
+    """The dominant representative ||X|| (a list of them for a
+    sequence)."""
     return hermitian_eigs(x)[0]
 
 
-def exp_skew(x: SkewHermitian) -> np.ndarray:
-    """e^X via the Jacobi eigendecomposition of -iX."""
-    return _exp_in_frame(x, hermitian_eigs(x)[1])
+def exp_skew(x: SkewHermitian | Sequence[SkewHermitian]) -> np.ndarray:
+    """e^X via the Jacobi eigendecomposition of -iX (a stack of them for
+    a sequence)."""
+    return _exp_in_frame(_array(x), hermitian_eigs(x)[1])
 
 
-def _exp_in_frame(x: SkewHermitian, u: np.ndarray) -> np.ndarray:
-    """e^X in a frame u diagonalizing -iX."""
+def _exp_in_frame(a: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """e^A for skew-Hermitian A, or for each of a stack, in frames u
+    diagonalizing -iA."""
     # hermitian_eigs re-centers; use the raw frame eigenvalues instead
-    h = -1j * x.entries
-    w = np.real(np.diag(u.conj().T @ h @ u))
-    return u @ np.diag(np.exp(1j * w)) @ u.conj().T
+    w = np.real(np.sum(u.conj() * (-1j * a @ u), axis=-2))
+    return (u * np.exp(1j * w)[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 def eig_unitary(
     p: np.ndarray, cluster_tol: float = 1e-7, residual_tol: float = 1e-8
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and frame of a unitary matrix.
+    """Eigenvalues and frame of a unitary matrix, or of each matrix of
+    a stack (b, n, n).
 
-    The Hermitian part fixes the frame up to clusters of equal
-    cosines; the skew part separates conjugate phases inside each
-    cluster.  Two Jacobi passes in total.
+    Each matrix is first turned by the phase i e^{-i arg tr p}, which
+    centres its spectrum on the imaginary axis, where the cosine of
+    the argument is strictly decreasing.  The Hermitian part of the
+    turned matrix thus tells apart any two eigenvalues within a quarter
+    turn of arg tr p, conjugate pairs of the unturned matrix included;
+    one stacked Jacobi call on it fixes the frame up to clusters of
+    equal cosines.  The skew part separates the phases inside each
+    cluster, one call per cluster of each matrix.
     """
-    n = p.shape[0]
-    h = (p + p.conj().T) / 2.0
-    _, u = jacobi_eigh(h)
-    d = u.conj().T @ p @ u
-    cos = np.real(np.diag(d))
-    # cluster indices of (numerically) equal cosines
-    order = np.argsort(-cos)
-    u = u[:, order]
-    d = u.conj().T @ p @ u
-    cos = np.real(np.diag(d))
-    start = 0
-    for stop in range(1, n + 1):
-        if stop < n and abs(cos[stop] - cos[start]) <= cluster_tol:
-            continue
-        if stop - start > 1:
-            block = d[start:stop, start:stop]
-            k = (block - block.conj().T) / 2j
-            _, v = jacobi_eigh(k)
-            u[:, start:stop] = u[:, start:stop] @ v
-        start = stop
-    d = u.conj().T @ p @ u
-    eig = np.diag(d)
-    off = np.abs(d - np.diag(eig)).max()
+    stack = p if p.ndim == 3 else p[None]
+    b, n, _ = stack.shape
+    turn = 1j * np.exp(-1j * np.angle(np.trace(stack, axis1=1, axis2=2)))
+    q = stack * turn[:, None, None]
+    cos, u = jacobi_eigh((q + q.conj().swapaxes(1, 2)) / 2.0)
+    for i in range(b):
+        start = 0
+        for stop in range(1, n + 1):
+            # cosines descend; a cluster is a run within cluster_tol of
+            # its first cosine
+            if stop < n and cos[i, start] - cos[i, stop] <= cluster_tol:
+                continue
+            if stop - start > 1:
+                f = u[i, :, start:stop]
+                block = f.conj().T @ q[i] @ f
+                _, v = jacobi_eigh((block - block.conj().T) / 2j)
+                u[i, :, start:stop] = f @ v
+            start = stop
+    d = u.conj().swapaxes(1, 2) @ stack @ u
+    eig = d.diagonal(axis1=1, axis2=2)
+    off = np.abs(d - eig[:, :, None] * np.eye(n)).max()
     if off > residual_tol:
         raise NonConvergenceError(
             f"unitary diagonalization residual {off:.3e}"
         )
-    return eig, u
+    return (eig, u) if p.ndim == 3 else (eig[0], u[0])
 
 
 def log_unitary_small(
     p: np.ndarray, branch_guard: float = 1e-6
-) -> SkewHermitian:
+) -> SkewHermitian | list[SkewHermitian | None]:
     """Principal logarithm of a special-unitary matrix, guarding the
     branch cut: samples with an eigenvalue within ``branch_guard`` of
-    -1 are rejected."""
-    eig, u = eig_unitary(p)
-    if np.abs(eig + 1.0).min() < branch_guard:
-        raise BranchAmbiguityError("eigenvalue at the branch cut")
+    -1 are rejected.  A stack (b, n, n) gives a list with None in place
+    of each rejected sample."""
+    stack = p if p.ndim == 3 else p[None]
+    n = stack.shape[-1]
+    eig, u = eig_unitary(stack)
     phi = np.angle(eig)
-    phi = phi - phi.sum() / len(phi)
-    z = u @ np.diag(1j * phi) @ u.conj().T
-    z = (z - z.conj().T) / 2.0
-    z = z - np.trace(z) / len(phi) * np.eye(len(phi))
-    return SkewHermitian(z)
+    phi = phi - phi.mean(axis=1, keepdims=True)
+    z = (u * (1j * phi)[:, None, :]) @ u.conj().swapaxes(1, 2)
+    z = (z - z.conj().swapaxes(1, 2)) / 2.0
+    z = z - (np.trace(z, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
+    cut = np.abs(eig + 1.0).min(axis=1) < branch_guard
+    logs = [None if at_cut else SkewHermitian(zi)
+            for at_cut, zi in zip(cut, z)]
+    if p.ndim == 3:
+        return logs
+    if logs[0] is None:
+        raise BranchAmbiguityError("eigenvalue at the branch cut")
+    return logs[0]
 
 
 # ---------------------------------------------------------------------------
 # the checks
+#
+# Each check takes one input, or sequences of inputs checked together
+# with one stacked Jacobi call per stage; one input is the chunk of one.
 
 
 @dataclass(frozen=True)
@@ -286,16 +348,33 @@ class CheckResult:
     detail: str = ""
 
 
+def _listed(x: SkewHermitian | Sequence[SkewHermitian]) -> list:
+    return [x] if isinstance(x, SkewHermitian) else list(x)
+
+
+def _dominance_gap(a: SpectrumVector, b: SpectrumVector,
+                   c: SpectrumVector) -> float:
+    """Largest excess of a partial sum of a over those of b + c."""
+    gap = a.partial_sums() - (b.partial_sums() + c.partial_sums())
+    return float(gap.max()) if len(gap) else 0.0
+
+
 def check_triangle(
-    x: SkewHermitian, y: SkewHermitian, tol: float = 1e-9
-) -> CheckResult:
-    """Partial-sum comparison of ||X+Y|| against ||X|| + ||Y||."""
-    sx = norm_spectrum(x)
-    sy = norm_spectrum(y)
-    sxy = norm_spectrum(SkewHermitian(x.entries + y.entries))
-    gap = sxy.partial_sums() - (sx.partial_sums() + sy.partial_sums())
-    worst = float(gap.max()) if len(gap) else 0.0
-    return CheckResult(ok=worst <= tol, residual=max(worst, 0.0))
+    x: SkewHermitian | Sequence[SkewHermitian],
+    y: SkewHermitian | Sequence[SkewHermitian],
+    tol: float = 1e-9,
+) -> CheckResult | list[CheckResult]:
+    """Partial-sum comparison of ||X+Y|| against ||X|| + ||Y||; one
+    result per pair for sequences."""
+    xs, ys = _listed(x), _listed(y)
+    b = len(xs)
+    sums = [SkewHermitian(p.entries + q.entries) for p, q in zip(xs, ys)]
+    spectra, _ = hermitian_eigs([*xs, *ys, *sums])
+    results = []
+    for i in range(b):
+        worst = _dominance_gap(spectra[2 * b + i], spectra[i], spectra[b + i])
+        results.append(CheckResult(ok=worst <= tol, residual=max(worst, 0.0)))
+    return results[0] if isinstance(x, SkewHermitian) else results
 
 
 def aligned_partner(
@@ -318,93 +397,125 @@ def _aligned_in_frame(
 
 
 def check_pairing_bound(
-    omega: SkewHermitian,
-    x: SkewHermitian,
+    omega: SkewHermitian | Sequence[SkewHermitian],
+    x: SkewHermitian | Sequence[SkewHermitian],
     tol: float = 1e-9,
     equality_tol: float = 1e-8,
-) -> CheckResult:
+) -> CheckResult | list[CheckResult]:
     """<w, X> = -Tr(wX) <= <||w||, ||X||>; on the aligned partner of
-    w with the spectrum of X, equality within ``equality_tol``."""
-    lhs = float(np.real(-np.trace(omega.entries @ x.entries)))
-    sx = norm_spectrum(x)
-    so, uo = hermitian_eigs(omega)
-    rhs = spectrum_pairing(so, sx)
-    gap = lhs - rhs
-    aligned = _aligned_in_frame(omega, uo, sx)
-    lhs_eq = float(np.real(-np.trace(omega.entries @ aligned.entries)))
-    eq_gap = abs(lhs_eq - rhs)
-    ok = gap <= tol and eq_gap <= equality_tol
-    return CheckResult(
-        ok=ok,
-        residual=max(gap, eq_gap, 0.0),
-        detail=f"lhs={lhs:.6e} rhs={rhs:.6e} aligned_gap={eq_gap:.3e}",
-    )
+    w with the spectrum of X, equality within ``equality_tol``.  One
+    result per pair for sequences."""
+    omegas, xs = _listed(omega), _listed(x)
+    b = len(xs)
+    spectra, frames = hermitian_eigs([*xs, *omegas])
+    results = []
+    for i, (w, v) in enumerate(zip(omegas, xs)):
+        sx, so = spectra[i], spectra[b + i]
+        lhs = float(np.real(-np.trace(w.entries @ v.entries)))
+        rhs = spectrum_pairing(so, sx)
+        gap = lhs - rhs
+        aligned = _aligned_in_frame(w, frames[b + i], sx)
+        lhs_eq = float(np.real(-np.trace(w.entries @ aligned.entries)))
+        eq_gap = abs(lhs_eq - rhs)
+        results.append(CheckResult(
+            ok=gap <= tol and eq_gap <= equality_tol,
+            residual=max(gap, eq_gap, 0.0),
+            detail=f"lhs={lhs:.6e} rhs={rhs:.6e} aligned_gap={eq_gap:.3e}",
+        ))
+    return results[0] if isinstance(x, SkewHermitian) else results
 
 
 def check_klyachko(
-    x: SkewHermitian,
-    y: SkewHermitian,
+    x: SkewHermitian | Sequence[SkewHermitian],
+    y: SkewHermitian | Sequence[SkewHermitian],
     bound: SpectrumVector,
     tol: float = 1e-8,
-) -> CheckResult:
+    eigs: tuple[list[SpectrumVector], np.ndarray] | None = None,
+) -> CheckResult | list[CheckResult | None]:
     """e^X e^Y = e^Z with ||Z|| <= ||X|| + ||Y||, for ||X||, ||Y||
-    below a dominant bound that is itself below e_1 / (100 N)."""
-    n = x.n
+    below a dominant bound that is itself below e_1 / (100 N).
+
+    One pair raises :class:`BranchAmbiguityError` when its product has
+    an eigenvalue at the branch cut; for sequences, such a pair gets
+    None in place of a result.  ``eigs`` is the (spectra, frames)
+    decomposition of [*x, *y] when the caller already has it.
+    """
+    xs, ys = _listed(x), _listed(y)
+    n, b = xs[0].n, len(xs)
     cap = coroot_spectrum(n, 1).scale(1.0 / (100.0 * n))
     if not dominated_by(bound, cap, 0.0):
         raise ValueError("bound must lie strictly below e_1 / (100 N)")
-    (sx, ux), (sy, uy) = hermitian_eigs(x), hermitian_eigs(y)
-    if not (dominated_by(sx, bound, 1e-12) and dominated_by(sy, bound, 1e-12)):
+    spectra, frames = hermitian_eigs([*xs, *ys]) if eigs is None else eigs
+    if not all(dominated_by(s, bound, 1e-12) for s in spectra):
         raise ValueError("inputs exceed the stated norm bound")
-    prod = _exp_in_frame(x, ux) @ _exp_in_frame(y, uy)
-    z = log_unitary_small(prod)
-    sz, uz = hermitian_eigs(z)
-    recon = np.abs(_exp_in_frame(z, uz) - prod).max()
-    trace_res = abs(np.trace(z.entries))
-    gap = sz.partial_sums() - (sx.partial_sums() + sy.partial_sums())
-    worst = float(gap.max()) if len(gap) else 0.0
-    ok = recon <= tol and worst <= tol and trace_res <= 1e-9
-    return CheckResult(
-        ok=ok,
-        residual=max(recon, worst, trace_res, 0.0),
-        detail=f"recon={recon:.3e} dominance_gap={worst:.3e}",
-    )
+    e = _exp_in_frame(_array([*xs, *ys]), frames)
+    prods = e[:b] @ e[b:]
+    logs = log_unitary_small(prods)
+    kept = [i for i, z in enumerate(logs) if z is not None]
+    results: list[CheckResult | None] = [None] * b
+    if kept:
+        zs = [logs[i] for i in kept]
+        sz, uz = hermitian_eigs(zs)
+        recon = np.abs(_exp_in_frame(_array(zs), uz) - prods[kept]).max(
+            axis=(1, 2))
+        for j, i in enumerate(kept):
+            trace_res = abs(np.trace(zs[j].entries))
+            worst = _dominance_gap(sz[j], spectra[i], spectra[b + i])
+            results[i] = CheckResult(
+                ok=recon[j] <= tol and worst <= tol and trace_res <= 1e-9,
+                residual=max(float(recon[j]), worst, trace_res, 0.0),
+                detail=f"recon={recon[j]:.3e} dominance_gap={worst:.3e}",
+            )
+    if not isinstance(x, SkewHermitian):
+        return results
+    if results[0] is None:
+        raise BranchAmbiguityError("eigenvalue at the branch cut")
+    return results[0]
 
 
-def _arg_in_window(phi: float, lo: float, hi: float, tol: float) -> bool:
-    """Whether some 2*pi-translate of phi lies in [lo - tol, hi + tol]."""
-    if hi - lo >= TWO_PI:
-        return True
-    shifted = (phi - lo) % TWO_PI
-    return shifted <= (hi - lo) + 2 * tol or shifted >= TWO_PI - tol
+def _window_excess(
+    phis: np.ndarray, lo: float, hi: float, tol: float
+) -> np.ndarray:
+    """How far each argument lies outside [lo, hi] modulo 2*pi; 0 for
+    one that some 2*pi-translate puts in [lo - tol, hi + tol]."""
+    width = hi - lo
+    if width >= TWO_PI:
+        return np.zeros_like(phis)
+    shifted = (phis - lo) % TWO_PI
+    inside = (shifted <= width + 2 * tol) | (shifted >= TWO_PI - tol)
+    return np.where(inside, 0.0,
+                    np.minimum(shifted - width, TWO_PI - shifted))
 
 
 def check_interval_product(
     g1: np.ndarray,
     g2: np.ndarray,
-    window1: tuple[float, float],
-    window2: tuple[float, float],
+    window1: tuple[float, float] | Sequence[tuple[float, float]],
+    window2: tuple[float, float] | Sequence[tuple[float, float]],
     tol: float = 1e-8,
-) -> CheckResult:
+) -> CheckResult | list[CheckResult]:
     """All eigenvalue arguments of g1 g2 lie in the sum window, taken
     in the unique short interval when the sum window is shorter than a
-    full turn."""
-    for g, (lo, hi) in ((g1, window1), (g2, window2)):
-        eig, _ = eig_unitary(g)
-        for phi in np.angle(eig):
-            if not _arg_in_window(float(phi), lo, hi, tol):
+    full turn.  For stacks g1, g2 (b, n, n) with sequences of windows,
+    one result per product."""
+    one = np.ndim(g1) == 2
+    if one:
+        g1, g2, window1, window2 = g1[None], g2[None], [window1], [window2]
+    b = len(g1)
+    eig, _ = eig_unitary(np.concatenate([g1, g2, g1 @ g2]))
+    phis = np.angle(eig)
+    results = []
+    for i, (w1, w2) in enumerate(zip(window1, window2)):
+        for phi, (lo, hi) in ((phis[i], w1), (phis[b + i], w2)):
+            if _window_excess(phi, lo, hi, tol).any():
                 raise ValueError("factor violates its stated window")
-    lo = window1[0] + window2[0]
-    hi = window1[1] + window2[1]
-    if hi - lo >= TWO_PI:
-        return CheckResult(ok=True, residual=0.0, detail="window >= full turn")
-    eig, _ = eig_unitary(g1 @ g2)
-    worst = 0.0
-    for phi in np.angle(eig):
-        if not _arg_in_window(float(phi), lo, hi, tol):
-            shifted = (float(phi) - lo) % TWO_PI
-            worst = max(worst, min(shifted - (hi - lo), TWO_PI - shifted))
-    return CheckResult(ok=worst == 0.0, residual=worst)
+        lo, hi = w1[0] + w2[0], w1[1] + w2[1]
+        if hi - lo >= TWO_PI:
+            results.append(CheckResult(True, 0.0, "window >= full turn"))
+        else:
+            worst = float(_window_excess(phis[2 * b + i], lo, hi, tol).max())
+            results.append(CheckResult(ok=worst == 0.0, residual=worst))
+    return results[0] if one else results
 
 
 # ---------------------------------------------------------------------------
@@ -419,30 +530,35 @@ def random_skew_hermitian(n: int, rng: np.random.Generator) -> SkewHermitian:
     return SkewHermitian(a)
 
 
+def _rescaled(
+    xs: Sequence[SkewHermitian], bound: SpectrumVector, slack: float = 0.95
+) -> tuple[list[SkewHermitian], tuple[list[SpectrumVector], np.ndarray]]:
+    """rescaled_to_bound on each matrix, with the decomposition of the
+    results: cX keeps X's frame, and its spectrum is c times X's."""
+    spectra, frames = hermitian_eigs(xs)
+    pb = bound.partial_sums()
+    scaled, scaled_spectra = [], []
+    for x, spectrum in zip(xs, spectra):
+        ps = spectrum.partial_sums()
+        ratios = [pb[k] / ps[k] for k in range(len(ps)) if ps[k] > 1e-300]
+        c = min(slack * min(ratios), 1.0) if ratios else 1.0
+        scaled.append(SkewHermitian(x.entries * c))
+        scaled_spectra.append(spectrum.scale(c))
+    return scaled, (scaled_spectra, frames)
+
+
 def rescaled_to_bound(
     x: SkewHermitian, bound: SpectrumVector, slack: float = 0.95
 ) -> SkewHermitian:
     """Scale X so that ||cX|| <= bound in dominance order."""
-    ps = norm_spectrum(x).partial_sums()
-    pb = bound.partial_sums()
-    ratios = [pb[k] / ps[k] for k in range(len(ps)) if ps[k] > 1e-300]
-    c = slack * min(ratios) if ratios else 1.0
-    return SkewHermitian(x.entries * min(c, 1.0))
+    return _rescaled([x], bound, slack)[0][0]
 
 
-def sample_unitary_in_window(
-    n: int,
-    window: tuple[float, float],
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Special-unitary matrix whose eigenvalue arguments all lie in the
-    window.
-
-    det = 1 forces the argument representatives to sum to an exact
-    multiple of 2*pi, so the window is feasible only when some
-    2*pi*k lies in [N*lo, N*hi]; arguments are drawn around 2*pi*k/N
-    with zero-sum deviations confined to the window.
-    """
+def _draw_in_window(
+    n: int, window: tuple[float, float], rng: np.random.Generator
+) -> tuple[np.ndarray, SkewHermitian]:
+    """The eigenvalue arguments of a sample_unitary_in_window draw, then
+    the generator X of its frame e^X, drawn in that order."""
     lo, hi = window
     if hi < lo:
         raise ValueError("empty window")
@@ -462,9 +578,35 @@ def sample_unitary_in_window(
         dev = dev * (0.98 * margin / peak)
     else:
         dev = np.zeros(n)
-    phis = center + dev
-    frame = exp_skew(random_skew_hermitian(n, rng))
-    return frame @ np.diag(np.exp(1j * phis)) @ frame.conj().T
+    return center + dev, random_skew_hermitian(n, rng)
+
+
+def _unitaries(
+    draws: Sequence[tuple[np.ndarray, SkewHermitian]]
+) -> np.ndarray:
+    """e^X diag(e^{i phi}) e^{-X} for each draw (phi, X), with every
+    frame e^X from one stacked call."""
+    phis = np.array([phi for phi, _ in draws])
+    frames = exp_skew([x for _, x in draws])
+    return (frames * np.exp(1j * phis)[:, None, :]) @ (
+        frames.conj().swapaxes(1, 2)
+    )
+
+
+def sample_unitary_in_window(
+    n: int,
+    window: tuple[float, float],
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Special-unitary matrix whose eigenvalue arguments all lie in the
+    window.
+
+    det = 1 forces the argument representatives to sum to an exact
+    multiple of 2*pi, so the window is feasible only when some
+    2*pi*k lies in [N*lo, N*hi]; arguments are drawn around 2*pi*k/N
+    with zero-sum deviations confined to the window.
+    """
+    return _unitaries([_draw_in_window(n, window, rng)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -489,11 +631,31 @@ class LemmaStats:
         }
 
 
+# trials drawn and checked at once: enough to amortize the per-call
+# cost of the stacked kernel, few enough that memory stays flat however
+# many trials are asked for
+_CHUNK = 256
+
+
+def _lemma_stats(
+    name: str, results: list[CheckResult], rejected: int = 0
+) -> LemmaStats:
+    return LemmaStats(
+        name, len(results), sum(not r.ok for r in results), rejected,
+        max((r.residual for r in results), default=0.0),
+    )
+
+
 def run_trials(
     n: int, trials: int, seed: int, corrupt: bool = False
 ) -> list[LemmaStats]:
     """Randomized verification of the four matrix lemmas.
 
+    Each lemma draws its trials in chunks of at most ``_CHUNK``, in the
+    order a loop of single trials would draw them, and checks a chunk
+    with one stacked Jacobi call per stage.  A chunk is exactly the
+    outstanding count, so a pair rejected at the branch cut is redrawn
+    in the next chunk and no draw reaches past the last trial.
     ``corrupt`` swaps one pairing-bound input for a non-aligned
     deliberate violation of the equality branch, to exercise the
     failure path end to end.
@@ -501,61 +663,55 @@ def run_trials(
     rng = np.random.default_rng(seed)
     stats: list[LemmaStats] = []
 
-    failures = rejected = 0
-    worst = 0.0
-    for _ in range(trials):
-        r = check_triangle(
-            random_skew_hermitian(n, rng), random_skew_hermitian(n, rng)
-        )
-        worst = max(worst, r.residual)
-        failures += not r.ok
-    stats.append(LemmaStats("triangle", trials, failures, 0, worst))
+    def pairs(done: list) -> tuple[list, list]:
+        """The next chunk of pairs (x, y), x drawn before y."""
+        size = min(_CHUNK, trials - len(done))
+        drawn = [random_skew_hermitian(n, rng) for _ in range(2 * size)]
+        return drawn[0::2], drawn[1::2]
 
-    failures = 0
-    worst = 0.0
-    for t in range(trials):
-        omega = random_skew_hermitian(n, rng)
-        x = random_skew_hermitian(n, rng)
-        r = check_pairing_bound(omega, x)
-        if corrupt and t == 0:
+    results: list[CheckResult] = []
+    while len(results) < trials:
+        results += check_triangle(*pairs(results))
+    stats.append(_lemma_stats("triangle", results))
+
+    results = []
+    while len(results) < trials:
+        omegas, xs = pairs(results)
+        chunk = check_pairing_bound(omegas, xs)
+        if corrupt and not results:
             # break the aligned-equality branch on purpose
-            bad = spectrum_pairing(norm_spectrum(omega), norm_spectrum(x))
-            r = CheckResult(ok=False, residual=abs(bad) + 1.0,
-                            detail="corrupted fixture")
-        worst = max(worst, r.residual)
-        failures += not r.ok
-    stats.append(LemmaStats("pairing", trials, failures, 0, worst))
+            bad = spectrum_pairing(*norm_spectrum([omegas[0], xs[0]]))
+            chunk[0] = CheckResult(ok=False, residual=abs(bad) + 1.0,
+                                   detail="corrupted fixture")
+        results += chunk
+    stats.append(_lemma_stats("pairing", results))
 
-    failures = rejected = 0
-    worst = 0.0
+    results, rejected = [], 0
     bound = coroot_spectrum(n, 1).scale(0.9 / (100.0 * n))
-    done = 0
-    while done < trials:
-        x = rescaled_to_bound(random_skew_hermitian(n, rng), bound)
-        y = rescaled_to_bound(random_skew_hermitian(n, rng), bound)
-        try:
-            r = check_klyachko(x, y, bound)
-        except BranchAmbiguityError:
-            rejected += 1
-            continue
-        worst = max(worst, r.residual)
-        failures += not r.ok
-        done += 1
-    stats.append(LemmaStats("log_product", trials, failures, rejected, worst))
+    while len(results) < trials:
+        xs, ys = pairs(results)
+        scaled, eigs = _rescaled([*xs, *ys], bound)
+        checked = check_klyachko(scaled[: len(xs)], scaled[len(xs):], bound,
+                                 eigs=eigs)
+        results += [r for r in checked if r is not None]
+        rejected += checked.count(None)
+    stats.append(_lemma_stats("log_product", results, rejected))
 
-    failures = 0
-    worst = 0.0
-    for _ in range(trials):
-        # windows centered on feasible determinant targets 2*pi*k/N
-        k1, k2 = int(rng.integers(-1, 2)), int(rng.integers(-1, 2))
-        width1 = rng.uniform(0.2, 1.2)
-        width2 = rng.uniform(0.2, 1.2)
-        w1 = (TWO_PI * k1 / n - width1 / 2, TWO_PI * k1 / n + width1 / 2)
-        w2 = (TWO_PI * k2 / n - width2 / 2, TWO_PI * k2 / n + width2 / 2)
-        g1 = sample_unitary_in_window(n, w1, rng)
-        g2 = sample_unitary_in_window(n, w2, rng)
-        r = check_interval_product(g1, g2, w1, w2)
-        worst = max(worst, r.residual)
-        failures += not r.ok
-    stats.append(LemmaStats("interval_product", trials, failures, 0, worst))
+    results = []
+    while len(results) < trials:
+        windows, draws = [], []
+        for _ in range(min(_CHUNK, trials - len(results))):
+            # windows centered on feasible determinant targets 2*pi*k/N
+            k1, k2 = int(rng.integers(-1, 2)), int(rng.integers(-1, 2))
+            width1 = rng.uniform(0.2, 1.2)
+            width2 = rng.uniform(0.2, 1.2)
+            w1 = (TWO_PI * k1 / n - width1 / 2, TWO_PI * k1 / n + width1 / 2)
+            w2 = (TWO_PI * k2 / n - width2 / 2, TWO_PI * k2 / n + width2 / 2)
+            windows += [w1, w2]
+            draws += [_draw_in_window(n, w1, rng), _draw_in_window(n, w2, rng)]
+        g = _unitaries(draws)
+        results += check_interval_product(
+            g[0::2], g[1::2], windows[0::2], windows[1::2]
+        )
+    stats.append(_lemma_stats("interval_product", results))
     return stats

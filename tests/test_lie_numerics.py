@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -102,14 +104,56 @@ def test_jacobi_sweep_limit_raises():
         jacobi_eigh((m + m.conj().T) / 2, max_sweeps=1)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_jacobi_stack_matches_each_slice_and_eigvalsh(n):
+    # the kinds converge at different speeds; zero and diagonal members
+    # are converged before the first sweep
+    rng = np.random.default_rng(200 + n)
+    inputs = _jacobi_inputs(n, rng)
+    w, u = jacobi_eigh(np.array(list(inputs.values()), dtype=complex))
+    for i, (kind, h) in enumerate(inputs.items()):
+        alone, _ = jacobi_eigh(h)
+        assert np.abs(w[i] - alone).max() < 1e-10, kind
+        assert np.abs(w[i] - np.linalg.eigvalsh(h)[::-1]).max() < 1e-10, kind
+        assert np.abs(u[i].conj().T @ u[i] - np.eye(n)).max() < 1e-12, kind
+        assert np.abs(h @ u[i] - u[i] * w[i]).max() < 1e-9, kind
+    # a member converged before the first sweep gets identity rotations
+    # while the others turn: its frame stays a permutation matrix
+    assert np.count_nonzero(u[list(inputs).index("diagonal+1e-200")]) == n
+
+
+def test_jacobi_stack_with_one_stalled_member_raises():
+    rng = np.random.default_rng(9)
+    m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    converged = [np.zeros((6, 6)), np.diag(np.arange(6.0))]
+    jacobi_eigh(np.array(converged), max_sweeps=1)
+    with pytest.raises(NonConvergenceError):
+        jacobi_eigh(np.array(converged + [(m + m.conj().T) / 2]),
+                    max_sweeps=1)
+
+
+def test_verified_path_calls_no_external_eigensolver():
+    tree = ast.parse(Path(lie_numerics.__file__).read_text())
+    solvers = {"eig", "eigh", "eigvals", "eigvalsh", "svd"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            assert node.attr not in solvers, ast.unparse(node)
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names]
+            if isinstance(node, ast.ImportFrom):
+                names.append(node.module or "")
+            assert not solvers & set(names), ast.unparse(node)
+            assert not any(name.split(".")[0] == "scipy" for name in names)
+
+
 def _count_jacobi(monkeypatch):
-    """Record the matrix order of every jacobi_eigh call, and how many
-    of them each eig_unitary call made."""
+    """Record the shape of every jacobi_eigh call, (b, n, n) for a
+    stack, and how many calls each eig_unitary call made."""
     calls, inside = [], []
     jacobi, unitary = lie_numerics.jacobi_eigh, lie_numerics.eig_unitary
 
     def counted_jacobi(h, *args, **kwargs):
-        calls.append(len(h))
+        calls.append(np.shape(h))
         return jacobi(h, *args, **kwargs)
 
     def counted_unitary(p, *args, **kwargs):
@@ -129,7 +173,22 @@ def test_pairing_bound_decomposes_each_matrix_once(monkeypatch):
     x = random_skew_hermitian(6, rng)
     calls, _ = _count_jacobi(monkeypatch)
     assert check_pairing_bound(omega, x).ok
-    assert calls == [6, 6]
+    # x and omega in one stacked call
+    assert calls == [(2, 6, 6)]
+
+
+def test_triangle_and_interval_product_stack_their_matrices(monkeypatch):
+    rng = np.random.default_rng(62)
+    x, y = random_skew_hermitian(5, rng), random_skew_hermitian(5, rng)
+    w1, w2 = (-0.4, 0.4), (-0.3, 0.3)
+    g1 = sample_unitary_in_window(5, w1, rng)
+    g2 = sample_unitary_in_window(5, w2, rng)
+    calls, inside = _count_jacobi(monkeypatch)
+    assert check_triangle(x, y).ok
+    assert check_interval_product(g1, g2, w1, w2).ok
+    # x, y, x + y in one call; g1, g2, g1 g2 in one eig_unitary pass
+    assert calls == [(3, 5, 5), (3, 5, 5)]
+    assert inside == [1]
 
 
 def test_klyachko_decomposes_each_matrix_once(monkeypatch):
@@ -140,21 +199,116 @@ def test_klyachko_decomposes_each_matrix_once(monkeypatch):
     y = rescaled_to_bound(random_skew_hermitian(n, rng), bound)
     calls, inside = _count_jacobi(monkeypatch)
     assert check_klyachko(x, y, bound).ok
-    # x, y and z once each; eig_unitary adds one run per cosine cluster,
-    # and under this bound at N = 6 the cosines of e^X e^Y always cluster
-    assert len(inside) == 1
-    assert len(calls) - inside[0] == 3
+    # x and y in one call, the product in one, z in one: turned onto
+    # the imaginary axis, the small phases of e^X e^Y have distinct
+    # cosines, so eig_unitary needs no cluster pass
+    assert calls == [(2, n, n), (1, n, n), (1, n, n)]
+    assert inside == [1]
 
 
 def test_klyachko_without_clusters_makes_four_jacobi_runs(monkeypatch):
-    # commuting diagonal inputs whose product has well-separated cosines
+    # commuting diagonal inputs whose product has well-separated cosines:
+    # four matrices decomposed, in three stacked calls
     n = 3
     bound = coroot_spectrum(n, 1).scale(0.9 / (100 * n))
     x = SkewHermitian(1j * np.diag([1.5e-3, -0.6e-3, -0.9e-3]))
     calls, inside = _count_jacobi(monkeypatch)
     assert check_klyachko(x, x, bound).ok
     assert inside == [1]
-    assert calls == [3, 3, 3, 3]
+    assert calls == [(2, 3, 3), (1, 3, 3), (1, 3, 3)]
+
+
+def _reference_draws(n, trials, seed, log_pairs):
+    """The inputs of each lemma drawn one trial at a time, with
+    ``log_pairs`` log-product pairs drawn before the interval
+    trials."""
+    rng = np.random.default_rng(seed)
+    bound = coroot_spectrum(n, 1).scale(0.9 / (100.0 * n))
+    draw = lambda: random_skew_hermitian(n, rng)  # noqa: E731
+    triangle = [(draw(), draw()) for _ in range(trials)]
+    pairing = [(draw(), draw()) for _ in range(trials)]
+    log = [(rescaled_to_bound(draw(), bound), rescaled_to_bound(draw(), bound))
+           for _ in range(log_pairs)]
+    interval = []
+    for _ in range(trials):
+        k1, k2 = int(rng.integers(-1, 2)), int(rng.integers(-1, 2))
+        width1 = rng.uniform(0.2, 1.2)
+        width2 = rng.uniform(0.2, 1.2)
+        c1, c2 = 2 * math.pi * k1 / n, 2 * math.pi * k2 / n
+        w1 = (c1 - width1 / 2, c1 + width1 / 2)
+        w2 = (c2 - width2 / 2, c2 + width2 / 2)
+        g1 = sample_unitary_in_window(n, w1, rng)
+        g2 = sample_unitary_in_window(n, w2, rng)
+        interval.append((g1, g2, w1, w2))
+    return triangle, pairing, log, interval
+
+
+def test_each_lemma_checks_the_inputs_a_loop_of_single_trials_draws(
+    monkeypatch,
+):
+    n, trials, seed = 4, 5, 21
+    drawn, checked = [], {}
+    draw = lie_numerics.random_skew_hermitian
+
+    def recorded_draw(*args):
+        drawn.append(draw(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(lie_numerics, "random_skew_hermitian", recorded_draw)
+    for name in ("check_triangle", "check_pairing_bound", "check_klyachko",
+                 "check_interval_product"):
+        def recorded(*args, _check=getattr(lie_numerics, name), _name=name,
+                     **kwargs):
+            checked.setdefault(_name, []).append((args, kwargs))
+            return _check(*args, **kwargs)
+        monkeypatch.setattr(lie_numerics, name, recorded)
+    logs = lie_numerics.log_unitary_small
+    forced = []
+
+    def reject_first(p, *args):
+        out = logs(p, *args)
+        if not forced:
+            forced.append(True)
+            out[0] = None  # as if the product had an eigenvalue at -1
+        return out
+
+    monkeypatch.setattr(lie_numerics, "log_unitary_small", reject_first)
+    stats = run_trials(n, trials, seed)
+    monkeypatch.undo()
+
+    by_name = {s.name: s for s in stats}
+    assert by_name["log_product"].rejected == 1
+    assert all(s.trials == trials and s.failures == 0 for s in stats)
+    triangle, pairing, log, interval = _reference_draws(
+        n, trials, seed, trials + 1)
+    assert len(drawn) == 2 * (3 * trials + 1) + 2 * trials
+
+    def same(a, b, tol=0.0):
+        return all(np.abs(p.entries - q.entries).max() <= tol
+                   for p, q in zip(a, b, strict=True))
+
+    # one call per lemma, and one more for the redrawn log-product pair
+    (((xs, ys), _),) = checked["check_triangle"]
+    assert same(xs, [p[0] for p in triangle])
+    assert same(ys, [p[1] for p in triangle])
+    (((omegas, xs), _),) = checked["check_pairing_bound"]
+    assert same(omegas, [p[0] for p in pairing])
+    assert same(xs, [p[1] for p in pairing])
+    first, redraw = checked["check_klyachko"]
+    xs = [*first[0][0], *redraw[0][0]]
+    ys = [*first[0][1], *redraw[0][1]]
+    assert len(first[0][0]) == trials and len(redraw[0][0]) == 1
+    assert same(xs, [p[0] for p in log], 1e-15)
+    assert same(ys, [p[1] for p in log], 1e-15)
+    # the decomposition handed over is that of the rescaled inputs
+    spectra, _ = first[1]["eigs"]
+    for s, x in zip(spectra, [*first[0][0], *first[0][1]]):
+        assert np.abs(s.lambdas - norm_spectrum(x).lambdas).max() < 1e-15
+    (((g1, g2, windows1, windows2), _),) = checked["check_interval_product"]
+    assert np.abs(g1 - np.array([t[0] for t in interval])).max() < 1e-12
+    assert np.abs(g2 - np.array([t[1] for t in interval])).max() < 1e-12
+    assert list(windows1) == [t[2] for t in interval]
+    assert list(windows2) == [t[3] for t in interval]
 
 
 def test_run_trials_rank_12():
@@ -251,6 +405,24 @@ def test_eig_unitary_clusters():
     g = frame @ np.diag(np.exp(1j * phis)) @ frame.conj().T
     eig, u = eig_unitary(g)
     assert np.abs(np.sort(np.angle(eig)) - np.sort(phis)).max() < 1e-8
+
+
+def test_eig_unitary_separates_near_conjugate_pairs():
+    # e^{i theta} and e^{i (eps - theta)} share their cosine to within
+    # eps sin(theta); turned onto the imaginary axis they do not
+    rng = np.random.default_rng(65)
+    n, b = 6, 200
+    phis = rng.uniform(-0.6, 0.6, size=(b, n))
+    theta = rng.uniform(0.01, 0.6, size=b)
+    phis[:, 0] = theta
+    phis[:, 1] = 10 ** rng.uniform(-9, -4, size=b) - theta
+    frames = exp_skew([random_skew_hermitian(n, rng) for _ in range(b)])
+    g = (frames * np.exp(1j * phis)[:, None, :]) @ (
+        frames.conj().swapaxes(1, 2))
+    eig, u = eig_unitary(g)
+    d = u.conj().swapaxes(1, 2) @ g @ u
+    assert np.abs(d - eig[:, :, None] * np.eye(n)).max() < 1e-12
+    assert np.abs(np.sort(np.angle(eig)) - np.sort(phis)).max() < 1e-12
 
 
 def test_interval_product_trivia():
