@@ -5,14 +5,19 @@ traceless X with the invariant product <X, Y> = -Tr(XY), the dominant
 representative ||X|| (the descending spectrum of -iX), and products of
 special-unitary exponentials.  Eigendecompositions use a self-contained
 round-robin (parallel-ordered) cyclic Jacobi iteration (Brent-Luk, 1985,
-intended for N <= 12) that runs on a stack of matrices at once: a check
-decomposes all of its matrices, and a chunk of trials all of its
-inputs, in one stacked call per stage, each matrix once.  Unitary
-matrices are diagonalized by Hermitian Jacobi passes (Hermitian part
-for the frame, skew part inside clusters), so no external eigensolver
-is involved in the verified path.
+intended for N <= 12).  Unitary matrices are diagonalized by Hermitian
+Jacobi passes (Hermitian part for the frame, skew part inside
+clusters), so no external eigensolver is involved in the verified path.
 
-Checked statements, each with an explicit tolerance:
+Stacks in, one result per input: every decomposition and every check
+takes a (b, n, n) stack or a sequence of b inputs and returns b
+results, so a check decomposes all of its matrices, and a chunk of
+trials all of its inputs, in one stacked call per stage.  Only the
+constructors (random_skew_hermitian, sample_unitary_in_window,
+aligned_partner) make one object.  Every tolerance the decisions use
+is a module constant in the table below; none is a parameter.
+
+Checked statements:
 
 * triangle:  ||X + Y|| <= ||X|| + ||Y||   (partial sums of spectra);
 * pairing:   <w, X> <= <||w||, ||X||>, with equality on conjugation-
@@ -34,14 +39,33 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
+# ---------------------------------------------------------------------------
+# tolerances: every threshold the kernel, the decompositions and the
+# checks decide by.  None is a parameter, so every caller decides alike;
+# only the input validation of the containers keeps its own literals.
+#
+# Jacobi kernel
+JACOBI_TOL = 1e-13        # stop at off-diagonal norm <= JACOBI_TOL * ||h||_F
+MAX_SWEEPS = 100          # sweeps before NonConvergenceError
+# decompositions
+EIG_RESIDUAL = 1e-9       # max |h u - u w| of a Hermitian decomposition
+CLUSTER_TOL = 1e-7        # cosines this close share an eig_unitary cluster
+UNITARY_RESIDUAL = 1e-8   # max off-diagonal entry of u^H p u
+BRANCH_GUARD = 1e-6       # reject a logarithm this close to the cut at -1
+# checks
+TRIANGLE_TOL = 1e-9       # partial-sum excess of ||X+Y|| over ||X|| + ||Y||
+PAIRING_TOL = 1e-9        # excess of <w, X> over <||w||, ||X||>
+EQUALITY_TOL = 1e-8       # |gap| of the pairing bound on the aligned partner
+KLYACHKO_TOL = 1e-8       # e^Z reconstruction and ||Z|| dominance excess
+TRACE_TOL = 1e-9          # |tr Z| of a principal logarithm
+BOUND_MARGIN = 1e-12      # how far check_klyachko inputs may exceed the bound
+WINDOW_TOL = 1e-8         # arguments may lie this far outside a window
+# sampling
+RESCALE_SLACK = 0.95      # rescaled_to_bound lands this far inside the bound
+
 
 class NonConvergenceError(RuntimeError):
     """Jacobi iteration failed to reach the target off-diagonal norm."""
-
-
-class BranchAmbiguityError(ValueError):
-    """An eigenvalue of a unitary product sits too close to -1 for the
-    principal logarithm; the sample must be rejected."""
 
 
 # ---------------------------------------------------------------------------
@@ -90,18 +114,18 @@ class SpectrumVector:
         """<., e_k> for k = 1..N-1: top-k sums of the spectrum."""
         return np.cumsum(self.lambdas)[:-1]
 
-    def __add__(self, other: "SpectrumVector") -> "SpectrumVector":
-        return SpectrumVector(self.lambdas + other.lambdas)
-
     def scale(self, c: float) -> "SpectrumVector":
         if c < 0:
             raise ValueError("scaling a dominant spectrum by c < 0")
         return SpectrumVector(self.lambdas * c)
 
 
-def dominated_by(a: SpectrumVector, b: SpectrumVector, tol: float) -> bool:
-    """a <= b in dominance order, within tol on every partial sum."""
-    return bool(np.all(a.partial_sums() <= b.partial_sums() + tol))
+def dominance_gap(a: SpectrumVector, *bs: SpectrumVector) -> float:
+    """Largest excess of a partial sum of a over that of the sum of bs:
+    a <= b_1 + ... + b_k in dominance order iff the gap is <= 0.  The
+    gap is 0 for N = 1, which has no partial sums."""
+    gap = a.partial_sums() - sum(b.partial_sums() for b in bs)
+    return float(gap.max()) if len(gap) else 0.0
 
 
 def spectrum_pairing(a: SpectrumVector, b: SpectrumVector) -> float:
@@ -142,33 +166,30 @@ def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
     return tuple(rounds)
 
 
-def jacobi_eigh(
-    h: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and unitary frames of Hermitian
-    matrices by round-robin (parallel-ordered) cyclic Jacobi rotations
-    (Brent-Luk, 1985): each round rotates up to floor(n/2) disjoint
-    pairs at once, as one unitary g with a <- g^H a g and u <- u g.
+def jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and unitary frames of a stack (b, n, n)
+    of Hermitian matrices by round-robin (parallel-ordered) cyclic
+    Jacobi rotations (Brent-Luk, 1985): each round rotates up to
+    floor(n/2) disjoint pairs at once, as one unitary g with
+    a <- g^H a g and u <- u g.
 
-    ``h`` is one matrix (n, n) or a stack (b, n, n).  Every matrix of a
-    stack goes through the same rounds at once, with ``np.matmul`` over
-    the stack; a matrix whose off-diagonal norm is already at most
-    tol * ||h||_F at the start of a sweep gets the identity rotation.
+    Every matrix goes through the same rounds at once, with
+    ``np.matmul`` over the stack; a matrix whose off-diagonal norm is
+    already at most JACOBI_TOL * ||h||_F at the start of a sweep gets
+    the identity rotation.
 
-    Returns (w, u) with h  =  u @ diag(w) @ u^H, shaped (n,), (n, n)
-    for one matrix and (b, n), (b, n, n) for a stack.  Raises
+    Returns (w, u), shaped (b, n) and (b, n, n), with
+    h[i]  =  u[i] @ diag(w[i]) @ u[i]^H.  Raises
     :class:`NonConvergenceError` when the off-diagonal norm of some
-    matrix does not fall below tol * ||h||_F within ``max_sweeps``
+    matrix does not fall below JACOBI_TOL * ||h||_F within MAX_SWEEPS
     sweeps.
     """
     h = np.asarray(h, dtype=complex)
-    stack = h if h.ndim == 3 else h[None]
-    b, n, _ = stack.shape
-    scale = np.maximum(np.linalg.norm(stack, axis=(1, 2)), 1e-300)
+    b, n, _ = h.shape
+    scale = np.maximum(np.linalg.norm(h, axis=(1, 2)), 1e-300)
     # a on top of u, so that one product rotates the columns of both
-    m = np.concatenate([stack, np.broadcast_to(np.eye(n), stack.shape)],
-                       axis=1)
-    eye = np.broadcast_to(np.eye(n, dtype=complex), stack.shape)
+    m = np.concatenate([h, np.broadcast_to(np.eye(n), h.shape)], axis=1)
+    eye = np.broadcast_to(np.eye(n, dtype=complex), h.shape)
     off_diagonal = ~np.eye(n, dtype=bool)
     k = n // 2  # pairs per round
     entries = np.empty((b, 4 * k), dtype=complex)
@@ -178,8 +199,8 @@ def jacobi_eigh(
         # cancels and stops sweeps early
         return np.linalg.norm(m[:, :n] * off_diagonal, axis=(1, 2))
 
-    for _ in range(max_sweeps):
-        live = off_norm() > tol * scale
+    for _ in range(MAX_SWEEPS):
+        live = off_norm() > JACOBI_TOL * scale
         if not live.any():
             break
         keep = None if live.all() else live[:, None]
@@ -213,64 +234,52 @@ def jacobi_eigh(
     order = np.argsort(-w, axis=1)
     w = np.take_along_axis(w, order, axis=1)
     u = np.take_along_axis(m[:, n:], order[:, None, :], axis=2)
-    return (w, u) if h.ndim == 3 else (w[0], u[0])
+    return w, u
 
 
-def _array(x: SkewHermitian | Sequence[SkewHermitian]) -> np.ndarray:
-    """Entries of one matrix, or the (b, n, n) stack of a sequence."""
-    if isinstance(x, SkewHermitian):
-        return x.entries
-    return np.array([m.entries for m in x])
+def _array(xs: Sequence[SkewHermitian]) -> np.ndarray:
+    """The (b, n, n) stack of the entries of a sequence."""
+    return np.array([x.entries for x in xs])
 
 
 def hermitian_eigs(
-    x: SkewHermitian | Sequence[SkewHermitian], residual_tol: float = 1e-9
-) -> tuple[SpectrumVector | list[SpectrumVector], np.ndarray]:
-    """Spectrum of -iX (descending) and a diagonalizing frame, with a
-    per-pair residual check on every matrix.
-
-    A sequence of matrices is decomposed in one stacked Jacobi call and
-    gives a list of spectra and a (b, n, n) stack of frames.
-    """
-    h = -1j * _array(x)
+    xs: Sequence[SkewHermitian],
+) -> tuple[list[SpectrumVector], np.ndarray]:
+    """Spectra of -iX (descending) and a (b, n, n) stack of
+    diagonalizing frames, from one stacked Jacobi call, with a per-pair
+    residual check on every matrix."""
+    h = -1j * _array(xs)
     w, u = jacobi_eigh(h)
-    res = np.abs(h @ u - u * w[..., None, :]).max()
-    if res > residual_tol:
+    res = np.abs(h @ u - u * w[:, None, :]).max()
+    if res > EIG_RESIDUAL:
         raise NonConvergenceError(f"eigenpair residual {res:.3e}")
     # exact tracelessness drifted by rounding; the shift keeps the order
-    lam = w - w.mean(axis=-1, keepdims=True)
-    if lam.ndim == 1:
-        return SpectrumVector(lam), u
+    lam = w - w.mean(axis=1, keepdims=True)
     return [SpectrumVector(row) for row in lam], u
 
 
-def norm_spectrum(
-    x: SkewHermitian | Sequence[SkewHermitian],
-) -> SpectrumVector | list[SpectrumVector]:
-    """The dominant representative ||X|| (a list of them for a
-    sequence)."""
-    return hermitian_eigs(x)[0]
+def norm_spectrum(xs: Sequence[SkewHermitian]) -> list[SpectrumVector]:
+    """The dominant representatives ||X||."""
+    return hermitian_eigs(xs)[0]
 
 
-def exp_skew(x: SkewHermitian | Sequence[SkewHermitian]) -> np.ndarray:
-    """e^X via the Jacobi eigendecomposition of -iX (a stack of them for
-    a sequence)."""
-    return _exp_in_frame(_array(x), hermitian_eigs(x)[1])
+def exp_skew(xs: Sequence[SkewHermitian]) -> np.ndarray:
+    """The (b, n, n) stack of e^X, via the Jacobi eigendecompositions of
+    -iX."""
+    return _exp_in_frame(_array(xs), hermitian_eigs(xs)[1])
 
 
 def _exp_in_frame(a: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """e^A for skew-Hermitian A, or for each of a stack, in frames u
+    """e^A for each skew-Hermitian A of a stack, in frames u
     diagonalizing -iA."""
     # hermitian_eigs re-centers; use the raw frame eigenvalues instead
-    w = np.real(np.sum(u.conj() * (-1j * a @ u), axis=-2))
-    return (u * np.exp(1j * w)[..., None, :]) @ u.conj().swapaxes(-1, -2)
+    w = np.real(np.sum(u.conj() * (-1j * a @ u), axis=1))
+    return (u * np.exp(1j * w)[:, None, :]) @ u.conj().swapaxes(1, 2)
 
 
-def eig_unitary(
-    p: np.ndarray, cluster_tol: float = 1e-7, residual_tol: float = 1e-8
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and frame of a unitary matrix, or of each matrix of
-    a stack (b, n, n).
+def eig_unitary(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (b, n) and frames (b, n, n) of a stack of unitary
+    matrices.
 
     Each matrix is first turned by the phase i e^{-i arg tr p}, which
     centres its spectrum on the imaginary axis, where the cosine of
@@ -281,64 +290,54 @@ def eig_unitary(
     equal cosines.  The skew part separates the phases inside each
     cluster, one call per cluster of each matrix.
     """
-    stack = p if p.ndim == 3 else p[None]
-    b, n, _ = stack.shape
-    turn = 1j * np.exp(-1j * np.angle(np.trace(stack, axis1=1, axis2=2)))
-    q = stack * turn[:, None, None]
+    b, n, _ = p.shape
+    turn = 1j * np.exp(-1j * np.angle(np.trace(p, axis1=1, axis2=2)))
+    q = p * turn[:, None, None]
     cos, u = jacobi_eigh((q + q.conj().swapaxes(1, 2)) / 2.0)
     for i in range(b):
         start = 0
         for stop in range(1, n + 1):
-            # cosines descend; a cluster is a run within cluster_tol of
+            # cosines descend; a cluster is a run within CLUSTER_TOL of
             # its first cosine
-            if stop < n and cos[i, start] - cos[i, stop] <= cluster_tol:
+            if stop < n and cos[i, start] - cos[i, stop] <= CLUSTER_TOL:
                 continue
             if stop - start > 1:
                 f = u[i, :, start:stop]
                 block = f.conj().T @ q[i] @ f
-                _, v = jacobi_eigh((block - block.conj().T) / 2j)
-                u[i, :, start:stop] = f @ v
+                _, v = jacobi_eigh((block - block.conj().T)[None] / 2j)
+                u[i, :, start:stop] = f @ v[0]
             start = stop
-    d = u.conj().swapaxes(1, 2) @ stack @ u
+    d = u.conj().swapaxes(1, 2) @ p @ u
     eig = d.diagonal(axis1=1, axis2=2)
     off = np.abs(d - eig[:, :, None] * np.eye(n)).max()
-    if off > residual_tol:
+    if off > UNITARY_RESIDUAL:
         raise NonConvergenceError(
             f"unitary diagonalization residual {off:.3e}"
         )
-    return (eig, u) if p.ndim == 3 else (eig[0], u[0])
+    return eig, u
 
 
-def log_unitary_small(
-    p: np.ndarray, branch_guard: float = 1e-6
-) -> SkewHermitian | list[SkewHermitian | None]:
-    """Principal logarithm of a special-unitary matrix, guarding the
-    branch cut: samples with an eigenvalue within ``branch_guard`` of
-    -1 are rejected.  A stack (b, n, n) gives a list with None in place
-    of each rejected sample."""
-    stack = p if p.ndim == 3 else p[None]
-    n = stack.shape[-1]
-    eig, u = eig_unitary(stack)
+def log_unitary_small(p: np.ndarray) -> list[SkewHermitian | None]:
+    """Principal logarithms of a stack (b, n, n) of special-unitary
+    matrices, guarding the branch cut: a matrix with an eigenvalue
+    within BRANCH_GUARD of -1 gets None in place of its logarithm."""
+    n = p.shape[-1]
+    eig, u = eig_unitary(p)
     phi = np.angle(eig)
     phi = phi - phi.mean(axis=1, keepdims=True)
     z = (u * (1j * phi)[:, None, :]) @ u.conj().swapaxes(1, 2)
     z = (z - z.conj().swapaxes(1, 2)) / 2.0
     z = z - (np.trace(z, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
-    cut = np.abs(eig + 1.0).min(axis=1) < branch_guard
-    logs = [None if at_cut else SkewHermitian(zi)
+    cut = np.abs(eig + 1.0).min(axis=1) < BRANCH_GUARD
+    return [None if at_cut else SkewHermitian(zi)
             for at_cut, zi in zip(cut, z)]
-    if p.ndim == 3:
-        return logs
-    if logs[0] is None:
-        raise BranchAmbiguityError("eigenvalue at the branch cut")
-    return logs[0]
 
 
 # ---------------------------------------------------------------------------
 # the checks
 #
-# Each check takes one input, or sequences of inputs checked together
-# with one stacked Jacobi call per stage; one input is the chunk of one.
+# Each check takes sequences of inputs, checked together with one
+# stacked Jacobi call per stage, and gives one result per input.
 
 
 @dataclass(frozen=True)
@@ -348,33 +347,20 @@ class CheckResult:
     detail: str = ""
 
 
-def _listed(x: SkewHermitian | Sequence[SkewHermitian]) -> list:
-    return [x] if isinstance(x, SkewHermitian) else list(x)
-
-
-def _dominance_gap(a: SpectrumVector, b: SpectrumVector,
-                   c: SpectrumVector) -> float:
-    """Largest excess of a partial sum of a over those of b + c."""
-    gap = a.partial_sums() - (b.partial_sums() + c.partial_sums())
-    return float(gap.max()) if len(gap) else 0.0
-
-
 def check_triangle(
-    x: SkewHermitian | Sequence[SkewHermitian],
-    y: SkewHermitian | Sequence[SkewHermitian],
-    tol: float = 1e-9,
-) -> CheckResult | list[CheckResult]:
-    """Partial-sum comparison of ||X+Y|| against ||X|| + ||Y||; one
-    result per pair for sequences."""
-    xs, ys = _listed(x), _listed(y)
+    xs: Sequence[SkewHermitian], ys: Sequence[SkewHermitian]
+) -> list[CheckResult]:
+    """Partial-sum comparison of ||X+Y|| against ||X|| + ||Y||, one
+    result per pair."""
     b = len(xs)
     sums = [SkewHermitian(p.entries + q.entries) for p, q in zip(xs, ys)]
     spectra, _ = hermitian_eigs([*xs, *ys, *sums])
     results = []
     for i in range(b):
-        worst = _dominance_gap(spectra[2 * b + i], spectra[i], spectra[b + i])
-        results.append(CheckResult(ok=worst <= tol, residual=max(worst, 0.0)))
-    return results[0] if isinstance(x, SkewHermitian) else results
+        worst = dominance_gap(spectra[2 * b + i], spectra[i], spectra[b + i])
+        results.append(CheckResult(ok=worst <= TRIANGLE_TOL,
+                                   residual=max(worst, 0.0)))
+    return results
 
 
 def aligned_partner(
@@ -382,7 +368,7 @@ def aligned_partner(
 ) -> SkewHermitian:
     """The conjugate of i*diag(spectrum) in a frame diagonalizing
     omega; realizes equality in the pairing bound."""
-    return _aligned_in_frame(omega, hermitian_eigs(omega)[1], spectrum)
+    return _aligned_in_frame(omega, hermitian_eigs([omega])[1][0], spectrum)
 
 
 def _aligned_in_frame(
@@ -397,15 +383,11 @@ def _aligned_in_frame(
 
 
 def check_pairing_bound(
-    omega: SkewHermitian | Sequence[SkewHermitian],
-    x: SkewHermitian | Sequence[SkewHermitian],
-    tol: float = 1e-9,
-    equality_tol: float = 1e-8,
-) -> CheckResult | list[CheckResult]:
+    omegas: Sequence[SkewHermitian], xs: Sequence[SkewHermitian]
+) -> list[CheckResult]:
     """<w, X> = -Tr(wX) <= <||w||, ||X||>; on the aligned partner of
-    w with the spectrum of X, equality within ``equality_tol``.  One
-    result per pair for sequences."""
-    omegas, xs = _listed(omega), _listed(x)
+    w with the spectrum of X, equality within EQUALITY_TOL.  One result
+    per pair."""
     b = len(xs)
     spectra, frames = hermitian_eigs([*xs, *omegas])
     results = []
@@ -418,35 +400,32 @@ def check_pairing_bound(
         lhs_eq = float(np.real(-np.trace(w.entries @ aligned.entries)))
         eq_gap = abs(lhs_eq - rhs)
         results.append(CheckResult(
-            ok=gap <= tol and eq_gap <= equality_tol,
+            ok=gap <= PAIRING_TOL and eq_gap <= EQUALITY_TOL,
             residual=max(gap, eq_gap, 0.0),
             detail=f"lhs={lhs:.6e} rhs={rhs:.6e} aligned_gap={eq_gap:.3e}",
         ))
-    return results[0] if isinstance(x, SkewHermitian) else results
+    return results
 
 
 def check_klyachko(
-    x: SkewHermitian | Sequence[SkewHermitian],
-    y: SkewHermitian | Sequence[SkewHermitian],
+    xs: Sequence[SkewHermitian],
+    ys: Sequence[SkewHermitian],
     bound: SpectrumVector,
-    tol: float = 1e-8,
     eigs: tuple[list[SpectrumVector], np.ndarray] | None = None,
-) -> CheckResult | list[CheckResult | None]:
+) -> list[CheckResult | None]:
     """e^X e^Y = e^Z with ||Z|| <= ||X|| + ||Y||, for ||X||, ||Y||
     below a dominant bound that is itself below e_1 / (100 N).
 
-    One pair raises :class:`BranchAmbiguityError` when its product has
-    an eigenvalue at the branch cut; for sequences, such a pair gets
-    None in place of a result.  ``eigs`` is the (spectra, frames)
-    decomposition of [*x, *y] when the caller already has it.
+    A pair whose product has an eigenvalue at the branch cut gets None
+    in place of a result.  ``eigs`` is the (spectra, frames)
+    decomposition of [*xs, *ys] when the caller already has it.
     """
-    xs, ys = _listed(x), _listed(y)
     n, b = xs[0].n, len(xs)
     cap = coroot_spectrum(n, 1).scale(1.0 / (100.0 * n))
-    if not dominated_by(bound, cap, 0.0):
+    if dominance_gap(bound, cap) > 0.0:
         raise ValueError("bound must lie strictly below e_1 / (100 N)")
     spectra, frames = hermitian_eigs([*xs, *ys]) if eigs is None else eigs
-    if not all(dominated_by(s, bound, 1e-12) for s in spectra):
+    if any(dominance_gap(s, bound) > BOUND_MARGIN for s in spectra):
         raise ValueError("inputs exceed the stated norm bound")
     e = _exp_in_frame(_array([*xs, *ys]), frames)
     prods = e[:b] @ e[b:]
@@ -460,29 +439,25 @@ def check_klyachko(
             axis=(1, 2))
         for j, i in enumerate(kept):
             trace_res = abs(np.trace(zs[j].entries))
-            worst = _dominance_gap(sz[j], spectra[i], spectra[b + i])
+            worst = dominance_gap(sz[j], spectra[i], spectra[b + i])
             results[i] = CheckResult(
-                ok=recon[j] <= tol and worst <= tol and trace_res <= 1e-9,
+                ok=(recon[j] <= KLYACHKO_TOL and worst <= KLYACHKO_TOL
+                    and trace_res <= TRACE_TOL),
                 residual=max(float(recon[j]), worst, trace_res, 0.0),
                 detail=f"recon={recon[j]:.3e} dominance_gap={worst:.3e}",
             )
-    if not isinstance(x, SkewHermitian):
-        return results
-    if results[0] is None:
-        raise BranchAmbiguityError("eigenvalue at the branch cut")
-    return results[0]
+    return results
 
 
-def _window_excess(
-    phis: np.ndarray, lo: float, hi: float, tol: float
-) -> np.ndarray:
+def _window_excess(phis: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """How far each argument lies outside [lo, hi] modulo 2*pi; 0 for
-    one that some 2*pi-translate puts in [lo - tol, hi + tol]."""
+    one that some 2*pi-translate puts in [lo - WINDOW_TOL,
+    hi + WINDOW_TOL]."""
     width = hi - lo
     if width >= TWO_PI:
         return np.zeros_like(phis)
     shifted = (phis - lo) % TWO_PI
-    inside = (shifted <= width + 2 * tol) | (shifted >= TWO_PI - tol)
+    inside = (shifted <= width + WINDOW_TOL) | (shifted >= TWO_PI - WINDOW_TOL)
     return np.where(inside, 0.0,
                     np.minimum(shifted - width, TWO_PI - shifted))
 
@@ -490,32 +465,28 @@ def _window_excess(
 def check_interval_product(
     g1: np.ndarray,
     g2: np.ndarray,
-    window1: tuple[float, float] | Sequence[tuple[float, float]],
-    window2: tuple[float, float] | Sequence[tuple[float, float]],
-    tol: float = 1e-8,
-) -> CheckResult | list[CheckResult]:
-    """All eigenvalue arguments of g1 g2 lie in the sum window, taken
-    in the unique short interval when the sum window is shorter than a
-    full turn.  For stacks g1, g2 (b, n, n) with sequences of windows,
-    one result per product."""
-    one = np.ndim(g1) == 2
-    if one:
-        g1, g2, window1, window2 = g1[None], g2[None], [window1], [window2]
+    windows1: Sequence[tuple[float, float]],
+    windows2: Sequence[tuple[float, float]],
+) -> list[CheckResult]:
+    """All eigenvalue arguments of each product g1[i] g2[i] of two
+    stacks (b, n, n) lie in the sum of the windows, taken in the unique
+    short interval when the sum window is shorter than a full turn.
+    One result per product."""
     b = len(g1)
     eig, _ = eig_unitary(np.concatenate([g1, g2, g1 @ g2]))
     phis = np.angle(eig)
     results = []
-    for i, (w1, w2) in enumerate(zip(window1, window2)):
+    for i, (w1, w2) in enumerate(zip(windows1, windows2)):
         for phi, (lo, hi) in ((phis[i], w1), (phis[b + i], w2)):
-            if _window_excess(phi, lo, hi, tol).any():
+            if _window_excess(phi, lo, hi).any():
                 raise ValueError("factor violates its stated window")
         lo, hi = w1[0] + w2[0], w1[1] + w2[1]
         if hi - lo >= TWO_PI:
             results.append(CheckResult(True, 0.0, "window >= full turn"))
         else:
-            worst = float(_window_excess(phis[2 * b + i], lo, hi, tol).max())
+            worst = float(_window_excess(phis[2 * b + i], lo, hi).max())
             results.append(CheckResult(ok=worst == 0.0, residual=worst))
-    return results[0] if one else results
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -530,10 +501,11 @@ def random_skew_hermitian(n: int, rng: np.random.Generator) -> SkewHermitian:
     return SkewHermitian(a)
 
 
-def _rescaled(
-    xs: Sequence[SkewHermitian], bound: SpectrumVector, slack: float = 0.95
+def rescaled_to_bound(
+    xs: Sequence[SkewHermitian], bound: SpectrumVector
 ) -> tuple[list[SkewHermitian], tuple[list[SpectrumVector], np.ndarray]]:
-    """rescaled_to_bound on each matrix, with the decomposition of the
+    """Each X scaled by c <= 1 so that ||cX|| <= RESCALE_SLACK * bound
+    in dominance order, with the decomposition (spectra, frames) of the
     results: cX keeps X's frame, and its spectrum is c times X's."""
     spectra, frames = hermitian_eigs(xs)
     pb = bound.partial_sums()
@@ -541,17 +513,10 @@ def _rescaled(
     for x, spectrum in zip(xs, spectra):
         ps = spectrum.partial_sums()
         ratios = [pb[k] / ps[k] for k in range(len(ps)) if ps[k] > 1e-300]
-        c = min(slack * min(ratios), 1.0) if ratios else 1.0
+        c = min(RESCALE_SLACK * min(ratios), 1.0) if ratios else 1.0
         scaled.append(SkewHermitian(x.entries * c))
         scaled_spectra.append(spectrum.scale(c))
     return scaled, (scaled_spectra, frames)
-
-
-def rescaled_to_bound(
-    x: SkewHermitian, bound: SpectrumVector, slack: float = 0.95
-) -> SkewHermitian:
-    """Scale X so that ||cX|| <= bound in dominance order."""
-    return _rescaled([x], bound, slack)[0][0]
 
 
 def _draw_in_window(
@@ -690,7 +655,7 @@ def run_trials(
     bound = coroot_spectrum(n, 1).scale(0.9 / (100.0 * n))
     while len(results) < trials:
         xs, ys = pairs(results)
-        scaled, eigs = _rescaled([*xs, *ys], bound)
+        scaled, eigs = rescaled_to_bound([*xs, *ys], bound)
         checked = check_klyachko(scaled[: len(xs)], scaled[len(xs):], bound,
                                  eigs=eigs)
         results += [r for r in checked if r is not None]

@@ -7,7 +7,6 @@ import pytest
 
 from flagsheaf import lie_numerics
 from flagsheaf.lie_numerics import (
-    BranchAmbiguityError,
     NonConvergenceError,
     SkewHermitian,
     SpectrumVector,
@@ -54,7 +53,7 @@ def test_jacobi_matches_lapack():
     for n in (2, 3, 5, 8):
         m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         h = (m + m.conj().T) / 2
-        w, u = jacobi_eigh(h)
+        (w,), (u,) = jacobi_eigh(h[None])
         assert np.abs(h @ u - u @ np.diag(w)).max() < 1e-9
         assert np.abs(np.sort(w) - np.linalg.eigvalsh(h)).max() < 1e-10
 
@@ -91,17 +90,18 @@ def _jacobi_inputs(n, rng):
 def test_jacobi_matches_eigvalsh_oracle(n):
     rng = np.random.default_rng(100 + n)
     for kind, h in _jacobi_inputs(n, rng).items():
-        w, u = jacobi_eigh(h)
+        (w,), (u,) = jacobi_eigh(h[None])
         assert np.all(np.diff(w) <= 0), kind
         assert np.abs(w - np.linalg.eigvalsh(h)[::-1]).max() < 1e-10, kind
         assert np.abs(u.conj().T @ u - np.eye(n)).max() < 1e-12, kind
 
 
-def test_jacobi_sweep_limit_raises():
+def test_jacobi_sweep_limit_raises(monkeypatch):
     rng = np.random.default_rng(9)
     m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    monkeypatch.setattr(lie_numerics, "MAX_SWEEPS", 1)
     with pytest.raises(NonConvergenceError):
-        jacobi_eigh((m + m.conj().T) / 2, max_sweeps=1)
+        jacobi_eigh(((m + m.conj().T) / 2)[None])
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -112,7 +112,7 @@ def test_jacobi_stack_matches_each_slice_and_eigvalsh(n):
     inputs = _jacobi_inputs(n, rng)
     w, u = jacobi_eigh(np.array(list(inputs.values()), dtype=complex))
     for i, (kind, h) in enumerate(inputs.items()):
-        alone, _ = jacobi_eigh(h)
+        (alone,), _ = jacobi_eigh(h[None])
         assert np.abs(w[i] - alone).max() < 1e-10, kind
         assert np.abs(w[i] - np.linalg.eigvalsh(h)[::-1]).max() < 1e-10, kind
         assert np.abs(u[i].conj().T @ u[i] - np.eye(n)).max() < 1e-12, kind
@@ -122,14 +122,14 @@ def test_jacobi_stack_matches_each_slice_and_eigvalsh(n):
     assert np.count_nonzero(u[list(inputs).index("diagonal+1e-200")]) == n
 
 
-def test_jacobi_stack_with_one_stalled_member_raises():
+def test_jacobi_stack_with_one_stalled_member_raises(monkeypatch):
     rng = np.random.default_rng(9)
     m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
     converged = [np.zeros((6, 6)), np.diag(np.arange(6.0))]
-    jacobi_eigh(np.array(converged), max_sweeps=1)
+    monkeypatch.setattr(lie_numerics, "MAX_SWEEPS", 1)
+    jacobi_eigh(np.array(converged))
     with pytest.raises(NonConvergenceError):
-        jacobi_eigh(np.array(converged + [(m + m.conj().T) / 2]),
-                    max_sweeps=1)
+        jacobi_eigh(np.array(converged + [(m + m.conj().T) / 2]))
 
 
 def test_verified_path_calls_no_external_eigensolver():
@@ -144,6 +144,20 @@ def test_verified_path_calls_no_external_eigensolver():
                 names.append(node.module or "")
             assert not solvers & set(names), ast.unparse(node)
             assert not any(name.split(".")[0] == "scipy" for name in names)
+
+
+def test_no_function_takes_a_tolerance_parameter():
+    # every tolerance is a module constant: a knob on one function would
+    # let one caller decide differently from all the others
+    knobs = {"max_sweeps", "slack", "branch_guard"}
+    tree = ast.parse(Path(lie_numerics.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            a = node.args
+            for param in [*a.posonlyargs, *a.args, *a.kwonlyargs]:
+                name = param.arg
+                assert not (name.endswith("tol") or name in knobs), (
+                    f"{node.name}({name})")
 
 
 def _count_jacobi(monkeypatch):
@@ -172,7 +186,7 @@ def test_pairing_bound_decomposes_each_matrix_once(monkeypatch):
     omega = random_skew_hermitian(6, rng)
     x = random_skew_hermitian(6, rng)
     calls, _ = _count_jacobi(monkeypatch)
-    assert check_pairing_bound(omega, x).ok
+    assert check_pairing_bound([omega], [x])[0].ok
     # x and omega in one stacked call
     assert calls == [(2, 6, 6)]
 
@@ -184,8 +198,8 @@ def test_triangle_and_interval_product_stack_their_matrices(monkeypatch):
     g1 = sample_unitary_in_window(5, w1, rng)
     g2 = sample_unitary_in_window(5, w2, rng)
     calls, inside = _count_jacobi(monkeypatch)
-    assert check_triangle(x, y).ok
-    assert check_interval_product(g1, g2, w1, w2).ok
+    assert check_triangle([x], [y])[0].ok
+    assert check_interval_product(g1[None], g2[None], [w1], [w2])[0].ok
     # x, y, x + y in one call; g1, g2, g1 g2 in one eig_unitary pass
     assert calls == [(3, 5, 5), (3, 5, 5)]
     assert inside == [1]
@@ -195,10 +209,10 @@ def test_klyachko_decomposes_each_matrix_once(monkeypatch):
     n = 6
     rng = np.random.default_rng(61)
     bound = coroot_spectrum(n, 1).scale(0.9 / (100 * n))
-    x = rescaled_to_bound(random_skew_hermitian(n, rng), bound)
-    y = rescaled_to_bound(random_skew_hermitian(n, rng), bound)
+    (x, y), _ = rescaled_to_bound(
+        [random_skew_hermitian(n, rng), random_skew_hermitian(n, rng)], bound)
     calls, inside = _count_jacobi(monkeypatch)
-    assert check_klyachko(x, y, bound).ok
+    assert check_klyachko([x], [y], bound)[0].ok
     # x and y in one call, the product in one, z in one: turned onto
     # the imaginary axis, the small phases of e^X e^Y have distinct
     # cosines, so eig_unitary needs no cluster pass
@@ -213,7 +227,7 @@ def test_klyachko_without_clusters_makes_four_jacobi_runs(monkeypatch):
     bound = coroot_spectrum(n, 1).scale(0.9 / (100 * n))
     x = SkewHermitian(1j * np.diag([1.5e-3, -0.6e-3, -0.9e-3]))
     calls, inside = _count_jacobi(monkeypatch)
-    assert check_klyachko(x, x, bound).ok
+    assert check_klyachko([x], [x], bound)[0].ok
     assert inside == [1]
     assert calls == [(2, 3, 3), (1, 3, 3), (1, 3, 3)]
 
@@ -227,7 +241,7 @@ def _reference_draws(n, trials, seed, log_pairs):
     draw = lambda: random_skew_hermitian(n, rng)  # noqa: E731
     triangle = [(draw(), draw()) for _ in range(trials)]
     pairing = [(draw(), draw()) for _ in range(trials)]
-    log = [(rescaled_to_bound(draw(), bound), rescaled_to_bound(draw(), bound))
+    log = [rescaled_to_bound([draw(), draw()], bound)[0]
            for _ in range(log_pairs)]
     interval = []
     for _ in range(trials):
@@ -302,8 +316,9 @@ def test_each_lemma_checks_the_inputs_a_loop_of_single_trials_draws(
     assert same(ys, [p[1] for p in log], 1e-15)
     # the decomposition handed over is that of the rescaled inputs
     spectra, _ = first[1]["eigs"]
-    for s, x in zip(spectra, [*first[0][0], *first[0][1]]):
-        assert np.abs(s.lambdas - norm_spectrum(x).lambdas).max() < 1e-15
+    rescaled = [*first[0][0], *first[0][1]]
+    for s, alone in zip(spectra, norm_spectrum(rescaled), strict=True):
+        assert np.abs(s.lambdas - alone.lambdas).max() < 1e-15
     (((g1, g2, windows1, windows2), _),) = checked["check_interval_product"]
     assert np.abs(g1 - np.array([t[0] for t in interval])).max() < 1e-12
     assert np.abs(g2 - np.array([t[1] for t in interval])).max() < 1e-12
@@ -319,10 +334,10 @@ def test_run_trials_rank_12():
 
 def test_hermitian_eigs_zero_and_diagonal():
     z = SkewHermitian(np.zeros((3, 3)))
-    spec, _ = hermitian_eigs(z)
-    assert np.allclose(spec.lambdas, 0.0)
     a = SkewHermitian(1j * np.diag([0.5, -0.5]) * 2 * math.pi)
-    spec, _ = hermitian_eigs(a)
+    (spec,), _ = hermitian_eigs([z])
+    assert np.allclose(spec.lambdas, 0.0)
+    (spec,), _ = hermitian_eigs([a])
     assert np.allclose(spec.lambdas, [math.pi, -math.pi])
 
 
@@ -330,11 +345,10 @@ def test_norm_conjugation_invariance():
     rng = np.random.default_rng(5)
     for n in (3, 5):
         a = random_skew_hermitian(n, rng)
-        u = exp_skew(random_skew_hermitian(n, rng))
+        (u,) = exp_skew([random_skew_hermitian(n, rng)])
         b = SkewHermitian(u @ a.entries @ u.conj().T)
-        drift = np.abs(
-            norm_spectrum(a).lambdas - norm_spectrum(b).lambdas
-        ).max()
+        sa, sb = norm_spectrum([a, b])
+        drift = np.abs(sa.lambdas - sb.lambdas).max()
         assert drift < 1e-8
 
 
@@ -342,25 +356,24 @@ def test_triangle_trivia():
     rng = np.random.default_rng(1)
     x = random_skew_hermitian(4, rng)
     zero = SkewHermitian(np.zeros((4, 4)))
-    r = check_triangle(x, zero)
+    r, r2 = check_triangle([x, x], [zero, SkewHermitian(-x.entries)])
     assert r.ok and r.residual <= 1e-9
-    r2 = check_triangle(x, SkewHermitian(-x.entries))
     assert r2.ok
 
 
 def test_pairing_bound_cases():
     rng = np.random.default_rng(2)
     x = random_skew_hermitian(4, rng)
-    self_pair = check_pairing_bound(x, x)
+    (self_pair,) = check_pairing_bound([x], [x])
     assert self_pair.ok
-    sx = norm_spectrum(x)
+    (sx,) = norm_spectrum([x])
     assert abs(
         float(np.real(-np.trace(x.entries @ x.entries)))
         - spectrum_pairing(sx, sx)
     ) < 1e-9
     omega = random_skew_hermitian(4, rng)
     aligned = aligned_partner(omega, sx)
-    r = check_pairing_bound(omega, aligned)
+    (r,) = check_pairing_bound([omega], [aligned])
     assert r.ok
 
 
@@ -368,14 +381,13 @@ def test_klyachko_trivial_cases():
     rng = np.random.default_rng(3)
     n = 3
     bound = coroot_spectrum(n, 1).scale(0.9 / (100 * n))
-    x = rescaled_to_bound(random_skew_hermitian(n, rng), bound)
+    (x,), _ = rescaled_to_bound([random_skew_hermitian(n, rng)], bound)
     zero = SkewHermitian(np.zeros((n, n)))
-    r = check_klyachko(x, zero, bound)
-    assert r.ok
     # commuting diagonal case: Z = X + Y
     d1 = SkewHermitian(1j * np.diag([1e-3, 0, -1e-3]))
     d2 = SkewHermitian(1j * np.diag([5e-4, -5e-4, 0]))
-    r2 = check_klyachko(d1, d2, bound)
+    r, r2 = check_klyachko([x, d1], [zero, d2], bound)
+    assert r.ok
     assert r2.ok
 
 
@@ -385,15 +397,16 @@ def test_klyachko_precondition():
     bound = coroot_spectrum(n, 1).scale(0.9 / (100 * n))
     big = random_skew_hermitian(n, rng)
     with pytest.raises(ValueError):
-        check_klyachko(big, big, bound)
+        check_klyachko([big], [big], bound)
     with pytest.raises(ValueError):
-        check_klyachko(big, big, coroot_spectrum(n, 1))  # bound too large
+        check_klyachko([big], [big], coroot_spectrum(n, 1))  # bound too large
 
 
 def test_log_unitary_branch_guard():
-    with pytest.raises(BranchAmbiguityError):
-        log_unitary_small(np.diag([-1.0 + 0j, -1.0 + 0j, 1.0 + 0j]))
-    z = log_unitary_small(np.diag(np.exp(1j * np.array([0.01, -0.01, 0.0]))))
+    at_cut = np.diag([-1.0 + 0j, -1.0 + 0j, 1.0 + 0j])
+    small = np.diag(np.exp(1j * np.array([0.01, -0.01, 0.0])))
+    rejected, z = log_unitary_small(np.array([at_cut, small]))
+    assert rejected is None
     assert np.abs(np.trace(z.entries)) < 1e-12
 
 
@@ -401,9 +414,9 @@ def test_eig_unitary_clusters():
     rng = np.random.default_rng(6)
     # conjugate phases share a cosine: the cluster pass must separate
     phis = np.array([0.3, -0.3, 0.0, 0.0])
-    frame = exp_skew(random_skew_hermitian(4, rng))
+    (frame,) = exp_skew([random_skew_hermitian(4, rng)])
     g = frame @ np.diag(np.exp(1j * phis)) @ frame.conj().T
-    eig, u = eig_unitary(g)
+    (eig,), _ = eig_unitary(g[None])
     assert np.abs(np.sort(np.angle(eig)) - np.sort(phis)).max() < 1e-8
 
 
@@ -430,15 +443,32 @@ def test_interval_product_trivia():
     n = 3
     g = sample_unitary_in_window(n, (-0.4, 0.4), rng)
     ident = np.eye(n, dtype=complex)
-    r = check_interval_product(g, ident, (-0.4, 0.4), (0.0, 0.0))
-    assert r.ok
     # commuting diagonal: arguments add exactly
     d1 = np.diag(np.exp(1j * np.array([0.2, -0.1, -0.1])))
     d2 = np.diag(np.exp(1j * np.array([0.1, 0.1, -0.2])))
-    r2 = check_interval_product(d1, d2, (-0.1, 0.2), (-0.2, 0.1))
+    r, r2, wide = check_interval_product(
+        np.array([g, d1, g]), np.array([ident, d2, g]),
+        [(-0.4, 0.4), (-0.1, 0.2), (-4.0, 4.0)],
+        [(0.0, 0.0), (-0.2, 0.1), (-4.0, 4.0)])
+    assert r.ok
     assert r2.ok
-    wide = check_interval_product(g, g, (-4.0, 4.0), (-4.0, 4.0))
     assert wide.ok and wide.detail == "window >= full turn"
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+def test_interval_window_tolerance_is_symmetric(sign):
+    # 1.5e-8 outside the window is beyond WINDOW_TOL on either side
+    phi = sign * (0.2 + 1.5e-8)
+    g = np.diag(np.exp(1j * np.array([phi, 0.0, 0.0])))
+    ident = np.eye(3, dtype=complex)
+    with pytest.raises(ValueError, match="factor violates"):
+        check_interval_product(g[None], ident[None], [(-0.2, 0.2)],
+                               [(0.0, 0.0)])
+    # within WINDOW_TOL on either side the factor is accepted
+    inside = np.diag(np.exp(1j * np.array([sign * (0.2 + 0.5e-8), 0, 0])))
+    (r,) = check_interval_product(inside[None], ident[None], [(-0.2, 0.2)],
+                                  [(0.0, 0.0)])
+    assert r.ok
 
 
 def test_interval_sampler_feasibility_guard():
@@ -455,6 +485,18 @@ def test_run_trials_small_all_pass():
         assert {s.name for s in stats} == {
             "triangle", "pairing", "log_product", "interval_product"
         }
+
+
+@pytest.mark.parametrize("n", (2, 3, 6))
+def test_run_trials_across_chunk_boundaries(monkeypatch, n):
+    # chunks of 3 split 7 trials 3 + 3 + 1: draws and results must not
+    # depend on where a chunk ends
+    for seed in (1, 2, 3):
+        default = [s.to_json() for s in run_trials(n, 7, seed)]
+        monkeypatch.setattr(lie_numerics, "_CHUNK", 3)
+        chunked = [s.to_json() for s in run_trials(n, 7, seed)]
+        monkeypatch.undo()
+        assert chunked == default, (n, seed)
 
 
 def test_run_trials_corrupt_fixture_fails():
