@@ -312,7 +312,7 @@ def _sheaf_delta(args) -> int:
     n, z = args.n, CenterClass(args.n, args.z)
     window = _lattice_window(args.window, n)
     m = cartan(n, _coords(args.m, n))
-    dims = model_jump(n, z, args.i, m, eps=args.eps, window=window)
+    dims = model_jump(n, z, args.i, m, window=window)
     return _emit(
         {
             "n": n,
@@ -483,7 +483,6 @@ def _build_parser() -> _Parser:
                           default="uopen")
     delta.add_argument("--i", type=_subset, default=())
     delta.add_argument("--m", required=True)
-    delta.add_argument("--eps", type=_fraction, default=Fraction(1, 2))
 
     pipeline = actions("pipeline", "cross-checks and certificates")
     crosscheck = leaf(pipeline, "crosscheck", _pipeline_crosscheck,
@@ -533,7 +532,7 @@ def _build_parser() -> _Parser:
 
 
 _VALUE_FLAGS = {
-    "--point", "--m", "--d", "--lambda", "--eps", "--window",
+    "--point", "--m", "--d", "--lambda", "--window",
     "--degree-window", "--action-window", "--d-grid",
 }
 

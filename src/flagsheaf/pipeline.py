@@ -166,19 +166,20 @@ def required_stalk_box(p: CartanVector) -> LatticeBox:
 
 
 def jump_required_box(
-    n: int, m: CartanVector, indices: Iterable[int], eps: Fraction
+    n: int, m: CartanVector, indices: Iterable[int]
 ) -> tuple[LatticeBox, tuple[Fraction, Fraction]]:
     """Box (plus profile bounds) containing every apex that can
     contribute to the jump complex at (I, m).
 
-    A contributing apex m' has, for some corner x of the jump box,
-    profile >= u(x) off a set Q and <= max u(x) + eps on Q, while on Q
-    its coordinates are nonnegative (concavity), so the whole profile
-    stays inside [min(0, min u(m)) - 1, max(0, max u(m)) + eps + 1].
+    A contributing apex m' has, for some corner of the jump complex,
+    profile >= u(m) off a set Q and <= max u(m) on Q (the corners are
+    the eps -> 0 limit of the corner width, see ``jump_complex``), while
+    on Q its coordinates are nonnegative (concavity), so the whole
+    profile stays inside [min(0, min u(m)) - 1, max(0, max u(m)) + 1].
     """
     prof = e_profile(m)
     lo_u = min([Fraction(0), *prof]) - 1
-    hi_u = max([Fraction(0), *prof]) + Fraction(eps) + 1
+    hi_u = max([Fraction(0), *prof]) + 1
     lo_x = math.floor(2 * lo_u - 2 * hi_u)
     hi_x = math.ceil(2 * hi_u - 2 * lo_u)
     return tuple((lo_x, hi_x) for _ in range(n - 1)), (lo_u, hi_u)
@@ -347,16 +348,15 @@ def model_jump(
     z: CenterClass,
     indices: Iterable[int],
     m: CartanVector,
-    eps: Fraction = Fraction(1, 2),
     window: LatticeBox | None = None,
 ) -> GradedDims:
     """Jump of the cone model at (I, m), windowed with certified
     margins."""
     idx = tuple(sorted(set(indices)))
-    required, u_bounds = jump_required_box(n, m, idx, eps)
+    required, u_bounds = jump_required_box(n, m, idx)
     window = resolve_window(window, required, f"jump at {m}")
     model = build_cone_model(n, z, window, u_bounds=u_bounds)
-    return jump_complex(model, idx, m, eps).cohomology()
+    return jump_complex(model, idx, m).cohomology()
 
 
 # ---------------------------------------------------------------------------

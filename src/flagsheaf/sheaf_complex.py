@@ -5,12 +5,12 @@ A ``SheafComplex`` is a finite list of generators; each generator is a
 constant sheaf on one region, placed in one total complex degree,
 tensored with a graded multiplicity space.  Differential entries are
 rational multiples of canonical maps (restrictions onto smaller closed
-cones, extensions into larger open lower sets), so stalks and sections
-turn the complex into an ordinary finite complex of K-vector spaces
-with the same coefficients.  That finite complex keeps one basis line
-per alive generator, carrying the generator's multiplicity space:
-taking cohomology commutes with tensoring by it.  Coefficients with
-denominator 1 are kept as ``int`` throughout.
+cones), so stalks and sections turn the complex into an ordinary
+finite complex of K-vector spaces with the same coefficients.  That
+finite complex keeps one basis line per alive generator, carrying the
+generator's multiplicity space: taking cohomology commutes with
+tensoring by it.  Coefficients with denominator 1 are kept as ``int``
+throughout.
 
 Cohomology is computed by unit-pivot (algebraic Morse) reduction
 (Kaczynski-Mischaikow-Mrozek, Computational Homology, 2004; Skoldberg,
@@ -60,15 +60,10 @@ from .root_system import (
     CenterClass,
     IntegrityError,
     cartan,
-    center_class,
-    dominance_leq,
     e_profile,
     f_vec,
-    i_set,
-    in_c_minus,
     lattice_center,
     lattice_degree,
-    pair_e,
     scaled_profile,
 )
 
@@ -220,19 +215,13 @@ class SheafGenerator:
 
 
 def _check_entry_regions(src: SheafGenerator, dst: SheafGenerator):
-    """Accept only entries proportional to a canonical nonzero map.
-
-    Closed cones map by restriction onto smaller cones (same apex, a
-    larger index set); open lower sets map by extension into larger
-    ones (dominance of the parameters).  Either way the map is the
-    identity on every stalk both regions contain.
+    """Accept only entries proportional to a canonical nonzero map:
+    the restriction of a closed cone onto a smaller cone (same apex, a
+    larger index set), the identity on every stalk both contain.
     """
     rs, rd = src.region, dst.region
     if isinstance(rs, KCone) and isinstance(rd, KCone):
         if rs.apex.coords == rd.apex.coords and rs.indices <= rd.indices:
-            return
-    if isinstance(rs, UMinusOpen) and isinstance(rd, UMinusOpen):
-        if dominance_leq(rs.x, rd.x):
             return
     raise ValueError(
         f"no canonical sheaf map supports the entry {rs} -> {rd}"
@@ -507,9 +496,10 @@ def _select(
     With an int ``bound``, a cone KCone(J, l) is alive iff N<l, e_j> <=
     bound[j - 1] for every j in J, exactly, as N<l, e_j> is an integer:
     floor(N<p, e_j>) for the stalk at p, ceil(N<x, e_j>) - 1 for the
-    sections over UOpen(x).  Each apex object's center class (shared by
-    its cones) and allowed indices are decided together, once;
-    ``fallback(region)`` decides every other generator.
+    sections over UOpen(x) (``_uopen_alive`` gives the jump corners').
+    Each apex object's center class (shared by its cones) and allowed
+    indices are decided together, once; ``fallback(region)`` decides
+    every other generator.
     """
     residue = None if z is None else z.residue
     alive: list[bool] = []
@@ -548,13 +538,12 @@ def _restrict(
     entry of d*d then sums over the same j before and after.  That
     holds for the stalk and sections rules, whose flags are monotone in
     the region: a generator on a larger region is alive whenever one on
-    a smaller region is.  Validated entries join nested regions.  A lower
-    set extends into a larger one, so i alive makes j alive.  A cone
-    restricts onto the smaller cone K(J + {e}) of the same apex, so k
-    alive makes j alive; within a block (I, apex) the alive J are the
-    interval of subsets of the allowed indices that contain forced(I,
-    apex).  Jump complexes glue several restrictions with corner maps
-    and check their own d*d = 0.
+    a smaller region is.  Validated entries restrict a cone onto the
+    smaller cone K(J + {e}) of the same apex, so k alive makes j
+    alive; within a block (I, apex) the alive J are the interval of
+    subsets of the allowed indices that contain forced(I, apex).  Jump
+    complexes glue several restrictions with corner maps and check
+    their own d*d = 0.
     """
     pos = [-1] * len(s.generators)
     alive_gens = []
@@ -588,28 +577,63 @@ def stalk_complex(
     return _restrict(s, alive)[0]
 
 
-def _sections_alive(
-    s: SheafComplex, z: CenterClass | None, u: UOpen | UMinusOpen
-) -> list[bool]:
-    """Generators with RGamma(U; K_region) = K (degree 0), per the
-    module soundness contract.  A cone KCone(J, l) meets UOpen(x) iff
-    <x, e_j> > <l, e_j> for j in J, that is iff N<l, e_j> <=
-    ceil(N<x, e_j>) - 1, the int bound given ``_select``."""
-
-    def has_sections(region: Region) -> bool:
-        if isinstance(region, UMinusOpen):
-            return dominance_leq(u.x, region.x)
-        if isinstance(region, KCone) and isinstance(u, UMinusOpen):
-            return _cone_meets_uminus(region, u.x)
+def _lower_set_alive(
+    n: int,
+    region: Region,
+    profile: Sequence,
+    relaxed: frozenset[int] = frozenset(),
+) -> bool:
+    """Whether UMinusOpen(y) has sections over the lower set at x, of
+    scaled profile X_j = N<x, e_j>: iff x <= y in dominance order, Y_j
+    >= X_j (module soundness contract), strictly on ``relaxed``."""
+    if not isinstance(region, UMinusOpen):
         raise ValueError(
             f"unsupported generator region {type(region).__name__} "
             "in sections"
         )
+    y_profile = scaled_profile(n, region.x.coords)
+    return all(
+        y > x if j in relaxed else y >= x
+        for j, (x, y) in enumerate(zip(profile, y_profile), 1)
+    )
 
-    bound = None
+
+def _uopen_alive(
+    s: SheafComplex,
+    z: CenterClass | None,
+    profile: Sequence,
+    relaxed: frozenset[int] = frozenset(),
+) -> list[bool]:
+    """Generators with RGamma(U; K_region) = K (degree 0) over U =
+    UOpen(x + eps * sum_{k in relaxed} f_k) as eps -> 0, x given by its
+    scaled profile X_j = N<x, e_j>; U's profile is X_j + N eps [j in
+    relaxed], as <f_k, e_j> = delta_kj.  A cone KCone(J, l) meets U iff
+    N<l, e_j> is below U's profile on J: in the limit, <= floor(X_j) on
+    ``relaxed`` and <= ceil(X_j) - 1 off it, the int bound given
+    ``_select``.  ``_lower_set_alive`` takes the limit for lower sets.
+    """
+    bound = [
+        math.floor(x) if j in relaxed else math.ceil(x) - 1
+        for j, x in enumerate(profile, 1)
+    ]
+    return _select(
+        s, z, bound, lambda r: _lower_set_alive(s.n, r, profile, relaxed)
+    )
+
+
+def _sections_alive(
+    s: SheafComplex, z: CenterClass | None, u: UOpen | UMinusOpen
+) -> list[bool]:
+    """Generators with RGamma(U; K_region) = K (degree 0), per the
+    module soundness contract."""
+    profile = scaled_profile(s.n, u.x.coords)
     if isinstance(u, UOpen):
-        bound = [math.ceil(c) - 1 for c in scaled_profile(s.n, u.x.coords)]
-    return _select(s, z, bound, has_sections)
+        return _uopen_alive(s, z, profile)
+    return _select(
+        s, z, None,
+        lambda r: _cone_meets_uminus(r, u.x) if isinstance(r, KCone)
+        else _lower_set_alive(s.n, r, profile),
+    )
 
 
 def sections_complex(
@@ -623,68 +647,17 @@ def sections_complex(
     return _restrict(s, _sections_alive(s, z, u))[0]
 
 
-def select_epsilon(points: Sequence[CartanVector], l: CartanVector) -> Fraction:
-    """Return the verified corner width 1/2 for a finite lattice family
-    in C_- with one fixed center class.
-
-    For every other member l', either some k in I_l has
-    <l' - l, e_k> outside [0, eps], or some k off I_l has
-    <l', e_k> < <l, e_k>.  Differences within a center class lie in
-    the root lattice, so their coroot pairings are integers and any
-    eps in (0, 1) works; the disjunction is re-verified and a failure
-    is an internal contradiction, not an input error.
-    """
-    eps = Fraction(1, 2)
-    if not any(p.coords == l.coords for p in points):
-        raise ValueError("base point is not a member of the family")
-    for p in points:
-        if not (p.is_integral() and in_c_minus(p)):
-            raise ValueError("family must consist of lattice points in C_-")
-        if center_class(p) != center_class(l):
-            raise ValueError("family must have a single center class")
-    il = i_set(l)
-    off = [k for k in range(1, l.n) if k not in il]
-    for q in points:
-        if q.coords == l.coords:
-            continue
-        first = any(
-            not 0 <= pair_e(q - l, k) <= eps for k in sorted(il)
-        )
-        second = any(pair_e(q, k) < pair_e(l, k) for k in off)
-        if not (first or second):
-            raise IntegrityError(
-                f"corner separation failed for l={l}, l'={q}"
-            )
-    return eps
-
-
-def rhom_generators(g1: UMinusOpen, g2: UMinusOpen) -> GradedDims:
-    """Morphisms between lower-set generators: one line in degree 0
-    when the sources dominate, nothing otherwise."""
-    if dominance_leq(g1.x, g2.x):
-        return GradedDims.line(0)
-    return GradedDims.empty()
-
-
 def jump_complex(
-    s: SheafComplex,
-    indices: Iterable[int],
-    m: CartanVector,
-    eps: Fraction = Fraction(1, 2),
+    s: SheafComplex, indices: Iterable[int], m: CartanVector
 ) -> FiniteComplex:
     """Corner complex computing the jump functor at (I, m).
 
-    Total complex over corners L inside I of sections over
-    UOpen(m + eps * sum_{k in L} f_k), the corner placed in degree
-    -|L| (the |I|-shift of the jump functor is already folded in).
-    Koszul signs on the corner cube, (-1)^{|L|} on the inner
-    differential.
+    Total complex over corners L inside I of sections over UOpen(m +
+    eps * sum_{k in L} f_k) in the limit eps -> 0, taken exactly on
+    integer bounds by ``_uopen_alive``, the corner placed in degree -|L|
+    (the |I|-shift of the jump functor is already folded in).  Koszul
+    signs on the corner cube, (-1)^{|L|} on the inner differential.
     """
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise ValueError(
-            f"corner width {eps} outside the verified range (0, 1)"
-        )
     if m.n != s.n:
         raise ValueError("rank mismatch")
     idx = sorted(set(indices))
@@ -696,14 +669,14 @@ def jump_complex(
         for r in range(len(idx) + 1)
         for c in itertools.combinations(idx, r)
     ]
+    profile = scaled_profile(s.n, m.coords)
     # per corner: the basis position of every generator (-1 when dead)
     pos: dict[frozenset[int], list[int]] = {}
     degrees: list[int] = []
     entries: list[Triplet] = []
     mults: list[GradedDims] = []
     for corner in corners:
-        point = sum((f_vec(s.n, k).scale(eps) for k in corner), start=m)
-        alive = _sections_alive(s, None, UOpen(point))
+        alive = _uopen_alive(s, None, profile, corner)
         part, part_pos = _restrict(s, alive, -len(corner))
         base = len(degrees)
         sign_inner = -1 if len(corner) % 2 else 1

@@ -132,7 +132,6 @@ def test_acceptance_4_central_crosscheck():
 
 def test_acceptance_5_jump_functor():
     started = time.time()
-    eps = Q(1, 2)
     for n in (2, 3, 4):
         chamber = [
             cartan(n, combo)
@@ -145,27 +144,19 @@ def test_acceptance_5_jump_functor():
                     UMinusOpen(y), center_class(y), -d_degree(y)
                 )
                 single = SheafComplex(n, [gen], [])
-                got = jump_complex(single, idx, x, eps).cohomology()
-                if y.coords == x.coords:
-                    assert got == GradedDims({-d_degree(x): 1})
-                    continue
-                first = any(
-                    not 0 <= pair_e(y - x, k) <= eps
-                    for k in sorted(idx)
-                )
-                second = any(
-                    pair_e(y, k) < pair_e(x, k)
+                got = jump_complex(single, idx, x).cohomology()
+                # one line iff <y - x, e_k> = 0 on I and >= 0 off I
+                on_line = all(
+                    pair_e(y - x, k) == 0 if k in idx
+                    else pair_e(y - x, k) >= 0
                     for k in range(1, n)
-                    if k not in idx
                 )
-                if first or second:
-                    assert got.is_zero(), (x.coords, y.coords)
-                else:
-                    # the eps = 1/2 dichotomy is exhaustive inside a
-                    # center class; uncovered pairs must mix classes
-                    assert center_class(y) != center_class(x), (
+                if on_line:
+                    assert got == GradedDims({-d_degree(y): 1}), (
                         x.coords, y.coords,
                     )
+                else:
+                    assert got.is_zero(), (x.coords, y.coords)
     for n in (2, 3, 4):
         for subset in _all_subsets(n):
             got = model_jump(n, CenterClass(n, 0), subset, zero(n))

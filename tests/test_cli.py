@@ -99,6 +99,16 @@ def test_sheaf_delta_flag_cohomology(capsys):
     assert payload["delta"] == {"0": 1, "2": 2, "4": 2, "6": 1}
 
 
+def test_sheaf_delta_cross_class_apex(capsys):
+    # exp(m) is not in class z = 1: the corners' limit keeps no line
+    code, payload = run_json(
+        capsys, "sheaf", "delta", "--n", "3", "--z", "1", "--m", "-3,-3",
+        "--i", "1",
+    )
+    assert code == 0
+    assert payload["delta"] == {}
+
+
 def test_sheaf_sections_over_chamber_region(capsys):
     code, payload = run_json(
         capsys, "sheaf", "sections", "--n", "2", "--z", "0", "--point",
@@ -350,7 +360,7 @@ _GRAMMAR = {
     ("flags", "verify"): set(),
     ("sheaf", "stalk"): {"--z", "--point", "--window"},
     ("sheaf", "sections"): {"--z", "--point", "--u-kind", "--window"},
-    ("sheaf", "delta"): {"--z", "--i", "--m", "--eps", "--window"},
+    ("sheaf", "delta"): {"--z", "--i", "--m", "--window"},
     ("pipeline", "crosscheck"): {
         "--z", "--seed", "--samples", "--window", "--jobs"
     },
@@ -402,7 +412,7 @@ def test_each_leaf_accepts_exactly_its_options():
         for key, leaf in _leaves().items()
     }
     assert accepted == {key: _COMMON | opts for key, opts in _GRAMMAR.items()}
-    assert sum(map(len, accepted.values())) == 77
+    assert sum(map(len, accepted.values())) == 76
     for key, leaf in _leaves().items():
         (fmt,) = [a for a in leaf._actions if "--format" in a.option_strings]
         csv = () if key in _NO_CSV else ("csv",)
@@ -424,10 +434,13 @@ _REQUIRED = {
     ("sheaf", "delta"): ["--m", "0"],
 }
 _NO_VALUE = {"--char2", "--corrupt"}
+# options that no leaf reads: --eps set the corner width of sheaf
+# delta, which takes the width's limit
+_REMOVED = {"--eps"}
 _UNREAD = [
     (key, option)
     for key, opts in _GRAMMAR.items()
-    for option in sorted(set().union(*_GRAMMAR.values()) - opts)
+    for option in sorted(set().union(_REMOVED, *_GRAMMAR.values()) - opts)
 ]
 
 

@@ -17,11 +17,10 @@ from flagsheaf.pipeline import (
     build_cone_model,
     g_space_cached,
     h_graded,
-    jump_required_box,
     module_terms,
     structure_map_nonzero,
 )
-from flagsheaf.root_system import CartanVector, CenterClass, cartan
+from flagsheaf.root_system import CartanVector, CenterClass
 
 from oracles import fraction_module_terms, profile_pruned_apexes
 
@@ -131,20 +130,18 @@ def test_certificate_builds_each_term_list_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n, coords, eps",
+    "n, window, u_bounds",
     [
-        (3, (0, 0), Fraction(1, 2)),
-        (3, (-1, -2), Fraction(1, 2)),
-        (3, (Fraction(-1, 2), -1), Fraction(1)),
-        (3, (-2, 0), Fraction(1, 4)),
-        (4, (0, 0, 0), Fraction(1, 2)),
-        (4, (-1, -1, -1), Fraction(1, 3)),
-        (4, (Fraction(-1, 2), -1, 0), Fraction(1, 2)),
+        (3, ((-5, 5),) * 2, (-1, Fraction(3, 2))),
+        (3, ((-9, 9),) * 2, (Fraction(-8, 3), Fraction(3, 2))),
+        (3, ((-8, 8),) * 2, (Fraction(-11, 6), 2)),
+        (3, ((-8, 8),) * 2, (Fraction(-7, 3), Fraction(5, 4))),
+        (4, ((-5, 5),) * 3, (-1, Fraction(3, 2))),
+        (4, ((-9, 9),) * 3, (-3, Fraction(4, 3))),
+        (4, ((-8, 8),) * 3, (Fraction(-9, 4), Fraction(3, 2))),
     ],
 )
-def test_integer_apex_pruning_matches_profile_pruning(n, coords, eps):
-    m = cartan(n, coords)
-    window, u_bounds = jump_required_box(n, m, (), eps)
+def test_integer_apex_pruning_matches_profile_pruning(n, window, u_bounds):
     classes = [None, *(CenterClass(n, r) for r in range(n))]
     for z in classes if n == 3 else classes[:2]:
         model = build_cone_model(n, z, window, u_bounds=u_bounds)

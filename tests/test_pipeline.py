@@ -150,12 +150,22 @@ def test_delta_degree_bookkeeping_at_lattice_point():
 
 def test_delta_window_stability():
     # recomputing on a much larger, unpruned window must not change
-    # the jump: apexes outside the derived box contribute nothing
+    # the jump: apexes outside the derived box contribute nothing; the
+    # last two apexes are a lattice point off exp(m)'s class z and a
+    # point off the lattice
     n, z = 3, CenterClass(3, 0)
-    big = build_cone_model(n, z, ((-4, 2), (-4, 2)))
-    for idx in ((), (1,), (1, 2)):
-        auto = model_jump(n, z, idx, zero(n))
-        assert jump_complex(big, idx, zero(n)).cohomology() == auto
+    big = build_cone_model(n, z, ((-10, 10), (-10, 10)))
+    queries = [
+        (zero(n), ()),
+        (zero(n), (1,)),
+        (zero(n), (1, 2)),
+        (cartan(n, (-1, -2)), ()),
+        (cartan(n, (Q(-5, 2), -1)), (1,)),
+    ]
+    for m, idx in queries:
+        auto = model_jump(n, z, idx, m)
+        assert not auto.is_zero()
+        assert jump_complex(big, idx, m).cohomology() == auto
 
 
 def test_delta_margin_error():
@@ -164,7 +174,7 @@ def test_delta_margin_error():
 
 
 def test_delta_required_box_covers_origin_queries():
-    box, (lo_u, hi_u) = jump_required_box(3, zero(3), (1, 2), Q(1, 2))
+    box, (lo_u, hi_u) = jump_required_box(3, zero(3), (1, 2))
     assert all(lo <= -1 and hi >= 1 for lo, hi in box)
     assert lo_u <= -1 and hi_u >= 1
 
@@ -401,32 +411,3 @@ def test_standard_complex_is_empty_subset_block(n):
     assert model.generators[size].label[1] != ()
     assert model.generators[:size] == y.generators
     assert [e for e in model.entries if e[0] < size] == list(y.entries)
-
-
-def test_rhom_generators_matches_sections():
-    from flagsheaf.root_system import enumerate_lattice, in_c_minus
-    from flagsheaf.sheaf_complex import (
-        SheafComplex,
-        SheafGenerator,
-        UMinusOpen,
-        rhom_generators,
-        sections_complex,
-    )
-
-    n = 3
-    z = CenterClass(n, 0)
-    pool = [
-        l for l in enumerate_lattice(z, [(-2, 0)] * (n - 1))
-        if in_c_minus(l)
-    ]
-    for x in pool:
-        for y in pool:
-            single = SheafComplex(
-                n, [SheafGenerator(UMinusOpen(y), z, 0)], []
-            )
-            via_sections = sections_complex(
-                single, z, UMinusOpen(x)
-            ).cohomology()
-            assert via_sections == rhom_generators(
-                UMinusOpen(x), UMinusOpen(y)
-            )

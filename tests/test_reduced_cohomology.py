@@ -108,16 +108,15 @@ def test_sections_match_expanded_oracle(kind):
 
 
 def test_jumps_match_expanded_oracle(rank_calls):
-    eps = Q(1, 2)
     nonzero = 0
     for coords in itertools.product(range(-2, 1), repeat=2):
         m = cartan(3, coords)
-        window, u_bounds = jump_required_box(3, m, (1, 2), eps)
+        window, u_bounds = jump_required_box(3, m, (1, 2))
         model = build_cone_model(3, center_class(m), window, u_bounds)
         forced = i_set(m)
         for extra in ((), (1,), (2,), (1, 2)):
             indices = sorted(forced | set(extra))
-            got = assert_matches_oracle(jump_complex(model, indices, m, eps))
+            got = assert_matches_oracle(jump_complex(model, indices, m))
             nonzero += not got.is_zero()
     assert nonzero
     assert not rank_calls

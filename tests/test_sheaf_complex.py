@@ -27,9 +27,7 @@ from flagsheaf.sheaf_complex import (
     build_standard_complex,
     jump_complex,
     region_contains,
-    rhom_generators,
     sections_complex,
-    select_epsilon,
     stalk_complex,
     verify_dd_zero,
 )
@@ -106,11 +104,7 @@ def test_entry_validation():
 
 
 def test_entry_direction_for_lower_sets():
-    deep = SheafGenerator(UMinusOpen(cartan(2, (-2,))), Z2, 0)
-    shallow = SheafGenerator(UMinusOpen(zero(2)), Z2, 1)
-    # extension from the smaller lower set into the larger one exists
-    SheafComplex(2, [deep, shallow], [(0, 1, Q(1))])
-    # the opposite direction supports no nonzero map
+    # the direction from the larger lower set supports no nonzero map
     wrong = [
         SheafGenerator(UMinusOpen(zero(2)), Z2, 0),
         SheafGenerator(UMinusOpen(cartan(2, (-2,))), Z2, 1),
@@ -288,34 +282,3 @@ def test_delta_complex_differential_squares_to_zero():
     verify_dd_zero(comp.entries)
     comp2 = jump_complex(y, (2,), zero(3))
     verify_dd_zero(comp2.entries)
-
-
-def test_delta_jump_epsilon_validation():
-    s = SheafComplex(2, [SheafGenerator(UMinusOpen(zero(2)), Z2, 0)], [])
-    with pytest.raises(ValueError):
-        jump_complex(s, (1,), zero(2), eps=Q(3, 2))
-    with pytest.raises(ValueError):
-        jump_complex(s, (1,), zero(2), eps=Q(0))
-
-
-def test_select_epsilon():
-    assert select_epsilon([zero(2)], zero(2)) == Q(1, 2)
-    fam = [zero(2), cartan(2, (-2,))]
-    assert select_epsilon(fam, cartan(2, (-2,))) == Q(1, 2)
-    box = [(-3, 0), (-3, 0)]
-    fam3 = [l for l in enumerate_lattice(Z3, box) if in_c_minus(l)]
-    for l in fam3:
-        assert select_epsilon(fam3, l) == Q(1, 2)
-    with pytest.raises(ValueError):
-        select_epsilon([zero(2)], cartan(2, (-2,)))
-
-
-def test_rhom_generators():
-    a = UMinusOpen(zero(3))
-    b = UMinusOpen(cartan(3, (-1, -1)))
-    assert rhom_generators(a, a) == GradedDims({0: 1})
-    assert rhom_generators(b, a) == GradedDims({0: 1})
-    assert rhom_generators(a, b).is_zero()
-    assert rhom_generators(
-        UMinusOpen(zero(2)), UMinusOpen(-e_vec(2, 1))
-    ).is_zero()
