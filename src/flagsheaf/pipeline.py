@@ -166,10 +166,10 @@ def required_stalk_box(p: CartanVector) -> LatticeBox:
 
 
 def jump_required_box(
-    n: int, m: CartanVector, indices: Iterable[int]
+    n: int, m: CartanVector
 ) -> tuple[LatticeBox, tuple[Fraction, Fraction]]:
     """Box (plus profile bounds) containing every apex that can
-    contribute to the jump complex at (I, m).
+    contribute to the jump complex at (I, m), for every I.
 
     A contributing apex m' has, for some corner of the jump complex,
     profile >= u(m) off a set Q and <= max u(m) on Q (the corners are
@@ -353,7 +353,7 @@ def model_jump(
     """Jump of the cone model at (I, m), windowed with certified
     margins."""
     idx = tuple(sorted(set(indices)))
-    required, u_bounds = jump_required_box(n, m, idx)
+    required, u_bounds = jump_required_box(n, m)
     window = resolve_window(window, required, f"jump at {m}")
     model = build_cone_model(n, z, window, u_bounds=u_bounds)
     return jump_complex(model, idx, m).cohomology()

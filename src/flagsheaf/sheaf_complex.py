@@ -34,9 +34,11 @@ it.  Certified margins for specific queries are derived in
 
 Soundness contract for sections: for a generator which is a cone
 ``KCone(J, l)``, sections over a convex open U are K exactly when the
-cone meets U (the intersection is closed in U and convex).  For a
-generator ``UMinusOpen(y)``, sections over ``UOpen(x)`` or
-``UMinusOpen(x)`` are K exactly when x <= y in dominance order; this
+cone meets U (the intersection is closed in U and convex).  Each
+lower set U has a top x^: x itself for ``UOpen(x)``, and for
+``UMinusOpen(x)`` the largest point of C_- below x, as UMinusOpen(x) =
+UMinusOpen(x^) (``_chamber_hull``).  For a generator ``UMinusOpen(y)``,
+sections over U are K exactly when x^ <= y in dominance order; this
 encodes the propagation of such sheaves across the lower boundary and
 is the one place where the model imports a sheaf-theoretic fact
 instead of re-deriving it.  Higher section cohomology of a single
@@ -60,8 +62,6 @@ from .root_system import (
     CenterClass,
     IntegrityError,
     cartan,
-    e_profile,
-    f_vec,
     lattice_center,
     lattice_degree,
     scaled_profile,
@@ -118,58 +118,6 @@ def region_contains(region: Region, p: CartanVector) -> bool:
         au = scaled_profile(n, region.apex.coords)
         return all(pu[j - 1] >= au[j - 1] for j in region.indices)
     raise TypeError(f"unknown region kind {type(region).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# rational feasibility (used for cone-vs-UMinusOpen sections)
-
-Constraint = tuple[tuple[Fraction, ...], Fraction, bool]  # coeffs . u (<|<=) rhs
-
-
-def _feasible(constraints: list[Constraint], nvars: int) -> bool:
-    """Fourier-Motzkin feasibility of strict/non-strict inequalities."""
-    system = [
-        (tuple(Fraction(c) for c in coeffs), Fraction(rhs), strict)
-        for coeffs, rhs, strict in constraints
-    ]
-    for var in range(nvars):
-        uppers, lowers, rest = [], [], []
-        for coeffs, rhs, strict in system:
-            c = coeffs[var]
-            if c > 0:
-                uppers.append((coeffs, rhs, strict, c))
-            elif c < 0:
-                lowers.append((coeffs, rhs, strict, c))
-            else:
-                rest.append((coeffs, rhs, strict))
-        for (uc, ur, us, cu), (lc, lr, ls, cl) in itertools.product(
-            uppers, lowers
-        ):
-            coeffs = tuple(
-                a / cu - b / cl for a, b in zip(uc, lc)
-            )
-            rest.append((coeffs, ur / cu - lr / cl, us or ls))
-        system = rest
-    for _, rhs, strict in system:
-        if rhs < 0 or (strict and rhs == 0):
-            return False
-    return True
-
-
-def _cone_meets_uminus(cone: KCone, x: CartanVector) -> bool:
-    """Nonemptiness of KCone(J, l) & interior(C_-) & {u << x}, exactly."""
-    n = cone.apex.n
-    au, xu = e_profile(cone.apex), e_profile(x)
-    unit = [tuple(int(i == k) for i in range(n - 1)) for k in range(n - 1)]
-    # u_j >= apex_j on J, u_k < x_k, and <y, f_m> < 0, whose coefficients
-    # in u-coordinates are the coroot coordinates of f_m
-    cons: list[Constraint] = [
-        (tuple(-c for c in unit[j - 1]), -au[j - 1], False)
-        for j in cone.indices
-    ]
-    cons += [(unit[k], xu[k], True) for k in range(n - 1)]
-    cons += [(f_vec(n, m).coords, Fraction(0), True) for m in range(1, n)]
-    return _feasible(cons, n - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -493,13 +441,13 @@ def _select(
     """Alive flags of the generators of ``s`` in center class ``z``
     (every class when None).
 
-    With an int ``bound``, a cone KCone(J, l) is alive iff N<l, e_j> <=
-    bound[j - 1] for every j in J, exactly, as N<l, e_j> is an integer:
-    floor(N<p, e_j>) for the stalk at p, ceil(N<x, e_j>) - 1 for the
-    sections over UOpen(x) (``_uopen_alive`` gives the jump corners').
-    Each apex object's center class (shared by its cones) and allowed
-    indices are decided together, once; ``fallback(region)`` decides
-    every other generator.
+    A cone KCone(J, l) is alive iff N<l, e_j> <= bound[j - 1] for every
+    j in J, exactly, as N<l, e_j> is an integer: the int bound is
+    floor(N<p, e_j>) for the stalk at p, and ceil(X^_j) - 1 for the
+    sections over a lower set of top x^ (``_uopen_alive`` gives the
+    jump corners').  Each apex object's center class (shared by its
+    cones) and allowed indices are decided together, once;
+    ``fallback(region)`` decides every other generator.
     """
     residue = None if z is None else z.residue
     alive: list[bool] = []
@@ -507,7 +455,7 @@ def _select(
     allowed_at: dict[int, set[int] | None] = {}
     for gen in s.generators:
         region = gen.region
-        if bound is not None and isinstance(region, KCone):
+        if isinstance(region, KCone):
             key = id(region.apex)
             if key not in allowed_at:
                 coords = [c.numerator for c in region.apex.coords]
@@ -583,9 +531,10 @@ def _lower_set_alive(
     profile: Sequence,
     relaxed: frozenset[int] = frozenset(),
 ) -> bool:
-    """Whether UMinusOpen(y) has sections over the lower set at x, of
-    scaled profile X_j = N<x, e_j>: iff x <= y in dominance order, Y_j
-    >= X_j (module soundness contract), strictly on ``relaxed``."""
+    """Whether UMinusOpen(y) has sections over the lower set of top x^,
+    given by its scaled profile X^_j = N<x^, e_j>: iff x^ <= y in
+    dominance order, Y_j >= X^_j (module soundness contract), strictly
+    on ``relaxed``."""
     if not isinstance(region, UMinusOpen):
         raise ValueError(
             f"unsupported generator region {type(region).__name__} "
@@ -621,25 +570,50 @@ def _uopen_alive(
     )
 
 
+def _chamber_hull(profile: Sequence) -> list:
+    """Scaled profile X^ of x^, the largest point of C_- below x, from
+    X = N<x, e_k>: the greatest convex sequence under (0, X_1, .., X_{N-1},
+    0), whose value at k is the lowest chord over k between two of its
+    points, exact on ints and Fractions.
+
+    UMinusOpen(x) = UMinusOpen(x^), so its sections follow the UOpen(x^)
+    rule.  As <y, f_k> = (2 W_k - W_{k-1} - W_{k+1}) / N for the profile
+    W of y (W_0 = W_N = 0), y lies in interior(C_-) iff W is strictly
+    convex.  A strictly convex W < X lies under X^, strictly at every
+    inner k: where X^ is linear between hull vertices a < k < b, W_k is
+    below its chord, which is at most X^'s; X^ <= X gives the converse.
+    So a cone K(J, l) meets UMinusOpen(x) iff N<l, e_j> < X^_j for every
+    j in J, and then W = X^ - eps k (N - k), eps > 0 small, is a witness.
+    """
+    values = (0, *profile, 0)
+    return [
+        min(
+            values[a] + Fraction(values[b] - values[a]) * (k - a) / (b - a)
+            for a in range(k + 1)
+            for b in range(max(k, a + 1), len(values))
+        )
+        for k in range(1, len(values) - 1)
+    ]
+
+
 def _sections_alive(
     s: SheafComplex, z: CenterClass | None, u: UOpen | UMinusOpen
 ) -> list[bool]:
     """Generators with RGamma(U; K_region) = K (degree 0), per the
-    module soundness contract."""
+    module soundness contract: the UOpen rule at U's top x^."""
     profile = scaled_profile(s.n, u.x.coords)
-    if isinstance(u, UOpen):
-        return _uopen_alive(s, z, profile)
-    return _select(
-        s, z, None,
-        lambda r: _cone_meets_uminus(r, u.x) if isinstance(r, KCone)
-        else _lower_set_alive(s.n, r, profile),
-    )
+    if isinstance(u, UMinusOpen):
+        profile = _chamber_hull(profile)
+    return _uopen_alive(s, z, profile)
 
 
 def sections_complex(
     s: SheafComplex, z: CenterClass, u: UOpen | UMinusOpen
 ) -> FiniteComplex:
-    """Sections over a lower set U of the center-z part."""
+    """Sections over a lower set U of the center-z part: a cone K(J, l)
+    is alive iff N<l, e_j> < X^_j on J and a lower set UMinusOpen(y) iff
+    x^ <= y, for the top x^ of U (x for UOpen(x), the chamber hull of x
+    for UMinusOpen(x))."""
     if not isinstance(u, (UOpen, UMinusOpen)):
         raise ValueError("sections are supported over UOpen/UMinusOpen only")
     if region_rank(u) != s.n:

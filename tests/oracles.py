@@ -5,7 +5,9 @@ counts, literal diagonal matrices for the invariant pairing, GF(2)
 cellular chain complexes for the mod-2 series of small SO(N), and, for
 finite-complex cohomology, multiplicity-expanded complexes ranked by
 Fraction Gaussian elimination and the component-split Bareiss ranks
-that unit-pivot reduction replaced.
+that unit-pivot reduction replaced; Fourier-Motzkin feasibility for
+cones meeting the chamber set UMinusOpen(x), the solver the chamber
+hull rule of section selection replaced.
 """
 
 from __future__ import annotations
@@ -409,6 +411,59 @@ def fraction_cone_alive(s, x, strict):
             ok = ok and (a > b if strict else a >= b)
         alive.append(ok)
     return alive
+
+
+# -- Fourier-Motzkin feasibility for cones meeting UMinusOpen(x) --------------
+
+Constraint = tuple[tuple[Fraction, ...], Fraction, bool]  # coeffs . u (<|<=) rhs
+
+
+def fm_feasible(constraints: list[Constraint], nvars: int) -> bool:
+    """Fourier-Motzkin feasibility of strict/non-strict inequalities
+    (Schrijver, Theory of Linear and Integer Programming, 1986, 12.2)."""
+    system = [
+        (tuple(Fraction(c) for c in coeffs), Fraction(rhs), strict)
+        for coeffs, rhs, strict in constraints
+    ]
+    for var in range(nvars):
+        uppers, lowers, rest = [], [], []
+        for coeffs, rhs, strict in system:
+            c = coeffs[var]
+            if c > 0:
+                uppers.append((coeffs, rhs, strict, c))
+            elif c < 0:
+                lowers.append((coeffs, rhs, strict, c))
+            else:
+                rest.append((coeffs, rhs, strict))
+        for (uc, ur, us, cu), (lc, lr, ls, cl) in itertools.product(
+            uppers, lowers
+        ):
+            coeffs = tuple(a / cu - b / cl for a, b in zip(uc, lc))
+            rest.append((coeffs, ur / cu - lr / cl, us or ls))
+        system = rest
+    for _, rhs, strict in system:
+        if rhs < 0 or (strict and rhs == 0):
+            return False
+    return True
+
+
+def fm_cone_meets_uminus(cone, x) -> bool:
+    """Nonemptiness of KCone(J, l) & interior(C_-) & {u << x}, exactly,
+    as a linear system in the pairings u_k = <y, e_k>."""
+    from flagsheaf.root_system import e_profile, f_vec
+
+    n = cone.apex.n
+    au, xu = e_profile(cone.apex), e_profile(x)
+    unit = [tuple(int(i == k) for i in range(n - 1)) for k in range(n - 1)]
+    # u_j >= apex_j on J, u_k < x_k, and <y, f_m> < 0, whose coefficients
+    # in u-coordinates are the coroot coordinates of f_m
+    cons: list[Constraint] = [
+        (tuple(-c for c in unit[j - 1]), -au[j - 1], False)
+        for j in cone.indices
+    ]
+    cons += [(unit[k], xu[k], True) for k in range(n - 1)]
+    cons += [(f_vec(n, m).coords, Fraction(0), True) for m in range(1, n)]
+    return fm_feasible(cons, n - 1)
 
 
 def fraction_stalk_flag_sum(n, z, p, window=None):

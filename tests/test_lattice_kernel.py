@@ -5,7 +5,9 @@ checked against the Gram pairing ``pair_e``, the scalar exponential of
 the coroot diagonal and the Grassmannian dimensions; stalk and section
 selection on int bounds against the Fraction rule one generator at a
 time, at sampled points and at points whose scaled profile ties an
-apex's; and ``stalk_flag_sum`` against its Fraction form.
+apex's; sections over UMinusOpen(x) (the chamber hull rule) against
+Fourier-Motzkin feasibility; and ``stalk_flag_sum`` against its
+Fraction form.
 """
 
 import itertools
@@ -26,6 +28,7 @@ from flagsheaf.root_system import (
     cartan,
     enumerate_lattice,
     f_vec,
+    in_c_minus,
     lattice_center,
     lattice_degree,
     pair_e,
@@ -35,6 +38,7 @@ from flagsheaf.sheaf_complex import (
     KCone,
     SheafComplex,
     SheafGenerator,
+    UMinusOpen,
     UOpen,
     _restrict,
     _sections_alive,
@@ -43,6 +47,7 @@ from flagsheaf.sheaf_complex import (
 
 from oracles import (
     coroot_diagonal,
+    fm_cone_meets_uminus,
     fraction_cone_alive,
     fraction_stalk_flag_sum,
 )
@@ -194,6 +199,46 @@ def test_selection_matches_fraction_rule(n):
             alive = [a and b for a, b in zip(sections, on_z)]
             assert _sections_alive(model, z, UOpen(p)) == alive
     assert ties
+
+
+def _cone_zoo(n, box):
+    """One generator KCone(J, l) for every lattice l of ``box`` and every
+    J, in l's center class, with no entries."""
+    gens = []
+    for combo in itertools.product(*[range(lo, hi + 1) for lo, hi in box]):
+        apex = cartan(n, combo)
+        center = CenterClass(n, lattice_center(n, combo))
+        for r in range(n):
+            for j in itertools.combinations(range(1, n), r):
+                gens.append(SheafGenerator(KCone(j, apex), center, 0))
+    return SheafComplex(n, gens, [])
+
+
+@pytest.mark.parametrize(
+    "n, points, cones", [(2, 60, None), (3, 80, None), (4, 16, 192)]
+)
+def test_chamber_sections_match_fourier_motzkin(n, points, cones):
+    # every cone over apexes in [-2, 1]^(N-1) (a seeded sample of them at
+    # N = 4), at seeded rational x inside and outside C_-
+    rng = np.random.default_rng(20 + n)
+    zoo = _cone_zoo(n, ((-2, 1),) * (n - 1))
+    picked = range(len(zoo.generators))
+    if cones is not None:
+        picked = sorted(rng.choice(len(zoo.generators), cones, replace=False))
+    xs = [cartan(n, (1,) + (-2,) * (n - 2)), cartan(n, (-1,) * (n - 1))]
+    for _ in range(points):
+        d = int(rng.integers(1, 5))
+        xs.append(cartan(n, [Q(int(rng.integers(-3 * d, 2 * d + 1)), d)
+                             for _ in range(n - 1)]))
+    assert any(in_c_minus(x) for x in xs) and not all(map(in_c_minus, xs))
+    seen = set()
+    for x in xs:
+        alive = _sections_alive(zoo, None, UMinusOpen(x))
+        for gi in picked:
+            cone = zoo.generators[gi].region
+            assert alive[gi] == fm_cone_meets_uminus(cone, x), (cone, x)
+            seen.add(alive[gi])
+    assert seen == {True, False}
 
 
 # -- the direct sum -----------------------------------------------------------

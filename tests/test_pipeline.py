@@ -174,7 +174,7 @@ def test_delta_margin_error():
 
 
 def test_delta_required_box_covers_origin_queries():
-    box, (lo_u, hi_u) = jump_required_box(3, zero(3), (1, 2))
+    box, (lo_u, hi_u) = jump_required_box(3, zero(3))
     assert all(lo <= -1 and hi >= 1 for lo, hi in box)
     assert lo_u <= -1 and hi_u >= 1
 

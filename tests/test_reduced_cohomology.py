@@ -97,7 +97,7 @@ def test_stalks_match_expanded_oracle(n, points, centers, rank_calls):
 @pytest.mark.parametrize("kind", (UOpen, UMinusOpen))
 def test_sections_match_expanded_oracle(kind):
     window = ((-3, 0), (-3, 0))
-    probes = [(-1, -1), (-2, 0), (0, 0), (Q(-1, 2), Q(-3, 2))]
+    probes = [(-1, -1), (-2, 0), (0, 0), (Q(-1, 2), Q(-3, 2)), (1, -1)]
     for residue in range(3):
         z = CenterClass(3, residue)
         model = build_cone_model(3, z, window)
@@ -111,7 +111,7 @@ def test_jumps_match_expanded_oracle(rank_calls):
     nonzero = 0
     for coords in itertools.product(range(-2, 1), repeat=2):
         m = cartan(3, coords)
-        window, u_bounds = jump_required_box(3, m, (1, 2))
+        window, u_bounds = jump_required_box(3, m)
         model = build_cone_model(3, center_class(m), window, u_bounds)
         forced = i_set(m)
         for extra in ((), (1,), (2,), (1, 2)):

@@ -5,12 +5,14 @@ from fractions import Fraction as Q
 import numpy as np
 import pytest
 
-from flagsheaf.root_system import cartan, zero
+from flagsheaf.root_system import CenterClass, cartan, zero
 from flagsheaf.sheaf_complex import (
     KCone,
+    SheafComplex,
+    SheafGenerator,
     UMinusOpen,
     UOpen,
-    _cone_meets_uminus,
+    _sections_alive,
     region_contains,
 )
 
@@ -59,7 +61,10 @@ def test_cone_chamber_feasibility_matches_sampling(n):
     for x in xs:
         chamber = UMinusOpen(x)
         for cone in cones:
-            feasible = _cone_meets_uminus(cone, x)
+            s = SheafComplex(
+                n, [SheafGenerator(cone, CenterClass(n, 0), 0)], []
+            )
+            feasible = _sections_alive(s, None, chamber) == [True]
             witnesses = [
                 p
                 for p in points

@@ -23,7 +23,7 @@ from flagsheaf.sheaf_complex import (
     SheafGenerator,
     UMinusOpen,
     UOpen,
-    _cone_meets_uminus,
+    _sections_alive,
     build_standard_complex,
     jump_complex,
     region_contains,
@@ -47,12 +47,17 @@ def test_region_membership_examples():
         region_contains(cone, zero(3))
 
 
+def _meets_uminus(cone, x):
+    """Whether section selection keeps ``cone`` over UMinusOpen(x)."""
+    n = cone.apex.n
+    s = SheafComplex(n, [SheafGenerator(cone, CenterClass(n, 0), 0)], [])
+    return _sections_alive(s, None, UMinusOpen(x)) == [True]
+
+
 def test_cone_uminus_feasibility():
-    assert not _cone_meets_uminus(KCone(frozenset({1, 2}), zero(3)), zero(3))
-    assert not _cone_meets_uminus(KCone(frozenset({1}), zero(2)), zero(2))
-    assert _cone_meets_uminus(
-        KCone(frozenset({1}), cartan(2, (-2,))), zero(2)
-    )
+    assert not _meets_uminus(KCone(frozenset({1, 2}), zero(3)), zero(3))
+    assert not _meets_uminus(KCone(frozenset({1}), zero(2)), zero(2))
+    assert _meets_uminus(KCone(frozenset({1}), cartan(2, (-2,))), zero(2))
 
 
 # -- construction and validation -------------------------------------------------
@@ -245,6 +250,20 @@ def test_sections_over_uminus_region():
     y = build_standard_complex(2, ((-2, 0),))
     got = sections_complex(y, Z2, UMinusOpen(zero(2))).cohomology()
     assert got == GradedDims({0: 1})
+    # a lower-set generator UMinusOpen(y) over UMinusOpen(x), x outside
+    # C_-: the domain is UMinusOpen(x^) for the largest x^ in C_- below
+    # x, and sections are K iff x^ <= y (here x^ <= y, but not x <= y)
+    cases = [
+        (Z2, zero(2), cartan(2, (1,)), zero(2)),  # both {w < 0}
+        (Z3, cartan(3, (0, -1)), cartan(3, (1, -2)),
+         cartan(3, (0, Q(-3, 2)))),
+    ]
+    for z, y, x, x_hat in cases:
+        assert not in_c_minus(x) and in_c_minus(x_hat)
+        s = SheafComplex(z.n, [SheafGenerator(UMinusOpen(y), z, 0)], [])
+        for u in (UMinusOpen(x), UMinusOpen(x_hat)):
+            got = sections_complex(s, z, u).cohomology()
+            assert got == GradedDims({0: 1}), (x, u)
 
 
 # -- corner complexes -------------------------------------------------------------
