@@ -171,11 +171,14 @@ def jump_required_box(
     """Box (plus profile bounds) containing every apex that can
     contribute to the jump complex at (I, m), for every I.
 
-    A contributing apex m' has, for some corner of the jump complex,
-    profile >= u(m) off a set Q and <= max u(m) on Q (the corners are
-    the eps -> 0 limit of the corner width, see ``jump_complex``), while
-    on Q its coordinates are nonnegative (concavity), so the whole
-    profile stays inside [min(0, min u(m)) - 1, max(0, max u(m)) + 1].
+    In a block (I', m') the jump keeps the J with Q <= J <= allowed,
+    Q = forced(I', m') | I (``jump_complex``), acyclic unless allowed =
+    Q: then u(m') = u(m) on I, < u(m) on Q - I and >= u(m) off Q.  The
+    coordinates of m' are >= 0 on forced and <= 0 off it, so a minimum
+    of u(m') below min(0, min u(m)) would spread through forced - I to
+    u_0 = u_N = 0 or to where u(m') >= u(m), and a maximum above max(0,
+    max u(m)) off Q likewise: the profile stays inside [min(0, min
+    u(m)) - 1, max(0, max u(m)) + 1].
     """
     prof = e_profile(m)
     lo_u = min([Fraction(0), *prof]) - 1

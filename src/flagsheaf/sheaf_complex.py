@@ -16,9 +16,9 @@ Cohomology is computed by unit-pivot (algebraic Morse) reduction
 (Kaczynski-Mischaikow-Mrozek, Computational Homology, 2004; Skoldberg,
 Trans. AMS 2006): every entry d(i->j) = +-1 cancels the lines i and j,
 and exact rank runs only on what is left.  d*d = 0 is checked once per
-``SheafComplex`` when it is built; stalks and sections restricted from
-it inherit it (see ``_restrict``), while every other ``FiniteComplex``,
-jump complexes included, checks its own entries.
+``SheafComplex`` when it is built; stalks, sections and jumps are all
+restrictions of it and inherit it (see ``_restrict``), while a
+``FiniteComplex`` built by hand checks its own entries.
 
 Supported regions (parameters are exact rational Cartan vectors):
 
@@ -432,26 +432,29 @@ class FiniteComplex:
 
 
 # ---------------------------------------------------------------------------
-# stalks, sections, corner complexes
+# stalks, sections, jumps: one selection, one restriction
 
 
 def _select(
-    s: SheafComplex, z: CenterClass | None, bound, fallback
+    s: SheafComplex, z: CenterClass | None, bound: Sequence, fallback,
+    exact: frozenset[int] = frozenset(),
 ) -> list[bool]:
     """Alive flags of the generators of ``s`` in center class ``z``
     (every class when None).
 
-    A cone KCone(J, l) is alive iff N<l, e_j> <= bound[j - 1] for every
-    j in J, exactly, as N<l, e_j> is an integer: the int bound is
-    floor(N<p, e_j>) for the stalk at p, and ceil(X^_j) - 1 for the
-    sections over a lower set of top x^ (``_uopen_alive`` gives the
-    jump corners').  Each apex object's center class (shared by its
-    cones) and allowed indices are decided together, once;
+    A cone KCone(J, l) is alive iff ``exact`` <= J, N<l, e_j> <=
+    bound[j - 1] for every j in J and N<l, e_k> = bound[k - 1] for
+    every k in ``exact``, compared exactly with the integers N<l, e_j>:
+    the bound is floor(N<p, e_j>) for the stalk at p and ceil(X^_j) - 1
+    for the sections over a lower set of top x^; the jump at (I, m)
+    (``jump_complex``) sets ``exact`` = I, with N<m, e_k> on I.  Each
+    apex object's center class (shared by its cones), equality on
+    ``exact`` and allowed indices are decided together, once;
     ``fallback(region)`` decides every other generator.
     """
     residue = None if z is None else z.residue
     alive: list[bool] = []
-    # id(apex) -> allowed indices, None when its cones are not in class z
+    # id(apex) -> allowed indices, None when none of its cones is alive
     allowed_at: dict[int, set[int] | None] = {}
     for gen in s.generators:
         region = gen.region
@@ -463,10 +466,13 @@ def _select(
                 allowed_at[key] = (
                     {j for j, a in enumerate(profile, 1) if a <= bound[j - 1]}
                     if residue in (None, gen.center.residue)
+                    and all(profile[k - 1] == bound[k - 1] for k in exact)
                     else None
                 )
             allowed = allowed_at[key]
-            alive.append(allowed is not None and region.indices <= allowed)
+            alive.append(
+                allowed is not None and exact <= region.indices <= allowed
+            )
         else:
             alive.append(
                 (residue is None or gen.center.residue == residue)
@@ -477,21 +483,17 @@ def _select(
 
 def _restrict(
     s: SheafComplex, alive: Sequence[bool], shift: int = 0
-) -> tuple[FiniteComplex, list[int]]:
-    """Complex of the alive generators (degrees moved by ``shift``),
-    and each generator's basis position in it (-1 when dead).
+) -> FiniteComplex:
+    """Complex of the alive generators, the cones' degrees moved by
+    ``shift``.
 
     It inherits d*d = 0, checked when ``s`` was built, when for every
     i -> j -> k in ``s`` with i and k alive, j is alive too: the (i, k)
-    entry of d*d then sums over the same j before and after.  That
-    holds for the stalk and sections rules, whose flags are monotone in
-    the region: a generator on a larger region is alive whenever one on
-    a smaller region is.  Validated entries restrict a cone onto the
-    smaller cone K(J + {e}) of the same apex, so k alive makes j
-    alive; within a block (I, apex) the alive J are the interval of
-    subsets of the allowed indices that contain forced(I, apex).  Jump
-    complexes glue several restrictions with corner maps and check
-    their own d*d = 0.
+    entry of d*d then sums over the same j before and after.  Validated
+    entries restrict a cone K(J, l) onto a smaller cone K(J', l), J <=
+    J', of the same apex and center, and per apex ``_select`` keeps the
+    J with exact <= J <= allowed, an interval: J_i <= J_j <= J_k with
+    both ends in it puts J_j in it.  No other generator has entries.
     """
     pos = [-1] * len(s.generators)
     alive_gens = []
@@ -504,11 +506,12 @@ def _restrict(
         for i, j, c in s.entries
         if pos[i] >= 0 and pos[j] >= 0
     ]
-    degrees = [g.degree + shift for g in alive_gens]
+    degrees = [
+        g.degree + shift if shift and isinstance(g.region, KCone) else g.degree
+        for g in alive_gens
+    ]
     mults = [g.mult for g in alive_gens]
-    return FiniteComplex(
-        degrees, entries, mults, dd_zero_known=True
-    ), pos
+    return FiniteComplex(degrees, entries, mults, dd_zero_known=True)
 
 
 def stalk_complex(
@@ -521,20 +524,17 @@ def stalk_complex(
     if p.n != s.n:
         raise ValueError("rank mismatch")
     bound = [math.floor(c) for c in scaled_profile(s.n, p.coords)]
-    alive = _select(s, z, bound, lambda r: region_contains(r, p))
-    return _restrict(s, alive)[0]
+    return _restrict(s, _select(s, z, bound, lambda r: region_contains(r, p)))
 
 
 def _lower_set_alive(
-    n: int,
-    region: Region,
-    profile: Sequence,
-    relaxed: frozenset[int] = frozenset(),
+    n: int, region: Region, profile: Sequence,
+    exact: frozenset[int] = frozenset(),
 ) -> bool:
     """Whether UMinusOpen(y) has sections over the lower set of top x^,
     given by its scaled profile X^_j = N<x^, e_j>: iff x^ <= y in
-    dominance order, Y_j >= X^_j (module soundness contract), strictly
-    on ``relaxed``."""
+    dominance order, Y_j >= X^_j (module soundness contract); the jump
+    asks for Y_j = X^_j on ``exact``."""
     if not isinstance(region, UMinusOpen):
         raise ValueError(
             f"unsupported generator region {type(region).__name__} "
@@ -542,31 +542,8 @@ def _lower_set_alive(
         )
     y_profile = scaled_profile(n, region.x.coords)
     return all(
-        y > x if j in relaxed else y >= x
+        y == x if j in exact else y >= x
         for j, (x, y) in enumerate(zip(profile, y_profile), 1)
-    )
-
-
-def _uopen_alive(
-    s: SheafComplex,
-    z: CenterClass | None,
-    profile: Sequence,
-    relaxed: frozenset[int] = frozenset(),
-) -> list[bool]:
-    """Generators with RGamma(U; K_region) = K (degree 0) over U =
-    UOpen(x + eps * sum_{k in relaxed} f_k) as eps -> 0, x given by its
-    scaled profile X_j = N<x, e_j>; U's profile is X_j + N eps [j in
-    relaxed], as <f_k, e_j> = delta_kj.  A cone KCone(J, l) meets U iff
-    N<l, e_j> is below U's profile on J: in the limit, <= floor(X_j) on
-    ``relaxed`` and <= ceil(X_j) - 1 off it, the int bound given
-    ``_select``.  ``_lower_set_alive`` takes the limit for lower sets.
-    """
-    bound = [
-        math.floor(x) if j in relaxed else math.ceil(x) - 1
-        for j, x in enumerate(profile, 1)
-    ]
-    return _select(
-        s, z, bound, lambda r: _lower_set_alive(s.n, r, profile, relaxed)
     )
 
 
@@ -600,11 +577,14 @@ def _sections_alive(
     s: SheafComplex, z: CenterClass | None, u: UOpen | UMinusOpen
 ) -> list[bool]:
     """Generators with RGamma(U; K_region) = K (degree 0), per the
-    module soundness contract: the UOpen rule at U's top x^."""
+    module soundness contract, at U's top x^ of scaled profile X^: a
+    cone K(J, l) meets U iff N<l, e_j> < X^_j, that is <= ceil(X^_j) - 1,
+    for every j in J, the int bound given ``_select``."""
     profile = scaled_profile(s.n, u.x.coords)
     if isinstance(u, UMinusOpen):
         profile = _chamber_hull(profile)
-    return _uopen_alive(s, z, profile)
+    bound = [math.ceil(x) - 1 for x in profile]
+    return _select(s, z, bound, lambda r: _lower_set_alive(s.n, r, profile))
 
 
 def sections_complex(
@@ -618,54 +598,45 @@ def sections_complex(
         raise ValueError("sections are supported over UOpen/UMinusOpen only")
     if region_rank(u) != s.n:
         raise ValueError("rank mismatch")
-    return _restrict(s, _sections_alive(s, z, u))[0]
+    return _restrict(s, _sections_alive(s, z, u))
 
 
 def jump_complex(
     s: SheafComplex, indices: Iterable[int], m: CartanVector
 ) -> FiniteComplex:
-    """Corner complex computing the jump functor at (I, m).
+    """Complex computing the jump functor at (I, m): one restriction.
 
-    Total complex over corners L inside I of sections over UOpen(m +
-    eps * sum_{k in L} f_k) in the limit eps -> 0, taken exactly on
-    integer bounds by ``_uopen_alive``, the corner placed in degree -|L|
-    (the |I|-shift of the jump functor is already folded in).  Koszul
-    signs on the corner cube, (-1)^{|L|} on the inner differential.
+    The jump is the total complex, over corners L inside I placed in
+    degree -|L| with Koszul signs, of sections over UOpen(m + eps
+    sum_{k in L} f_k) as eps -> 0.  With M_j = N<m, e_j>, a cone K(J, l)
+    of profile P is alive at L iff P_j <= floor(M_j) on J & L and <=
+    ceil(M_j) - 1 on J - L; a lower set UMinusOpen(y) of profile Y iff
+    Y_j > M_j on L and >= M_j off L.  So the corners of a generator
+    form an interval: [Q, I] for a cone, Q = {j in J : P_j > ceil(M_j) -
+    1}, and [{}, {j in I : Y_j > M_j}] for a lower set, and on it the
+    corner maps are its Koszul complex, acyclic unless it is one corner.
+    Filter by generator degree (Weibel, An Introduction to Homological
+    Algebra, 1994, 5.6): E_1 keeps the generators alive at exactly one
+    corner, with the model's differential.  These are the cones with
+    I <= J, P_k = M_k on I and P_j <= ceil(M_j) - 1 on J - I, all at
+    L = I (none if some M_k, k in I, is not an integer), and the lower
+    sets with Y_k = M_k on I and Y_j >= M_j off I, all at L = {}.  No
+    entry joins a cone to a lower set, and d_r, r >= 2, changes |L|, so
+    the sequence stops at E_2: the jump is the restriction to those
+    generators, cones moved to degree -|I|, and it inherits d*d = 0.
     """
     if m.n != s.n:
         raise ValueError("rank mismatch")
-    idx = sorted(set(indices))
-    for k in idx:
+    exact = frozenset(indices)
+    for k in exact:
         if not 1 <= k <= s.n - 1:
             raise ValueError(f"index {k} out of range")
-    corners = [
-        frozenset(c)
-        for r in range(len(idx) + 1)
-        for c in itertools.combinations(idx, r)
-    ]
     profile = scaled_profile(s.n, m.coords)
-    # per corner: the basis position of every generator (-1 when dead)
-    pos: dict[frozenset[int], list[int]] = {}
-    degrees: list[int] = []
-    entries: list[Triplet] = []
-    mults: list[GradedDims] = []
-    for corner in corners:
-        alive = _uopen_alive(s, None, profile, corner)
-        part, part_pos = _restrict(s, alive, -len(corner))
-        base = len(degrees)
-        sign_inner = -1 if len(corner) % 2 else 1
-        degrees += part.degrees
-        mults += part.mults
-        entries += [
-            (base + a, base + b, c * sign_inner) for a, b, c in part.entries
-        ]
-        pos[corner] = [base + q if q >= 0 else -1 for q in part_pos]
-    for corner in corners:
-        for k in sorted(corner):
-            sign = -1 if sum(1 for x in corner if x < k) % 2 else 1
-            src, dst = pos[corner], pos[corner - {k}]
-            entries += [
-                (a, b, sign) for a, b in zip(src, dst) if a >= 0 and b >= 0
-            ]
-    return FiniteComplex(degrees, entries, mults)
-
+    bound = [
+        x if j in exact else math.ceil(x) - 1 for j, x in enumerate(profile, 1)
+    ]
+    alive = _select(
+        s, None, bound,
+        lambda r: _lower_set_alive(s.n, r, profile, exact), exact,
+    )
+    return _restrict(s, alive, -len(exact))

@@ -7,12 +7,14 @@ finite-complex cohomology, multiplicity-expanded complexes ranked by
 Fraction Gaussian elimination and the component-split Bareiss ranks
 that unit-pivot reduction replaced; Fourier-Motzkin feasibility for
 cones meeting the chamber set UMinusOpen(x), the solver the chamber
-hull rule of section selection replaced.
+hull rule of section selection replaced; and the jump as the total
+complex over 2^|I| corners, which one restriction replaced.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -464,6 +466,90 @@ def fm_cone_meets_uminus(cone, x) -> bool:
     cons += [(unit[k], xu[k], True) for k in range(n - 1)]
     cons += [(f_vec(n, m).coords, Fraction(0), True) for m in range(1, n)]
     return fm_feasible(cons, n - 1)
+
+
+# -- the jump as the corner total complex -------------------------------------
+
+
+def corner_jump_cohomology(s, indices, m):
+    """Jump of ``s`` at (I, m) as the total complex over the corners L
+    inside I, the construction ``jump_complex`` replaced: corner L, in
+    degree -|L|, holds the sections over UOpen(m + eps sum_{k in L} f_k)
+    as eps -> 0, read straight from the scaled profiles (M = N<m, e_j>):
+    a cone K(J, l) iff N<l, e_j> <= floor(M_j) on J & L and <= ceil(M_j)
+    - 1 on J - L, a lower set UMinusOpen(y) iff N<y, e_j> > M_j on L and
+    >= M_j off L.  Koszul signs on the corner cube and (-1)^|L| on the
+    inner differential; d*d = 0 is verified on the glued entries."""
+    from flagsheaf.root_system import scaled_profile
+    from flagsheaf.sheaf_complex import (
+        FiniteComplex,
+        KCone,
+        UMinusOpen,
+        verify_dd_zero,
+    )
+
+    def profile(x):  # on ints where x is a lattice point
+        ints = x.is_integral()
+        coords = [c.numerator if ints else c for c in x.coords]
+        return scaled_profile(n, coords)
+
+    n, idx = s.n, sorted(set(indices))
+    big_m = profile(m)
+    by_id: dict = {}  # id(apex or lower-set top) -> its scaled profile
+    profiles = []
+    for gen in s.generators:
+        region = gen.region
+        assert isinstance(region, (KCone, UMinusOpen)), region
+        x = region.apex if isinstance(region, KCone) else region.x
+        if id(x) not in by_id:
+            by_id[id(x)] = profile(x)
+        profiles.append(by_id[id(x)])
+
+    def alive(region, prof, bound, corner):
+        if isinstance(region, KCone):
+            return all(prof[j - 1] <= bound[j - 1] for j in region.indices)
+        return all(
+            y > x if j in corner else y >= x
+            for j, (x, y) in enumerate(zip(big_m, prof), 1)
+        )
+
+    corners = [
+        frozenset(c)
+        for r in range(len(idx) + 1)
+        for c in itertools.combinations(idx, r)
+    ]
+    pos: dict = {}  # corner -> {generator: basis position}
+    degrees, mults, entries = [], [], []
+    for corner in corners:
+        here = pos[corner] = {}
+        bound = [
+            math.floor(x) if j in corner else math.ceil(x) - 1
+            for j, x in enumerate(big_m, 1)
+        ]
+        for gi, gen in enumerate(s.generators):
+            if alive(gen.region, profiles[gi], bound, corner):
+                here[gi] = len(degrees)
+                degrees.append(gen.degree - len(corner))
+                mults.append(gen.mult)
+        inner = -1 if len(corner) % 2 else 1
+        entries += [
+            (here[i], here[j], inner * c)
+            for i, j, c in s.entries
+            if i in here and j in here
+        ]
+    for corner in corners:
+        for k in corner:
+            sign = -1 if sum(1 for x in corner if x < k) % 2 else 1
+            dst = pos[corner - {k}]
+            entries += [
+                (a, dst[gi], sign)
+                for gi, a in pos[corner].items()
+                if gi in dst
+            ]
+    verify_dd_zero(entries)
+    return FiniteComplex(
+        degrees, entries, mults, dd_zero_known=True
+    ).cohomology()
 
 
 def fraction_stalk_flag_sum(n, z, p, window=None):

@@ -192,7 +192,7 @@ def test_selection_matches_fraction_rule(n):
             on_z = [z is None or g.center == z for g in model.generators]
             alive = [a and b for a, b in zip(stalk, on_z)]
             got = stalk_complex(model, z, p)
-            want = _restrict(model, alive)[0]
+            want = _restrict(model, alive)
             assert (got.degrees, got.entries, got.mults) == (
                 want.degrees, want.entries, want.mults
             )

@@ -1,12 +1,20 @@
+import ast
+import itertools
+import pathlib
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
+from flagsheaf import sheaf_complex
+
 from flagsheaf.graded import GradedDims
+from flagsheaf.pipeline import build_cone_model, jump_required_box
 from flagsheaf.root_system import (
     CenterClass,
     IntegrityError,
     cartan,
+    center_class,
     d_degree,
     dominance_ll,
     e_vec,
@@ -30,7 +38,10 @@ from flagsheaf.sheaf_complex import (
     sections_complex,
     stalk_complex,
     verify_dd_zero,
+    window_points,
 )
+
+from oracles import corner_jump_cohomology
 
 Z2 = CenterClass(2, 0)
 Z3 = CenterClass(3, 0)
@@ -266,7 +277,7 @@ def test_sections_over_uminus_region():
             assert got == GradedDims({0: 1}), (x, u)
 
 
-# -- corner complexes -------------------------------------------------------------
+# -- jumps ----------------------------------------------------------------------
 
 
 def test_delta_jump_lower_set_branches():
@@ -301,3 +312,98 @@ def test_delta_complex_differential_squares_to_zero():
     verify_dd_zero(comp.entries)
     comp2 = jump_complex(y, (2,), zero(3))
     verify_dd_zero(comp2.entries)
+
+
+def _lower_set_zoo(n, chamber, base=None):
+    """``base``'s generators (none when None), then one lower set
+    UMinusOpen(y) for every y of ``chamber``, in degree -D(y)."""
+    gens = [] if base is None else list(base.generators)
+    gens += [
+        SheafGenerator(UMinusOpen(y), center_class(y), -d_degree(y))
+        for y in chamber
+    ]
+    return SheafComplex(n, gens, [] if base is None else base.entries)
+
+
+def test_jump_is_the_corner_total_complex():
+    # seeded queries against the 2^|I|-corner total complex: the
+    # acceptance-5 lower sets, cone models at N = 2, 3 over apexes in
+    # [-3, 1]^(N-1) in their own and another center class with every I,
+    # N = 4 at the origin, rational m, and cone models mixed with lower
+    # sets; d*d = 0 of each restriction is checked on its entries
+    rng = np.random.default_rng(5)
+
+    def subsets(n):
+        return [
+            c for r in range(n) for c in itertools.combinations(range(1, n), r)
+        ]
+
+    def check(s, idx, m):
+        comp = jump_complex(s, idx, m)
+        verify_dd_zero(comp.entries)
+        got = comp.cohomology()
+        assert got == corner_jump_cohomology(s, idx, m), (idx, m.coords)
+        return not got.is_zero()
+
+    nonzero = 0
+    for n in (2, 3, 4):
+        chamber = [
+            cartan(n, c) for c in itertools.product(range(-3, 1), repeat=n - 1)
+        ]
+        for y in chamber:
+            single = _lower_set_zoo(n, [y])
+            for x in chamber:
+                nonzero += check(single, i_set(x), x)
+    queries = [(zero(4), CenterClass(4, 0))]
+    for n in (2, 3):
+        for c in itertools.product(range(-3, 2), repeat=n - 1):
+            m = cartan(n, c)
+            own = center_class(m).residue
+            queries += [(m, CenterClass(n, own + k)) for k in (0, 1)]
+    for n in (2, 3, 4):
+        for _ in range(5):
+            d = int(rng.integers(2, 4))
+            c = [Q(int(rng.integers(-3 * d, d + 1)), d) for _ in range(n - 1)]
+            z = CenterClass(n, int(rng.integers(n)))
+            queries.append((cartan(n, c), z))
+    for m, z in queries:
+        n = m.n
+        window, u_bounds = jump_required_box(n, m)
+        model = build_cone_model(n, z, window, u_bounds)
+        for idx in subsets(n):
+            nonzero += check(model, idx, m)
+    for n, window in ((2, ((-3, 1),)), (3, ((-2, 1), (-2, 1)))):
+        base = build_standard_complex(n, window)
+        chamber = [cartan(n, c) for c in window_points(n, window)]
+        mixed = _lower_set_zoo(n, chamber[::2], base)
+        for m in chamber[1::3] + [cartan(n, (Q(-1, 2),) * (n - 1))]:
+            for idx in subsets(n):
+                nonzero += check(mixed, idx, m)
+    assert nonzero
+
+
+def test_only_restrict_builds_finite_complexes():
+    # every query complex of the package is a restriction of a validated
+    # SheafComplex, so it inherits the d*d = 0 checked at build
+    class Calls(ast.NodeVisitor):
+        def __init__(self):
+            self.scope, self.found = ["<module>"], set()
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Call(self, node):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "FiniteComplex":
+                self.found.add((path.stem, self.scope[-1]))
+            self.generic_visit(node)
+
+    calls = Calls()
+    package = pathlib.Path(sheaf_complex.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        calls.visit(ast.parse(path.read_text()))
+    assert calls.found == {("sheaf_complex", "_restrict")}
