@@ -48,16 +48,17 @@ from .pipeline import (
     normalization_shift,
     pair_hom,
     required_stalk_box,
-    build_cone_model,
+    cone_table,
     resolve_window,
 )
 from .root_system import CenterClass, IntegrityError, cartan
 from .sheaf_complex import (
     UMinusOpen,
     UOpen,
-    build_standard_complex,
-    sections_complex,
-    stalk_complex,
+    apex_table,
+    block_cohomology,
+    sections_bound,
+    stalk_bound,
 )
 
 EXIT_OK = 0
@@ -273,8 +274,7 @@ def _sheaf_stalk(args) -> int:
         _lattice_window(args.window, n), required_stalk_box(p),
         f"stalk at {p}",
     )
-    model = build_cone_model(n, z, window)
-    dims = stalk_complex(model, z, p).cohomology()
+    dims = block_cohomology(cone_table(n, z, window), stalk_bound(n, p))
     return _emit(
         {
             "n": n,
@@ -293,8 +293,7 @@ def _sheaf_sections(args) -> int:
     window = _lattice_window(args.window, n)
     x = cartan(n, _coords(args.point, n))
     u = UMinusOpen(x) if args.u_kind == "uminus" else UOpen(x)
-    model = build_standard_complex(n, window)
-    dims = sections_complex(model, z, u).cohomology()
+    dims = block_cohomology(apex_table(n, z, window), sections_bound(n, u))
     return _emit(
         {
             "n": n,

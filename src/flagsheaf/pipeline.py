@@ -33,6 +33,7 @@ from .root_system import (
     IntegrityError,
     cartan,
     e_profile,
+    integer_profile,
     lattice_center,
     lattice_degree,
     scaled_profile,
@@ -40,13 +41,15 @@ from .root_system import (
     WeylPosition,
 )
 from .sheaf_complex import (
+    ApexTable,
     LatticeBox,
     SheafComplex,
+    apex_table,
+    block_cohomology,
+    class_points,
     cone_complex,
-    jump_complex,
-    lattice_apex,
-    stalk_complex,
-    window_points,
+    jump_bound,
+    stalk_bound,
 )
 
 
@@ -103,15 +106,15 @@ def g_space_cached(n: int, indices: Iterable[int]) -> GradedDims:
 # the cone model of the central-fiber sheaf
 
 
-def build_cone_model(
+def cone_table(
     n: int,
     z: CenterClass | None,
     window: LatticeBox,
     u_bounds: tuple[Fraction, Fraction] | None = None,
-) -> SheafComplex:
-    """Cone model: one windowed standard complex per subset I, shifted
-    by -e_I in both position and degree and weighted by the elementary
-    graded space of I.
+) -> ApexTable:
+    """Apex table of the cone model: one windowed standard complex per
+    subset I, shifted by -e_I in both position and degree and weighted
+    by the elementary graded space of I.
 
     A generator is indexed by (I, J, m): region KCone(J, m), center
     exp(m), total degree |J| - D(m), multiplicity g(I); the apex m runs
@@ -120,26 +123,20 @@ def build_cone_model(
     coroot-pairing profile (a pure optimization: outside any box that
     contains the query's required profile range the summands cancel).
     """
-    # one apex object per lattice point, shared by every subset I, so
-    # stalk selection decides each apex once; apexes are pruned on ints,
-    # the scaled profile N<m, e_k> lying in [ceil(N lo), floor(N hi)]
-    if u_bounds is not None:
-        u_lo, u_hi = math.ceil(n * u_bounds[0]), math.floor(n * u_bounds[1])
-    apexes = []
-    for combo in window_points(n, window):
-        if z is not None and lattice_center(n, combo) != z.residue:
-            continue
-        if u_bounds is not None and not all(
-            u_lo <= c <= u_hi for c in scaled_profile(n, combo)
-        ):
-            continue
-        apexes.append(lattice_apex(n, combo))
     mults = {subset: g_space_cached(n, subset) for subset in _all_subsets(n)}
-    return cone_complex(
-        n,
-        ((subset, mult, apex) for subset, mult in mults.items()
-         for apex in apexes),
-    )
+    return apex_table(n, z, window, mults, u_bounds)
+
+
+def build_cone_model(
+    n: int,
+    z: CenterClass | None,
+    window: LatticeBox,
+    u_bounds: tuple[Fraction, Fraction] | None = None,
+) -> SheafComplex:
+    """The cone model of ``cone_table`` as a validated complex: the
+    oracle that ``block_cohomology`` on the same table is tested
+    against."""
+    return cone_complex(cone_table(n, z, window, u_bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +153,14 @@ def required_stalk_box(p: CartanVector) -> LatticeBox:
     """
     if weyl_chamber(p) is not WeylPosition.INTERIOR_MINUS:
         raise ValueError("stalk margins are certified only inside C_-^o")
-    u = (Fraction(0),) + e_profile(p) + (Fraction(0),)
-    box = []
-    for j in range(1, p.n):
-        lo = math.floor(2 * u[j])
-        hi = min(math.ceil(-u[j - 1] - u[j + 1]), 0)
-        box.append((lo, hi))
-    return tuple(box)
+    # on ints: s = d N u, so floor(2 u_j) = 2 s_j // dN and
+    # ceil(-u_{j-1} - u_{j+1}) = -((s_{j-1} + s_{j+1}) // dN)
+    profile, d = integer_profile(p)
+    s, dn = (0, *profile, 0), d * p.n
+    return tuple(
+        (2 * s[j] // dn, min(-((s[j - 1] + s[j + 1]) // dn), 0))
+        for j in range(1, p.n)
+    )
 
 
 def jump_required_box(
@@ -224,10 +222,11 @@ def stalk_flag_sum(
     N<l, e_k> >= floor(N<p, e_k>) + 1 for every k."""
     required = required_stalk_box(p)
     window = resolve_window(window, required, f"stalk at {p}")
-    lower = [math.floor(c) + 1 for c in scaled_profile(n, p.coords)]
+    profile, d = integer_profile(p)
+    lower = [c // d + 1 for c in profile]
     out = GradedDims.empty()
-    for combo in window_points(n, window):
-        if any(x > 0 for x in combo) or lattice_center(n, combo) != z.residue:
+    for combo in class_points(n, z.residue, window):
+        if any(x > 0 for x in combo):
             continue
         if any(c < b for c, b in zip(scaled_profile(n, combo), lower)):
             continue
@@ -293,7 +292,8 @@ def crosscheck_stalks(
     window: LatticeBox | None = None,
     depth: Fraction = Fraction(5, 2),
 ) -> CrosscheckReport:
-    """Compare cone-model stalk cohomology against the direct-sum
+    """Compare cone-model stalk cohomology, read off the model's apex
+    table as block sums (``block_cohomology``), against the direct-sum
     description at random (or given) points of the open chamber.
 
     Points whose required box is not inside the window are excluded
@@ -323,7 +323,7 @@ def crosscheck_stalks(
         raise ValueError(
             f"window {window} excludes all {len(points)} sample points"
         )
-    model = build_cone_model(n, z, window)
+    table = cone_table(n, z, window)
     report = CrosscheckReport(
         n=n, z=z.residue, requested=len(points), compared=0, excluded=0,
         window=window,
@@ -332,7 +332,7 @@ def crosscheck_stalks(
         if not kept:
             report.excluded += 1
             continue
-        lhs = stalk_complex(model, z, p).cohomology()
+        lhs = block_cohomology(table, stalk_bound(n, p))
         rhs = stalk_flag_sum(n, z, p, window=req)
         report.compared += 1
         if lhs != rhs:
@@ -354,12 +354,12 @@ def model_jump(
     window: LatticeBox | None = None,
 ) -> GradedDims:
     """Jump of the cone model at (I, m), windowed with certified
-    margins."""
-    idx = tuple(sorted(set(indices)))
+    margins, as a closed-form block sum (``block_cohomology``)."""
     required, u_bounds = jump_required_box(n, m)
     window = resolve_window(window, required, f"jump at {m}")
-    model = build_cone_model(n, z, window, u_bounds=u_bounds)
-    return jump_complex(model, idx, m).cohomology()
+    table = cone_table(n, z, window, u_bounds)
+    bound, exact = jump_bound(n, indices, m)
+    return block_cohomology(table, bound, exact, -len(exact))
 
 
 # ---------------------------------------------------------------------------

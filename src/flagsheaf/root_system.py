@@ -160,6 +160,16 @@ def scaled_profile(n: int, coords: Sequence) -> tuple:
     return tuple(out)
 
 
+def integer_profile(v: CartanVector) -> tuple[tuple[int, ...], int]:
+    """(S, d) with N<v, e_k> = S_k / d: d is the least common
+    denominator of v's coordinates and S the scaled profile of the
+    lattice vector d v, so floors and ceilings of N<v, e_k> are integer
+    divisions."""
+    d = math.lcm(*(c.denominator for c in v.coords))
+    coords = [c.numerator * (d // c.denominator) for c in v.coords]
+    return scaled_profile(v.n, coords), d
+
+
 def e_profile(v: CartanVector) -> tuple[Fraction, ...]:
     """All pairings (<v,e_1>, .., <v,e_{N-1}>) at once."""
     return tuple(c / v.n for c in scaled_profile(v.n, v.coords))

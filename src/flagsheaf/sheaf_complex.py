@@ -20,6 +20,16 @@ and exact rank runs only on what is left.  d*d = 0 is checked once per
 restrictions of it and inherit it (see ``_restrict``), while a
 ``FiniteComplex`` built by hand checks its own entries.
 
+Cone complexes (the standard complex Y and the cone model) need no
+complex at all: their blocks are read from an ``ApexTable``, one walk
+over the window's lattice apexes, and their stalks, sections and jumps
+are closed-form block sums (``block_cohomology``, whose docstring has
+the proof).  Every production query takes that path; the built
+``SheafComplex`` (``cone_complex`` on the same table), its restrictions
+and their unit-pivot cohomology stay as the oracle it is tested
+against, and as the engine for hand-built complexes with lower-set
+generators.
+
 Supported regions (parameters are exact rational Cartan vectors):
 
 * ``UMinusOpen(x)``  {y in interior(C_-) : y << x}
@@ -52,7 +62,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .flag_schubert import _all_subsets
 from .graded import GradedDims
@@ -62,6 +72,7 @@ from .root_system import (
     CenterClass,
     IntegrityError,
     cartan,
+    integer_profile,
     lattice_center,
     lattice_degree,
     scaled_profile,
@@ -215,11 +226,9 @@ class SheafComplex:
 
 
 # ---------------------------------------------------------------------------
-# cone complexes: the windowed standard complex Y and the cone model
+# the apex table: one walk over the window's lattice apexes
 
 LatticeBox = tuple[tuple[int, int], ...]
-# a lattice apex m: integer coordinates, the vector, exp(m) and D(m)
-Apex = tuple[tuple[int, ...], CartanVector, CenterClass, int]
 
 
 def window_points(n: int, window: LatticeBox) -> Iterable[tuple[int, ...]]:
@@ -233,9 +242,160 @@ def window_points(n: int, window: LatticeBox) -> Iterable[tuple[int, ...]]:
     return itertools.product(*ranges)
 
 
-def lattice_apex(n: int, combo: tuple[int, ...]) -> Apex:
-    center = CenterClass(n, lattice_center(n, combo))
-    return combo, cartan(n, combo), center, lattice_degree(n, combo)
+def class_points(
+    n: int, residue: int | None, window: LatticeBox
+) -> Iterable[tuple[int, ...]]:
+    """The points of ``window_points`` in center class ``residue``
+    (every point when None), in the same order.  The last coordinate
+    steps through one residue class mod N: its weight N - 1 in the class
+    -(sum_k k x_k) is -1 mod N, so x_{N-1} = residue + sum_{k<N-1} k x_k
+    mod N, and walking it innermost keeps the order lexicographic."""
+    points = window_points(n, window)
+    if residue is None:
+        return points
+    head = [range(lo, hi + 1) for lo, hi in window[:-1]]
+    lo, hi = window[-1]
+
+    def walk():
+        for prefix in itertools.product(*head):
+            target = residue + sum(k * x for k, x in enumerate(prefix, 1))
+            for last in range(lo + (target - lo) % n, hi + 1, n):
+                yield prefix + (last,)
+
+    return walk()
+
+
+class ApexRow(NamedTuple):
+    """One lattice apex m of an ``ApexTable``: its coordinates, center
+    residue, scaled profile N<m, e_j> (ints), D(m), and per forced set
+    (a bitmask, bit j - 1 for index j) the sum of the multiplicities
+    g(I) of the blocks (I, m) with that forced set."""
+
+    combo: tuple[int, ...]
+    residue: int
+    profile: tuple[int, ...]
+    degree: int
+    blocks: tuple[tuple[int, GradedDims], ...]
+
+
+@dataclass(frozen=True)
+class ApexTable:
+    """The blocks of a cone complex (``cone_complex``): one per (subset
+    I of ``mults``, apex m of ``rows``), weighted by ``mults[I]``."""
+
+    n: int
+    mults: dict[tuple[int, ...], GradedDims]
+    rows: tuple[ApexRow, ...]
+
+
+def apex_table(
+    n: int,
+    z: CenterClass | None,
+    window: LatticeBox,
+    mults: dict[tuple[int, ...], GradedDims] | None = None,
+    u_bounds: tuple[Fraction, Fraction] | None = None,
+) -> ApexTable:
+    """Table of the lattice apexes of ``window`` in class z (every class
+    when None), in lexicographic order, with one block per subset of
+    ``mults`` (default: the standard complex's single block I = () of
+    multiplicity one line).  ``u_bounds`` prunes apexes on ints: the
+    scaled profile must lie in [ceil(N lo), floor(N hi)].
+
+    forced(I, m) = {k : x_k + [k in I] > 0} for m = (x_1, .., x_{N-1})
+    depends on I only through the k with x_k = 0, so the grouped sums
+    are made once per sign pattern of m."""
+    if mults is None:
+        mults = {(): GradedDims.line()}
+    if u_bounds is not None:
+        u_lo, u_hi = math.ceil(n * u_bounds[0]), math.floor(n * u_bounds[1])
+    masks = {s: sum(1 << (k - 1) for k in s) for s in mults}
+    grouped: dict[tuple[int, int], tuple[tuple[int, GradedDims], ...]] = {}
+    rows = []
+    for combo in class_points(n, None if z is None else z.residue, window):
+        profile = scaled_profile(n, combo)
+        if u_bounds is not None and not all(
+            u_lo <= c <= u_hi for c in profile
+        ):
+            continue
+        positive = sum(1 << k for k, x in enumerate(combo) if x > 0)
+        zeros = sum(1 << k for k, x in enumerate(combo) if x == 0)
+        blocks = grouped.get((positive, zeros))
+        if blocks is None:
+            sums: dict[int, dict[int, int]] = {}
+            for subset, mult in mults.items():
+                acc = sums.setdefault(positive | (zeros & masks[subset]), {})
+                for deg, dim in mult.items():
+                    acc[deg] = acc.get(deg, 0) + dim
+            blocks = grouped[positive, zeros] = tuple(
+                (forced, GradedDims(acc)) for forced, acc in sums.items()
+            )
+        rows.append(
+            ApexRow(
+                combo,
+                lattice_center(n, combo) if z is None else z.residue,
+                profile,
+                lattice_degree(n, combo),
+                blocks,
+            )
+        )
+    return ApexTable(n, dict(mults), tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# closed-form block cohomology
+
+
+def block_cohomology(
+    table: ApexTable,
+    bound: Sequence,
+    exact: frozenset[int] = frozenset(),
+    shift: int = 0,
+) -> GradedDims:
+    """Cohomology of the cone complex of ``table`` restricted to the
+    cones K(J, m) with exact <= J, N<m, e_j> <= bound[j - 1] on J and
+    N<m, e_k> = bound[k - 1] on ``exact``, moved by ``shift`` (the
+    ``_select`` -> ``_restrict`` rule), without building the complex.
+
+    With P = N<m, e_j>, the stalk at p takes bound floor(N<p, e_j>)
+    (``stalk_bound``), the sections over a lower set of top x^ take
+    ceil(N<x^, e_j>) - 1 on the standard complex (``sections_bound``),
+    and the jump at (I, m) takes exact = I, bound N<m, e_k> on I and
+    ceil(N<m, e_j>) - 1 off it, and shift -|I| (``jump_bound``); no
+    integer profile equals a bound that is not an integer, so then no
+    cone is kept.
+
+    Proof.  ``cone_complex`` has differential entries only inside a
+    block (I, m): the signed restrictions K(J, m) -> K(J + {e}, m) with
+    multiplicity g(I), over the J containing F = forced(I, m).  So the
+    restriction is the direct sum of its blocks.  Per block the kept J
+    are those with F | exact <= J <= A, A = {j : P_j <= bound[j - 1]},
+    when P = bound on exact, and none otherwise (then exact <= A).  The
+    interval [F | exact, A] with the signs (-1)^#{j in J : j < e} is the
+    tensor product, over e in A - (F | exact), of the complexes K -> K
+    (the identity), each acyclic, so by Kuenneth the block is acyclic
+    unless F | exact = A.  Then it is the one line J = A, in degree
+    |A| - D(m) + shift, carrying g(I).  Blocks of one apex with one F
+    enter alike, so their g(I) are summed in the table.
+    """
+    exact_mask = sum(1 << (k - 1) for k in exact)
+    terms: list[tuple[int, int]] = []
+    for row in table.rows:
+        profile = row.profile
+        if any(profile[k - 1] != bound[k - 1] for k in exact):
+            continue
+        allowed = 0
+        for j, (a, b) in enumerate(zip(profile, bound)):
+            if a <= b:
+                allowed |= 1 << j
+        for forced, mult in row.blocks:
+            if forced | exact_mask == allowed:
+                offset = allowed.bit_count() - row.degree + shift
+                terms.extend((d + offset, dim) for d, dim in mult.items())
+    return GradedDims(terms)
+
+
+# ---------------------------------------------------------------------------
+# cone complexes: the windowed standard complex Y and the cone model
 
 
 def _subset_sign(j_small: frozenset[int], added: int) -> int:
@@ -244,22 +404,29 @@ def _subset_sign(j_small: frozenset[int], added: int) -> int:
     return -1 if sigma % 2 else 1
 
 
-def cone_complex(
-    n: int, blocks: Iterable[tuple[tuple[int, ...], GradedDims, Apex]]
-) -> SheafComplex:
+def cone_complex(table: ApexTable) -> SheafComplex:
     """Complex of constant sheaves on closed cones (Kashiwara-Schapira,
-    Sheaves on Manifolds, 1990), one block per (subset I, multiplicity,
-    apex m): a generator KCone(J, m) for every J containing
-    forced(I, m) = {k : <m, f_k> + [k in I] > 0}, in total degree
-    |J| - D(m) at center exp(m), labelled ("cone", I, J, m), with
-    differential the signed restrictions J -> J + {e} inside the
-    block.  The result is validated, d*d = 0 included."""
+    Sheaves on Manifolds, 1990), one block per (subset I, apex m) of
+    ``table``, subsets outermost: a generator KCone(J, m) for every J
+    containing forced(I, m) = {k : <m, f_k> + [k in I] > 0}, in total
+    degree |J| - D(m) at center exp(m), with multiplicity g(I) =
+    ``table.mults[I]``, labelled ("cone", I, J, m), with differential
+    the signed restrictions J -> J + {e} inside the block.  The result
+    is validated, d*d = 0 included."""
+    n = table.n
     all_indices = range(1, n)
     subsets = [(jc, frozenset(jc)) for jc in _all_subsets(n)]
+    apexes = [
+        (row.combo, cartan(n, row.combo), CenterClass(n, row.residue),
+         row.degree)
+        for row in table.rows
+    ]
     generators: list[SheafGenerator] = []
     entries: list[Triplet] = []
     cones: dict[tuple[int, frozenset[int]], KCone] = {}  # one per (m, J)
-    for subset, mult, (combo, m, cc, dm) in blocks:
+    for (subset, mult), (combo, m, cc, dm) in itertools.product(
+        table.mults.items(), apexes
+    ):
         forced = frozenset(
             k for k in all_indices if combo[k - 1] + (k in subset) > 0
         )
@@ -293,9 +460,7 @@ def build_standard_complex(n: int, window: LatticeBox) -> SheafComplex:
     """Windowed standard complex: the I = () block of the cone model,
     one line per cone K(J, l) for every lattice l in the window and
     every J containing {k : <l, f_k> > 0}."""
-    line = GradedDims.line()
-    blocks = [((), line, lattice_apex(n, c)) for c in window_points(n, window)]
-    return cone_complex(n, blocks)
+    return cone_complex(apex_table(n, None, window))
 
 
 # ---------------------------------------------------------------------------
@@ -514,16 +679,23 @@ def _restrict(
     return FiniteComplex(degrees, entries, mults, dd_zero_known=True)
 
 
+def stalk_bound(n: int, p: CartanVector) -> list[int]:
+    """Int bound of the stalk at p: a cone KCone(J, l) contains p iff
+    <p, e_j> >= <l, e_j> for j in J, that is iff N<l, e_j> <=
+    floor(N<p, e_j>)."""
+    if p.n != n:
+        raise ValueError("rank mismatch")
+    profile, d = integer_profile(p)
+    return [c // d for c in profile]
+
+
 def stalk_complex(
     s: SheafComplex, z: CenterClass, p: CartanVector
 ) -> FiniteComplex:
     """Stalk at p of the center-z part: keep generators whose region
-    contains p; restriction entries become identity scalars.  A cone
-    KCone(J, l) contains p iff <p, e_j> >= <l, e_j> for j in J, that is
-    iff N<l, e_j> <= floor(N<p, e_j>), the int bound given ``_select``."""
-    if p.n != s.n:
-        raise ValueError("rank mismatch")
-    bound = [math.floor(c) for c in scaled_profile(s.n, p.coords)]
+    contains p (``stalk_bound`` for cones); restriction entries become
+    identity scalars."""
+    bound = stalk_bound(s.n, p)
     return _restrict(s, _select(s, z, bound, lambda r: region_contains(r, p)))
 
 
@@ -573,18 +745,34 @@ def _chamber_hull(profile: Sequence) -> list:
     ]
 
 
+def _section_top(n: int, u: UOpen | UMinusOpen) -> list:
+    """Scaled profile X^ of the top x^ of U: x for UOpen(x), the chamber
+    hull of x for UMinusOpen(x)."""
+    if not isinstance(u, (UOpen, UMinusOpen)):
+        raise ValueError("sections are supported over UOpen/UMinusOpen only")
+    if region_rank(u) != n:
+        raise ValueError("rank mismatch")
+    profile = scaled_profile(n, u.x.coords)
+    return _chamber_hull(profile) if isinstance(u, UMinusOpen) else profile
+
+
+def sections_bound(n: int, u: UOpen | UMinusOpen) -> list[int]:
+    """Int bound of the sections over U: a cone K(J, l) meets U iff
+    N<l, e_j> < X^_j, that is <= ceil(X^_j) - 1, for every j in J."""
+    return [math.ceil(x) - 1 for x in _section_top(n, u)]
+
+
 def _sections_alive(
     s: SheafComplex, z: CenterClass | None, u: UOpen | UMinusOpen
 ) -> list[bool]:
     """Generators with RGamma(U; K_region) = K (degree 0), per the
-    module soundness contract, at U's top x^ of scaled profile X^: a
-    cone K(J, l) meets U iff N<l, e_j> < X^_j, that is <= ceil(X^_j) - 1,
-    for every j in J, the int bound given ``_select``."""
-    profile = scaled_profile(s.n, u.x.coords)
-    if isinstance(u, UMinusOpen):
-        profile = _chamber_hull(profile)
-    bound = [math.ceil(x) - 1 for x in profile]
-    return _select(s, z, bound, lambda r: _lower_set_alive(s.n, r, profile))
+    module soundness contract, at U's top x^ of scaled profile X^: cones
+    by ``sections_bound``, lower sets by ``_lower_set_alive``."""
+    top = _section_top(s.n, u)
+    return _select(
+        s, z, sections_bound(s.n, u),
+        lambda r: _lower_set_alive(s.n, r, top),
+    )
 
 
 def sections_complex(
@@ -594,11 +782,25 @@ def sections_complex(
     is alive iff N<l, e_j> < X^_j on J and a lower set UMinusOpen(y) iff
     x^ <= y, for the top x^ of U (x for UOpen(x), the chamber hull of x
     for UMinusOpen(x))."""
-    if not isinstance(u, (UOpen, UMinusOpen)):
-        raise ValueError("sections are supported over UOpen/UMinusOpen only")
-    if region_rank(u) != s.n:
-        raise ValueError("rank mismatch")
     return _restrict(s, _sections_alive(s, z, u))
+
+
+def jump_bound(
+    n: int, indices: Iterable[int], m: CartanVector
+) -> tuple[list, frozenset[int]]:
+    """Bound and exact set of the jump at (I, m) (``jump_complex``):
+    with M_j = N<m, e_j>, M_k on I, ceil(M_j) - 1 off I, and exact = I."""
+    if m.n != n:
+        raise ValueError("rank mismatch")
+    exact = frozenset(indices)
+    for k in exact:
+        if not 1 <= k <= n - 1:
+            raise ValueError(f"index {k} out of range")
+    profile = scaled_profile(n, m.coords)
+    bound = [
+        x if j in exact else math.ceil(x) - 1 for j, x in enumerate(profile, 1)
+    ]
+    return bound, exact
 
 
 def jump_complex(
@@ -625,16 +827,8 @@ def jump_complex(
     the sequence stops at E_2: the jump is the restriction to those
     generators, cones moved to degree -|I|, and it inherits d*d = 0.
     """
-    if m.n != s.n:
-        raise ValueError("rank mismatch")
-    exact = frozenset(indices)
-    for k in exact:
-        if not 1 <= k <= s.n - 1:
-            raise ValueError(f"index {k} out of range")
+    bound, exact = jump_bound(s.n, indices, m)
     profile = scaled_profile(s.n, m.coords)
-    bound = [
-        x if j in exact else math.ceil(x) - 1 for j, x in enumerate(profile, 1)
-    ]
     alive = _select(
         s, None, bound,
         lambda r: _lower_set_alive(s.n, r, profile, exact), exact,

@@ -589,3 +589,20 @@ def fraction_stalk_flag_sum(n, z, p, window=None):
         iset = tuple(sorted(k for k in range(1, n) if pair_f(l, k) < 0))
         out = out + betti_cached(n, iset).shifted(-d_degree(l))
     return out
+
+
+def fraction_required_stalk_box(p):
+    """Box of every lattice apex that can contribute to the stalk at p,
+    from the Fraction pairing profile u = e_profile(p): the form the
+    integer rule of ``pipeline.required_stalk_box`` replaced."""
+    from flagsheaf.root_system import WeylPosition, e_profile, weyl_chamber
+
+    if weyl_chamber(p) is not WeylPosition.INTERIOR_MINUS:
+        raise ValueError("stalk margins are certified only inside C_-^o")
+    u = (Fraction(0),) + e_profile(p) + (Fraction(0),)
+    box = []
+    for j in range(1, p.n):
+        lo = math.floor(2 * u[j])
+        hi = min(math.ceil(-u[j - 1] - u[j + 1]), 0)
+        box.append((lo, hi))
+    return tuple(box)

@@ -6,8 +6,8 @@ the coroot diagonal and the Grassmannian dimensions; stalk and section
 selection on int bounds against the Fraction rule one generator at a
 time, at sampled points and at points whose scaled profile ties an
 apex's; sections over UMinusOpen(x) (the chamber hull rule) against
-Fourier-Motzkin feasibility; and ``stalk_flag_sum`` against its
-Fraction form.
+Fourier-Motzkin feasibility; and ``stalk_flag_sum`` and
+``required_stalk_box`` against their Fraction forms.
 """
 
 import itertools
@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from flagsheaf.flag_schubert import FlagType, betti
 from flagsheaf.pipeline import (
     build_cone_model,
+    required_stalk_box,
     sample_c_minus_interior,
     stalk_flag_sum,
 )
@@ -29,6 +30,7 @@ from flagsheaf.root_system import (
     enumerate_lattice,
     f_vec,
     in_c_minus,
+    integer_profile,
     lattice_center,
     lattice_degree,
     pair_e,
@@ -49,6 +51,7 @@ from oracles import (
     coroot_diagonal,
     fm_cone_meets_uminus,
     fraction_cone_alive,
+    fraction_required_stalk_box,
     fraction_stalk_flag_sum,
 )
 
@@ -85,6 +88,11 @@ def test_scaled_profile_is_n_times_pair_e(point):
     v = cartan(n, coords)
     want = tuple(n * pair_e(v, k) for k in range(1, n))
     assert scaled_profile(n, v.coords) == want
+    # and over the common denominator, on ints
+    profile, d = integer_profile(v)
+    assert all(type(c) is int for c in profile)
+    assert all(d % c.denominator == 0 for c in v.coords)
+    assert tuple(Q(c, d) for c in profile) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -255,3 +263,24 @@ def test_stalk_flag_sum_matches_fraction_form(n):
         for r in range(n):
             z = CenterClass(n, r)
             assert stalk_flag_sum(n, z, p) == fraction_stalk_flag_sum(n, z, p)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_required_stalk_box_matches_fraction_form(n):
+    # seeded points of C_-^o at several depths and denominators, points
+    # whose scaled profile is an integer, and points outside C_-^o, which
+    # both forms refuse
+    rng = np.random.default_rng(30 + n)
+    points = [
+        sample_c_minus_interior(n, rng, depth=Q(depth, 2), denom=denom)
+        for depth in (1, 3, 5, 8) for denom in (1, 3, 16) for _ in range(5)
+    ]
+    points += [cartan(n, (-1,) * (n - 1)), cartan(n, (-n,) * (n - 1))]
+    for p in points:
+        assert required_stalk_box(p) == fraction_required_stalk_box(p), p
+    outside = [cartan(n, (0,) * (n - 1)), cartan(n, (Q(1, 3),) * (n - 1))]
+    outside.append(cartan(n, (-1,) * (n - 2) + (0,)))
+    for p in outside:
+        for rule in (required_stalk_box, fraction_required_stalk_box):
+            with pytest.raises(ValueError, match="inside C_-"):
+                rule(p)
