@@ -36,7 +36,6 @@ from .root_system import (
     integer_profile,
     lattice_center,
     lattice_degree,
-    scaled_profile,
     weyl_chamber,
     WeylPosition,
 )
@@ -46,9 +45,9 @@ from .sheaf_complex import (
     SheafComplex,
     apex_table,
     block_cohomology,
-    class_points,
     cone_complex,
     jump_bound,
+    lattice_points,
     stalk_bound,
 )
 
@@ -110,7 +109,7 @@ def cone_table(
     n: int,
     z: CenterClass | None,
     window: LatticeBox,
-    u_bounds: tuple[Fraction, Fraction] | None = None,
+    profile_box: LatticeBox | None = None,
 ) -> ApexTable:
     """Apex table of the cone model: one windowed standard complex per
     subset I, shifted by -e_I in both position and degree and weighted
@@ -119,28 +118,34 @@ def cone_table(
     A generator is indexed by (I, J, m): region KCone(J, m), center
     exp(m), total degree |J| - D(m), multiplicity g(I); the apex m runs
     over lattice points of the window with m + e_I in the J-admissible
-    sublattice.  ``u_bounds`` optionally prunes apexes by their
-    coroot-pairing profile (a pure optimization: outside any box that
-    contains the query's required profile range the summands cancel).
+    sublattice.  ``profile_box`` optionally bounds the apexes' scaled
+    profiles N<m, e_k> on ints (a pure optimization: outside any box
+    that contains the query's required profile range the summands
+    cancel); the walk then visits only what it keeps.
     """
     mults = {subset: g_space_cached(n, subset) for subset in _all_subsets(n)}
-    return apex_table(n, z, window, mults, u_bounds)
+    return apex_table(n, z, window, mults, profile_box)
 
 
 def build_cone_model(
     n: int,
     z: CenterClass | None,
     window: LatticeBox,
-    u_bounds: tuple[Fraction, Fraction] | None = None,
+    profile_box: LatticeBox | None = None,
 ) -> SheafComplex:
     """The cone model of ``cone_table`` as a validated complex: the
     oracle that ``block_cohomology`` on the same table is tested
     against."""
-    return cone_complex(cone_table(n, z, window, u_bounds))
+    return cone_complex(cone_table(n, z, window, profile_box))
 
 
 # ---------------------------------------------------------------------------
 # required boxes (certified truncation margins)
+
+
+def _require_interior(p: CartanVector):
+    if weyl_chamber(p) is not WeylPosition.INTERIOR_MINUS:
+        raise ValueError("stalk margins are certified only inside C_-^o")
 
 
 def required_stalk_box(p: CartanVector) -> LatticeBox:
@@ -151,8 +156,7 @@ def required_stalk_box(p: CartanVector) -> LatticeBox:
     pairing profile lies in (u_j(p), 0]; the box below converts those
     profile bounds to coordinate bounds.
     """
-    if weyl_chamber(p) is not WeylPosition.INTERIOR_MINUS:
-        raise ValueError("stalk margins are certified only inside C_-^o")
+    _require_interior(p)
     # on ints: s = d N u, so floor(2 u_j) = 2 s_j // dN and
     # ceil(-u_{j-1} - u_{j+1}) = -((s_{j-1} + s_{j+1}) // dN)
     profile, d = integer_profile(p)
@@ -165,9 +169,9 @@ def required_stalk_box(p: CartanVector) -> LatticeBox:
 
 def jump_required_box(
     n: int, m: CartanVector
-) -> tuple[LatticeBox, tuple[Fraction, Fraction]]:
-    """Box (plus profile bounds) containing every apex that can
-    contribute to the jump complex at (I, m), for every I.
+) -> tuple[LatticeBox, LatticeBox]:
+    """Box, and box of scaled profiles N<m', e_k>, containing every apex
+    m' that can contribute to the jump complex at (I, m), for every I.
 
     In a block (I', m') the jump keeps the J with Q <= J <= allowed,
     Q = forced(I', m') | I (``jump_complex``), acyclic unless allowed =
@@ -176,14 +180,14 @@ def jump_required_box(
     of u(m') below min(0, min u(m)) would spread through forced - I to
     u_0 = u_N = 0 or to where u(m') >= u(m), and a maximum above max(0,
     max u(m)) off Q likewise: the profile stays inside [min(0, min
-    u(m)) - 1, max(0, max u(m)) + 1].
+    u(m)) - 1, max(0, max u(m)) + 1] = [lo_u, hi_u], and <m', f_k> in
+    [2 lo_u - 2 hi_u, 2 hi_u - 2 lo_u]; on ints via ``integer_profile``.
     """
-    prof = e_profile(m)
-    lo_u = min([Fraction(0), *prof]) - 1
-    hi_u = max([Fraction(0), *prof]) + 1
-    lo_x = math.floor(2 * lo_u - 2 * hi_u)
-    hi_x = math.ceil(2 * hi_u - 2 * lo_u)
-    return tuple((lo_x, hi_x) for _ in range(n - 1)), (lo_u, hi_u)
+    s, d = integer_profile(m)
+    low, high = min(0, *s), max(0, *s)
+    lo_x = 2 * (low - high) // (d * m.n) - 4
+    profile = (-(-low // d) - m.n, high // d + m.n)
+    return ((lo_x, -lo_x),) * (n - 1), (profile,) * (n - 1)
 
 
 def box_contains(outer: LatticeBox, inner: LatticeBox) -> bool:
@@ -219,17 +223,19 @@ def stalk_flag_sum(
     """Stalk at p of the center-z fiber in the second description: one
     flag-cohomology summand, shifted down by D(l), for every lattice
     l in C_- (every x_k <= 0) with exp(l) = z and p << l, that is
-    N<l, e_k> >= floor(N<p, e_k>) + 1 for every k."""
-    required = required_stalk_box(p)
-    window = resolve_window(window, required, f"stalk at {p}")
+    N<l, e_k> >= floor(N<p, e_k>) + 1 for every k: one ``lattice_points``
+    walk over x <= 0 with the profile P in [floor(N<p, e_k>) + 1, 0], where
+    x_k = (2 P_k - P_{k-1} - P_{k+1}) / N >= 2 P_k / N bounds it below.
+    A given window must contain ``required_stalk_box``, and so every l."""
+    _require_interior(p)
+    if window is not None:
+        resolve_window(window, required_stalk_box(p), f"stalk at {p}")
     profile, d = integer_profile(p)
     lower = [c // d + 1 for c in profile]
+    coord_box = tuple((-(-2 * b // n), 0) for b in lower)
+    profile_box = tuple((b, 0) for b in lower)
     out = GradedDims.empty()
-    for combo in class_points(n, z.residue, window):
-        if any(x > 0 for x in combo):
-            continue
-        if any(c < b for c, b in zip(scaled_profile(n, combo), lower)):
-            continue
+    for combo, _ in lattice_points(n, z.residue, coord_box, profile_box):
         iset = tuple(k for k, x in enumerate(combo, 1) if x < 0)
         out = out + betti_cached(n, iset).shifted(-lattice_degree(n, combo))
     return out
@@ -328,12 +334,12 @@ def crosscheck_stalks(
         n=n, z=z.residue, requested=len(points), compared=0, excluded=0,
         window=window,
     )
-    for p, req, kept in zip(points, required_boxes, inside):
+    for p, kept in zip(points, inside):
         if not kept:
             report.excluded += 1
             continue
         lhs = block_cohomology(table, stalk_bound(n, p))
-        rhs = stalk_flag_sum(n, z, p, window=req)
+        rhs = stalk_flag_sum(n, z, p)
         report.compared += 1
         if lhs != rhs:
             report.mismatches.append(
@@ -354,11 +360,16 @@ def model_jump(
     window: LatticeBox | None = None,
 ) -> GradedDims:
     """Jump of the cone model at (I, m), windowed with certified
-    margins, as a closed-form block sum (``block_cohomology``)."""
-    required, u_bounds = jump_required_box(n, m)
+    margins, as a block sum (``block_cohomology``), which keeps only the
+    apexes with N<m', e_k> = M_k on I: the walk pins them there."""
+    required, profile_box = jump_required_box(n, m)
     window = resolve_window(window, required, f"jump at {m}")
-    table = cone_table(n, z, window, u_bounds)
     bound, exact = jump_bound(n, indices, m)
+    pinned = tuple(
+        (math.ceil(b), math.floor(b)) if j in exact else box
+        for j, (b, box) in enumerate(zip(bound, profile_box), 1)
+    )
+    table = cone_table(n, z, window, pinned)
     return block_cohomology(table, bound, exact, -len(exact))
 
 

@@ -24,7 +24,6 @@ Conventions (fixed once, used by every module):
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -256,29 +255,6 @@ def center_class(l: CartanVector) -> CenterClass:
 def d_degree(l: CartanVector) -> int:
     """D(l), for integral l."""
     return lattice_degree(l.n, _require_integral(l))
-
-
-def enumerate_lattice(
-    z: CenterClass,
-    bounds: Sequence[tuple[Fraction | int, Fraction | int]],
-) -> list[CartanVector]:
-    """All integral vectors in the closed coordinate box with the given
-    center class, in lexicographic coordinate order.
-
-    ``bounds`` gives one (lo, hi) pair per coordinate; the box must be
-    finite.
-    """
-    n = z.n
-    if len(bounds) != n - 1:
-        raise ValueError(f"expected {n - 1} bound pairs, got {len(bounds)}")
-    ranges = []
-    for lo, hi in bounds:
-        if lo is None or hi is None:
-            raise ValueError("unbounded box")
-        lo_i, hi_i = math.ceil(_as_fraction(lo)), math.floor(_as_fraction(hi))
-        ranges.append(range(lo_i, hi_i + 1))
-    vectors = (cartan(n, combo) for combo in itertools.product(*ranges))
-    return [v for v in vectors if center_class(v) == z]
 
 
 def shevel_witness(x: CartanVector, y: CartanVector) -> int:

@@ -58,7 +58,6 @@ determine the section complex entirely.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -73,7 +72,6 @@ from .root_system import (
     IntegrityError,
     cartan,
     integer_profile,
-    lattice_center,
     lattice_degree,
     scaled_profile,
 )
@@ -231,38 +229,56 @@ class SheafComplex:
 LatticeBox = tuple[tuple[int, int], ...]
 
 
-def window_points(n: int, window: LatticeBox) -> Iterable[tuple[int, ...]]:
-    """Integer coordinate tuples of the window box, in lexicographic
-    order; the window is checked before the walk starts."""
-    if len(window) != n - 1:
+def lattice_points(
+    n: int, residue: int | None, coord_box: LatticeBox, profile_box: LatticeBox
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(m, P) for the lattice points m of ``coord_box`` in center class
+    ``residue`` (every class when None) with scaled profile P_k =
+    N<m, e_k> inside ``profile_box``, in lexicographic order of m.
+
+    A triangular walk (Cohen, A Course in Computational Algebraic Number
+    Theory, 1993, 2.4) in the unimodular coordinates (P_1, x_1, ..,
+    x_{N-2}), on ints: P_1 = sum_j (N - j) x_j = -sum_j j x_j mod N steps
+    by N through the class; <m, f_k> = x_k gives P_{k+1} = 2 P_k -
+    P_{k-1} - N x_k, so each x_k takes one range keeping P_{k+1} in its
+    box; and x_{N-1} = (2 P_{N-1} - P_{N-2}) / N = c - 2 x_{N-2}, c an
+    integer, is kept in the window by the innermost range."""
+    if len(coord_box) != n - 1:
         raise ValueError(f"window must have {n - 1} coordinate ranges")
-    ranges = [range(lo, hi + 1) for lo, hi in window]
-    if any(len(r) == 0 for r in ranges):
+    if any(lo > hi for lo, hi in coord_box):
         raise ValueError("empty window")
-    return itertools.product(*ranges)
-
-
-def class_points(
-    n: int, residue: int | None, window: LatticeBox
-) -> Iterable[tuple[int, ...]]:
-    """The points of ``window_points`` in center class ``residue``
-    (every point when None), in the same order.  The last coordinate
-    steps through one residue class mod N: its weight N - 1 in the class
-    -(sum_k k x_k) is -1 mod N, so x_{N-1} = residue + sum_{k<N-1} k x_k
-    mod N, and walking it innermost keeps the order lexicographic."""
-    points = window_points(n, window)
-    if residue is None:
-        return points
-    head = [range(lo, hi + 1) for lo, hi in window[:-1]]
-    lo, hi = window[-1]
-
-    def walk():
-        for prefix in itertools.product(*head):
-            target = residue + sum(k * x for k, x in enumerate(prefix, 1))
-            for last in range(lo + (target - lo) % n, hi + 1, n):
-                yield prefix + (last,)
-
-    return walk()
+    lo, hi = profile_box[0]  # P_1 = sum_j (N - j) x_j, also in the window
+    lo = max(lo, sum((n - j) * a for j, (a, _) in enumerate(coord_box, 1)))
+    hi = min(hi, sum((n - j) * b for j, (_, b) in enumerate(coord_box, 1)))
+    step = 1 if residue is None else n
+    if residue is not None:  # from the class's first value
+        lo += (residue - lo) % n
+    if n == 2:
+        return [((p,), (p,)) for p in range(lo, hi + 1, step)]
+    # (P_{k-1}, P_k, (x_1, .., x_{k-1}), (P_1, .., P_k))
+    level = [(0, p, (), (p,)) for p in range(lo, hi + 1, step)]
+    for (x_lo, x_hi), (p_lo, p_hi) in zip(coord_box[:-2], profile_box[1:-1]):
+        level = [
+            (cur, t - n * x, combo + (x,), prof + (t - n * x,))
+            for prev, cur, combo, prof in level
+            for t in (2 * cur - prev,)
+            for x in range(
+                max(x_lo, -((p_hi - t) // n)), min(x_hi, (t - p_lo) // n) + 1
+            )
+        ]
+    (x_lo, x_hi), (y_lo, y_hi) = coord_box[-2:]
+    p_lo, p_hi = profile_box[-1]
+    points = []
+    for prev, cur, combo, prof in level:
+        t = 2 * cur - prev
+        c = (2 * t - cur) // n
+        for x in range(
+            max(x_lo, -((p_hi - t) // n), -((y_hi - c) // 2)),
+            min(x_hi, (t - p_lo) // n, (c - y_lo) // 2) + 1,
+        ):
+            points.append((combo + (x, c - 2 * x), prof + (t - n * x,)))
+    points.sort()
+    return points
 
 
 class ApexRow(NamedTuple):
@@ -293,30 +309,27 @@ def apex_table(
     z: CenterClass | None,
     window: LatticeBox,
     mults: dict[tuple[int, ...], GradedDims] | None = None,
-    u_bounds: tuple[Fraction, Fraction] | None = None,
+    profile_box: LatticeBox | None = None,
 ) -> ApexTable:
     """Table of the lattice apexes of ``window`` in class z (every class
-    when None), in lexicographic order, with one block per subset of
-    ``mults`` (default: the standard complex's single block I = () of
-    multiplicity one line).  ``u_bounds`` prunes apexes on ints: the
-    scaled profile must lie in [ceil(N lo), floor(N hi)].
+    when None) whose scaled profile N<m, e_k> lies in ``profile_box``
+    (default: the window's own profile range, which keeps every apex),
+    in lexicographic order, with one block per subset of ``mults``
+    (default: the standard complex's single block I = () of
+    multiplicity one line), from one ``lattice_points`` walk.
 
     forced(I, m) = {k : x_k + [k in I] > 0} for m = (x_1, .., x_{N-1})
     depends on I only through the k with x_k = 0, so the grouped sums
     are made once per sign pattern of m."""
     if mults is None:
         mults = {(): GradedDims.line()}
-    if u_bounds is not None:
-        u_lo, u_hi = math.ceil(n * u_bounds[0]), math.floor(n * u_bounds[1])
+    if profile_box is None:  # P_k is increasing in every coordinate
+        profile_box = tuple(zip(*(scaled_profile(n, c) for c in zip(*window))))
     masks = {s: sum(1 << (k - 1) for k in s) for s in mults}
     grouped: dict[tuple[int, int], tuple[tuple[int, GradedDims], ...]] = {}
     rows = []
-    for combo in class_points(n, None if z is None else z.residue, window):
-        profile = scaled_profile(n, combo)
-        if u_bounds is not None and not all(
-            u_lo <= c <= u_hi for c in profile
-        ):
-            continue
+    residue = None if z is None else z.residue
+    for combo, profile in lattice_points(n, residue, window, profile_box):
         positive = sum(1 << k for k, x in enumerate(combo) if x > 0)
         zeros = sum(1 << k for k, x in enumerate(combo) if x == 0)
         blocks = grouped.get((positive, zeros))
@@ -329,12 +342,10 @@ def apex_table(
             blocks = grouped[positive, zeros] = tuple(
                 (forced, GradedDims(acc)) for forced, acc in sums.items()
             )
+        # P_1 = -sum_k k x_k mod N is the center residue
         rows.append(
             ApexRow(
-                combo,
-                lattice_center(n, combo) if z is None else z.residue,
-                profile,
-                lattice_degree(n, combo),
+                combo, profile[0] % n, profile, lattice_degree(n, combo),
                 blocks,
             )
         )
@@ -424,9 +435,8 @@ def cone_complex(table: ApexTable) -> SheafComplex:
     generators: list[SheafGenerator] = []
     entries: list[Triplet] = []
     cones: dict[tuple[int, frozenset[int]], KCone] = {}  # one per (m, J)
-    for (subset, mult), (combo, m, cc, dm) in itertools.product(
-        table.mults.items(), apexes
-    ):
+    blocks = ((i, g, apex) for i, g in table.mults.items() for apex in apexes)
+    for subset, mult, (combo, m, cc, dm) in blocks:
         forced = frozenset(
             k for k in all_indices if combo[k - 1] + (k in subset) > 0
         )
@@ -788,17 +798,18 @@ def sections_complex(
 def jump_bound(
     n: int, indices: Iterable[int], m: CartanVector
 ) -> tuple[list, frozenset[int]]:
-    """Bound and exact set of the jump at (I, m) (``jump_complex``):
-    with M_j = N<m, e_j>, M_k on I, ceil(M_j) - 1 off I, and exact = I."""
+    """Bound and exact set I of the jump at (I, m) (``jump_complex``), on
+    ints where it can be: M_k = N<m, e_k> on I, ceil(M_j) - 1 off I."""
     if m.n != n:
         raise ValueError("rank mismatch")
     exact = frozenset(indices)
     for k in exact:
         if not 1 <= k <= n - 1:
             raise ValueError(f"index {k} out of range")
-    profile = scaled_profile(n, m.coords)
+    profile, d = integer_profile(m)
     bound = [
-        x if j in exact else math.ceil(x) - 1 for j, x in enumerate(profile, 1)
+        _exact(Fraction(s, d)) if j in exact else -(-s // d) - 1
+        for j, s in enumerate(profile, 1)
     ]
     return bound, exact
 

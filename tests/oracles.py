@@ -8,7 +8,10 @@ Fraction Gaussian elimination and the component-split Bareiss ranks
 that unit-pivot reduction replaced; Fourier-Motzkin feasibility for
 cones meeting the chamber set UMinusOpen(x), the solver the chamber
 hull rule of section selection replaced; and the jump as the total
-complex over 2^|I| corners, which one restriction replaced.
+complex over 2^|I| corners, which one restriction replaced; and the
+box walks (``window_points``, ``class_points`` plus a profile filter,
+``enumerate_lattice``) that the triangular ``sheaf_complex.lattice_points``
+replaced in src/.
 """
 
 from __future__ import annotations
@@ -371,6 +374,78 @@ def fraction_module_terms(n, lam, indices, degree_window, action_window):
     return terms
 
 
+# -- the box walk the triangular lattice walk replaced ------------------------
+
+
+def window_points(n, window):
+    """Integer coordinate tuples of the window box, in lexicographic
+    order; the window is checked before the walk starts."""
+    if len(window) != n - 1:
+        raise ValueError(f"window must have {n - 1} coordinate ranges")
+    ranges = [range(lo, hi + 1) for lo, hi in window]
+    if any(len(r) == 0 for r in ranges):
+        raise ValueError("empty window")
+    return itertools.product(*ranges)
+
+
+def class_points(n, residue, window):
+    """The points of ``window_points`` in center class ``residue``
+    (every point when None), in the same order.  The last coordinate
+    steps through one residue class mod N: its weight N - 1 in the class
+    -(sum_k k x_k) is -1 mod N, so x_{N-1} = residue + sum_{k<N-1} k x_k
+    mod N, and walking it innermost keeps the order lexicographic."""
+    points = window_points(n, window)
+    if residue is None:
+        return points
+    head = [range(lo, hi + 1) for lo, hi in window[:-1]]
+    lo, hi = window[-1]
+
+    def walk():
+        for prefix in itertools.product(*head):
+            target = residue + sum(k * x for k, x in enumerate(prefix, 1))
+            for last in range(lo + (target - lo) % n, hi + 1, n):
+                yield prefix + (last,)
+
+    return walk()
+
+
+def enumerate_lattice(z, bounds):
+    """All integral vectors in the closed coordinate box with the given
+    center class, as ``CartanVector``s in lexicographic coordinate
+    order, by a box walk and ``center_class`` per point.
+
+    ``bounds`` gives one (lo, hi) pair per coordinate; the box must be
+    finite.
+    """
+    from flagsheaf.root_system import cartan, center_class
+
+    n = z.n
+    if len(bounds) != n - 1:
+        raise ValueError(f"expected {n - 1} bound pairs, got {len(bounds)}")
+    ranges = []
+    for lo, hi in bounds:
+        if lo is None or hi is None:
+            raise ValueError("unbounded box")
+        lo_i, hi_i = math.ceil(Fraction(lo)), math.floor(Fraction(hi))
+        ranges.append(range(lo_i, hi_i + 1))
+    vectors = (cartan(n, combo) for combo in itertools.product(*ranges))
+    return [v for v in vectors if center_class(v) == z]
+
+
+def filtered_class_points(n, residue, window, profile_box):
+    """(m, N<m, e_k>) for the points of ``class_points`` whose scaled
+    profile lies in ``profile_box``: the rows ``lattice_points`` must
+    yield, in its order."""
+    from flagsheaf.root_system import scaled_profile
+
+    out = []
+    for combo in class_points(n, residue, window):
+        profile = scaled_profile(n, combo)
+        if all(lo <= c <= hi for c, (lo, hi) in zip(profile, profile_box)):
+            out.append((combo, profile))
+    return out
+
+
 # -- apex pruning by Fraction pairing profiles --------------------------------
 
 
@@ -573,8 +648,6 @@ def fraction_stalk_flag_sum(n, z, p, window=None):
         pair_f,
         weyl_chamber,
     )
-    from flagsheaf.sheaf_complex import window_points
-
     required = required_stalk_box(p)
     window = resolve_window(window, required, f"stalk at {p}")
     out = GradedDims.empty()
@@ -606,3 +679,31 @@ def fraction_required_stalk_box(p):
         hi = min(math.ceil(-u[j - 1] - u[j + 1]), 0)
         box.append((lo, hi))
     return tuple(box)
+
+
+def fraction_jump_required_box(n, m):
+    """Box and Fraction pairing bounds (lo_u, hi_u) of the apexes that
+    can contribute to the jump at m, from u = e_profile(m): the form the
+    integer rule of ``pipeline.jump_required_box`` replaced."""
+    from flagsheaf.root_system import e_profile
+
+    prof = e_profile(m)
+    lo_u = min([Fraction(0), *prof]) - 1
+    hi_u = max([Fraction(0), *prof]) + 1
+    lo_x = math.floor(2 * lo_u - 2 * hi_u)
+    hi_x = math.ceil(2 * hi_u - 2 * lo_u)
+    return tuple((lo_x, hi_x) for _ in range(n - 1)), (lo_u, hi_u)
+
+
+def fraction_jump_bound(n, indices, m):
+    """Bound and exact set of the jump at (I, m) from the Fraction
+    profile M = N<m, e_j>: M_k on I, ceil(M_j) - 1 off I; the form the
+    integer rule of ``sheaf_complex.jump_bound`` replaced."""
+    from flagsheaf.root_system import scaled_profile
+
+    exact = frozenset(indices)
+    profile = scaled_profile(n, m.coords)
+    bound = [
+        x if j in exact else math.ceil(x) - 1 for j, x in enumerate(profile, 1)
+    ]
+    return bound, exact

@@ -4,10 +4,12 @@ as a ``SheafComplex``, restricted by ``stalk_complex``,
 ``sections_complex`` or ``jump_complex``, and reduced by
 ``FiniteComplex.cohomology``.  Seeded, never skipped."""
 
+import ast
 import contextlib
 import io
 import itertools
 import json
+import pathlib
 from fractions import Fraction as Q
 
 import numpy as np
@@ -23,7 +25,14 @@ from flagsheaf.pipeline import (
     required_stalk_box,
     sample_c_minus_interior,
 )
-from flagsheaf.root_system import CenterClass, cartan, center_class, zero
+from flagsheaf.root_system import (
+    CenterClass,
+    cartan,
+    center_class,
+    lattice_center,
+    scaled_profile,
+    zero,
+)
 from flagsheaf.sheaf_complex import (
     FiniteComplex,
     SheafComplex,
@@ -33,11 +42,14 @@ from flagsheaf.sheaf_complex import (
     block_cohomology,
     build_standard_complex,
     jump_complex,
+    lattice_points,
     sections_bound,
     sections_complex,
     stalk_bound,
     stalk_complex,
 )
+
+from oracles import class_points, filtered_class_points, window_points
 
 
 def _subsets(n):
@@ -92,8 +104,8 @@ def test_model_jump_matches_the_engine():
     nonzero = 0
     for m, z in _jump_queries():
         n = m.n
-        window, u_bounds = jump_required_box(n, m)
-        model = build_cone_model(n, z, window, u_bounds)
+        window, profile_box = jump_required_box(n, m)
+        model = build_cone_model(n, z, window, profile_box)
         for idx in _subsets(n):
             got = model_jump(n, z, idx, m)
             want = jump_complex(model, idx, m).cohomology()
@@ -143,13 +155,106 @@ def test_apex_walk_is_the_class_filtered_window():
         (2, ((-5, 3),)), (3, ((-3, 1), (-4, 0))), (4, ((-2, 1),) * 3),
         (5, ((-1, 1), (0, 2), (-2, 0), (-3, 1))), (4, ((0, 0), (1, 1), (-1, 0))),
     ):
-        box = list(sheaf_complex.window_points(n, window))
+        box = list(window_points(n, window))
         for r in range(n):
-            want = [c for c in box if sheaf_complex.lattice_center(n, c) == r]
-            assert list(sheaf_complex.class_points(n, r, window)) == want
+            want = [c for c in box if lattice_center(n, c) == r]
+            assert list(class_points(n, r, window)) == want
             rows = apex_table(n, CenterClass(n, r), window).rows
             assert [row.combo for row in rows] == want
-        assert list(sheaf_complex.class_points(n, None, window)) == box
+        assert list(class_points(n, None, window)) == box
+
+
+def _walk_cases(n, rng):
+    """Seeded (window, profile box) pairs at rank n: random windows and
+    degenerate ones (a point, a coordinate fixed), each with the window's
+    own profile range, random sub-boxes, boxes pinned to the profile of
+    a window point on random coordinates, and empty boxes."""
+    def window():
+        lo = rng.integers(-4, 2, size=n - 1)
+        return tuple(
+            (int(a), int(a + rng.integers(0, 5))) for a in lo
+        )
+
+    point = tuple((int(a), int(a)) for a in rng.integers(-2, 2, size=n - 1))
+    fixed = list(window())
+    fixed[int(rng.integers(n - 1))] = (0, 0)
+    windows = [window() for _ in range(4)] + [point, tuple(fixed)]
+    for win in windows:
+        full = tuple(zip(*(scaled_profile(n, c) for c in zip(*win))))
+        boxes = [full]
+        for _ in range(3):
+            box = []
+            for lo, hi in full:
+                a, b = sorted(int(v) for v in rng.integers(lo - 2, hi + 3, 2))
+                box.append((a, b))
+            boxes.append(tuple(box))
+        pts = list(window_points(n, win))
+        for _ in range(3):
+            m = pts[int(rng.integers(len(pts)))]
+            prof = scaled_profile(n, m)
+            pins = rng.random(n - 1) < 0.5
+            boxes.append(tuple(
+                (c, c) if pin else span
+                for c, pin, span in zip(prof, pins, full)
+            ))
+        k = int(rng.integers(n - 1))
+        boxes.append(full[:k] + ((1, 0),) + full[k + 1:])
+        boxes.append(full[:k] + ((full[k][1] + 1, full[k][1] + 9),)
+                     + full[k + 1:])
+        yield from ((win, box) for box in boxes)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_lattice_walk_is_the_filtered_box(n):
+    # the triangular walk yields exactly the rows of the class walk plus
+    # profile filter, in the same order, for every residue and None
+    rng = np.random.default_rng(160 + n)
+    kept = 0
+    for window, box in _walk_cases(n, rng):
+        for residue in (None, *range(n)):
+            want = filtered_class_points(n, residue, window, box)
+            assert lattice_points(n, residue, window, box) == want, (
+                window, box, residue,
+            )
+            kept += len(want)
+    assert kept
+    for bad, message in (
+        (((0, 1),) * n, "coordinate ranges"),
+        (((0, 1),) * (n - 2) + ((1, 0),), "empty window"),
+    ):
+        for walk in (window_points, lambda n, w: lattice_points(
+            n, 0, w, ((0, 0),) * (n - 1)
+        )):
+            with pytest.raises(ValueError, match=message):
+                walk(n, bad)
+
+
+def test_one_lattice_walk():
+    # every lattice walk of src/ is lattice_points: no box walk by
+    # itertools.product in sheaf_complex or pipeline, except the Novikov
+    # term list over its own certified box of tails (module_terms), and
+    # no src/ path names the replaced walks
+    package = pathlib.Path(sheaf_complex.__file__).parent
+    products, named = set(), set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            if isinstance(node, (ast.alias, ast.FunctionDef)):
+                name = node.name
+            if name in ("class_points", "window_points"):
+                named.add(path.stem)
+        if path.stem not in ("sheaf_complex", "pipeline"):
+            continue
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                products.update(
+                    (path.stem, func.name) for node in ast.walk(func)
+                    if getattr(node, "id", getattr(node, "attr", None))
+                    == "product"
+                )
+    assert products == {("pipeline", "module_terms")}
+    assert not named
 
 
 def _refuse(*args, **kwargs):

@@ -6,11 +6,13 @@ the coroot diagonal and the Grassmannian dimensions; stalk and section
 selection on int bounds against the Fraction rule one generator at a
 time, at sampled points and at points whose scaled profile ties an
 apex's; sections over UMinusOpen(x) (the chamber hull rule) against
-Fourier-Motzkin feasibility; and ``stalk_flag_sum`` and
-``required_stalk_box`` against their Fraction forms.
+Fourier-Motzkin feasibility; and ``stalk_flag_sum``,
+``required_stalk_box``, ``jump_required_box`` and ``jump_bound``
+against their Fraction forms.
 """
 
 import itertools
+import math
 from fractions import Fraction as Q
 
 import numpy as np
@@ -20,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 from flagsheaf.flag_schubert import FlagType, betti
 from flagsheaf.pipeline import (
     build_cone_model,
+    jump_required_box,
     required_stalk_box,
     sample_c_minus_interior,
     stalk_flag_sum,
@@ -27,7 +30,6 @@ from flagsheaf.pipeline import (
 from flagsheaf.root_system import (
     CenterClass,
     cartan,
-    enumerate_lattice,
     f_vec,
     in_c_minus,
     integer_profile,
@@ -44,13 +46,17 @@ from flagsheaf.sheaf_complex import (
     UOpen,
     _restrict,
     _sections_alive,
+    jump_bound,
     stalk_complex,
 )
 
 from oracles import (
     coroot_diagonal,
+    enumerate_lattice,
     fm_cone_meets_uminus,
     fraction_cone_alive,
+    fraction_jump_bound,
+    fraction_jump_required_box,
     fraction_required_stalk_box,
     fraction_stalk_flag_sum,
 )
@@ -260,9 +266,14 @@ def test_stalk_flag_sum_matches_fraction_form(n):
     points += [base, cartan(n, (-2,) + (-1,) * (n - 2))]
     points += [base + f_vec(n, k).scale(Q(1, 3)) for k in range(1, n)]
     for p in points:
+        # the walk needs no window; a window that holds the required box
+        # bounds it without changing the sum
+        wide = tuple((lo - 1, hi + 1) for lo, hi in required_stalk_box(p))
         for r in range(n):
             z = CenterClass(n, r)
-            assert stalk_flag_sum(n, z, p) == fraction_stalk_flag_sum(n, z, p)
+            want = fraction_stalk_flag_sum(n, z, p)
+            assert stalk_flag_sum(n, z, p) == want
+            assert stalk_flag_sum(n, z, p, window=wide) == want
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
@@ -284,3 +295,34 @@ def test_required_stalk_box_matches_fraction_form(n):
         for rule in (required_stalk_box, fraction_required_stalk_box):
             with pytest.raises(ValueError, match="inside C_-"):
                 rule(p)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_jump_bounds_match_fraction_forms(n):
+    # seeded lattice and rational m, inside and outside C_-, with every I:
+    # the coordinate box (which MarginError prints) is the Fraction
+    # form's, the profile box its [ceil(N lo_u), floor(N hi_u)], and the
+    # jump bound equal entry by entry
+    rng = np.random.default_rng(40 + n)
+    ms = [cartan(n, (0,) * (n - 1)), cartan(n, (-1,) * (n - 1))]
+    for denom in (1, 1, 2, 3, 5, 7):
+        for _ in range(6):
+            ms.append(cartan(n, [
+                Q(int(rng.integers(-4 * denom, 2 * denom + 1)), denom)
+                for _ in range(n - 1)
+            ]))
+    subsets = [
+        c for r in range(n) for c in itertools.combinations(range(1, n), r)
+    ]
+    for m in ms:
+        box, profile_box = jump_required_box(n, m)
+        want_box, (lo_u, hi_u) = fraction_jump_required_box(n, m)
+        assert box == want_box, m
+        assert profile_box == ((math.ceil(n * lo_u), math.floor(n * hi_u)),) * (
+            n - 1
+        ), m
+        for idx in subsets:
+            bound, exact = jump_bound(n, idx, m)
+            assert (bound, exact) == fraction_jump_bound(n, idx, m), (m, idx)
+            assert all(type(b) is int for j, b in enumerate(bound, 1)
+                       if j not in exact or b == int(b)), (m, idx)

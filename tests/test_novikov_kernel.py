@@ -2,6 +2,7 @@
 lists, H_I(d), the certificate's one term list per subset, and the
 integer apex pruning of the jump cone model."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -142,8 +143,11 @@ def test_certificate_builds_each_term_list_once(monkeypatch):
     ],
 )
 def test_integer_apex_pruning_matches_profile_pruning(n, window, u_bounds):
+    # the pairing bounds as a box of scaled profiles N<m, e_k>
+    lo, hi = u_bounds
+    profile_box = ((math.ceil(n * lo), math.floor(n * hi)),) * (n - 1)
     classes = [None, *(CenterClass(n, r) for r in range(n))]
     for z in classes if n == 3 else classes[:2]:
-        model = build_cone_model(n, z, window, u_bounds=u_bounds)
+        model = build_cone_model(n, z, window, profile_box=profile_box)
         kept = {g.label[3] for g in model.generators}
         assert kept == profile_pruned_apexes(n, z, window, u_bounds)

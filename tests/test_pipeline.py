@@ -174,9 +174,10 @@ def test_delta_margin_error():
 
 
 def test_delta_required_box_covers_origin_queries():
-    box, (lo_u, hi_u) = jump_required_box(3, zero(3))
+    box, profile_box = jump_required_box(3, zero(3))
     assert all(lo <= -1 and hi >= 1 for lo, hi in box)
-    assert lo_u <= -1 and hi_u >= 1
+    # scaled profiles N<m', e_k>: N (-1) = -3 and N (+1) = 3
+    assert all(lo <= -3 and hi >= 3 for lo, hi in profile_box)
 
 
 # -- one-parameter modules --------------------------------------------------------

@@ -111,8 +111,8 @@ def test_jumps_match_expanded_oracle(rank_calls):
     nonzero = 0
     for coords in itertools.product(range(-2, 1), repeat=2):
         m = cartan(3, coords)
-        window, u_bounds = jump_required_box(3, m)
-        model = build_cone_model(3, center_class(m), window, u_bounds)
+        window, profile_box = jump_required_box(3, m)
+        model = build_cone_model(3, center_class(m), window, profile_box)
         forced = i_set(m)
         for extra in ((), (1,), (2,), (1, 2)):
             indices = sorted(forced | set(extra))

@@ -14,7 +14,6 @@ from flagsheaf.root_system import (
     dominance_leq,
     dominance_ll,
     e_vec,
-    enumerate_lattice,
     f_vec,
     gram_e,
     i_set,
@@ -26,7 +25,7 @@ from flagsheaf.root_system import (
     zero,
 )
 
-from oracles import oracle_pair_e
+from oracles import enumerate_lattice, oracle_pair_e
 
 
 def lattice_vectors(n, lo=-4, hi=4):

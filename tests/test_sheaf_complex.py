@@ -18,7 +18,6 @@ from flagsheaf.root_system import (
     d_degree,
     dominance_ll,
     e_vec,
-    enumerate_lattice,
     f_vec,
     i_set,
     in_c_minus,
@@ -38,10 +37,13 @@ from flagsheaf.sheaf_complex import (
     sections_complex,
     stalk_complex,
     verify_dd_zero,
-    window_points,
 )
 
-from oracles import corner_jump_cohomology
+from oracles import (
+    corner_jump_cohomology,
+    enumerate_lattice,
+    window_points,
+)
 
 Z2 = CenterClass(2, 0)
 Z3 = CenterClass(3, 0)
@@ -368,8 +370,8 @@ def test_jump_is_the_corner_total_complex():
             queries.append((cartan(n, c), z))
     for m, z in queries:
         n = m.n
-        window, u_bounds = jump_required_box(n, m)
-        model = build_cone_model(n, z, window, u_bounds)
+        window, profile_box = jump_required_box(n, m)
+        model = build_cone_model(n, z, window, profile_box)
         for idx in subsets(n):
             nonzero += check(model, idx, m)
     for n, window in ((2, ((-3, 1),)), (3, ((-2, 1), (-2, 1)))):
