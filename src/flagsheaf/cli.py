@@ -20,10 +20,11 @@ import argparse
 import csv
 import functools
 import io
-import json
+import math
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .flag_schubert import (
@@ -154,10 +155,68 @@ def _join(indices) -> str:
     return ",".join(map(str, indices))
 
 
+def _json_text(payload) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte,
+    rendering each container once per depth.  A certificate lists each
+    term in several records, as one shared dict, so a term's text is
+    built once and then only joined.  The memo is keyed by ``(id,
+    depth)`` and lives for one call, in which the payload keeps every
+    id alive.  Keys must be ``str``: any other key raises ``TypeError``
+    (``json`` would convert some of them)."""
+    memo: dict[tuple[int, int], str] = {}
+
+    def render(node, depth: int) -> str:
+        if isinstance(node, str):
+            return encode_basestring_ascii(node)
+        if node is None:
+            return "null"
+        if node is True:
+            return "true"
+        if node is False:
+            return "false"
+        if isinstance(node, int):
+            return int.__repr__(node)
+        if isinstance(node, float):
+            if node != node:
+                return "NaN"
+            if node == math.inf:
+                return "Infinity"
+            if node == -math.inf:
+                return "-Infinity"
+            return float.__repr__(node)
+        key = (id(node), depth)
+        if key not in memo:
+            memo[key] = container(node, depth)
+        return memo[key]
+
+    def container(node, depth: int) -> str:
+        pad = "\n" + "  " * depth
+        inner = pad + "  "
+        if isinstance(node, (list, tuple)):
+            if not node:
+                return "[]"
+            body = [render(item, depth + 1) for item in node]
+            return "[" + inner + ("," + inner).join(body) + pad + "]"
+        if isinstance(node, dict):
+            if not node:
+                return "{}"
+            # encode_basestring_ascii raises TypeError on a non-str key
+            body = [
+                encode_basestring_ascii(k) + ": " + render(node[k], depth + 1)
+                for k in sorted(node)
+            ]
+            return "{" + inner + ("," + inner).join(body) + pad + "}"
+        raise TypeError(
+            f"Object of type {type(node).__name__} is not JSON serializable"
+        )
+
+    return render(payload, 0)
+
+
 def _emit(payload: dict, args, ok: bool = True) -> int:
     """Write the report; the exit code says whether its check passed."""
     if args.format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = _json_text(payload) + "\n"
     elif args.format == "csv":
         text = _to_csv(payload)
     else:

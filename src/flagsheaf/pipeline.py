@@ -398,22 +398,28 @@ class NovikovRecord:
     elements: tuple[NovikovElement, ...]
     graded: GradedDims
 
-    def to_json(self) -> dict:
+    def to_json(self, shared: dict[tuple, dict] | None = None) -> dict:
+        """``shared`` maps a term's coordinates to its JSON dict, so that
+        the records of one ``OrbitParams``, where the coordinates fix
+        action and degree, list each lattice point as one dict."""
+        shared = {} if shared is None else shared
+        for e in self.elements:
+            if e.coords not in shared:
+                shared[e.coords] = e.to_json()
         return {
             "i": ",".join(str(k) for k in self.indices),
             "d": str(self.d),
-            "elements": [e.to_json() for e in self.elements],
+            "elements": [shared[e.coords] for e in self.elements],
             "graded": self.graded.to_json(),
         }
 
 
 def action_of(params: OrbitParams, coords: Sequence[int]) -> Fraction:
     """<l, lam * e_1> = lam * sum_k x_k (N - k) / N for the lattice
-    point l with integer coordinates ``coords``."""
-    n = params.n
-    return params.lam * sum(
-        x * (n - k) for k, x in enumerate(coords, 1)
-    ) / n
+    point l with integer coordinates ``coords``, as one Fraction."""
+    n, lam = params.n, params.lam
+    scaled = sum(x * (n - k) for k, x in enumerate(coords, 1))
+    return Fraction(lam.numerator * scaled, lam.denominator * n)
 
 
 DegreeWindow = tuple[int, int]
@@ -447,8 +453,14 @@ def module_terms(
     Candidates are tested on ints, with t_j = -x_j for j >= 2: the
     center class is 0 iff (x_1 + sum_{j>=2} j x_j) % N == 0, so x_1
     steps through one residue class mod N, and the degree is
-    -D(l) = x_1 D_1 - sum_{j>=2} t_j D_j.  The action of each listed
-    term comes from ``action_of`` on its integer coordinates.
+    -D(l) = x_1 D_1 - sum_{j>=2} t_j D_j.
+
+    Terms are listed by (action, degree, coords).  The sort runs on the
+    int N * action / lam = x_1 (N - 1) - sum_{j>=2} t_j (N - j) in place
+    of the action: lam > 0 (``OrbitParams``), so the two order the terms
+    alike, ties included, and no Fraction is compared.  The action of
+    each listed term then comes from one ``action_of`` call on its
+    integer coordinates.
     """
     n = params.n
     idx = frozenset(indices)
@@ -471,8 +483,9 @@ def module_terms(
         t_min = 1 if j in idx else 0
         t_max = math.floor(m_hi / w[j]) if m_hi >= 0 else t_min - 1
         t_ranges.append(range(t_min, max(t_min - 1, t_max) + 1))
-    elements = []
+    keyed = []  # (N * action / lam, degree, coords)
     for tail in itertools.product(*t_ranges):
+        rest = tuple(-t for t in tail)
         sum_td = sum(t * dk[j - 1] for j, t in enumerate(tail, 2))
         sum_ta = sum(t * (n - j) for j, t in enumerate(tail, 2))
         # dlo <= x1 D_1 - sum_td <= dhi, a_lo <= x1 (N - 1) - sum_ta <= a_hi
@@ -481,21 +494,19 @@ def module_terms(
         x1_hi = min((dhi + sum_td) // dk[0], (a_hi + sum_ta) // (n - 1))
         x1_lo += (sum(j * t for j, t in enumerate(tail, 2)) - x1_lo) % n
         for x1 in range(x1_lo, x1_hi + 1, n):
-            coords = (x1,) + tuple(-t for t in tail)
-            elements.append(
-                NovikovElement(
-                    coords=coords,
-                    action=action_of(params, coords),
-                    degree=x1 * dk[0] - sum_td,
-                )
+            keyed.append(
+                (x1 * (n - 1) - sum_ta, x1 * dk[0] - sum_td, (x1, *rest))
             )
-    elements.sort(key=lambda e: (e.action, e.degree, e.coords))
-    graded = GradedDims((e.degree, 1) for e in elements)
+    keyed.sort()
+    elements = tuple(
+        NovikovElement(coords, action_of(params, coords), degree)
+        for _, degree, coords in keyed
+    )
     return NovikovRecord(
         indices=tuple(sorted(idx)),
         d=Fraction(0),
-        elements=tuple(elements),
-        graded=graded,
+        elements=elements,
+        graded=GradedDims((degree, 1) for _, degree, _ in keyed),
     )
 
 
@@ -612,6 +623,7 @@ class CertificateReport:
     verdict: bool
 
     def to_json(self) -> dict:
+        shared: dict[tuple, dict] = {}  # one dict per lattice point
         return {
             "schema": "flagsheaf/certificate-report/1",
             "params": {
@@ -623,7 +635,7 @@ class CertificateReport:
             "normalization_note": NORMALIZATION_NOTE,
             "d_grid": [str(d) for d in self.d_grid],
             "records": [t.to_json() for t in self.nonvanishing],
-            "h_graded": [r.to_json() for r in self.h_records],
+            "h_graded": [r.to_json(shared) for r in self.h_records],
             "full_hom": {
                 str(d): g.to_json() for d, g in self.full_hom.items()
             },

@@ -419,6 +419,51 @@ def test_each_leaf_accepts_exactly_its_options():
         assert set(fmt.choices) == {"json", "pretty", *csv}, key
 
 
+# one seeded invocation per leaf, and the certificate across N and lambda
+_CORPUS = {
+    ("flags", "betti"): ["--n", "4", "--i", "1,3"],
+    ("flags", "gtable"): ["--n", "3"],
+    ("flags", "verify"): ["--n", "4"],
+    ("sheaf", "stalk"): ["--n", "3", "--z", "1", "--point", "-3/2,-2"],
+    ("sheaf", "sections"): [
+        "--n", "3", "--point", "-1,-1", "--window", "-3:1",
+        "--u-kind", "uminus",
+    ],
+    ("sheaf", "delta"): ["--n", "4", "--i", "2", "--m", "-1,0,-1"],
+    ("pipeline", "crosscheck"): [
+        "--n", "3", "--samples", "4", "--seed", "5",
+    ],
+    ("pipeline", "hom"): [
+        "--n", "3", "--lambda", "3/2", "--i", "1", "--d", "1/2",
+    ],
+    ("pipeline", "certificate"): ["--n", "3", "--d-grid", "0,1/3,7"],
+    ("pipeline", "pair"): [
+        "--n", "3", "--lambda", "5/2", "--side-a", "clifford_torus",
+        "--side-b", "real_projective", "--char2",
+    ],
+    ("pipeline", "spectrum"): ["--n", "3", "--lambda", "2", "--i", "1"],
+    ("numerics", None): ["--n", "3", "--trials", "7", "--seed", "1"],
+}
+_CORPUS_ARGV = [
+    [c for c in key if c] + argv for key, argv in _CORPUS.items()
+] + [
+    ["pipeline", "certificate", "--n", n, "--lambda", lam]
+    for n in ("2", "3", "4")
+    for lam in ("1", "3/2", "5/2")
+]
+
+
+def test_corpus_covers_every_leaf():
+    assert set(_CORPUS) == set(_GRAMMAR)
+
+
+@pytest.mark.parametrize("argv", _CORPUS_ARGV, ids=" ".join)
+def test_json_reports_are_json_dumps_bytes(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
 class _WorkRan(Exception):
     pass
 

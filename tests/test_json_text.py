@@ -1,0 +1,94 @@
+"""The CLI's JSON writer against ``json.dumps(sort_keys=True, indent=2)``,
+the byte contract of every JSON report (docs/schemas.md)."""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from flagsheaf.cli import _json_text
+
+
+def dumps(payload) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+# strings that need escapes, non-ASCII (beyond the BMP too) and keys
+# that sort differently as text
+_TEXTS = st.one_of(
+    st.text(),
+    st.sampled_from(
+        ["", '"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é", "—", " ",
+         "\ud800", "😀", "10", "9", "-1/2"]
+    ),
+)
+# True/False beside 1/0, both signs of zero, nan and the infinities
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([True, 1, False, 0, 1.0, 0.0, -0.0, 10**30]),
+    _TEXTS,
+)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXTS, children, max_size=4),
+    )
+
+
+_VALUES = st.recursive(_SCALARS, _containers, max_leaves=24)
+
+
+@st.composite
+def _aliased(draw):
+    """One container listed at two different depths, and twice at one:
+    a memo keyed by identity alone would indent the deep copy wrongly."""
+    shared = draw(_containers(_VALUES).filter(bool))
+    return draw(
+        st.permutations(
+            [shared, [shared, {"deep": [shared]}], draw(_VALUES), shared]
+        )
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_VALUES, _aliased()))
+def test_writer_prints_json_dumps_bytes(payload):
+    assert _json_text(payload) == dumps(payload)
+
+
+def test_shared_container_keeps_the_indent_of_each_depth():
+    term = {"action": "1/2", "l": ["1", "-1"], "degree": 4}
+    payload = {"a": [term, term], "b": {"c": [[term]]}, "empty": [{}, [], ()]}
+    assert _json_text(payload) == dumps(payload)
+
+
+_KEYS = st.one_of(
+    st.integers(), st.booleans(), st.none(), st.floats(), _TEXTS
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(_KEYS, _SCALARS, max_size=4))
+def test_non_str_keys_raise_type_error(payload):
+    # json converts int, float, bool and None keys (after sorting the
+    # raw keys); the writer refuses them and never prints other bytes
+    if all(isinstance(k, str) for k in payload):
+        assert _json_text(payload) == dumps(payload)
+    else:
+        with pytest.raises(TypeError):
+            _json_text({"nested": [payload]})
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), {1, 2}, b"x", object()])
+def test_unserializable_values_raise_type_error(value):
+    with pytest.raises(TypeError):
+        dumps({"v": value})
+    with pytest.raises(TypeError):
+        _json_text({"v": value})

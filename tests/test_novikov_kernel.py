@@ -71,6 +71,36 @@ def test_default_windows_match_fraction_reference(n, lam):
         assert [(e.coords, e.action, e.degree) for e in rec.elements] == want
 
 
+@pytest.mark.parametrize(
+    "n, lam, degree_window, action_window",
+    [
+        (3, Fraction(1, 3), DEFAULT_DEGREE_WINDOW, DEFAULT_ACTION_WINDOW),
+        (4, Fraction(7, 5), DEFAULT_DEGREE_WINDOW, DEFAULT_ACTION_WINDOW),
+        (4, Fraction(4), DEFAULT_DEGREE_WINDOW, DEFAULT_ACTION_WINDOW),
+        (4, Fraction(1, 3), (-24, 6), (Fraction(-1, 3), Fraction(2, 3))),
+        (5, Fraction(1, 3), (-40, 10), (Fraction(-1, 3), Fraction(1, 3))),
+        (5, Fraction(7, 5), (-40, 40), (Fraction(-3), Fraction(3))),
+        (5, Fraction(4), (-40, 40), (Fraction(-4), Fraction(8))),
+    ],
+)
+def test_integer_sort_key_matches_fraction_order(
+    n, lam, degree_window, action_window
+):
+    # the list is sorted on N * action / lam, an int; small and odd lam
+    # and narrow windows put many terms on one action, where the
+    # degree and then the coordinates decide
+    params = OrbitParams(n, lam)
+    tied = 0
+    for subset in pipeline._all_subsets(n):
+        rec = module_terms(params, subset, degree_window, action_window)
+        want = fraction_module_terms(
+            n, lam, subset, degree_window, action_window
+        )
+        assert [(e.coords, e.action, e.degree) for e in rec.elements] == want
+        tied += len(want) - len({action for _, action, _ in want})
+    assert tied >= 50
+
+
 def test_module_terms_builds_no_cartan_vector(monkeypatch):
     # each listed term gets its action from one action_of call on its
     # integer coordinates, and no CartanVector is built on the way
@@ -128,6 +158,18 @@ def test_certificate_builds_each_term_list_once(monkeypatch):
         verdict=all(r.nonzero for r in nonvanishing),
     )
     assert report.to_json() == expected.to_json()
+
+
+def test_certificate_json_lists_one_dict_per_lattice_point():
+    report = pipeline.certificate(OrbitParams(4, Fraction(5, 2)))
+    records = report.to_json()["h_graded"]
+    # the same records as each term rendered on its own
+    assert [r["elements"] for r in records] == [
+        [e.to_json() for e in rec.elements] for rec in report.h_records
+    ]
+    listed = [e for r in records for e in r["elements"]]
+    points = {tuple(e["l"]) for e in listed}
+    assert len({id(e) for e in listed}) == len(points) < len(listed)
 
 
 @pytest.mark.parametrize(
