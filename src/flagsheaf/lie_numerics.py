@@ -12,9 +12,10 @@ clusters), so no external eigensolver is involved in the verified path.
 Plain arrays, one result per input: matrices are complex (b, n, n)
 stacks and spectra float (b, n) stacks, each row descending.  Every
 decomposition and every check takes stacks and returns b results, so a
-check decomposes all of its matrices, and a chunk of trials all of its
-inputs, in one stacked call per stage; each stack is validated once, as
-a whole, and so is a caller's bound spectrum (n,).  Only the
+check decomposes all of its matrices in one stacked call per stage, and
+run_trials a unit of trials of all four lemmas in three, read by the
+checks' own rules; each stack is validated once, as a whole, and so is
+a caller's bound spectrum (n,).  Only the
 constructors (random_skew_hermitian, sample_unitary_in_window,
 aligned_partner) make one (n, n) matrix.  Every tolerance the decisions
 use is a module constant in the table below; none is a parameter.
@@ -227,7 +228,7 @@ def hermitian_eigs(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a per-pair residual check on every matrix."""
     h = -1j * _skew_stack(xs)
     w, u = jacobi_eigh(h)
-    res = np.abs(h @ u - u * w[:, None, :]).max()
+    res = np.abs(h @ u - u * w[:, None, :]).max(initial=0.0)
     if res > EIG_RESIDUAL:
         raise NonConvergenceError(f"eigenpair residual {res:.3e}")
     # exact tracelessness drifted by rounding; the shift keeps the order
@@ -280,7 +281,7 @@ def eig_unitary(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             start = stop
     d = u.conj().swapaxes(1, 2) @ p @ u
     eig = d.diagonal(axis1=1, axis2=2)
-    off = np.abs(d - eig[:, :, None] * np.eye(n)).max()
+    off = np.abs(d - eig[:, :, None] * np.eye(n)).max(initial=0.0)
     if off > UNITARY_RESIDUAL:
         raise NonConvergenceError(
             f"unitary diagonalization residual {off:.3e}"
@@ -293,8 +294,12 @@ def log_unitary_small(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     special-unitary matrices, and a (b,) mask guarding the branch cut:
     True for a matrix with an eigenvalue within BRANCH_GUARD of -1,
     whose logarithm is not principal."""
-    n = p.shape[-1]
-    eig, u = eig_unitary(p)
+    return _log_in_frame(*eig_unitary(p))
+
+
+def _log_in_frame(eig: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """log_unitary_small from the eigenvalues and frames of eig_unitary."""
+    n = u.shape[-1]
     phi = np.angle(eig)
     phi = phi - phi.mean(axis=1, keepdims=True)
     z = (u * (1j * phi)[:, None, :]) @ u.conj().swapaxes(1, 2)
@@ -307,7 +312,8 @@ def log_unitary_small(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # the checks
 #
 # Each check takes (b, n, n) stacks, checked together with one stacked
-# Jacobi call per stage, and gives one result per input.
+# Jacobi call per stage, and gives one result per input, from the rule
+# that run_trials applies to its shared stages.
 
 
 @dataclass(frozen=True)
@@ -321,9 +327,13 @@ def check_triangle(xs: np.ndarray, ys: np.ndarray) -> list[CheckResult]:
     result per pair; xs and ys are stacks or lists of (n, n) matrices."""
     b = len(xs)
     spectra, _ = hermitian_eigs(np.concatenate([xs, ys, np.add(xs, ys)]))
-    gaps = dominance_gap(spectra[2 * b:], spectra[:b], spectra[b:2 * b])
+    return _triangle_rule(spectra[:b], spectra[b:2 * b], spectra[2 * b:])
+
+
+def _triangle_rule(sx, sy, s_sum) -> list[CheckResult]:
+    """check_triangle's verdicts from the spectra of X, Y and X + Y."""
     return [CheckResult(ok=worst <= TRIANGLE_TOL, residual=max(worst, 0.0))
-            for worst in gaps.tolist()]
+            for worst in dominance_gap(s_sum, sx, sy).tolist()]
 
 
 def aligned_partner(omega: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
@@ -348,13 +358,16 @@ def check_pairing_bound(
     per pair of the stacks (b, n, n)."""
     b = len(xs)
     spectra, frames = hermitian_eigs(np.concatenate([xs, omegas]))
+    return _pairing_rule(omegas, xs, spectra[b:], spectra[:b], frames[b:])
+
+
+def _pairing_rule(omegas, xs, s_omega, s_x, f_omega) -> list[CheckResult]:
+    """check_pairing_bound's verdicts from ||w||, ||X|| and w's frames."""
     results = []
-    for i, (w, v) in enumerate(zip(omegas, xs)):
-        sx, so = spectra[i], spectra[b + i]
-        lhs = float(np.real(-np.trace(w @ v)))
+    for w, v, so, sx, f in zip(omegas, xs, s_omega, s_x, f_omega):
         rhs = float(np.dot(so, sx))  # <||w||, ||X||>
-        gap = lhs - rhs
-        aligned = _aligned_in_frame(frames[b + i], sx)
+        gap = float(np.real(-np.trace(w @ v))) - rhs
+        aligned = _aligned_in_frame(f, sx)
         eq_gap = abs(float(np.real(-np.trace(w @ aligned))) - rhs)
         results.append(CheckResult(
             ok=gap <= PAIRING_TOL and eq_gap <= EQUALITY_TOL,
@@ -379,37 +392,41 @@ def check_klyachko(
     inputs are validated either way.
     """
     b, a = len(xs), np.concatenate([xs, ys])
-    n = a.shape[-1]
-    bound = _bound_spectrum(bound)
+    spectra, frames = hermitian_eigs(a) if eigs is None else eigs
+    if eigs is not None:
+        a = _skew_stack(a)  # hermitian_eigs validates it otherwise
+    prods = _klyachko_products(a, spectra, frames, bound)
+    logs, at_cut = log_unitary_small(prods)
+    kept, zs = ~at_cut, logs[~at_cut]
+    checked = iter(_klyachko_rule(zs, *hermitian_eigs(zs), prods[kept],
+                                  spectra[:b][kept], spectra[b:][kept]))
+    return [None if cut else next(checked) for cut in at_cut]
+
+
+def _klyachko_products(a: np.ndarray, spectra: np.ndarray,
+                       frames: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """e^X e^Y for the pairs of a = [*xs, *ys], once checked in bound."""
+    n, bound = a.shape[-1], _bound_spectrum(bound)
     cap = coroot_spectrum(n, 1) * (1.0 / (100.0 * n))
     if dominance_gap(bound, cap) > 0.0:
         raise ValueError("bound must lie strictly below e_1 / (100 N)")
-    if eigs is None:
-        spectra, frames = hermitian_eigs(a)
-    else:
-        a = _skew_stack(a)
-        spectra, frames = eigs
     if (dominance_gap(spectra, bound) > BOUND_MARGIN).any():
         raise ValueError("inputs exceed the stated norm bound")
     e = _exp_in_frame(a, frames)
-    prods = e[:b] @ e[b:]
-    logs, at_cut = log_unitary_small(prods)
-    kept = np.flatnonzero(~at_cut)
-    results: list[CheckResult | None] = [None] * b
-    if len(kept):
-        zs = logs[kept]
-        sz, uz = hermitian_eigs(zs)
-        recon = np.abs(_exp_in_frame(zs, uz) - prods[kept]).max(
-            axis=(1, 2))
-        gaps = dominance_gap(sz, spectra[kept], spectra[b + kept])
-        for j, (i, worst) in enumerate(zip(kept.tolist(), gaps.tolist())):
-            trace_res = abs(np.trace(zs[j]))
-            results[i] = CheckResult(
-                ok=(recon[j] <= KLYACHKO_TOL and worst <= KLYACHKO_TOL
-                    and trace_res <= TRACE_TOL),
-                residual=max(float(recon[j]), worst, trace_res, 0.0),
-            )
-    return results
+    return e[: len(a) // 2] @ e[len(a) // 2:]
+
+
+def _klyachko_rule(zs, sz, uz, prods, sx, sy) -> list[CheckResult]:
+    """check_klyachko's verdicts on the logarithms zs of the products,
+    from the spectra sz and frames uz of zs and ||X||, ||Y||."""
+    recon = np.abs(_exp_in_frame(zs, uz) - prods).max(axis=(1, 2))
+    traces = [abs(np.trace(z)) for z in zs]
+    return [CheckResult(ok=(res <= KLYACHKO_TOL and worst <= KLYACHKO_TOL
+                            and tr <= TRACE_TOL),
+                        residual=max(res, worst, tr, 0.0))
+            for res, worst, tr in zip(recon.tolist(),
+                                      dominance_gap(sz, sx, sy).tolist(),
+                                      traces)]
 
 
 def _window_excess(phis: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -435,20 +452,23 @@ def check_interval_product(
     stacks (b, n, n) lie in the sum of the windows, taken in the unique
     short interval when the sum window is shorter than a full turn.
     One result per product."""
-    b = len(g1)
     eig, _ = eig_unitary(np.concatenate([g1, g2, g1 @ g2]))
-    phis = np.angle(eig)
+    return _interval_rule(*np.split(np.angle(eig), 3), windows1, windows2)
+
+
+def _interval_rule(phis1, phis2, phis12, windows1, windows2):
+    """check_interval_product's verdicts from the eigenvalue arguments
+    of g1, g2 and g1 g2."""
     results = []
-    for i, (w1, w2) in enumerate(zip(windows1, windows2)):
-        for phi, (lo, hi) in ((phis[i], w1), (phis[b + i], w2)):
+    for phi1, phi2, phi12, w1, w2 in zip(phis1, phis2, phis12, windows1,
+                                         windows2):
+        for phi, (lo, hi) in ((phi1, w1), (phi2, w2)):
             if _window_excess(phi, lo, hi).any():
                 raise ValueError("factor violates its stated window")
-        lo, hi = w1[0] + w2[0], w1[1] + w2[1]
-        if hi - lo >= TWO_PI:
-            results.append(CheckResult(True, 0.0))
-        else:
-            worst = float(_window_excess(phis[2 * b + i], lo, hi).max())
-            results.append(CheckResult(ok=worst == 0.0, residual=worst))
+        # a sum window of a full turn or more admits every argument
+        worst = float(_window_excess(phi12, w1[0] + w2[0], w1[1] + w2[1])
+                      .max())
+        results.append(CheckResult(ok=worst == 0.0, residual=worst))
     return results
 
 
@@ -471,8 +491,12 @@ def rescaled_to_bound(
     ||cX|| <= RESCALE_SLACK * bound in dominance order, with the
     decomposition (spectra, frames) of the results: cX keeps X's frame,
     and its spectrum is c times X's."""
+    return _rescaled(xs, *hermitian_eigs(xs), bound)
+
+
+def _rescaled(xs, spectra, frames, bound) -> tuple[np.ndarray, tuple]:
+    """rescaled_to_bound from the (spectra, frames) of xs."""
     pb = np.cumsum(_bound_spectrum(bound))[:-1]
-    spectra, frames = hermitian_eigs(xs)
     ps = np.cumsum(spectra, axis=1)[:, :-1]
     ratios = np.divide(pb, ps, out=np.full_like(ps, np.inf),
                        where=ps > 1e-300)
@@ -509,14 +533,12 @@ def _draw_in_window(
     return center + dev, random_skew_hermitian(n, rng)
 
 
-def _unitaries(draws: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """e^X diag(e^{i phi}) e^{-X} for each draw (phi, X), with every
-    frame e^X from one stacked call."""
-    phis = np.array([phi for phi, _ in draws])
-    frames = exp_skew(np.array([x for _, x in draws]))
-    return (frames * np.exp(1j * phis)[:, None, :]) @ (
-        frames.conj().swapaxes(1, 2)
-    )
+def _unitaries(phis: np.ndarray, xs: np.ndarray, frames: np.ndarray
+               ) -> np.ndarray:
+    """e^X diag(e^{i phi}) e^{-X} for each row phi of phis (b, n) and
+    generator X of xs (b, n, n), in frames diagonalizing -iX."""
+    e = _exp_in_frame(xs, frames)
+    return (e * np.exp(1j * phis)[:, None, :]) @ e.conj().swapaxes(1, 2)
 
 
 def sample_unitary_in_window(
@@ -532,7 +554,8 @@ def sample_unitary_in_window(
     2*pi*k lies in [N*lo, N*hi]; arguments are drawn around 2*pi*k/N
     with zero-sum deviations confined to the window.
     """
-    return _unitaries([_draw_in_window(n, window, rng)])[0]
+    phi, x = _draw_in_window(n, window, rng)
+    return _unitaries(phi[None], x[None], hermitian_eigs(x[None])[1])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -557,19 +580,20 @@ class LemmaStats:
         }
 
 
-# trials drawn and checked at once: enough to amortize the per-call
-# cost of the stacked kernel, few enough that memory stays flat however
-# many trials are asked for
+# trials decomposed at once: enough to amortize the per-call cost of
+# the stacked kernel, few enough that memory stays flat however many
+# trials are asked for
 _CHUNK = 256
 
 
-def _lemma_stats(
-    name: str, results: list[CheckResult], rejected: int = 0
-) -> LemmaStats:
-    return LemmaStats(
-        name, len(results), sum(not r.ok for r in results), rejected,
-        max((r.residual for r in results), default=0.0),
-    )
+def _tally(stats: LemmaStats, results: list[CheckResult]) -> None:
+    """Add a unit's results to a lemma's running counts."""
+    # the maximum folds left, as max over all the lemma's residuals would
+    seen = [stats.max_residual] if stats.trials else []
+    stats.max_residual = max([*seen, *(r.residual for r in results)],
+                             default=0.0)
+    stats.trials += len(results)
+    stats.failures += sum(not r.ok for r in results)
 
 
 def run_trials(
@@ -577,66 +601,71 @@ def run_trials(
 ) -> list[LemmaStats]:
     """Randomized verification of the four matrix lemmas.
 
-    Each lemma draws its trials in chunks of at most ``_CHUNK``, in the
-    order a loop of single trials would draw them, and checks a chunk
-    with one stacked Jacobi call per stage.  A chunk is exactly the
-    outstanding count, so a pair rejected at the branch cut is redrawn
-    in the next chunk and no draw reaches past the last trial.
-    ``corrupt`` swaps one pairing-bound input for a non-aligned
-    deliberate violation of the equality branch, to exercise the
-    failure path end to end.
+    The trials form one lemma-major stream, ``trials`` of each lemma in
+    turn, drawn in the order a loop of single trials draws them, and
+    cut into units of at most ``_CHUNK`` trials; a unit may hold the
+    tail of one lemma and the head of the next.  The checks' rules read
+    three stacked calls per unit: stage A, hermitian_eigs of the
+    triangle's X, Y and X + Y, the pairing's w and X, the log-product's
+    X and Y (to rescale them) and the interval frames' generators;
+    stage B, eig_unitary of the log-product's e^X e^Y and the
+    interval's g1, g2 and g1 g2; stage C, hermitian_eigs of the
+    logarithms Z.
+
+    No log-product pair reaches the branch cut: its bound lies below
+    e_1 / (100 N), so X and Y have operator norm below 0.01 and every
+    eigenvalue of e^X e^Y lies within e^{0.02} - 1 of 1, far from -1.
+    A pair flagged at the cut means a broken decomposition and raises
+    NonConvergenceError; ``rejected`` is always 0.  ``corrupt`` swaps
+    the first pairing result for a deliberate violation of the equality
+    branch, to exercise the failure path end to end.
     """
     rng = np.random.default_rng(seed)
-    stats: list[LemmaStats] = []
-
-    def pairs(done: list) -> tuple[list, list]:
-        """The next chunk of pairs (x, y), x drawn before y."""
-        size = min(_CHUNK, trials - len(done))
-        drawn = [random_skew_hermitian(n, rng) for _ in range(2 * size)]
-        return drawn[0::2], drawn[1::2]
-
-    results: list[CheckResult] = []
-    while len(results) < trials:
-        results += check_triangle(*pairs(results))
-    stats.append(_lemma_stats("triangle", results))
-
-    results = []
-    while len(results) < trials:
-        omegas, xs = pairs(results)
-        chunk = check_pairing_bound(omegas, xs)
-        if corrupt and not results:
-            # break the aligned-equality branch on purpose
-            bad = np.dot(*hermitian_eigs(np.stack([omegas[0], xs[0]]))[0])
-            chunk[0] = CheckResult(ok=False, residual=float(abs(bad)) + 1.0)
-        results += chunk
-    stats.append(_lemma_stats("pairing", results))
-
-    results, rejected = [], 0
     bound = coroot_spectrum(n, 1) * (0.9 / (100.0 * n))
-    while len(results) < trials:
-        xs, ys = pairs(results)
-        scaled, eigs = rescaled_to_bound(np.concatenate([xs, ys]), bound)
-        checked = check_klyachko(scaled[: len(xs)], scaled[len(xs):], bound,
-                                 eigs=eigs)
-        results += [r for r in checked if r is not None]
-        rejected += checked.count(None)
-    stats.append(_lemma_stats("log_product", results, rejected))
-
-    results = []
-    while len(results) < trials:
+    stats = [LemmaStats(name, 0, 0, 0, 0.0) for name in
+             ("triangle", "pairing", "log_product", "interval_product")]
+    for start in range(0, 4 * trials, _CHUNK):
+        stop = min(start + _CHUNK, 4 * trials)
+        counts = [max(0, min(stop, (k + 1) * trials) - max(start, k * trials))
+                  for k in range(4)]
+        # pairs (count, 2, n, n), x drawn before y
+        tri, pair, log = [np.array(
+            [random_skew_hermitian(n, rng) for _ in range(2 * count)],
+            dtype=complex).reshape(count, 2, n, n) for count in counts[:3]]
         windows, draws = [], []
-        for _ in range(min(_CHUNK, trials - len(results))):
+        for _ in range(counts[3]):
             # windows centered on feasible determinant targets 2*pi*k/N
-            k1, k2 = int(rng.integers(-1, 2)), int(rng.integers(-1, 2))
-            width1 = rng.uniform(0.2, 1.2)
-            width2 = rng.uniform(0.2, 1.2)
-            w1 = (TWO_PI * k1 / n - width1 / 2, TWO_PI * k1 / n + width1 / 2)
-            w2 = (TWO_PI * k2 / n - width2 / 2, TWO_PI * k2 / n + width2 / 2)
-            windows += [w1, w2]
-            draws += [_draw_in_window(n, w1, rng), _draw_in_window(n, w2, rng)]
-        g = _unitaries(draws)
-        results += check_interval_product(
-            g[0::2], g[1::2], windows[0::2], windows[1::2]
-        )
-    stats.append(_lemma_stats("interval_product", results))
+            ks = int(rng.integers(-1, 2)), int(rng.integers(-1, 2))
+            widths = rng.uniform(0.2, 1.2), rng.uniform(0.2, 1.2)
+            windows += [(TWO_PI * k / n - w / 2, TWO_PI * k / n + w / 2)
+                        for k, w in zip(ks, widths)]
+            draws += [_draw_in_window(n, w, rng) for w in windows[-2:]]
+        gens = np.reshape([x for _, x in draws], (-1, n, n))
+        log_xy = log.swapaxes(0, 1).reshape(-1, n, n)  # [*xs, *ys]
+        parts = [tri[:, 0], tri[:, 1], tri[:, 0] + tri[:, 1], pair[:, 0],
+                 pair[:, 1], log_xy, gens]
+        cuts = np.cumsum([len(part) for part in parts])[:-1]
+        sa, fa = (np.split(a, cuts)
+                  for a in hermitian_eigs(np.concatenate(parts)))
+        pairing = _pairing_rule(pair[:, 0], pair[:, 1], sa[3], sa[4], fa[3])
+        if corrupt and pairing and not stats[1].trials:
+            # break the aligned-equality branch on purpose
+            bad = float(abs(np.dot(sa[3][0], sa[4][0]))) + 1.0
+            pairing[0] = CheckResult(ok=False, residual=bad)
+        scaled, (s_log, f_log) = _rescaled(log_xy, sa[5], fa[5], bound)
+        prods = _klyachko_products(_skew_stack(scaled), s_log, f_log, bound)
+        g = _unitaries(np.reshape([p for p, _ in draws], (-1, n)), gens,
+                       fa[6])
+        g1, g2, b = g[0::2], g[1::2], len(prods)
+        eig, u = eig_unitary(np.concatenate([prods, g1, g2, g1 @ g2]))
+        zs, at_cut = _log_in_frame(eig[:b], u[:b])
+        if at_cut.any():
+            raise NonConvergenceError("log product at the branch cut")
+        verdicts = [_triangle_rule(sa[0], sa[1], sa[2]), pairing,
+                    _klyachko_rule(zs, *hermitian_eigs(zs), prods,
+                                   s_log[:b], s_log[b:]),
+                    _interval_rule(*np.split(np.angle(eig[b:]), 3),
+                                   windows[0::2], windows[1::2])]
+        for lemma, results in zip(stats, verdicts):
+            _tally(lemma, results)
     return stats

@@ -11,7 +11,8 @@ hull rule of section selection replaced; and the jump as the total
 complex over 2^|I| corners, which one restriction replaced; and the
 box walks (``window_points``, ``class_points`` plus a profile filter,
 ``enumerate_lattice``) that the triangular ``sheaf_complex.lattice_points``
-replaced in src/.
+replaced in src/; and the lemma-by-lemma matrix-lemma runner that
+``lie_numerics.run_trials``'s shared decomposition units replaced.
 """
 
 from __future__ import annotations
@@ -707,3 +708,78 @@ def fraction_jump_bound(n, indices, m):
         x if j in exact else math.ceil(x) - 1 for j, x in enumerate(profile, 1)
     ]
     return bound, exact
+
+
+def sequential_run_trials(n, trials, seed, corrupt=False, chunk=256):
+    """``lie_numerics.run_trials`` lemma by lemma: the runner that the
+    shared decomposition units replaced.  Each lemma draws its trials in
+    chunks of at most ``chunk``, in the order a loop of single trials
+    draws them, and checks a chunk with the public checks; a pair
+    rejected at the branch cut is counted and redrawn in the next
+    chunk."""
+    import numpy as np
+
+    from flagsheaf import lie_numerics as ln
+
+    rng = np.random.default_rng(seed)
+    stats = []
+
+    def lemma_stats(name, results, rejected=0):
+        return ln.LemmaStats(
+            name, len(results), sum(not r.ok for r in results), rejected,
+            max((r.residual for r in results), default=0.0),
+        )
+
+    def pairs(done):
+        size = min(chunk, trials - len(done))
+        drawn = [ln.random_skew_hermitian(n, rng) for _ in range(2 * size)]
+        return drawn[0::2], drawn[1::2]
+
+    results = []
+    while len(results) < trials:
+        results += ln.check_triangle(*pairs(results))
+    stats.append(lemma_stats("triangle", results))
+
+    results = []
+    while len(results) < trials:
+        omegas, xs = pairs(results)
+        checked = ln.check_pairing_bound(omegas, xs)
+        if corrupt and not results:
+            spectra, _ = ln.hermitian_eigs(np.stack([omegas[0], xs[0]]))
+            bad = np.dot(*spectra)
+            checked[0] = ln.CheckResult(False, float(abs(bad)) + 1.0)
+        results += checked
+    stats.append(lemma_stats("pairing", results))
+
+    results, rejected = [], 0
+    bound = ln.coroot_spectrum(n, 1) * (0.9 / (100.0 * n))
+    while len(results) < trials:
+        xs, ys = pairs(results)
+        scaled, eigs = ln.rescaled_to_bound(np.concatenate([xs, ys]), bound)
+        checked = ln.check_klyachko(scaled[: len(xs)], scaled[len(xs):],
+                                    bound, eigs=eigs)
+        results += [r for r in checked if r is not None]
+        rejected += checked.count(None)
+    stats.append(lemma_stats("log_product", results, rejected))
+
+    results = []
+    while len(results) < trials:
+        windows, draws = [], []
+        for _ in range(min(chunk, trials - len(results))):
+            k1, k2 = int(rng.integers(-1, 2)), int(rng.integers(-1, 2))
+            width1 = rng.uniform(0.2, 1.2)
+            width2 = rng.uniform(0.2, 1.2)
+            c1, c2 = 2 * math.pi * k1 / n, 2 * math.pi * k2 / n
+            w1 = (c1 - width1 / 2, c1 + width1 / 2)
+            w2 = (c2 - width2 / 2, c2 + width2 / 2)
+            windows += [w1, w2]
+            draws += [ln._draw_in_window(n, w1, rng),
+                      ln._draw_in_window(n, w2, rng)]
+        phis = np.array([phi for phi, _ in draws])
+        frames = ln.exp_skew(np.array([x for _, x in draws]))
+        g = (frames * np.exp(1j * phis)[:, None, :]) @ (
+            frames.conj().swapaxes(1, 2))
+        results += ln.check_interval_product(
+            g[0::2], g[1::2], windows[0::2], windows[1::2])
+    stats.append(lemma_stats("interval_product", results))
+    return stats

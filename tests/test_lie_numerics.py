@@ -25,6 +25,7 @@ from flagsheaf.lie_numerics import (
     sample_unitary_in_window,
 )
 from flagsheaf.lie_numerics import _round_robin
+from oracles import sequential_run_trials
 
 
 def test_stack_validation_names_the_first_bad_member():
@@ -266,17 +267,15 @@ def test_klyachko_without_clusters_makes_four_jacobi_runs(monkeypatch):
     assert calls == [(2, 3, 3), (1, 3, 3), (1, 3, 3)]
 
 
-def _reference_draws(n, trials, seed, log_pairs):
-    """The inputs of each lemma drawn one trial at a time, with
-    ``log_pairs`` log-product pairs drawn before the interval
-    trials."""
+def _reference_draws(n, trials, seed):
+    """The inputs of each lemma drawn one trial at a time: the triangle,
+    pairing and (unscaled) log-product pairs, then the interval trials
+    (g1, g2, w1, w2)."""
     rng = np.random.default_rng(seed)
-    bound = coroot_spectrum(n, 1) * (0.9 / (100.0 * n))
     draw = lambda: random_skew_hermitian(n, rng)  # noqa: E731
     triangle = [(draw(), draw()) for _ in range(trials)]
     pairing = [(draw(), draw()) for _ in range(trials)]
-    log = [rescaled_to_bound(np.array([draw(), draw()]), bound)[0]
-           for _ in range(log_pairs)]
+    log = [(draw(), draw()) for _ in range(trials)]
     interval = []
     for _ in range(trials):
         k1, k2 = int(rng.integers(-1, 2)), int(rng.integers(-1, 2))
@@ -291,11 +290,30 @@ def _reference_draws(n, trials, seed, log_pairs):
     return triangle, pairing, log, interval
 
 
+def _record_stages(monkeypatch):
+    """Record the stack handed to every hermitian_eigs and eig_unitary
+    call, and the windows handed to the interval rule."""
+    stages, windows = [], []
+    for name in ("hermitian_eigs", "eig_unitary"):
+        def recorded(xs, _f=getattr(lie_numerics, name), _name=name):
+            stages.append((_name, np.array(xs)))
+            return _f(xs)
+        monkeypatch.setattr(lie_numerics, name, recorded)
+    rule = lie_numerics._interval_rule
+
+    def recorded_rule(*args):
+        windows.append((list(args[3]), list(args[4])))
+        return rule(*args)
+
+    monkeypatch.setattr(lie_numerics, "_interval_rule", recorded_rule)
+    return stages, windows
+
+
 def test_each_lemma_checks_the_inputs_a_loop_of_single_trials_draws(
     monkeypatch,
 ):
     n, trials, seed = 4, 5, 21
-    drawn, checked = [], {}
+    drawn = []
     draw = lie_numerics.random_skew_hermitian
 
     def recorded_draw(*args):
@@ -303,61 +321,141 @@ def test_each_lemma_checks_the_inputs_a_loop_of_single_trials_draws(
         return drawn[-1]
 
     monkeypatch.setattr(lie_numerics, "random_skew_hermitian", recorded_draw)
-    for name in ("check_triangle", "check_pairing_bound", "check_klyachko",
-                 "check_interval_product"):
-        def recorded(*args, _check=getattr(lie_numerics, name), _name=name,
-                     **kwargs):
-            checked.setdefault(_name, []).append((args, kwargs))
-            return _check(*args, **kwargs)
-        monkeypatch.setattr(lie_numerics, name, recorded)
-    logs = lie_numerics.log_unitary_small
-    forced = []
-
-    def reject_first(p, *args):
-        z, at_cut = logs(p, *args)
-        if not forced:
-            forced.append(True)
-            at_cut[0] = True  # as if the product had an eigenvalue at -1
-        return z, at_cut
-
-    monkeypatch.setattr(lie_numerics, "log_unitary_small", reject_first)
+    stages, windows = _record_stages(monkeypatch)
     stats = run_trials(n, trials, seed)
     monkeypatch.undo()
 
-    by_name = {s.name: s for s in stats}
-    assert by_name["log_product"].rejected == 1
-    assert all(s.trials == trials and s.failures == 0 for s in stats)
-    triangle, pairing, log, interval = _reference_draws(
-        n, trials, seed, trials + 1)
-    assert len(drawn) == 2 * (3 * trials + 1) + 2 * trials
+    assert all(s.trials == trials and s.failures == 0 and s.rejected == 0
+               for s in stats)
+    triangle, pairing, log, interval = _reference_draws(n, trials, seed)
+    # three generators per pair lemma trial, two per interval trial
+    assert len(drawn) == 2 * 3 * trials + 2 * trials
+    # all 4 * trials trials fit one unit: stages A, B and C
+    assert [name for name, _ in stages] == [
+        "hermitian_eigs", "eig_unitary", "hermitian_eigs"]
+    (_, a), (_, b), _ = stages
+    t = trials
 
-    def same(a, b, tol=0.0):
-        return all(np.abs(p - q).max() <= tol
-                   for p, q in zip(a, b, strict=True))
+    def same(stack, mats, tol=0.0):
+        return len(stack) == len(mats) and all(
+            np.abs(p - q).max() <= tol for p, q in zip(stack, mats))
 
-    # one call per lemma, and one more for the redrawn log-product pair
-    (((xs, ys), _),) = checked["check_triangle"]
-    assert same(xs, [p[0] for p in triangle])
-    assert same(ys, [p[1] for p in triangle])
-    (((omegas, xs), _),) = checked["check_pairing_bound"]
-    assert same(omegas, [p[0] for p in pairing])
-    assert same(xs, [p[1] for p in pairing])
-    first, redraw = checked["check_klyachko"]
-    xs = [*first[0][0], *redraw[0][0]]
-    ys = [*first[0][1], *redraw[0][1]]
-    assert len(first[0][0]) == trials and len(redraw[0][0]) == 1
-    assert same(xs, [p[0] for p in log], 1e-15)
-    assert same(ys, [p[1] for p in log], 1e-15)
-    # the decomposition handed over is that of the rescaled inputs
-    spectra, _ = first[1]["eigs"]
-    rescaled = [*first[0][0], *first[0][1]]
-    alone, _ = hermitian_eigs(np.array(rescaled))
-    assert np.abs(spectra - alone).max() < 1e-15
-    (((g1, g2, windows1, windows2), _),) = checked["check_interval_product"]
-    assert np.abs(g1 - np.array([t[0] for t in interval])).max() < 1e-12
-    assert np.abs(g2 - np.array([t[1] for t in interval])).max() < 1e-12
-    assert list(windows1) == [t[2] for t in interval]
-    assert list(windows2) == [t[3] for t in interval]
+    assert same(a[:t], [x for x, _ in triangle])
+    assert same(a[t:2 * t], [y for _, y in triangle])
+    assert same(a[2 * t:3 * t], [x + y for x, y in triangle])
+    assert same(a[3 * t:4 * t], [w for w, _ in pairing])
+    assert same(a[4 * t:5 * t], [x for _, x in pairing])
+    assert same(a[5 * t:6 * t], [x for x, _ in log])
+    assert same(a[6 * t:7 * t], [y for _, y in log])
+    assert len(a) == 9 * t  # and the two interval frame generators each
+    # stage B: the products of the rescaled log-product pairs, then the
+    # interval factors and their products
+    bound = coroot_spectrum(n, 1) * (0.9 / (100.0 * n))
+    for i, (x, y) in enumerate(log):
+        scaled, _ = rescaled_to_bound(np.array([x, y]), bound)
+        ex, ey = exp_skew(scaled)
+        assert np.abs(b[i] - ex @ ey).max() < 1e-12
+    g1 = np.array([t_[0] for t_ in interval])
+    g2 = np.array([t_[1] for t_ in interval])
+    assert np.abs(b[t:2 * t] - g1).max() < 1e-12
+    assert np.abs(b[2 * t:3 * t] - g2).max() < 1e-12
+    assert np.abs(b[3 * t:] - g1 @ g2).max() < 1e-12
+    assert windows == [([t_[2] for t_ in interval],
+                        [t_[3] for t_ in interval])]
+
+    # the bound keeps every eigenvalue of e^X e^Y near 1, so a pair
+    # flagged at the branch cut means a broken decomposition: an error,
+    # not a pair to redraw
+    logs = lie_numerics._log_in_frame
+
+    def flag_first(eig, u):
+        z, at_cut = logs(eig, u)
+        at_cut[:1] = True  # as if the product had an eigenvalue at -1
+        return z, at_cut
+
+    monkeypatch.setattr(lie_numerics, "_log_in_frame", flag_first)
+    with pytest.raises(NonConvergenceError, match="branch cut"):
+        run_trials(n, trials, seed)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_run_trials_makes_three_stacked_calls_per_unit(monkeypatch, n):
+    calls, inside = _count_jacobi(monkeypatch)
+    for seed in (1, 2):
+        calls.clear()
+        run_trials(n, 1, seed)
+        # A: 3 triangle + 2 pairing + 2 log-product + 2 interval frames;
+        # B: 1 log-product + 3 interval unitaries; C: 1 logarithm
+        assert calls == [(9, n, n), (4, n, n), (1, n, n)], seed
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_run_trials_matches_the_sequential_oracle(monkeypatch, n):
+    # units of 3 trials straddle the lemmas' boundaries
+    for trials, seed in ((1, 3), (2, 4), (7, 5), (40, 6)):
+        want = [s.to_json() for s in sequential_run_trials(n, trials, seed)]
+        assert [s.to_json() for s in run_trials(n, trials, seed)] == want
+        with monkeypatch.context() as m:
+            m.setattr(lie_numerics, "_CHUNK", 3)
+            got = [s.to_json() for s in run_trials(n, trials, seed)]
+        assert got == want, (n, trials)
+    bad = [s.to_json() for s in sequential_run_trials(n, 7, 8, corrupt=True)]
+    assert bad[1]["failures"] == 1
+    with monkeypatch.context() as m:
+        m.setattr(lie_numerics, "_CHUNK", 5)
+        assert [s.to_json() for s in run_trials(n, 7, 8, True)] == bad
+
+
+def _bitwise_stacks(n, rng):
+    """Hermitian inputs for jacobi_eigh and unitary inputs for
+    eig_unitary: random members, an already diagonal one and a zero
+    (or identity) one, which converge before the first sweep."""
+    hs, us = [], []
+    for _ in range(3):
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        hs.append((m + m.conj().T) / 2)
+    hs += [np.diag(rng.normal(size=n)), np.zeros((n, n))]
+    gens = np.array([random_skew_hermitian(n, rng) for _ in range(3)])
+    us = list(exp_skew(gens))
+    us += [np.diag(np.exp(1j * rng.normal(size=n))), np.eye(n)]
+    return np.array(hs, dtype=complex), np.array(us, dtype=complex)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stack_members_get_the_bits_they_get_alone(n):
+    # the fused stages keep the bytes only because a member's (w, u)
+    # does not depend on the stack it is decomposed in
+    rng = np.random.default_rng(300 + n)
+    hs, us = _bitwise_stacks(n, rng)
+    order = rng.permutation(len(hs))
+    for solve, stack in ((jacobi_eigh, hs), (eig_unitary, us)):
+        whole = solve(stack)
+        shuffled = solve(stack[order])
+        for i, member in enumerate(stack):
+            alone = solve(member[None])
+            for part, w_alone in zip(whole, alone):
+                assert np.array_equal(part[i], w_alone[0]), (solve, i)
+            j = int(np.flatnonzero(order == i)[0])
+            for part, w_alone in zip(shuffled, alone):
+                assert np.array_equal(part[j], w_alone[0]), (solve, i)
+
+
+def test_empty_stacks_give_empty_results():
+    n, empty = 3, np.zeros((0, 3, 3), dtype=complex)
+    bound = coroot_spectrum(n, 1) * (0.9 / (100 * n))
+    w, u = jacobi_eigh(empty)
+    assert w.shape == (0, n) and u.shape == (0, n, n)
+    for spectra, frames in (hermitian_eigs(empty), eig_unitary(empty)):
+        assert spectra.shape == (0, n) and frames.shape == (0, n, n)
+    assert exp_skew(empty).shape == (0, n, n)
+    z, at_cut = log_unitary_small(empty)
+    assert z.shape == (0, n, n) and at_cut.shape == (0,)
+    scaled, (spectra, frames) = rescaled_to_bound(empty, bound)
+    assert scaled.shape == (0, n, n) and spectra.shape == (0, n)
+    assert check_triangle(empty, empty) == []
+    assert check_pairing_bound(empty, empty) == []
+    assert check_klyachko(empty, empty, bound) == []
+    assert check_interval_product(empty, empty, [], []) == []
 
 
 def test_run_trials_rank_12():
