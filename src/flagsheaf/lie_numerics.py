@@ -15,10 +15,10 @@ decomposition and every check takes stacks and returns b results, so a
 check decomposes all of its matrices in one stacked call per stage, and
 run_trials a unit of trials of all four lemmas in three, read by the
 checks' own rules; each stack is validated once, as a whole, and so is
-a caller's bound spectrum (n,).  Only the
-constructors (random_skew_hermitian, sample_unitary_in_window,
-aligned_partner) make one (n, n) matrix.  Every tolerance the decisions
-use is a module constant in the table below; none is a parameter.
+a caller's bound spectrum (n,).  Only the constructors
+(random_skew_hermitian, sample_unitary_in_window) make one (n, n)
+matrix.  Every tolerance the decisions use is a module constant in the
+table below; none is a parameter.
 
 Checked statements:
 
@@ -97,12 +97,16 @@ def coroot_spectrum(n: int, k: int) -> np.ndarray:
 
 
 def _skew_stack(xs: np.ndarray) -> np.ndarray:
-    """xs as a complex (b, n, n) stack, every member skew-Hermitian
-    within SKEW_TOL and traceless within TRACELESS_TOL, both relative
-    to max(1, its largest entry)."""
+    """xs as a complex (b, n, n) stack, every member finite,
+    skew-Hermitian within SKEW_TOL and traceless within TRACELESS_TOL,
+    both relative to max(1, its largest entry)."""
     a = np.asarray(xs, dtype=complex)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError("a (b, n, n) stack of square matrices required")
+    finite = np.isfinite(a).all(axis=(1, 2))  # NaN passes every test below
+    if not finite.all():
+        i = np.argmin(finite)
+        raise ValueError(f"matrix {i} of the stack is not finite")
     scale = np.maximum(np.abs(a).max(axis=(1, 2)), 1.0)
     herm = np.abs(a + a.conj().swapaxes(1, 2)).max(axis=(1, 2))
     trace = np.abs(np.trace(a, axis1=1, axis2=2))
@@ -229,7 +233,7 @@ def hermitian_eigs(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = -1j * _skew_stack(xs)
     w, u = jacobi_eigh(h)
     res = np.abs(h @ u - u * w[:, None, :]).max(initial=0.0)
-    if res > EIG_RESIDUAL:
+    if not res <= EIG_RESIDUAL:  # NaN fails too
         raise NonConvergenceError(f"eigenpair residual {res:.3e}")
     # exact tracelessness drifted by rounding; the shift keeps the order
     return w - w.mean(axis=1, keepdims=True), u
@@ -282,7 +286,7 @@ def eig_unitary(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d = u.conj().swapaxes(1, 2) @ p @ u
     eig = d.diagonal(axis1=1, axis2=2)
     off = np.abs(d - eig[:, :, None] * np.eye(n)).max(initial=0.0)
-    if off > UNITARY_RESIDUAL:
+    if not off <= UNITARY_RESIDUAL:  # NaN fails too
         raise NonConvergenceError(
             f"unitary diagonalization residual {off:.3e}"
         )
@@ -336,15 +340,10 @@ def _triangle_rule(sx, sy, s_sum) -> list[CheckResult]:
             for worst in dominance_gap(s_sum, sx, sy).tolist()]
 
 
-def aligned_partner(omega: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """The conjugate of i*diag(spectrum) in a frame diagonalizing the
-    (n, n) matrix omega; realizes equality in the pairing bound."""
-    return _aligned_in_frame(hermitian_eigs(omega[None])[1][0], spectrum)
-
-
 def _aligned_in_frame(u: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """aligned_partner in a frame u diagonalizing -i omega, columns in
-    descending eigenvalue order."""
+    """The conjugate of i*diag(spectrum) in a frame u diagonalizing
+    -i omega, columns in descending eigenvalue order: the partner that
+    realizes equality in the pairing bound."""
     x = u @ np.diag(1j * spectrum) @ u.conj().T
     x = (x - x.conj().T) / 2.0
     return x - np.trace(x) / len(u) * np.eye(len(u))

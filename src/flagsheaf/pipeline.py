@@ -17,9 +17,9 @@ required box itself.
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -446,21 +446,23 @@ def module_terms(
     points l of center class 0 with x_j <= -[j in I] for every j != 1,
     listed with action <l, L> and degree -D(l).
 
-    The two windows jointly bound the enumeration: eliminating x_1
-    between the degree and action forms leaves a positive combination
-    of (-x_j), j >= 2, so the admissible box is finite and certified.
+    The walk runs on ints, with t_j = -x_j for j >= 2 and the int
+    a = N * action / lam = x_1 (N - 1) - sum_j t_j (N - j).  Simplex
+    bound: D_1 a - (N - 1) degree = sum_j w_j t_j with every w_j =
+    2 (N - 1)(N - j)(j - 1) > 0, so a listed term has sum_j w_j t_j <=
+    D_1 a_hi - (N - 1) degree_lo.  One triangular walk visits exactly
+    those tails, t_j from [j in I] up, keeping running sums of degree,
+    a and class; x_1 then steps through the residue class mod N that
+    makes the center class 0, inside the range both windows allow.
 
-    Candidates are tested on ints, with t_j = -x_j for j >= 2: the
-    center class is 0 iff (x_1 + sum_{j>=2} j x_j) % N == 0, so x_1
-    steps through one residue class mod N, and the degree is
-    -D(l) = x_1 D_1 - sum_{j>=2} t_j D_j.
+    Nesting lemma: I constrains x_j for j >= 2 only, so the list for I
+    is the list for I = () filtered by x_j <= -1 on I minus {1}, in the
+    same order; I and I + {1} give equal lists (``_subset_records``).
 
-    Terms are listed by (action, degree, coords).  The sort runs on the
-    int N * action / lam = x_1 (N - 1) - sum_{j>=2} t_j (N - j) in place
-    of the action: lam > 0 (``OrbitParams``), so the two order the terms
-    alike, ties included, and no Fraction is compared.  The action of
-    each listed term then comes from one ``action_of`` call on its
-    integer coordinates.
+    Terms are listed by (action, degree, coords), sorted on the int a in
+    place of the action: lam > 0 (``OrbitParams``), so the two order the
+    terms alike.  The action of each listed term then comes from one
+    ``action_of`` call on its integer coordinates.
     """
     n = params.n
     idx = frozenset(indices)
@@ -471,43 +473,65 @@ def module_terms(
     if dlo > dhi or alo > ahi:
         raise ValueError("empty window")
     dk = [2 * k * (n - k) for k in range(1, n)]
-    # N * action / lam = x_1 (N - 1) - sum_{j>=2} t_j (N - j), an int
+    d1 = dk[0]
     a_lo = math.ceil(n * alo / params.lam)
     a_hi = math.floor(n * ahi / params.lam)
-    # weights of t_j in D_1 * N * action/lam - (N - 1) * degree, all
-    # positive
-    w = {j: (n - 1) * dk[j - 1] - dk[0] * (n - j) for j in range(2, n)}
-    m_hi = dk[0] * n * ahi / params.lam - (n - 1) * dlo
-    t_ranges = []
-    for j in range(2, n):
-        t_min = 1 if j in idx else 0
-        t_max = math.floor(m_hi / w[j]) if m_hi >= 0 else t_min - 1
-        t_ranges.append(range(t_min, max(t_min - 1, t_max) + 1))
+    w = [(n - 1) * dk[j - 1] - d1 * (n - j) for j in range(2, n)]
     keyed = []  # (N * action / lam, degree, coords)
-    for tail in itertools.product(*t_ranges):
-        rest = tuple(-t for t in tail)
-        sum_td = sum(t * dk[j - 1] for j, t in enumerate(tail, 2))
-        sum_ta = sum(t * (n - j) for j, t in enumerate(tail, 2))
-        # dlo <= x1 D_1 - sum_td <= dhi, a_lo <= x1 (N - 1) - sum_ta <= a_hi
-        x1_lo = max(-(-(dlo + sum_td) // dk[0]),
-                    -(-(a_lo + sum_ta) // (n - 1)))
-        x1_hi = min((dhi + sum_td) // dk[0], (a_hi + sum_ta) // (n - 1))
-        x1_lo += (sum(j * t for j, t in enumerate(tail, 2)) - x1_lo) % n
-        for x1 in range(x1_lo, x1_hi + 1, n):
-            keyed.append(
-                (x1 * (n - 1) - sum_ta, x1 * dk[0] - sum_td, (x1, *rest))
-            )
+
+    def walk(j, left, sum_td, sum_ta, cls, rest):
+        if j == n:
+            # dlo <= x1 D_1 - sum_td <= dhi, a_lo <= x1 (N-1) - sum_ta <= a_hi
+            x1_lo = max(-(-(dlo + sum_td) // d1),
+                        -(-(a_lo + sum_ta) // (n - 1)))
+            x1_hi = min((dhi + sum_td) // d1, (a_hi + sum_ta) // (n - 1))
+            x1_lo += (cls - x1_lo) % n
+            for x1 in range(x1_lo, x1_hi + 1, n):
+                keyed.append(
+                    (x1 * (n - 1) - sum_ta, x1 * d1 - sum_td, (x1, *rest))
+                )
+            return
+        t = 1 if j in idx else 0
+        left -= t * w[j - 2]
+        while left >= 0:
+            walk(j + 1, left, sum_td + t * dk[j - 1], sum_ta + t * (n - j),
+                 cls + j * t, (*rest, -t))
+            t += 1
+            left -= w[j - 2]
+
+    walk(2, d1 * a_hi - (n - 1) * dlo, 0, 0, 0, ())
     keyed.sort()
-    elements = tuple(
-        NovikovElement(coords, action_of(params, coords), degree)
-        for _, degree, coords in keyed
-    )
     return NovikovRecord(
         indices=tuple(sorted(idx)),
         d=Fraction(0),
-        elements=elements,
-        graded=GradedDims((degree, 1) for _, degree, _ in keyed),
+        elements=tuple(
+            NovikovElement(coords, action_of(params, coords), degree)
+            for _, degree, coords in keyed
+        ),
+        graded=GradedDims(Counter(degree for _, degree, _ in keyed)),
     )
+
+
+def _subset_records(base: NovikovRecord, subsets) -> list[NovikovRecord]:
+    """The record of every subset I from the record for I = () by the
+    nesting lemma of ``module_terms``: the terms with x_j <= -1 for j in
+    I, j >= 2, in the base's order, as the base's element objects."""
+    # bit j of a term's mask: x_j <= -1, for j >= 2
+    masks = [
+        sum(1 << j for j, x in enumerate(e.coords, 1) if j > 1 and x < 0)
+        for e in base.elements
+    ]
+    kept = {}  # by constraint mask: I and I + {1} share their terms
+    records = []
+    for subset in subsets:
+        need = sum(1 << j for j in subset if j > 1)
+        if need not in kept:
+            kept[need] = tuple(
+                e for e, m in zip(base.elements, masks) if m & need == need
+            )
+        graded = GradedDims(Counter(e.degree for e in kept[need]))
+        records.append(NovikovRecord(subset, base.d, kept[need], graded))
+    return records
 
 
 def h_graded(
@@ -536,7 +560,7 @@ def _terms_at(base: NovikovRecord, d: Fraction) -> NovikovRecord:
         indices=base.indices,
         d=d,
         elements=kept,
-        graded=GradedDims((e.degree, 1) for e in kept),
+        graded=GradedDims(Counter(e.degree for e in kept)),
     )
 
 
@@ -652,16 +676,15 @@ def certificate(
 ) -> CertificateReport:
     """Run the non-vanishing check for every subset I and every d in
     the grid; aggregate the full graded answer as the direct sum over
-    I of g(I) tensor H_I(d).  Each subset's term list is built once
-    and filtered by every d.  An empty grid is a ``ValueError``."""
+    I of g(I) tensor H_I(d).  Every subset's term list is derived from
+    the one for I = () (``_subset_records``) and filtered by every d.
+    An empty grid is a ``ValueError``."""
     n = params.n
     grid = tuple(sorted({Fraction(d) for d in d_grid}))
     if not grid:
         raise ValueError("certificate needs a nonempty d grid")
-    bases = {
-        subset: module_terms(params, subset, degree_window, action_window)
-        for subset in _all_subsets(n)
-    }
+    root = module_terms(params, (), degree_window, action_window)
+    bases = {r.indices: r for r in _subset_records(root, _all_subsets(n))}
     nonvanishing_results: list[NonvanishingResult] = []
     hs: list[NovikovRecord] = []
     full: dict[Fraction, GradedDims] = {}
@@ -721,7 +744,8 @@ def pair_hom(
 ) -> GradedDims:
     """Graded pairing answer: the diagonal answer times one factor per
     non-diagonal side (torus: (1+t)^(N-1); real form: the mod-2 SO(N)
-    series, requiring characteristic 2)."""
+    series, requiring characteristic 2).  Every subset's H_I(d) is
+    derived from the one for I = () (``_subset_records``)."""
     sides = (side_a, side_b)
     for side in sides:
         if side not in (DIAGONAL, TORUS, PROJECTIVE):
@@ -731,10 +755,10 @@ def pair_hom(
             "the real-projective side requires coefficient characteristic 2"
         )
     n = params.n
+    root = module_terms(params, (), degree_window, action_window)
     total = GradedDims.empty()
-    for subset in _all_subsets(n):
-        rec = h_graded(params, subset, d, degree_window, action_window)
-        total = total + g_space_cached(n, subset).tensor(rec.graded)
+    for rec in _subset_records(_terms_at(root, d), _all_subsets(n)):
+        total = total + g_space_cached(n, rec.indices).tensor(rec.graded)
     for side in sides:
         if side == TORUS:
             total = total.tensor(torus_factor(n))

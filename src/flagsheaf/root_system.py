@@ -255,28 +255,3 @@ def center_class(l: CartanVector) -> CenterClass:
 def d_degree(l: CartanVector) -> int:
     """D(l), for integral l."""
     return lattice_degree(l.n, _require_integral(l))
-
-
-def shevel_witness(x: CartanVector, y: CartanVector) -> int:
-    """Some k in I_x with <y - x, e_k> > 0, for x, y in C_- with y > x.
-
-    The search is total: for valid inputs a witness always exists, and
-    an exhausted search is reported as an internal invariant violation
-    rather than a user error.
-    """
-    _check_same_rank(x, y)
-    _require_integral(x)
-    _require_integral(y)
-    if not in_c_minus(x) or not in_c_minus(y):
-        raise ValueError("both arguments must lie in C_-")
-    if x.coords == y.coords:
-        raise ValueError("arguments must be distinct")
-    if not dominance_leq(x, y):
-        raise ValueError("dominance y >= x violated")
-    for k in sorted(i_set(x)):
-        if pair_e(y - x, k) > 0:
-            return k
-    raise IntegrityError(
-        f"no witness index for x={x}, y={y}; "
-        "this contradicts the chamber-walk lemma"
-    )

@@ -13,6 +13,8 @@ box walks (``window_points``, ``class_points`` plus a profile filter,
 ``enumerate_lattice``) that the triangular ``sheaf_complex.lattice_points``
 replaced in src/; and the lemma-by-lemma matrix-lemma runner that
 ``lie_numerics.run_trials``'s shared decomposition units replaced.
+Lemma code that no command reaches lives here too: the chamber-walk
+witness and the aligned partner of the pairing bound.
 """
 
 from __future__ import annotations
@@ -783,3 +785,49 @@ def sequential_run_trials(n, trials, seed, corrupt=False, chunk=256):
             g[0::2], g[1::2], windows[0::2], windows[1::2])
     stats.append(lemma_stats("interval_product", results))
     return stats
+
+
+# -- lemma code no command reaches ------------------------------------------
+
+
+def shevel_witness(x, y) -> int:
+    """Some k in I_x with <y - x, e_k> > 0, for x, y in C_- with y > x.
+
+    The search is total: for valid inputs a witness always exists, and
+    an exhausted search is reported as an internal invariant violation
+    rather than a user error.
+    """
+    from flagsheaf.root_system import (
+        IntegrityError,
+        _check_same_rank,
+        _require_integral,
+        dominance_leq,
+        i_set,
+        in_c_minus,
+        pair_e,
+    )
+
+    _check_same_rank(x, y)
+    _require_integral(x)
+    _require_integral(y)
+    if not in_c_minus(x) or not in_c_minus(y):
+        raise ValueError("both arguments must lie in C_-")
+    if x.coords == y.coords:
+        raise ValueError("arguments must be distinct")
+    if not dominance_leq(x, y):
+        raise ValueError("dominance y >= x violated")
+    for k in sorted(i_set(x)):
+        if pair_e(y - x, k) > 0:
+            return k
+    raise IntegrityError(
+        f"no witness index for x={x}, y={y}; "
+        "this contradicts the chamber-walk lemma"
+    )
+
+
+def aligned_partner(omega, spectrum):
+    """The conjugate of i*diag(spectrum) in a frame diagonalizing the
+    (n, n) matrix omega; realizes equality in the pairing bound."""
+    from flagsheaf import lie_numerics as ln
+
+    return ln._aligned_in_frame(ln.hermitian_eigs(omega[None])[1][0], spectrum)

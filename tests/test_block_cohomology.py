@@ -230,10 +230,10 @@ def test_lattice_walk_is_the_filtered_box(n):
 
 
 def test_one_lattice_walk():
-    # every lattice walk of src/ is lattice_points: no box walk by
-    # itertools.product in sheaf_complex or pipeline, except the Novikov
-    # term list over its own certified box of tails (module_terms), and
-    # no src/ path names the replaced walks
+    # every lattice walk of src/ is triangular: lattice_points, and the
+    # Novikov term list over its simplex of tails (module_terms).  No box
+    # walk by itertools.product in sheaf_complex or pipeline, and no src/
+    # path names the replaced walks
     package = pathlib.Path(sheaf_complex.__file__).parent
     products, named = set(), set()
     for path in sorted(package.glob("*.py")):
@@ -253,7 +253,7 @@ def test_one_lattice_walk():
                     if getattr(node, "id", getattr(node, "attr", None))
                     == "product"
                 )
-    assert products == {("pipeline", "module_terms")}
+    assert products == set()
     assert not named
 
 

@@ -8,7 +8,6 @@ import pytest
 from flagsheaf import lie_numerics
 from flagsheaf.lie_numerics import (
     NonConvergenceError,
-    aligned_partner,
     check_interval_product,
     check_klyachko,
     check_pairing_bound,
@@ -25,7 +24,7 @@ from flagsheaf.lie_numerics import (
     sample_unitary_in_window,
 )
 from flagsheaf.lie_numerics import _round_robin
-from oracles import sequential_run_trials
+from oracles import aligned_partner, sequential_run_trials
 
 
 def test_stack_validation_names_the_first_bad_member():
@@ -35,6 +34,35 @@ def test_stack_validation_names_the_first_bad_member():
                       (1j * np.eye(3), "traceless")):
         with pytest.raises(ValueError, match=f"matrix 1 .* not {what}"):
             hermitian_eigs(np.array([good, bad, bad]))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_stack_validation_rejects_non_finite_members(value):
+    # NaN compares false against every tolerance, so a skew or trace
+    # test alone lets it through
+    good = 1j * np.diag([1.0, -1.0, 0.0])
+    with pytest.raises(ValueError, match="matrix 0 .* not finite"):
+        hermitian_eigs(np.full((1, 3, 3), value))
+    bad = good.copy()
+    bad[0, 2] = value
+    with pytest.raises(ValueError, match="matrix 1 .* not finite"):
+        hermitian_eigs(np.array([good, bad, bad]))
+    # check_triangle stacks xs, ys and xs + ys in one call
+    with pytest.raises(ValueError, match="matrix 0 .* not finite"):
+        check_triangle(np.full((1, 3, 3), value), good[None])
+    with pytest.raises(ValueError, match="matrix 3 .* not finite"):
+        check_triangle(np.array([good, good]), np.array([good, bad]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_eig_unitary_residual_gate_fails_on_non_finite_entries(value):
+    rng = np.random.default_rng(46)
+    p = exp_skew(np.array([random_skew_hermitian(3, rng) for _ in range(2)]))
+    eig_unitary(p)
+    p[1, 0, 2] = value
+    with pytest.raises(NonConvergenceError, match="residual"):
+        eig_unitary(p)
 
 
 def test_stack_validation_rejects_a_single_matrix():

@@ -1,25 +1,33 @@
 """The integer Novikov kernel against its Fraction reference: term
-lists, H_I(d), the certificate's one term list per subset, and the
-integer apex pruning of the jump cone model."""
+lists, H_I(d), the one term list a certificate or pairing shares across
+its subsets, and the integer apex pruning of the jump cone model."""
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flagsheaf import pipeline
 from flagsheaf.graded import GradedDims
 from flagsheaf.pipeline import (
     DEFAULT_ACTION_WINDOW,
     DEFAULT_DEGREE_WINDOW,
+    DIAGONAL,
+    PROJECTIVE,
+    TORUS,
     CertificateReport,
+    NovikovElement,
+    NovikovRecord,
     OrbitParams,
     build_cone_model,
     g_space_cached,
     h_graded,
     module_terms,
+    pair_hom,
+    so_factor,
     structure_map_nonzero,
+    torus_factor,
 )
 from flagsheaf.root_system import CartanVector, CenterClass
 
@@ -101,6 +109,106 @@ def test_integer_sort_key_matches_fraction_order(
     assert tied >= 50
 
 
+def _oracle_record(n, lam, subset, d, degree_window, action_window):
+    """H_I(d) from the Fraction box enumeration of I's own term list."""
+    terms = [
+        t for t in fraction_module_terms(
+            n, lam, subset, degree_window, action_window
+        )
+        if t[1] + d >= 0
+    ]
+    return NovikovRecord(
+        indices=subset,
+        d=d,
+        elements=tuple(NovikovElement(*t) for t in terms),
+        graded=GradedDims((deg, 1) for _, _, deg in terms),
+    )
+
+
+@st.composite
+def shared_walk_queries(draw):
+    n = draw(st.integers(2, 5))
+    lam = Fraction(draw(st.integers(2, 12)), draw(st.integers(1, 2)))
+    # windows anywhere in the default degree window and [-6, 6], so that
+    # some lie past every term: action_hi < 0 <= degree_lo leaves the
+    # simplex empty
+    dlo = draw(st.integers(-40, 40))
+    degree_window = (dlo, draw(st.integers(dlo, 40)))
+    alo = draw(st.integers(-24, 24))
+    action_window = (Fraction(alo, 4), Fraction(draw(st.integers(alo, 24)), 4))
+    grid = draw(st.sets(
+        st.builds(Fraction, st.integers(0, 12), st.integers(1, 4)),
+        min_size=1, max_size=3,
+    ))
+    sides = draw(st.sampled_from([DIAGONAL, TORUS, PROJECTIVE]))
+    return n, lam, degree_window, action_window, tuple(grid), sides
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(shared_walk_queries())
+@example((2, Fraction(3, 2), (-8, 8), (Fraction(-2), Fraction(2)),
+          (Fraction(0), Fraction(1, 2)), TORUS))
+@example((4, Fraction(2), (4, 12), (Fraction(-3), Fraction(-1, 4)),
+          (Fraction(0), Fraction(5)), DIAGONAL))
+@example((3, Fraction(5, 2), (0, 0), (Fraction(-1), Fraction(-1, 2)),
+          (Fraction(1),), PROJECTIVE))
+def test_shared_walk_matches_the_box_per_subset(query):
+    # module_terms on every I, and the certificate and pairing that
+    # derive every I from the one list for I = (), against a per-subset
+    # assembly from the Fraction box enumeration
+    n, lam, degree_window, action_window, grid, side = query
+    params = OrbitParams(n, lam)
+    for subset in pipeline._all_subsets(n):
+        rec = module_terms(params, subset, degree_window, action_window)
+        want = fraction_module_terms(
+            n, lam, subset, degree_window, action_window
+        )
+        assert [(e.coords, e.action, e.degree) for e in rec.elements] == want
+        assert rec.graded == GradedDims((deg, 1) for _, _, deg in want)
+    nonvanishing, records, full = [], [], {}
+    for d in sorted(grid):
+        total = GradedDims.empty()
+        for subset in pipeline._all_subsets(n):
+            nonvanishing.append(structure_map_nonzero(params, subset, d))
+            rec = _oracle_record(
+                n, lam, subset, d, degree_window, action_window
+            )
+            records.append(rec)
+            total = total + g_space_cached(n, subset).tensor(rec.graded)
+        full[d] = total
+    expected = CertificateReport(
+        params=params,
+        d_grid=tuple(sorted(grid)),
+        nonvanishing=nonvanishing,
+        h_records=records,
+        full_hom=full,
+        verdict=all(r.nonzero for r in nonvanishing),
+    )
+    report = pipeline.certificate(params, grid, degree_window, action_window)
+    assert report.to_json() == expected.to_json()
+    factor = {DIAGONAL: GradedDims.line(0), TORUS: torus_factor(n),
+              PROJECTIVE: so_factor(n)}[side]
+    for d in grid:
+        assert pair_hom(
+            params, DIAGONAL, side, d, degree_window, action_window,
+            char_two=True,
+        ) == full[d].tensor(factor)
+
+
+def test_windows_past_every_term_list_nothing():
+    # action_hi < 0 <= degree_lo: the simplex bound is negative and no
+    # tail is walked; N = 2 has no tails and still lists its x_1 terms
+    for n in (2, 3, 4, 5):
+        params = OrbitParams(n, Fraction(2))
+        for subset in pipeline._all_subsets(n):
+            rec = module_terms(params, subset, (4, 12),
+                               (Fraction(-3), Fraction(-1, 4)))
+            assert rec.elements == () and rec.graded.is_zero()
+    rec = module_terms(OrbitParams(2, Fraction(1)), (), (-8, 8),
+                       (Fraction(-2), Fraction(2)))
+    assert [e.coords for e in rec.elements] == [(-4,), (-2,), (0,), (2,), (4,)]
+
+
 def test_module_terms_builds_no_cartan_vector(monkeypatch):
     # each listed term gets its action from one action_of call on its
     # integer coordinates, and no CartanVector is built on the way
@@ -126,6 +234,7 @@ def test_module_terms_builds_no_cartan_vector(monkeypatch):
 
 
 def test_certificate_builds_each_term_list_once(monkeypatch):
+    # one module_terms call, for I = (), per certificate and per pairing
     params = OrbitParams(4, Fraction(3))
     calls = []
     original = pipeline.module_terms
@@ -136,9 +245,10 @@ def test_certificate_builds_each_term_list_once(monkeypatch):
 
     monkeypatch.setattr(pipeline, "module_terms", counted)
     report = pipeline.certificate(params)
+    assert calls == [()]
+    pair_hom(params, TORUS, DIAGONAL, Fraction(1, 2))
     monkeypatch.undo()
-    assert len(calls) == 8
-    assert sorted(calls) == sorted(pipeline._all_subsets(4))
+    assert calls == [(), ()]
     # the same report assembled from one h_graded call per (I, d)
     nonvanishing, records, full = [], [], {}
     for d in report.d_grid:
@@ -158,6 +268,34 @@ def test_certificate_builds_each_term_list_once(monkeypatch):
         verdict=all(r.nonzero for r in nonvanishing),
     )
     assert report.to_json() == expected.to_json()
+
+
+def test_certificate_shares_one_walk_across_subsets(monkeypatch):
+    # one action_of call per point of the I = () list, where a walk per
+    # subset made 1,638; every subset's record lists those very objects
+    params = OrbitParams(4, Fraction(5, 2))
+    actions = []
+    action_of = pipeline.action_of
+
+    def counted_action(params, coords):
+        actions.append(coords)
+        return action_of(params, coords)
+
+    monkeypatch.setattr(pipeline, "action_of", counted_action)
+    report = pipeline.certificate(params)
+    monkeypatch.undo()
+    points = [e.coords for e in module_terms(params, ()).elements]
+    assert len(points) == len(set(points)) == 237
+    # the rest are the witnesses of the non-vanishing checks
+    witnesses = [r.witness for r in report.nonvanishing]
+    assert sorted(actions) == sorted(points + witnesses)
+    listed = [e for rec in report.h_records for e in rec.elements]
+    assert len({id(e) for e in listed}) == len({e.coords for e in listed})
+    for rec in report.h_records:
+        (top,) = (r for r in report.h_records
+                  if r.d == rec.d and r.indices == ())
+        kept = {id(e) for e in top.elements}
+        assert all(id(e) in kept for e in rec.elements)
 
 
 def test_certificate_json_lists_one_dict_per_lattice_point():

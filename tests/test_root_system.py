@@ -20,12 +20,11 @@ from flagsheaf.root_system import (
     in_c_minus,
     pair_e,
     pair_f,
-    shevel_witness,
     weyl_chamber,
     zero,
 )
 
-from oracles import enumerate_lattice, oracle_pair_e
+from oracles import enumerate_lattice, oracle_pair_e, shevel_witness
 
 
 def lattice_vectors(n, lo=-4, hi=4):
