@@ -3,11 +3,11 @@
 Everything here works with genuine complex matrices: skew-Hermitian
 traceless X with the invariant product <X, Y> = -Tr(XY), the dominant
 representative ||X|| (the descending spectrum of -iX), and products of
-special-unitary exponentials.  Eigendecompositions use a self-contained
-round-robin (parallel-ordered) cyclic Jacobi iteration (Brent-Luk, 1985,
-intended for N <= 12).  Unitary matrices are diagonalized by Hermitian
-Jacobi passes (Hermitian part for the frame, skew part inside
-clusters), so no external eigensolver is involved in the verified path.
+special-unitary exponentials.  Eigendecompositions make one LAPACK
+call (``np.linalg.eigh``) per stack, in eigh_stack; unitary matrices
+are diagonalized by Hermitian passes (Hermitian part for the frame,
+skew part inside clusters).  No frame is trusted: every decomposition
+passes its residual and orthogonality gates.
 
 Plain arrays, one result per input: matrices are complex (b, n, n)
 stacks and spectra float (b, n) stacks, each row descending.  Every
@@ -33,7 +33,6 @@ Checked statements:
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -43,19 +42,17 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 # ---------------------------------------------------------------------------
-# tolerances: every threshold the input validation, the kernel, the
-# decompositions, the checks and the sampler decide by.  None is a
-# parameter, so every caller decides alike.
+# tolerances: every threshold the input validation, the decompositions,
+# the checks and the sampler decide by.  None is a parameter, so every
+# caller decides alike.
 #
 # input validation
 SKEW_TOL = 1e-12          # |X + X^H| of an input, relative to max(1, |X|)
 TRACELESS_TOL = 1e-12     # |tr X| of an input, relative to max(1, |X|)
 ORDER_TOL = 1e-12         # ascent allowed between bound spectrum entries
 ZERO_SUM_TOL = 1e-9       # |sum| of a bound spectrum, relative likewise
-# Jacobi kernel
-JACOBI_TOL = 1e-13        # stop at off-diagonal norm <= JACOBI_TOL * ||h||_F
-MAX_SWEEPS = 100          # sweeps before NonConvergenceError
 # decompositions
+ORTHO_TOL = 1e-12         # max |u^H u - I| of an eigensolver frame
 EIG_RESIDUAL = 1e-9       # max |h u - u w| of a Hermitian decomposition
 CLUSTER_TOL = 1e-7        # cosines this close share an eig_unitary cluster
 UNITARY_RESIDUAL = 1e-8   # max off-diagonal entry of u^H p u
@@ -74,7 +71,9 @@ FEASIBILITY_SLACK = 1e-12  # N * window / 2pi widened by this before rounding
 
 
 class NonConvergenceError(RuntimeError):
-    """Jacobi iteration failed to reach the target off-diagonal norm."""
+    """A decomposition failed its gates: the eigensolver did not
+    converge, or a frame, eigenpair or unitary diagonalization residual
+    exceeded its tolerance."""
 
 
 # ---------------------------------------------------------------------------
@@ -131,107 +130,44 @@ def _bound_spectrum(bound: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# round-robin cyclic Jacobi for stacks of Hermitian matrices
+# the gated eigensolver
 
 
-@functools.lru_cache(maxsize=32)
-def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """One sweep of the circle-method tournament on n indices: rounds
-    of disjoint pairs (p, q), p < q, covering every pair once.  Odd n
-    is padded with a phantom index whose pair sits out the round."""
-    m = n + n % 2
-    rounds = []
-    for r in range(m - 1):
-        seats = [0] + [1 + (k + r) % (m - 1) for k in range(m - 1)]
-        pairs = zip(seats[: m // 2], seats[::-1])
-        ps, qs = np.array(
-            [sorted(pq) for pq in pairs if max(pq) < n], dtype=int
-        ).reshape(-1, 2).T
-        # flat offsets of the (p,p), (q,q), (p,q), (q,p) entries
-        put = np.concatenate([ps * (n + 1), qs * (n + 1), ps * n + qs,
-                              qs * n + ps])
-        rounds.append((ps, qs, put))
-    return tuple(rounds)
-
-
-def jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eigh_stack(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and unitary frames of a stack (b, n, n)
-    of Hermitian matrices by round-robin (parallel-ordered) cyclic
-    Jacobi rotations (Brent-Luk, 1985): each round rotates up to
-    floor(n/2) disjoint pairs at once, as one unitary g with
-    a <- g^H a g and u <- u g.
-
-    Every matrix goes through the same rounds at once, with
-    ``np.matmul`` over the stack; a matrix whose off-diagonal norm is
-    already at most JACOBI_TOL * ||h||_F at the start of a sweep gets
-    the identity rotation.
+    of Hermitian matrices, from one LAPACK call on the whole stack.
 
     Returns (w, u), shaped (b, n) and (b, n, n), with
-    h[i]  =  u[i] @ diag(w[i]) @ u[i]^H.  Raises
-    :class:`NonConvergenceError` when the off-diagonal norm of some
-    matrix does not fall below JACOBI_TOL * ||h||_F within MAX_SWEEPS
-    sweeps.
+    h[i]  =  u[i] @ diag(w[i]) @ u[i]^H.  The frames are gated: a
+    solver failure, or a frame with max |u^H u - I| above ORTHO_TOL,
+    raises :class:`NonConvergenceError`.  With the callers' residual
+    gates this bounds every eigenvalue's error whichever solver proposed
+    the frame (Weyl and Kahan residual bounds; Parlett, The Symmetric
+    Eigenvalue Problem, 1998).
     """
-    h = np.asarray(h, dtype=complex)
-    b, n, _ = h.shape
-    scale = np.maximum(np.linalg.norm(h, axis=(1, 2)), 1e-300)
-    # a on top of u, so that one product rotates the columns of both
-    m = np.concatenate([h, np.broadcast_to(np.eye(n), h.shape)], axis=1)
-    eye = np.broadcast_to(np.eye(n, dtype=complex), h.shape)
-    off_diagonal = ~np.eye(n, dtype=bool)
-    k = n // 2  # pairs per round
-    entries = np.empty((b, 4 * k), dtype=complex)
-
-    def off_norm():
-        # from the off-diagonal entries themselves: total minus diagonal
-        # cancels and stops sweeps early
-        return np.linalg.norm(m[:, :n] * off_diagonal, axis=(1, 2))
-
-    for _ in range(MAX_SWEEPS):
-        live = off_norm() > JACOBI_TOL * scale
-        if not live.any():
-            break
-        keep = None if live.all() else live[:, None]
-        for _, _, put in _round_robin(n):
-            flat = m.reshape(b, -1)
-            diag = flat.real.take(put[: 2 * k], axis=1)
-            apq = flat.take(put[2 * k: 3 * k], axis=1)
-            if keep is not None:
-                apq *= keep  # converged matrices get the identity rotation
-            r = 0.5 * (diag[:, :k] - diag[:, k:])
-            mag = np.abs(apq)
-            # skipped pairs (a_pq = 0) get c = 1, s = 0
-            den = np.maximum(np.abs(r) + np.hypot(r, mag), 1e-300)
-            hyp = np.hypot(den, mag)
-            c = den / hyp
-            s = apq / np.copysign(hyp, r)
-            entries[:, :k] = c
-            entries[:, k: 2 * k] = c
-            np.negative(s, out=entries[:, 2 * k: 3 * k])
-            np.conjugate(s, out=entries[:, 3 * k:])
-            g = eye.copy()
-            g.reshape(b, -1)[:, put] = entries
-            m = m @ g
-            m[:, :n] = g.conj().swapaxes(1, 2) @ m[:, :n]
-    else:
-        raise NonConvergenceError(
-            "Jacobi iteration stalled with off-diagonal residual "
-            f"{off_norm().max():.3e}"
-        )
-    w = m[:, :n].diagonal(axis1=1, axis2=2).real
-    order = np.argsort(-w, axis=1)
-    w = np.take_along_axis(w, order, axis=1)
-    u = np.take_along_axis(m[:, n:], order[:, None, :], axis=2)
+    try:
+        w, u = np.linalg.eigh(h)
+    except np.linalg.LinAlgError as exc:  # a ValueError, read as bad input
+        raise NonConvergenceError(f"eigenpair residual undefined: {exc}"
+                                  ) from exc
+    w, u = w[:, ::-1], u[:, :, ::-1]
+    eye = np.eye(u.shape[-1])
+    ortho = np.abs(u.conj().swapaxes(1, 2) @ u - eye).max(initial=0.0)
+    if not ortho <= ORTHO_TOL:  # NaN fails too
+        raise NonConvergenceError(f"frame orthogonality residual {ortho:.3e}")
     return w, u
+
+
+jacobi_eigh = eigh_stack  # the name perfbench/layers.py traces
 
 
 def hermitian_eigs(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Spectra (b, n) of -iX, each descending, and a (b, n, n) stack of
     diagonalizing frames of a (b, n, n) stack of skew-Hermitian
-    traceless X, validated at once, from one stacked Jacobi call, with
-    a per-pair residual check on every matrix."""
+    traceless X, validated at once, from one stacked eigh_stack call,
+    with a per-pair residual check on every matrix."""
     h = -1j * _skew_stack(xs)
-    w, u = jacobi_eigh(h)
+    w, u = eigh_stack(h)
     res = np.abs(h @ u - u * w[:, None, :]).max(initial=0.0)
     if not res <= EIG_RESIDUAL:  # NaN fails too
         raise NonConvergenceError(f"eigenpair residual {res:.3e}")
@@ -240,7 +176,7 @@ def hermitian_eigs(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def exp_skew(xs: np.ndarray) -> np.ndarray:
-    """The (b, n, n) stack of e^X, via the Jacobi eigendecompositions of
+    """The (b, n, n) stack of e^X, via the eigendecompositions of
     -iX."""
     return _exp_in_frame(xs, hermitian_eigs(xs)[1])
 
@@ -262,14 +198,14 @@ def eig_unitary(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the argument is strictly decreasing.  The Hermitian part of the
     turned matrix thus tells apart any two eigenvalues within a quarter
     turn of arg tr p, conjugate pairs of the unturned matrix included;
-    one stacked Jacobi call on it fixes the frame up to clusters of
+    one stacked eigh_stack call on it fixes the frame up to clusters of
     equal cosines.  The skew part separates the phases inside each
     cluster, one call per cluster of each matrix.
     """
     b, n, _ = p.shape
     turn = 1j * np.exp(-1j * np.angle(np.trace(p, axis1=1, axis2=2)))
     q = p * turn[:, None, None]
-    cos, u = jacobi_eigh((q + q.conj().swapaxes(1, 2)) / 2.0)
+    cos, u = eigh_stack((q + q.conj().swapaxes(1, 2)) / 2.0)
     for i in range(b):
         start = 0
         for stop in range(1, n + 1):
@@ -280,7 +216,7 @@ def eig_unitary(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             if stop - start > 1:
                 f = u[i, :, start:stop]
                 block = f.conj().T @ q[i] @ f
-                _, v = jacobi_eigh((block - block.conj().T)[None] / 2j)
+                _, v = eigh_stack((block - block.conj().T)[None] / 2j)
                 u[i, :, start:stop] = f @ v[0]
             start = stop
     d = u.conj().swapaxes(1, 2) @ p @ u
@@ -316,7 +252,7 @@ def _log_in_frame(eig: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
 # the checks
 #
 # Each check takes (b, n, n) stacks, checked together with one stacked
-# Jacobi call per stage, and gives one result per input, from the rule
+# eigensolver call per stage, and gives one result per input, from the rule
 # that run_trials applies to its shared stages.
 
 
@@ -580,7 +516,7 @@ class LemmaStats:
 
 
 # trials decomposed at once: enough to amortize the per-call cost of
-# the stacked kernel, few enough that memory stays flat however many
+# the stacked solver, few enough that memory stays flat however many
 # trials are asked for
 _CHUNK = 256
 

@@ -296,7 +296,6 @@ def crosscheck_stalks(
     samples: int | Sequence[CartanVector],
     seed: int = 0,
     window: LatticeBox | None = None,
-    depth: Fraction = Fraction(5, 2),
 ) -> CrosscheckReport:
     """Compare cone-model stalk cohomology, read off the model's apex
     table as block sums (``block_cohomology``), against the direct-sum
@@ -310,10 +309,7 @@ def crosscheck_stalks(
         import numpy as np
 
         rng = np.random.default_rng(seed)
-        points = [
-            sample_c_minus_interior(n, rng, depth=depth)
-            for _ in range(samples)
-        ]
+        points = [sample_c_minus_interior(n, rng) for _ in range(samples)]
     else:
         points = list(samples)
     if not points:
@@ -569,22 +565,21 @@ class NonvanishingResult:
     indices: tuple[int, ...]
     d: Fraction
     nonzero: bool
-    witness: tuple[int, ...] | None
-    action: Fraction | None
-    degree: int | None
-    certified_empty: bool = False
+    witness: tuple[int, ...]
+    action: Fraction
+    degree: int
 
     def to_json(self) -> dict:
         return {
             "i": ",".join(str(k) for k in self.indices),
             "d": str(self.d),
             "structure_map_nonzero": self.nonzero,
-            "witness": None
-            if self.witness is None
-            else [str(c) for c in self.witness],
-            "witness_action": None if self.action is None else str(self.action),
+            "witness": [str(c) for c in self.witness],
+            "witness_action": str(self.action),
             "witness_degree": self.degree,
-            "certified_empty": self.certified_empty,
+            # a witness always exists; the key stays until the schema's
+            # next version
+            "certified_empty": False,
         }
 
 
@@ -599,9 +594,7 @@ def structure_map_nonzero(
     x_j = -[j in I] for j >= 2 maximizes the action over the
     constraint set, the action bound forces x_1 >= ceil(sum of
     (N-j)/(N-1) over j in I), and exactly one x_1 in any N consecutive
-    integers has center class 0 -- so scanning N values either yields
-    a witness or proves the canonical family (hence S_I(0), by
-    monotonicity of the action in every coordinate) empty.
+    integers has center class 0: the least such x_1 gives the witness.
     """
     d = Fraction(d)
     if d < 0:
@@ -614,26 +607,21 @@ def structure_map_nonzero(
     need = sum(n - j for j in idx if j >= 2)
     x1_lo = math.ceil(Fraction(need, n - 1))
     target = sum(j for j in idx if j >= 2) % n
-    for x1 in range(x1_lo, x1_lo + n):
-        if x1 % n == target:
-            coords = (x1,) + tuple(tail[j] for j in range(2, n))
-            act = action_of(params, coords)
-            if lattice_center(n, coords) != 0 or act < 0:
-                raise IntegrityError(
-                    "canonical witness construction produced an invalid "
-                    f"element {coords}"
-                )
-            return NonvanishingResult(
-                indices=idx,
-                d=d,
-                nonzero=True,
-                witness=coords,
-                action=act,
-                degree=-lattice_degree(n, coords),
-            )
+    x1 = x1_lo + (target - x1_lo) % n
+    coords = (x1,) + tuple(tail[j] for j in range(2, n))
+    act = action_of(params, coords)
+    if lattice_center(n, coords) != 0 or act < 0:
+        raise IntegrityError(
+            "canonical witness construction produced an invalid "
+            f"element {coords}"
+        )
     return NonvanishingResult(
-        indices=idx, d=d, nonzero=False, witness=None, action=None,
-        degree=None, certified_empty=True,
+        indices=idx,
+        d=d,
+        nonzero=True,
+        witness=coords,
+        action=act,
+        degree=-lattice_degree(n, coords),
     )
 
 

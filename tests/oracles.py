@@ -11,17 +11,24 @@ hull rule of section selection replaced; and the jump as the total
 complex over 2^|I| corners, which one restriction replaced; and the
 box walks (``window_points``, ``class_points`` plus a profile filter,
 ``enumerate_lattice``) that the triangular ``sheaf_complex.lattice_points``
-replaced in src/; and the lemma-by-lemma matrix-lemma runner that
-``lie_numerics.run_trials``'s shared decomposition units replaced.
+replaced in src/; the lemma-by-lemma matrix-lemma runner that
+``lie_numerics.run_trials``'s shared decomposition units replaced; and
+the round-robin cyclic Jacobi kernel that the gated LAPACK call
+``lie_numerics.eigh_stack`` replaced.
 Lemma code that no command reaches lives here too: the chamber-walk
 witness and the aligned partner of the pairing bound.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
+
+from flagsheaf.lie_numerics import NonConvergenceError
 
 
 # -- polynomial helpers (dense integer coefficient lists) -------------------
@@ -719,8 +726,6 @@ def sequential_run_trials(n, trials, seed, corrupt=False, chunk=256):
     draws them, and checks a chunk with the public checks; a pair
     rejected at the branch cut is counted and redrawn in the next
     chunk."""
-    import numpy as np
-
     from flagsheaf import lie_numerics as ln
 
     rng = np.random.default_rng(seed)
@@ -785,6 +790,103 @@ def sequential_run_trials(n, trials, seed, corrupt=False, chunk=256):
             g[0::2], g[1::2], windows[0::2], windows[1::2])
     stats.append(lemma_stats("interval_product", results))
     return stats
+
+
+# -- round-robin cyclic Jacobi ----------------------------------------------
+
+JACOBI_TOL = 1e-13        # stop at off-diagonal norm <= JACOBI_TOL * ||h||_F
+MAX_SWEEPS = 100          # sweeps before NonConvergenceError
+
+
+@functools.lru_cache(maxsize=32)
+def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """One sweep of the circle-method tournament on n indices: rounds
+    of disjoint pairs (p, q), p < q, covering every pair once.  Odd n
+    is padded with a phantom index whose pair sits out the round."""
+    m = n + n % 2
+    rounds = []
+    for r in range(m - 1):
+        seats = [0] + [1 + (k + r) % (m - 1) for k in range(m - 1)]
+        pairs = zip(seats[: m // 2], seats[::-1])
+        ps, qs = np.array(
+            [sorted(pq) for pq in pairs if max(pq) < n], dtype=int
+        ).reshape(-1, 2).T
+        # flat offsets of the (p,p), (q,q), (p,q), (q,p) entries
+        put = np.concatenate([ps * (n + 1), qs * (n + 1), ps * n + qs,
+                              qs * n + ps])
+        rounds.append((ps, qs, put))
+    return tuple(rounds)
+
+
+def jacobi_eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and unitary frames of a stack (b, n, n)
+    of Hermitian matrices by round-robin (parallel-ordered) cyclic
+    Jacobi rotations (Brent-Luk, 1985): each round rotates up to
+    floor(n/2) disjoint pairs at once, as one unitary g with
+    a <- g^H a g and u <- u g.
+
+    Every matrix goes through the same rounds at once, with
+    ``np.matmul`` over the stack; a matrix whose off-diagonal norm is
+    already at most JACOBI_TOL * ||h||_F at the start of a sweep gets
+    the identity rotation.
+
+    Returns (w, u), shaped (b, n) and (b, n, n), with
+    h[i]  =  u[i] @ diag(w[i]) @ u[i]^H.  Raises
+    :class:`NonConvergenceError` when the off-diagonal norm of some
+    matrix does not fall below JACOBI_TOL * ||h||_F within MAX_SWEEPS
+    sweeps.
+    """
+    h = np.asarray(h, dtype=complex)
+    b, n, _ = h.shape
+    scale = np.maximum(np.linalg.norm(h, axis=(1, 2)), 1e-300)
+    # a on top of u, so that one product rotates the columns of both
+    m = np.concatenate([h, np.broadcast_to(np.eye(n), h.shape)], axis=1)
+    eye = np.broadcast_to(np.eye(n, dtype=complex), h.shape)
+    off_diagonal = ~np.eye(n, dtype=bool)
+    k = n // 2  # pairs per round
+    entries = np.empty((b, 4 * k), dtype=complex)
+
+    def off_norm():
+        # from the off-diagonal entries themselves: total minus diagonal
+        # cancels and stops sweeps early
+        return np.linalg.norm(m[:, :n] * off_diagonal, axis=(1, 2))
+
+    for _ in range(MAX_SWEEPS):
+        live = off_norm() > JACOBI_TOL * scale
+        if not live.any():
+            break
+        keep = None if live.all() else live[:, None]
+        for _, _, put in _round_robin(n):
+            flat = m.reshape(b, -1)
+            diag = flat.real.take(put[: 2 * k], axis=1)
+            apq = flat.take(put[2 * k: 3 * k], axis=1)
+            if keep is not None:
+                apq *= keep  # converged matrices get the identity rotation
+            r = 0.5 * (diag[:, :k] - diag[:, k:])
+            mag = np.abs(apq)
+            # skipped pairs (a_pq = 0) get c = 1, s = 0
+            den = np.maximum(np.abs(r) + np.hypot(r, mag), 1e-300)
+            hyp = np.hypot(den, mag)
+            c = den / hyp
+            s = apq / np.copysign(hyp, r)
+            entries[:, :k] = c
+            entries[:, k: 2 * k] = c
+            np.negative(s, out=entries[:, 2 * k: 3 * k])
+            np.conjugate(s, out=entries[:, 3 * k:])
+            g = eye.copy()
+            g.reshape(b, -1)[:, put] = entries
+            m = m @ g
+            m[:, :n] = g.conj().swapaxes(1, 2) @ m[:, :n]
+    else:
+        raise NonConvergenceError(
+            "Jacobi iteration stalled with off-diagonal residual "
+            f"{off_norm().max():.3e}"
+        )
+    w = m[:, :n].diagonal(axis1=1, axis2=2).real
+    order = np.argsort(-w, axis=1)
+    w = np.take_along_axis(w, order, axis=1)
+    u = np.take_along_axis(m[:, n:], order[:, None, :], axis=2)
+    return w, u
 
 
 # -- lemma code no command reaches ------------------------------------------

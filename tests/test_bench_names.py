@@ -1,12 +1,18 @@
 """Every flagsheaf name the benchmark under ``perfbench/`` wraps, patches
 or calls still resolves, so a deletion in the package cannot silently
 break a traced run (``perfbench/run.py --trace 1``) or the benchmark's
-smoke test.  The benchmark files are read, never changed."""
+smoke test; and one traced round of each workload runs clean.  The
+benchmark files are read, never changed."""
 
 import ast
 import importlib
 import inspect
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -116,3 +122,20 @@ def test_patched_signatures():
     )
     run_trials = _resolve("lie_numerics", "run_trials")
     assert "corrupt" in inspect.signature(run_trials).parameters
+
+
+@pytest.mark.parametrize(
+    "workload", ("crosscheck", "jump", "certificate", "numerics"))
+def test_traced_round_runs_clean(workload):
+    # a traced run imports the package as the benchmark does, so it
+    # sees a dropped alias or a lost transitive import that resolving
+    # names one module at a time cannot
+    run = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload,
+         "--seed", "1", "--trace", "1", "--rounds", "1"],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    info, last = run.stdout.splitlines()[-2:]
+    assert json.loads(info.removeprefix("info "))["fail_ratio"] == 0.0
+    assert json.loads(last)["failed"] == 0

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 from string import Template
 
+import numpy as np
 import pytest
 
 from flagsheaf import cli
@@ -349,6 +350,21 @@ def test_verification_failures_exit_2(capsys, monkeypatch, error):
     assert code == 2
     assert captured.err.strip() == "verification failure: injected"
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_eigensolver_failure_exits_2(capsys, monkeypatch):
+    # LinAlgError is a ValueError: unless the solver maps it, a solver
+    # failure would exit 1 as a configuration error
+    def fail(h):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    code = main(["numerics", "--n", "3", "--trials", "5", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("verification failure: ")
+    assert "did not converge" in line
 
 
 # -- the grammar ---------------------------------------------------------------
