@@ -39,6 +39,7 @@ from .pipeline import (
     DEFAULT_ACTION_WINDOW,
     DEFAULT_D_GRID,
     DEFAULT_DEGREE_WINDOW,
+    DEFAULT_SPECTRUM_WINDOW,
     MarginError,
     OrbitParams,
     certificate,
@@ -438,7 +439,7 @@ def _pipeline_certificate(args) -> int:
         OrbitParams(args.n, args.lam), args.d_grid,
         args.degree_window, args.action_window,
     )
-    return _emit(report.to_json(), args, report.verdict)
+    return _emit(report.to_json(), args)
 
 
 def _pipeline_pair(args) -> int:
@@ -575,7 +576,7 @@ def _build_parser() -> _Parser:
     pair.add_argument("--char2", action="store_true")
     orbit(
         "spectrum", _pipeline_spectrum, graded=False,
-        action_window=(Fraction(0), Fraction(3)),
+        action_window=DEFAULT_SPECTRUM_WINDOW,
     ).add_argument("--i", type=_subset, default=())
 
     numerics = leaf(commands, "numerics", _numerics, graded=False,

@@ -315,21 +315,16 @@ def check_klyachko(
     xs: np.ndarray,
     ys: np.ndarray,
     bound: np.ndarray,
-    eigs: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[CheckResult | None]:
     """e^X e^Y = e^Z with ||Z|| <= ||X|| + ||Y||, for pairs of the
     stacks (b, n, n) with ||X||, ||Y|| below a dominant bound (n,) that
     is itself below e_1 / (100 N).
 
     A pair whose product has an eigenvalue at the branch cut gets None
-    in place of a result.  ``eigs`` is the (spectra, frames)
-    decomposition of [*xs, *ys] when the caller already has it; the
-    inputs are validated either way.
+    in place of a result.
     """
     b, a = len(xs), np.concatenate([xs, ys])
-    spectra, frames = hermitian_eigs(a) if eigs is None else eigs
-    if eigs is not None:
-        a = _skew_stack(a)  # hermitian_eigs validates it otherwise
+    spectra, frames = hermitian_eigs(a)
     prods = _klyachko_products(a, spectra, frames, bound)
     logs, at_cut = log_unitary_small(prods)
     kept, zs = ~at_cut, logs[~at_cut]

@@ -234,11 +234,12 @@ def stalk_flag_sum(
     lower = [c // d + 1 for c in profile]
     coord_box = tuple((-(-2 * b // n), 0) for b in lower)
     profile_box = tuple((b, 0) for b in lower)
-    out = GradedDims.empty()
+    terms: list[tuple[int, int]] = []
     for combo, _ in lattice_points(n, z.residue, coord_box, profile_box):
         iset = tuple(k for k, x in enumerate(combo, 1) if x < 0)
-        out = out + betti_cached(n, iset).shifted(-lattice_degree(n, combo))
-    return out
+        shift, betti_l = lattice_degree(n, combo), betti_cached(n, iset)
+        terms.extend((deg - shift, dim) for deg, dim in betti_l.items())
+    return GradedDims(terms)
 
 
 def sample_c_minus_interior(
@@ -430,6 +431,7 @@ DEFAULT_D_GRID = (
     Fraction(2),
     Fraction(5),
 )
+DEFAULT_SPECTRUM_WINDOW: ActionWindow = (Fraction(0), Fraction(3))
 
 
 def module_terms(
@@ -564,7 +566,6 @@ def _terms_at(base: NovikovRecord, d: Fraction) -> NovikovRecord:
 class NonvanishingResult:
     indices: tuple[int, ...]
     d: Fraction
-    nonzero: bool
     witness: tuple[int, ...]
     action: Fraction
     degree: int
@@ -573,12 +574,12 @@ class NonvanishingResult:
         return {
             "i": ",".join(str(k) for k in self.indices),
             "d": str(self.d),
-            "structure_map_nonzero": self.nonzero,
+            "structure_map_nonzero": True,
             "witness": [str(c) for c in self.witness],
             "witness_action": str(self.action),
             "witness_degree": self.degree,
-            # a witness always exists; the key stays until the schema's
-            # next version
+            # a witness always exists, so both flags are constant; they
+            # stay until the schema's next version
             "certified_empty": False,
         }
 
@@ -618,7 +619,6 @@ def structure_map_nonzero(
     return NonvanishingResult(
         indices=idx,
         d=d,
-        nonzero=True,
         witness=coords,
         action=act,
         degree=-lattice_degree(n, coords),
@@ -632,7 +632,6 @@ class CertificateReport:
     nonvanishing: list[NonvanishingResult]
     h_records: list[NovikovRecord]
     full_hom: dict[Fraction, GradedDims]
-    verdict: bool
 
     def to_json(self) -> dict:
         shared: dict[tuple, dict] = {}  # one dict per lattice point
@@ -651,7 +650,7 @@ class CertificateReport:
             "full_hom": {
                 str(d): g.to_json() for d, g in self.full_hom.items()
             },
-            "verdict": self.verdict,
+            "verdict": True,  # structure_map_nonzero raises otherwise
             "versions": {"flagsheaf": _package_version},
         }
 
@@ -690,7 +689,6 @@ def certificate(
         nonvanishing=nonvanishing_results,
         h_records=hs,
         full_hom=full,
-        verdict=all(t.nonzero for t in nonvanishing_results),
     )
 
 
@@ -758,7 +756,7 @@ def pair_hom(
 def jump_spectrum(
     params: OrbitParams,
     indices: Iterable[int],
-    action_window: tuple[Fraction, Fraction] = (Fraction(0), Fraction(3)),
+    action_window: ActionWindow = DEFAULT_SPECTRUM_WINDOW,
     degree_window: DegreeWindow = DEFAULT_DEGREE_WINDOW,
 ) -> list[Fraction]:
     """Sorted distinct nonnegative actions -a(l) of the module's terms

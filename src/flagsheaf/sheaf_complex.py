@@ -72,6 +72,7 @@ from .root_system import (
     IntegrityError,
     cartan,
     integer_profile,
+    lattice_center,
     lattice_degree,
     scaled_profile,
 )
@@ -282,16 +283,16 @@ def lattice_points(
 
 
 class ApexRow(NamedTuple):
-    """One lattice apex m of an ``ApexTable``: its coordinates, center
-    residue, scaled profile N<m, e_j> (ints), D(m), and per forced set
-    (a bitmask, bit j - 1 for index j) the sum of the multiplicities
-    g(I) of the blocks (I, m) with that forced set."""
+    """One lattice apex m = (x_1, .., x_{N-1}) of an ``ApexTable``: its
+    coordinates, scaled profile N<m, e_j> (ints), D(m), and the bitmasks
+    (bit j - 1 for index j) of its positive and of its zero coordinates,
+    which give forced(I, m) for every subset I (``apex_table``)."""
 
     combo: tuple[int, ...]
-    residue: int
     profile: tuple[int, ...]
     degree: int
-    blocks: tuple[tuple[int, GradedDims], ...]
+    positive: int
+    zeros: int
 
 
 @dataclass(frozen=True)
@@ -302,6 +303,9 @@ class ApexTable:
     n: int
     mults: dict[tuple[int, ...], GradedDims]
     rows: tuple[ApexRow, ...]
+
+
+_STANDARD_MULTS = {(): GradedDims.line()}  # the single block I = ()
 
 
 def apex_table(
@@ -319,37 +323,22 @@ def apex_table(
     multiplicity one line), from one ``lattice_points`` walk.
 
     forced(I, m) = {k : x_k + [k in I] > 0} for m = (x_1, .., x_{N-1})
-    depends on I only through the k with x_k = 0, so the grouped sums
-    are made once per sign pattern of m."""
+    is positive(m) | (zeros(m) & I), so a row keeps the two masks and
+    ``block_cohomology`` matches the subsets against them."""
     if mults is None:
-        mults = {(): GradedDims.line()}
+        mults = _STANDARD_MULTS
     if profile_box is None:  # P_k is increasing in every coordinate
         profile_box = tuple(zip(*(scaled_profile(n, c) for c in zip(*window))))
-    masks = {s: sum(1 << (k - 1) for k in s) for s in mults}
-    grouped: dict[tuple[int, int], tuple[tuple[int, GradedDims], ...]] = {}
-    rows = []
     residue = None if z is None else z.residue
-    for combo, profile in lattice_points(n, residue, window, profile_box):
-        positive = sum(1 << k for k, x in enumerate(combo) if x > 0)
-        zeros = sum(1 << k for k, x in enumerate(combo) if x == 0)
-        blocks = grouped.get((positive, zeros))
-        if blocks is None:
-            sums: dict[int, dict[int, int]] = {}
-            for subset, mult in mults.items():
-                acc = sums.setdefault(positive | (zeros & masks[subset]), {})
-                for deg, dim in mult.items():
-                    acc[deg] = acc.get(deg, 0) + dim
-            blocks = grouped[positive, zeros] = tuple(
-                (forced, GradedDims(acc)) for forced, acc in sums.items()
-            )
-        # P_1 = -sum_k k x_k mod N is the center residue
-        rows.append(
-            ApexRow(
-                combo, profile[0] % n, profile, lattice_degree(n, combo),
-                blocks,
-            )
+    rows = tuple(
+        ApexRow(
+            combo, profile, lattice_degree(n, combo),
+            sum(1 << k for k, x in enumerate(combo) if x > 0),
+            sum(1 << k for k, x in enumerate(combo) if x == 0),
         )
-    return ApexTable(n, dict(mults), tuple(rows))
+        for combo, profile in lattice_points(n, residue, window, profile_box)
+    )
+    return ApexTable(n, dict(mults), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -385,10 +374,13 @@ def block_cohomology(
     tensor product, over e in A - (F | exact), of the complexes K -> K
     (the identity), each acyclic, so by Kuenneth the block is acyclic
     unless F | exact = A.  Then it is the one line J = A, in degree
-    |A| - D(m) + shift, carrying g(I).  Blocks of one apex with one F
-    enter alike, so their g(I) are summed in the table.
+    |A| - D(m) + shift, carrying g(I).  As F = positive | (zeros & I),
+    an apex keeps a block only if positive | exact <= A <= positive |
+    zeros | exact, which is tested before its subsets are matched.
     """
     exact_mask = sum(1 << (k - 1) for k in exact)
+    masks = [(sum(1 << (k - 1) for k in subset), mult)
+             for subset, mult in table.mults.items()]
     terms: list[tuple[int, int]] = []
     for row in table.rows:
         profile = row.profile
@@ -398,9 +390,12 @@ def block_cohomology(
         for j, (a, b) in enumerate(zip(profile, bound)):
             if a <= b:
                 allowed |= 1 << j
-        for forced, mult in row.blocks:
-            if forced | exact_mask == allowed:
-                offset = allowed.bit_count() - row.degree + shift
+        base, zeros = row.positive | exact_mask, row.zeros
+        if base & ~allowed or allowed & ~(base | zeros):
+            continue
+        offset = allowed.bit_count() - row.degree + shift
+        for mask, mult in masks:
+            if base | (zeros & mask) == allowed:
                 terms.extend((d + offset, dim) for d, dim in mult.items())
     return GradedDims(terms)
 
@@ -428,8 +423,8 @@ def cone_complex(table: ApexTable) -> SheafComplex:
     all_indices = range(1, n)
     subsets = [(jc, frozenset(jc)) for jc in _all_subsets(n)]
     apexes = [
-        (row.combo, cartan(n, row.combo), CenterClass(n, row.residue),
-         row.degree)
+        (row.combo, cartan(n, row.combo),
+         CenterClass(n, lattice_center(n, row.combo)), row.degree)
         for row in table.rows
     ]
     generators: list[SheafGenerator] = []

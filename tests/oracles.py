@@ -762,9 +762,17 @@ def sequential_run_trials(n, trials, seed, corrupt=False, chunk=256):
     bound = ln.coroot_spectrum(n, 1) * (0.9 / (100.0 * n))
     while len(results) < trials:
         xs, ys = pairs(results)
-        scaled, eigs = ln.rescaled_to_bound(np.concatenate([xs, ys]), bound)
-        checked = ln.check_klyachko(scaled[: len(xs)], scaled[len(xs):],
-                                    bound, eigs=eigs)
+        scaled, (spectra, frames) = ln.rescaled_to_bound(
+            np.concatenate([xs, ys]), bound)
+        # check_klyachko on the rescaled decomposition, which keeps X's
+        # frame, as run_trials hands it over: no second eigh of cX
+        prods = ln._klyachko_products(scaled, spectra, frames, bound)
+        logs, at_cut = ln.log_unitary_small(prods)
+        kept, b = ~at_cut, len(xs)
+        rule = iter(ln._klyachko_rule(
+            logs[kept], *ln.hermitian_eigs(logs[kept]), prods[kept],
+            spectra[:b][kept], spectra[b:][kept]))
+        checked = [None if cut else next(rule) for cut in at_cut]
         results += [r for r in checked if r is not None]
         rejected += checked.count(None)
     stats.append(lemma_stats("log_product", results, rejected))

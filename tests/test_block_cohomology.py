@@ -164,6 +164,39 @@ def test_apex_walk_is_the_class_filtered_window():
         assert list(class_points(n, None, window)) == box
 
 
+def test_rows_match_subsets_without_block_sums(monkeypatch):
+    # apex_table builds no GradedDims (no per-row or per-sign-pattern
+    # sums), and block_cohomology builds exactly one per call, on a cone
+    # table and on a standard table, both with zero coordinates
+    n, window = 4, ((-2, 1),) * 3
+    mults = {s: pipeline.g_space_cached(n, s) for s in _subsets(n)}
+    bounds = [stalk_bound(n, cartan(n, c)) for c in (
+        (Q(-1, 2), Q(-3, 2), Q(-1, 3)), (Q(-5, 4), Q(-2), Q(-3, 2)),
+    )] + [sections_bound(n, UOpen(cartan(n, c))) for c in (
+        (Q(1, 2), 0, Q(-1)), (0, Q(3, 2), Q(1, 4)),
+    )]
+    built = []
+    init = sheaf_complex.GradedDims.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(sheaf_complex.GradedDims, "__init__", counted)
+    tables = [apex_table(n, CenterClass(n, 1), window, mults),
+              apex_table(n, None, window)]
+    assert built == []
+    nonzero = 0
+    for table in tables:
+        assert any(row.zeros for row in table.rows)
+        for bound in bounds:
+            got = block_cohomology(table, bound)
+            assert built == [got]
+            built.clear()
+            nonzero += not got.is_zero()
+    assert nonzero == 5
+
+
 def _walk_cases(n, rng):
     """Seeded (window, profile box) pairs at rank n: random windows and
     degenerate ones (a point, a coordinate fixed), each with the window's

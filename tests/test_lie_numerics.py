@@ -87,16 +87,6 @@ def test_bound_spectrum_validation():
             check_klyachko(xs[:1], xs[1:], bound)
 
 
-def test_klyachko_validates_inputs_when_handed_their_decomposition():
-    n = 3
-    bound = coroot_spectrum(n, 1) * (0.9 / (100 * n))
-    x = 1j * np.diag([1.5e-3, -0.6e-3, -0.9e-3])
-    eigs = hermitian_eigs(np.array([x, x]))
-    not_skew = np.diag([1.5e-3, -0.6e-3, -0.9e-3]) + 0j
-    with pytest.raises(ValueError, match="matrix 1 .* not skew-Hermitian"):
-        check_klyachko(x[None], not_skew[None], bound, eigs=eigs)
-
-
 def test_jacobi_matches_lapack():
     rng = np.random.default_rng(0)
     for n in (2, 3, 5, 8):

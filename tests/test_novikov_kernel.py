@@ -182,7 +182,6 @@ def test_shared_walk_matches_the_box_per_subset(query):
         nonvanishing=nonvanishing,
         h_records=records,
         full_hom=full,
-        verdict=all(r.nonzero for r in nonvanishing),
     )
     report = pipeline.certificate(params, grid, degree_window, action_window)
     assert report.to_json() == expected.to_json()
@@ -265,7 +264,6 @@ def test_certificate_builds_each_term_list_once(monkeypatch):
         nonvanishing=nonvanishing,
         h_records=records,
         full_hom=full,
-        verdict=all(r.nonzero for r in nonvanishing),
     )
     assert report.to_json() == expected.to_json()
 

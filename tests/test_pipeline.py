@@ -253,7 +253,8 @@ def test_structure_map_witnesses():
     assert structure_map_nonzero(OrbitParams(2, Q(1)), (), Q(0)).witness == (0,)
     assert structure_map_nonzero(OrbitParams(2, Q(1)), (1,), Q(0)).witness == (0,)
     res = structure_map_nonzero(OrbitParams(3, Q(1)), (1, 2), Q(0))
-    assert res.nonzero and res.witness == (2, -1)
+    assert res.to_json()["structure_map_nonzero"] is True
+    assert res.witness == (2, -1)
     assert res.action == Q(1)
 
 
@@ -274,7 +275,7 @@ def test_structure_map_witness_satisfies_constraints():
 
         for subset in _all_subsets(n):
             res = structure_map_nonzero(par, subset, Q(5))
-            assert res.nonzero
+            assert res.to_json()["structure_map_nonzero"] is True
             l = cartan(n, res.witness)
             assert center_class(l).residue == 0
             assert action_of(par, res.witness) >= 0
@@ -295,9 +296,9 @@ def test_certificate_verdict_true():
     for n in (2, 3):
         report = certificate(OrbitParams(n, Q(1)),
                              d_grid=(Q(0), Q(1, 2), Q(1), Q(10)))
-        assert report.verdict is True
         payload = report.to_json()
         assert payload["verdict"] is True
+        assert all(r["structure_map_nonzero"] for r in payload["records"])
         assert payload["normalization_shift"] == n * n - n
 
 
