@@ -315,22 +315,23 @@ def check_klyachko(
     xs: np.ndarray,
     ys: np.ndarray,
     bound: np.ndarray,
-) -> list[CheckResult | None]:
+) -> list[CheckResult]:
     """e^X e^Y = e^Z with ||Z|| <= ||X|| + ||Y||, for pairs of the
     stacks (b, n, n) with ||X||, ||Y|| below a dominant bound (n,) that
     is itself below e_1 / (100 N).
 
-    A pair whose product has an eigenvalue at the branch cut gets None
-    in place of a result.
+    Under that bound no product reaches the branch cut (``run_trials``),
+    so a pair flagged there means a broken decomposition and raises
+    NonConvergenceError.
     """
     b, a = len(xs), np.concatenate([xs, ys])
     spectra, frames = hermitian_eigs(a)
     prods = _klyachko_products(a, spectra, frames, bound)
-    logs, at_cut = log_unitary_small(prods)
-    kept, zs = ~at_cut, logs[~at_cut]
-    checked = iter(_klyachko_rule(zs, *hermitian_eigs(zs), prods[kept],
-                                  spectra[:b][kept], spectra[b:][kept]))
-    return [None if cut else next(checked) for cut in at_cut]
+    zs, at_cut = log_unitary_small(prods)
+    if at_cut.any():
+        raise NonConvergenceError("log product at the branch cut")
+    return _klyachko_rule(zs, *hermitian_eigs(zs), prods, spectra[:b],
+                          spectra[b:])
 
 
 def _klyachko_products(a: np.ndarray, spectra: np.ndarray,

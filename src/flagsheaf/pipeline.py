@@ -22,6 +22,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import __version__ as _package_version
@@ -218,18 +219,14 @@ def stalk_flag_sum(
     n: int,
     z: CenterClass,
     p: CartanVector,
-    window: LatticeBox | None = None,
 ) -> GradedDims:
     """Stalk at p of the center-z fiber in the second description: one
     flag-cohomology summand, shifted down by D(l), for every lattice
     l in C_- (every x_k <= 0) with exp(l) = z and p << l, that is
     N<l, e_k> >= floor(N<p, e_k>) + 1 for every k: one ``lattice_points``
     walk over x <= 0 with the profile P in [floor(N<p, e_k>) + 1, 0], where
-    x_k = (2 P_k - P_{k-1} - P_{k+1}) / N >= 2 P_k / N bounds it below.
-    A given window must contain ``required_stalk_box``, and so every l."""
+    x_k = (2 P_k - P_{k-1} - P_{k+1}) / N >= 2 P_k / N bounds it below."""
     _require_interior(p)
-    if window is not None:
-        resolve_window(window, required_stalk_box(p), f"stalk at {p}")
     profile, d = integer_profile(p)
     lower = [c // d + 1 for c in profile]
     coord_box = tuple((-(-2 * b // n), 0) for b in lower)
@@ -367,7 +364,7 @@ def model_jump(
         for j, (b, box) in enumerate(zip(bound, profile_box), 1)
     )
     table = cone_table(n, z, window, pinned)
-    return block_cohomology(table, bound, exact, -len(exact))
+    return block_cohomology(table, bound, exact)
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +377,18 @@ class NovikovElement:
     action: Fraction
     degree: int  # -D(l)
 
-    def to_json(self) -> dict:
+    @cached_property
+    def _json(self) -> dict:
         return {
             "l": [str(c) for c in self.coords],
             "action": str(self.action),
             "degree": self.degree,
         }
+
+    def to_json(self) -> dict:
+        """Built once per term object and shared, so not to be mutated:
+        a certificate's records list each lattice point as one dict."""
+        return self._json
 
 
 @dataclass(frozen=True)
@@ -395,18 +398,11 @@ class NovikovRecord:
     elements: tuple[NovikovElement, ...]
     graded: GradedDims
 
-    def to_json(self, shared: dict[tuple, dict] | None = None) -> dict:
-        """``shared`` maps a term's coordinates to its JSON dict, so that
-        the records of one ``OrbitParams``, where the coordinates fix
-        action and degree, list each lattice point as one dict."""
-        shared = {} if shared is None else shared
-        for e in self.elements:
-            if e.coords not in shared:
-                shared[e.coords] = e.to_json()
+    def to_json(self) -> dict:
         return {
             "i": ",".join(str(k) for k in self.indices),
             "d": str(self.d),
-            "elements": [shared[e.coords] for e in self.elements],
+            "elements": [e.to_json() for e in self.elements],
             "graded": self.graded.to_json(),
         }
 
@@ -565,7 +561,6 @@ def _terms_at(base: NovikovRecord, d: Fraction) -> NovikovRecord:
 @dataclass(frozen=True)
 class NonvanishingResult:
     indices: tuple[int, ...]
-    d: Fraction
     witness: tuple[int, ...]
     action: Fraction
     degree: int
@@ -573,7 +568,6 @@ class NonvanishingResult:
     def to_json(self) -> dict:
         return {
             "i": ",".join(str(k) for k in self.indices),
-            "d": str(self.d),
             "structure_map_nonzero": True,
             "witness": [str(c) for c in self.witness],
             "witness_action": str(self.action),
@@ -588,7 +582,7 @@ def structure_map_nonzero(
     params: OrbitParams, indices: Iterable[int], d: Fraction
 ) -> NonvanishingResult:
     """Non-vanishing of the structure map H_I(0) -> H_I(d), with an
-    explicit witness in S_I(0).
+    explicit witness in S_I(0), which does not depend on d.
 
     The map is induced by the inclusion of term sets, so it is nonzero
     exactly when S_I(0) is nonempty.  The search is certified: fixing
@@ -597,19 +591,17 @@ def structure_map_nonzero(
     (N-j)/(N-1) over j in I), and exactly one x_1 in any N consecutive
     integers has center class 0: the least such x_1 gives the witness.
     """
-    d = Fraction(d)
-    if d < 0:
+    if Fraction(d) < 0:
         raise ValueError("the structure maps exist for d >= 0 only")
     n = params.n
     idx = tuple(sorted(set(indices)))
     if any(not 1 <= k <= n - 1 for k in idx):
         raise ValueError("subset indices out of range")
-    tail = {j: (-1 if j in idx else 0) for j in range(2, n)}
     need = sum(n - j for j in idx if j >= 2)
     x1_lo = math.ceil(Fraction(need, n - 1))
     target = sum(j for j in idx if j >= 2) % n
     x1 = x1_lo + (target - x1_lo) % n
-    coords = (x1,) + tuple(tail[j] for j in range(2, n))
+    coords = (x1,) + tuple(-1 if j in idx else 0 for j in range(2, n))
     act = action_of(params, coords)
     if lattice_center(n, coords) != 0 or act < 0:
         raise IntegrityError(
@@ -618,23 +610,32 @@ def structure_map_nonzero(
         )
     return NonvanishingResult(
         indices=idx,
-        d=d,
         witness=coords,
         action=act,
         degree=-lattice_degree(n, coords),
     )
 
 
+def _flag_sum(n: int, records: Iterable[NovikovRecord]) -> GradedDims:
+    """The direct sum over the records of g(I) tensor H_I(d)."""
+    terms = []
+    for rec in records:
+        mult = g_space_cached(n, rec.indices)
+        terms.extend((a + b, x * y) for a, x in mult.items()
+                     for b, y in rec.graded.items())
+    return GradedDims(terms)
+
+
 @dataclass
 class CertificateReport:
     params: OrbitParams
     d_grid: tuple[Fraction, ...]
-    nonvanishing: list[NonvanishingResult]
-    h_records: list[NovikovRecord]
+    witnesses: list[NonvanishingResult]  # one per subset
+    h_records: list[NovikovRecord]  # per d, one per subset
     full_hom: dict[Fraction, GradedDims]
 
     def to_json(self) -> dict:
-        shared: dict[tuple, dict] = {}  # one dict per lattice point
+        witnesses = [w.to_json() for w in self.witnesses]
         return {
             "schema": "flagsheaf/certificate-report/1",
             "params": {
@@ -645,8 +646,10 @@ class CertificateReport:
             "normalization_shift": normalization_shift(self.params.n),
             "normalization_note": NORMALIZATION_NOTE,
             "d_grid": [str(d) for d in self.d_grid],
-            "records": [t.to_json() for t in self.nonvanishing],
-            "h_graded": [r.to_json(shared) for r in self.h_records],
+            # v1 repeats the witness per d; "pretty" keeps this key order
+            "records": [{"i": w["i"], "d": str(d), **w}
+                        for d in self.d_grid for w in witnesses],
+            "h_graded": [r.to_json() for r in self.h_records],
             "full_hom": {
                 str(d): g.to_json() for d, g in self.full_hom.items()
             },
@@ -661,32 +664,29 @@ def certificate(
     degree_window: DegreeWindow = DEFAULT_DEGREE_WINDOW,
     action_window: ActionWindow = DEFAULT_ACTION_WINDOW,
 ) -> CertificateReport:
-    """Run the non-vanishing check for every subset I and every d in
-    the grid; aggregate the full graded answer as the direct sum over
-    I of g(I) tensor H_I(d).  Every subset's term list is derived from
-    the one for I = () (``_subset_records``) and filtered by every d.
-    An empty grid is a ``ValueError``."""
+    """Run the non-vanishing check once for every subset I (its witness
+    does not depend on d); per d in the grid, sum g(I) tensor H_I(d)
+    over I.  Every subset's term list is derived from the one for I = ()
+    (``_subset_records``) and filtered by every d.  An empty grid is a
+    ``ValueError``."""
     n = params.n
     grid = tuple(sorted({Fraction(d) for d in d_grid}))
     if not grid:
         raise ValueError("certificate needs a nonempty d grid")
+    subsets = _all_subsets(n)
+    witnesses = [structure_map_nonzero(params, s, 0) for s in subsets]
     root = module_terms(params, (), degree_window, action_window)
-    bases = {r.indices: r for r in _subset_records(root, _all_subsets(n))}
-    nonvanishing_results: list[NonvanishingResult] = []
+    bases = _subset_records(root, subsets)
     hs: list[NovikovRecord] = []
     full: dict[Fraction, GradedDims] = {}
     for d in grid:
-        total = GradedDims.empty()
-        for subset, base in bases.items():
-            nonvanishing_results.append(structure_map_nonzero(params, subset, d))
-            rec = _terms_at(base, d)
-            hs.append(rec)
-            total = total + g_space_cached(n, subset).tensor(rec.graded)
-        full[d] = total
+        records = [_terms_at(base, d) for base in bases]
+        hs.extend(records)
+        full[d] = _flag_sum(n, records)
     return CertificateReport(
         params=params,
         d_grid=grid,
-        nonvanishing=nonvanishing_results,
+        witnesses=witnesses,
         h_records=hs,
         full_hom=full,
     )
@@ -742,9 +742,7 @@ def pair_hom(
         )
     n = params.n
     root = module_terms(params, (), degree_window, action_window)
-    total = GradedDims.empty()
-    for rec in _subset_records(_terms_at(root, d), _all_subsets(n)):
-        total = total + g_space_cached(n, rec.indices).tensor(rec.graded)
+    total = _flag_sum(n, _subset_records(_terms_at(root, d), _all_subsets(n)))
     for side in sides:
         if side == TORUS:
             total = total.tensor(torus_factor(n))

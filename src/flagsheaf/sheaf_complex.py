@@ -349,20 +349,19 @@ def block_cohomology(
     table: ApexTable,
     bound: Sequence,
     exact: frozenset[int] = frozenset(),
-    shift: int = 0,
 ) -> GradedDims:
     """Cohomology of the cone complex of ``table`` restricted to the
     cones K(J, m) with exact <= J, N<m, e_j> <= bound[j - 1] on J and
-    N<m, e_k> = bound[k - 1] on ``exact``, moved by ``shift`` (the
+    N<m, e_k> = bound[k - 1] on ``exact``, moved down by |exact| (the
     ``_select`` -> ``_restrict`` rule), without building the complex.
 
     With P = N<m, e_j>, the stalk at p takes bound floor(N<p, e_j>)
     (``stalk_bound``), the sections over a lower set of top x^ take
     ceil(N<x^, e_j>) - 1 on the standard complex (``sections_bound``),
     and the jump at (I, m) takes exact = I, bound N<m, e_k> on I and
-    ceil(N<m, e_j>) - 1 off it, and shift -|I| (``jump_bound``); no
-    integer profile equals a bound that is not an integer, so then no
-    cone is kept.
+    ceil(N<m, e_j>) - 1 off it (``jump_bound``), so it is moved down by
+    |I|; no integer profile equals a bound that is not an integer, so
+    then no cone is kept.
 
     Proof.  ``cone_complex`` has differential entries only inside a
     block (I, m): the signed restrictions K(J, m) -> K(J + {e}, m) with
@@ -374,7 +373,7 @@ def block_cohomology(
     tensor product, over e in A - (F | exact), of the complexes K -> K
     (the identity), each acyclic, so by Kuenneth the block is acyclic
     unless F | exact = A.  Then it is the one line J = A, in degree
-    |A| - D(m) + shift, carrying g(I).  As F = positive | (zeros & I),
+    |A| - D(m) - |exact|, carrying g(I).  As F = positive | (zeros & I),
     an apex keeps a block only if positive | exact <= A <= positive |
     zeros | exact, which is tested before its subsets are matched.
     """
@@ -393,7 +392,7 @@ def block_cohomology(
         base, zeros = row.positive | exact_mask, row.zeros
         if base & ~allowed or allowed & ~(base | zeros):
             continue
-        offset = allowed.bit_count() - row.degree + shift
+        offset = allowed.bit_count() - row.degree - len(exact)
         for mask, mult in masks:
             if base | (zeros & mask) == allowed:
                 terms.extend((d + offset, dim) for d, dim in mult.items())

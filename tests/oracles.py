@@ -724,16 +724,16 @@ def sequential_run_trials(n, trials, seed, corrupt=False, chunk=256):
     shared decomposition units replaced.  Each lemma draws its trials in
     chunks of at most ``chunk``, in the order a loop of single trials
     draws them, and checks a chunk with the public checks; a pair
-    rejected at the branch cut is counted and redrawn in the next
-    chunk."""
+    flagged at the branch cut raises NonConvergenceError, as in
+    ``check_klyachko``."""
     from flagsheaf import lie_numerics as ln
 
     rng = np.random.default_rng(seed)
     stats = []
 
-    def lemma_stats(name, results, rejected=0):
+    def lemma_stats(name, results):
         return ln.LemmaStats(
-            name, len(results), sum(not r.ok for r in results), rejected,
+            name, len(results), sum(not r.ok for r in results), 0,
             max((r.residual for r in results), default=0.0),
         )
 
@@ -758,7 +758,7 @@ def sequential_run_trials(n, trials, seed, corrupt=False, chunk=256):
         results += checked
     stats.append(lemma_stats("pairing", results))
 
-    results, rejected = [], 0
+    results = []
     bound = ln.coroot_spectrum(n, 1) * (0.9 / (100.0 * n))
     while len(results) < trials:
         xs, ys = pairs(results)
@@ -768,14 +768,12 @@ def sequential_run_trials(n, trials, seed, corrupt=False, chunk=256):
         # frame, as run_trials hands it over: no second eigh of cX
         prods = ln._klyachko_products(scaled, spectra, frames, bound)
         logs, at_cut = ln.log_unitary_small(prods)
-        kept, b = ~at_cut, len(xs)
-        rule = iter(ln._klyachko_rule(
-            logs[kept], *ln.hermitian_eigs(logs[kept]), prods[kept],
-            spectra[:b][kept], spectra[b:][kept]))
-        checked = [None if cut else next(rule) for cut in at_cut]
-        results += [r for r in checked if r is not None]
-        rejected += checked.count(None)
-    stats.append(lemma_stats("log_product", results, rejected))
+        if at_cut.any():
+            raise ln.NonConvergenceError("log product at the branch cut")
+        b = len(xs)
+        results += ln._klyachko_rule(logs, *ln.hermitian_eigs(logs), prods,
+                                     spectra[:b], spectra[b:])
+    stats.append(lemma_stats("log_product", results))
 
     results = []
     while len(results) < trials:

@@ -14,8 +14,7 @@ import pytest
 from flagsheaf import cli
 from flagsheaf.cli import main
 from flagsheaf.lie_numerics import NonConvergenceError
-from flagsheaf.pipeline import MarginError, stalk_flag_sum
-from flagsheaf.root_system import CenterClass, IntegrityError, cartan
+from flagsheaf.root_system import IntegrityError
 
 
 def run(capsys, *args):
@@ -83,13 +82,6 @@ def test_sheaf_delta_margin_violation(capsys):
     assert code == 3
     assert err.startswith("margin violation:")
     assert err.endswith(" for jump at (-1/2, 0)\n")
-
-
-def test_stalk_flag_sum_margin_message():
-    with pytest.raises(MarginError, match=r"for stalk at \(-5/2\)$"):
-        stalk_flag_sum(
-            2, CenterClass(2, 0), cartan(2, ("-5/2",)), window=((-1, 0),)
-        )
 
 
 def test_sheaf_delta_flag_cohomology(capsys):

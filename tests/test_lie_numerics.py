@@ -631,6 +631,28 @@ def test_klyachko_precondition():
         check_klyachko(big, big, coroot_spectrum(n, 1))  # bound too large
 
 
+def test_klyachko_branch_cut_is_an_error(monkeypatch):
+    # the bound keeps every eigenvalue of e^X e^Y near 1, so a pair
+    # flagged at the branch cut means a broken decomposition, as in
+    # run_trials: an error, not a missing result
+    rng = np.random.default_rng(5)
+    n = 3
+    bound = coroot_spectrum(n, 1) * (0.9 / (100 * n))
+    xs, _ = rescaled_to_bound(
+        np.array([random_skew_hermitian(n, rng) for _ in range(4)]), bound)
+    assert all(r.ok for r in check_klyachko(xs[:2], xs[2:], bound))
+    logs = lie_numerics._log_in_frame
+
+    def flag_last(eig, u):
+        z, at_cut = logs(eig, u)
+        at_cut[-1:] = True  # as if the product had an eigenvalue at -1
+        return z, at_cut
+
+    monkeypatch.setattr(lie_numerics, "_log_in_frame", flag_last)
+    with pytest.raises(NonConvergenceError, match="branch cut"):
+        check_klyachko(xs[:2], xs[2:], bound)
+
+
 def test_log_unitary_branch_guard():
     at_cut = np.diag([-1.0 + 0j, -1.0 + 0j, 1.0 + 0j])
     small = np.diag(np.exp(1j * np.array([0.01, -0.01, 0.0])))

@@ -125,6 +125,33 @@ def _oracle_record(n, lam, subset, d, degree_window, action_window):
     )
 
 
+def _assembled_report(params, grid, record):
+    """The certificate of ``params`` over the sorted ``grid`` from the
+    records ``record(I, d)``: a witness per I, checked equal for every d,
+    and per d the sum over I of g(I) tensor H_I(d), one tensor at a
+    time."""
+    subsets = pipeline._all_subsets(params.n)
+    witnesses = [structure_map_nonzero(params, s, Fraction(0))
+                 for s in subsets]
+    records, full = [], {}
+    for d in grid:
+        total = GradedDims.empty()
+        for subset, witness in zip(subsets, witnesses):
+            assert structure_map_nonzero(params, subset, d) == witness
+            rec = record(subset, d)
+            records.append(rec)
+            total = total + g_space_cached(params.n, subset).tensor(
+                rec.graded)
+        full[d] = total
+    return CertificateReport(
+        params=params,
+        d_grid=grid,
+        witnesses=witnesses,
+        h_records=records,
+        full_hom=full,
+    )
+
+
 @st.composite
 def shared_walk_queries(draw):
     n = draw(st.integers(2, 5))
@@ -165,23 +192,11 @@ def test_shared_walk_matches_the_box_per_subset(query):
         )
         assert [(e.coords, e.action, e.degree) for e in rec.elements] == want
         assert rec.graded == GradedDims((deg, 1) for _, _, deg in want)
-    nonvanishing, records, full = [], [], {}
-    for d in sorted(grid):
-        total = GradedDims.empty()
-        for subset in pipeline._all_subsets(n):
-            nonvanishing.append(structure_map_nonzero(params, subset, d))
-            rec = _oracle_record(
-                n, lam, subset, d, degree_window, action_window
-            )
-            records.append(rec)
-            total = total + g_space_cached(n, subset).tensor(rec.graded)
-        full[d] = total
-    expected = CertificateReport(
-        params=params,
-        d_grid=tuple(sorted(grid)),
-        nonvanishing=nonvanishing,
-        h_records=records,
-        full_hom=full,
+    expected = _assembled_report(
+        params, tuple(sorted(grid)),
+        lambda subset, d: _oracle_record(
+            n, lam, subset, d, degree_window, action_window
+        ),
     )
     report = pipeline.certificate(params, grid, degree_window, action_window)
     assert report.to_json() == expected.to_json()
@@ -191,7 +206,7 @@ def test_shared_walk_matches_the_box_per_subset(query):
         assert pair_hom(
             params, DIAGONAL, side, d, degree_window, action_window,
             char_two=True,
-        ) == full[d].tensor(factor)
+        ) == expected.full_hom[d].tensor(factor)
 
 
 def test_windows_past_every_term_list_nothing():
@@ -249,21 +264,9 @@ def test_certificate_builds_each_term_list_once(monkeypatch):
     monkeypatch.undo()
     assert calls == [(), ()]
     # the same report assembled from one h_graded call per (I, d)
-    nonvanishing, records, full = [], [], {}
-    for d in report.d_grid:
-        total = GradedDims.empty()
-        for subset in pipeline._all_subsets(4):
-            nonvanishing.append(structure_map_nonzero(params, subset, d))
-            rec = h_graded(params, subset, d)
-            records.append(rec)
-            total = total + g_space_cached(4, subset).tensor(rec.graded)
-        full[d] = total
-    expected = CertificateReport(
-        params=params,
-        d_grid=report.d_grid,
-        nonvanishing=nonvanishing,
-        h_records=records,
-        full_hom=full,
+    expected = _assembled_report(
+        params, report.d_grid,
+        lambda subset, d: h_graded(params, subset, d),
     )
     assert report.to_json() == expected.to_json()
 
@@ -285,7 +288,7 @@ def test_certificate_shares_one_walk_across_subsets(monkeypatch):
     points = [e.coords for e in module_terms(params, ()).elements]
     assert len(points) == len(set(points)) == 237
     # the rest are the witnesses of the non-vanishing checks
-    witnesses = [r.witness for r in report.nonvanishing]
+    witnesses = [r.witness for r in report.witnesses]
     assert sorted(actions) == sorted(points + witnesses)
     listed = [e for rec in report.h_records for e in rec.elements]
     assert len({id(e) for e in listed}) == len({e.coords for e in listed})
@@ -329,3 +332,31 @@ def test_integer_apex_pruning_matches_profile_pruning(n, window, u_bounds):
         model = build_cone_model(n, z, window, profile_box=profile_box)
         kept = {g.label[3] for g in model.generators}
         assert kept == profile_pruned_apexes(n, z, window, u_bounds)
+
+
+def test_certificate_holds_each_fact_once(monkeypatch):
+    # a witness per subset, not per (I, d), and per d one graded sum in
+    # place of a tensor and a sum per (I, d): at N = 4, 8 witnesses (40
+    # per (I, d)) and at most 60 GradedDims (134 with one tensor and one
+    # sum per (I, d)); the g(I) caches are warm
+    params = OrbitParams(4, Fraction(5, 2))
+    pipeline.certificate(params)
+    witnesses, built = [], []
+    original = pipeline.structure_map_nonzero
+    init = GradedDims.__init__
+
+    def counted(params, indices, d):
+        witnesses.append(tuple(indices))
+        return original(params, indices, d)
+
+    def counted_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "structure_map_nonzero", counted)
+    monkeypatch.setattr(GradedDims, "__init__", counted_init)
+    report = pipeline.certificate(params)
+    monkeypatch.undo()
+    assert witnesses == pipeline._all_subsets(4)
+    assert len(built) <= 60
+    assert len(report.to_json()["records"]) == 40

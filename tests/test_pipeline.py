@@ -79,9 +79,6 @@ def test_stalk_flag_sum_errors():
     z = CenterClass(2, 0)
     with pytest.raises(ValueError):
         stalk_flag_sum(2, z, cartan(2, (Q(1, 2),)))
-    deep = cartan(2, (Q(-9, 2),))
-    with pytest.raises(MarginError):
-        stalk_flag_sum(2, z, deep, window=((-1, 0),))
 
 
 @pytest.mark.parametrize("n", (2, 3))
