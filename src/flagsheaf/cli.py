@@ -138,18 +138,24 @@ def _lattice_window(text: str | None, n: int):
     return tuple(map(_pair_window(int), parts))
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """Type function for an int option of least value ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise ConfigError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse: "invalid int value: 'x'"
+    return parse
 
 
-def _rank(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise ConfigError(f"rank parameter must be >= 2, got {value}")
-    return value
+def _residue_or_all(text: str) -> int | str:
+    try:
+        return text if text == "all" else int(text)
+    except ValueError:
+        raise ConfigError(f"expected 'all' or an integer, got {text!r}")
 
 
 def _join(indices) -> str:
@@ -393,7 +399,7 @@ def _crosscheck_task(n, samples, seed, window, z):
 
 def _pipeline_crosscheck(args) -> int:
     n = args.n
-    residues = range(n) if args.z == "all" else [int(args.z)]
+    residues = range(n) if args.z == "all" else [args.z]
     window = _lattice_window(args.window, n)
     task = functools.partial(
         _crosscheck_task, n, args.samples, args.seed, window
@@ -516,7 +522,7 @@ def _build_parser() -> _Parser:
         # csv flattens graded tables, so reports without one omit it
         formats = ("json", "csv", "pretty") if graded else ("json", "pretty")
         p = group.add_parser(name, allow_abbrev=False, **kwargs)
-        p.add_argument("--n", type=_rank, required=True)
+        p.add_argument("--n", type=_int_at_least(2), required=True)
         p.add_argument("--format", choices=formats, default="json")
         p.add_argument("--out", default=None)
         p.set_defaults(run=run)
@@ -546,11 +552,11 @@ def _build_parser() -> _Parser:
     pipeline = actions("pipeline", "cross-checks and certificates")
     crosscheck = leaf(pipeline, "crosscheck", _pipeline_crosscheck,
                       graded=False)
-    crosscheck.add_argument("--z", default="all")
-    crosscheck.add_argument("--seed", type=int, default=0)
-    crosscheck.add_argument("--samples", type=_positive_int, default=100)
+    crosscheck.add_argument("--z", type=_residue_or_all, default="all")
+    crosscheck.add_argument("--seed", type=_int_at_least(0), default=0)
+    crosscheck.add_argument("--samples", type=_int_at_least(1), default=100)
     crosscheck.add_argument("--window", default=None)
-    crosscheck.add_argument("--jobs", type=_positive_int, default=1)
+    crosscheck.add_argument("--jobs", type=_int_at_least(1), default=1)
 
     def orbit(name, run, graded=True, action_window=DEFAULT_ACTION_WINDOW):
         # the orbit of scale --lambda and the windows of its Novikov module
@@ -581,8 +587,8 @@ def _build_parser() -> _Parser:
 
     numerics = leaf(commands, "numerics", _numerics, graded=False,
                     help="matrix lemma trials")
-    numerics.add_argument("--trials", type=_positive_int, default=1000)
-    numerics.add_argument("--seed", type=int, default=0)
+    numerics.add_argument("--trials", type=_int_at_least(1), default=1000)
+    numerics.add_argument("--seed", type=_int_at_least(0), default=0)
     numerics.add_argument(
         "--corrupt", action="store_true",
         help="inject one corrupted fixture (exercises the failure path)",

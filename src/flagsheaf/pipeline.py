@@ -34,7 +34,6 @@ from .root_system import (
     IntegrityError,
     cartan,
     e_profile,
-    integer_profile,
     lattice_center,
     lattice_degree,
     weyl_chamber,
@@ -160,7 +159,7 @@ def required_stalk_box(p: CartanVector) -> LatticeBox:
     _require_interior(p)
     # on ints: s = d N u, so floor(2 u_j) = 2 s_j // dN and
     # ceil(-u_{j-1} - u_{j+1}) = -((s_{j-1} + s_{j+1}) // dN)
-    profile, d = integer_profile(p)
+    profile, d = p.integer_profile
     s, dn = (0, *profile, 0), d * p.n
     return tuple(
         (2 * s[j] // dn, min(-((s[j - 1] + s[j + 1]) // dn), 0))
@@ -182,9 +181,9 @@ def jump_required_box(
     u_0 = u_N = 0 or to where u(m') >= u(m), and a maximum above max(0,
     max u(m)) off Q likewise: the profile stays inside [min(0, min
     u(m)) - 1, max(0, max u(m)) + 1] = [lo_u, hi_u], and <m', f_k> in
-    [2 lo_u - 2 hi_u, 2 hi_u - 2 lo_u]; on ints via ``integer_profile``.
+    [2 lo_u - 2 hi_u, 2 hi_u - 2 lo_u]; on ints via ``m.integer_profile``.
     """
-    s, d = integer_profile(m)
+    s, d = m.integer_profile
     low, high = min(0, *s), max(0, *s)
     lo_x = 2 * (low - high) // (d * m.n) - 4
     profile = (-(-low // d) - m.n, high // d + m.n)
@@ -227,8 +226,7 @@ def stalk_flag_sum(
     walk over x <= 0 with the profile P in [floor(N<p, e_k>) + 1, 0], where
     x_k = (2 P_k - P_{k-1} - P_{k+1}) / N >= 2 P_k / N bounds it below."""
     _require_interior(p)
-    profile, d = integer_profile(p)
-    lower = [c // d + 1 for c in profile]
+    lower = [b + 1 for b in stalk_bound(n, p)]
     coord_box = tuple((-(-2 * b // n), 0) for b in lower)
     profile_box = tuple((b, 0) for b in lower)
     terms: list[tuple[int, int]] = []
@@ -451,7 +449,7 @@ def module_terms(
 
     Nesting lemma: I constrains x_j for j >= 2 only, so the list for I
     is the list for I = () filtered by x_j <= -1 on I minus {1}, in the
-    same order; I and I + {1} give equal lists (``_subset_records``).
+    same order; I and I + {1} give equal lists (``_h_records``).
 
     Terms are listed by (action, degree, coords), sorted on the int a in
     place of the action: lam > 0 (``OrbitParams``), so the two order the
@@ -506,28 +504,6 @@ def module_terms(
     )
 
 
-def _subset_records(base: NovikovRecord, subsets) -> list[NovikovRecord]:
-    """The record of every subset I from the record for I = () by the
-    nesting lemma of ``module_terms``: the terms with x_j <= -1 for j in
-    I, j >= 2, in the base's order, as the base's element objects."""
-    # bit j of a term's mask: x_j <= -1, for j >= 2
-    masks = [
-        sum(1 << j for j, x in enumerate(e.coords, 1) if j > 1 and x < 0)
-        for e in base.elements
-    ]
-    kept = {}  # by constraint mask: I and I + {1} share their terms
-    records = []
-    for subset in subsets:
-        need = sum(1 << j for j in subset if j > 1)
-        if need not in kept:
-            kept[need] = tuple(
-                e for e, m in zip(base.elements, masks) if m & need == need
-            )
-        graded = GradedDims(Counter(e.degree for e in kept[need]))
-        records.append(NovikovRecord(subset, base.d, kept[need], graded))
-    return records
-
-
 def h_graded(
     params: OrbitParams,
     indices: Iterable[int],
@@ -537,25 +513,51 @@ def h_graded(
 ) -> NovikovRecord:
     """Graded dimensions of H_I(d): the terms of the module with
     action + d >= 0, in degree -D(l)."""
-    return _terms_at(
-        module_terms(params, indices, degree_window, action_window), d
-    )
+    base = module_terms(params, indices, degree_window, action_window)
+    (record,) = _h_records(base, (base.indices,), (Fraction(d),))
+    return record
 
 
-def _terms_at(base: NovikovRecord, d: Fraction) -> NovikovRecord:
-    """H_I(d) from the module's term list: the terms with
-    action + d >= 0, a tail of the list, which is sorted by action."""
-    d = Fraction(d)
-    if d < 0:
+def _h_records(
+    base: NovikovRecord,
+    subsets: Sequence[tuple[int, ...]],
+    grid: Sequence[Fraction],
+) -> list[NovikovRecord]:
+    """H_I(d) for every d of the ascending ``grid`` and every subset I
+    that contains ``base.indices``, by d and then by subset: the terms of
+    ``base`` with action + d >= 0, a tail of the list (it is sorted by
+    action), and x_j <= -1 on I - base.indices, j >= 2 (the nesting
+    lemma of ``module_terms``).  The tail of the largest d is filtered
+    once per constraint mask, which I and I + {1} share (mask 0 keeps
+    it whole); each smaller d keeps a suffix, counted as the previous
+    d's counts plus the terms between the two cuts."""
+    if grid[0] < 0:
         raise ValueError("the structure maps exist for d >= 0 only")
-    start = bisect_left(base.elements, -d, key=lambda e: e.action)
-    kept = base.elements[start:]
-    return NovikovRecord(
-        indices=base.indices,
-        d=d,
-        elements=kept,
-        graded=GradedDims(Counter(e.degree for e in kept)),
-    )
+    tail = base.elements[
+        bisect_left(base.elements, -grid[-1], key=lambda e: e.action):
+    ]
+    needs = [sum(1 << j for j in subset if j > 1 and j not in base.indices)
+             for subset in subsets]
+    # bit j of a term's mask: x_j <= -1; read only if some I filters
+    masks = [
+        sum(1 << j for j, x in enumerate(e.coords, 1) if x < 0)
+        for e in tail
+    ] if any(needs) else []
+    by_mask = {}  # per constraint mask, per d: (elements, graded)
+    for need in dict.fromkeys(needs):
+        kept = tuple(
+            e for e, m in zip(tail, masks) if m & need == need
+        ) if need else tail
+        rows, counts, end = [], Counter(), len(kept)
+        for d in grid:
+            start = bisect_left(kept, -d, key=lambda e: e.action)
+            counts.update(e.degree for e in kept[start:end])
+            rows.append((kept[start:], GradedDims(counts)))
+            end = start
+        by_mask[need] = rows
+    return [NovikovRecord(subset, d, *by_mask[need][k])
+            for k, d in enumerate(grid)
+            for subset, need in zip(subsets, needs)]
 
 
 @dataclass(frozen=True)
@@ -666,9 +668,8 @@ def certificate(
 ) -> CertificateReport:
     """Run the non-vanishing check once for every subset I (its witness
     does not depend on d); per d in the grid, sum g(I) tensor H_I(d)
-    over I.  Every subset's term list is derived from the one for I = ()
-    (``_subset_records``) and filtered by every d.  An empty grid is a
-    ``ValueError``."""
+    over I.  Every H_I(d) is derived from the term list for I = ()
+    (``_h_records``).  An empty grid is a ``ValueError``."""
     n = params.n
     grid = tuple(sorted({Fraction(d) for d in d_grid}))
     if not grid:
@@ -676,13 +677,9 @@ def certificate(
     subsets = _all_subsets(n)
     witnesses = [structure_map_nonzero(params, s, 0) for s in subsets]
     root = module_terms(params, (), degree_window, action_window)
-    bases = _subset_records(root, subsets)
-    hs: list[NovikovRecord] = []
-    full: dict[Fraction, GradedDims] = {}
-    for d in grid:
-        records = [_terms_at(base, d) for base in bases]
-        hs.extend(records)
-        full[d] = _flag_sum(n, records)
+    hs = _h_records(root, subsets, grid)
+    k = len(subsets)
+    full = {d: _flag_sum(n, hs[i * k:(i + 1) * k]) for i, d in enumerate(grid)}
     return CertificateReport(
         params=params,
         d_grid=grid,
@@ -702,11 +699,7 @@ DIAGONAL = "diagonal"
 
 def torus_factor(n: int) -> GradedDims:
     """H of the maximal torus: (1 + t)^(N-1)."""
-    out = GradedDims.line(0)
-    step = GradedDims({0: 1, 1: 1})
-    for _ in range(n - 1):
-        out = out.tensor(step)
-    return out
+    return GradedDims({k: math.comb(n - 1, k) for k in range(n)})
 
 
 def so_factor(n: int) -> GradedDims:
@@ -731,7 +724,7 @@ def pair_hom(
     """Graded pairing answer: the diagonal answer times one factor per
     non-diagonal side (torus: (1+t)^(N-1); real form: the mod-2 SO(N)
     series, requiring characteristic 2).  Every subset's H_I(d) is
-    derived from the one for I = () (``_subset_records``)."""
+    derived from the term list for I = () (``_h_records``)."""
     sides = (side_a, side_b)
     for side in sides:
         if side not in (DIAGONAL, TORUS, PROJECTIVE):
@@ -742,7 +735,7 @@ def pair_hom(
         )
     n = params.n
     root = module_terms(params, (), degree_window, action_window)
-    total = _flag_sum(n, _subset_records(_terms_at(root, d), _all_subsets(n)))
+    total = _flag_sum(n, _h_records(root, _all_subsets(n), (Fraction(d),)))
     for side in sides:
         if side == TORUS:
             total = total.tensor(torus_factor(n))

@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 
@@ -83,6 +84,15 @@ class CartanVector:
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
+
+    @cached_property
+    def integer_profile(self) -> tuple[tuple[int, ...], int]:
+        """(S, d) with N<v, e_k> = S_k / d, computed once: d is the least
+        common denominator of the coordinates and S the scaled profile of
+        the lattice vector d v, so N<v, e_k> rounds by int division."""
+        d = math.lcm(*(c.denominator for c in self.coords))
+        coords = [c.numerator * (d // c.denominator) for c in self.coords]
+        return scaled_profile(self.n, coords), d
 
     def is_integral(self) -> bool:
         """Lattice membership: the exponential is central iff all
@@ -157,16 +167,6 @@ def scaled_profile(n: int, coords: Sequence) -> tuple:
         low, high = low + k * x, high - (n - k) * x
         out.append((n - k) * low + k * high)
     return tuple(out)
-
-
-def integer_profile(v: CartanVector) -> tuple[tuple[int, ...], int]:
-    """(S, d) with N<v, e_k> = S_k / d: d is the least common
-    denominator of v's coordinates and S the scaled profile of the
-    lattice vector d v, so floors and ceilings of N<v, e_k> are integer
-    divisions."""
-    d = math.lcm(*(c.denominator for c in v.coords))
-    coords = [c.numerator * (d // c.denominator) for c in v.coords]
-    return scaled_profile(v.n, coords), d
 
 
 def e_profile(v: CartanVector) -> tuple[Fraction, ...]:

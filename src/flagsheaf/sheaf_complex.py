@@ -71,7 +71,6 @@ from .root_system import (
     CenterClass,
     IntegrityError,
     cartan,
-    integer_profile,
     lattice_center,
     lattice_degree,
     scaled_profile,
@@ -689,7 +688,7 @@ def stalk_bound(n: int, p: CartanVector) -> list[int]:
     floor(N<p, e_j>)."""
     if p.n != n:
         raise ValueError("rank mismatch")
-    profile, d = integer_profile(p)
+    profile, d = p.integer_profile
     return [c // d for c in profile]
 
 
@@ -800,7 +799,7 @@ def jump_bound(
     for k in exact:
         if not 1 <= k <= n - 1:
             raise ValueError(f"index {k} out of range")
-    profile, d = integer_profile(m)
+    profile, d = m.integer_profile
     bound = [
         _exact(Fraction(s, d)) if j in exact else -(-s // d) - 1
         for j, s in enumerate(profile, 1)

@@ -14,7 +14,8 @@ box walks (``window_points``, ``class_points`` plus a profile filter,
 replaced in src/; the lemma-by-lemma matrix-lemma runner that
 ``lie_numerics.run_trials``'s shared decomposition units replaced; and
 the round-robin cyclic Jacobi kernel that the gated LAPACK call
-``lie_numerics.eigh_stack`` replaced.
+``lie_numerics.eigh_stack`` replaced; and a checker of v1 certificate
+reports that reads their JSON alone (``check_certificate_report``).
 Lemma code that no command reaches lives here too: the chamber-walk
 witness and the aligned partner of the pairing bound.
 """
@@ -382,6 +383,138 @@ def fraction_module_terms(n, lam, indices, degree_window, action_window):
             terms.append((coords, action, -d_degree(l)))
     terms.sort(key=lambda t: (t[1], t[2], t[0]))
     return terms
+
+
+# -- a v1 certificate checker that reads the JSON alone ----------------------
+
+
+def elementary_space(n, subset):
+    """g(I) as {degree: dim}, by Moebius inversion of the free
+    decomposition H(I) = sum over J inside I of g(J), where the Betti
+    table of FL(J) is the Gaussian multinomial of its block sizes in
+    q = t^2."""
+    out = {}
+    for r in range(len(subset) + 1):
+        for sub in itertools.combinations(subset, r):
+            cuts = (0, *sub, n)
+            sizes = tuple(b - a for a, b in zip(cuts, cuts[1:]))
+            sign = (-1) ** (len(subset) - r)
+            for k, dim in enumerate(gaussian_multinomial(n, sizes)):
+                out[2 * k] = out.get(2 * k, 0) + sign * dim
+    return {deg: dim for deg, dim in out.items() if dim}
+
+
+def check_certificate_report(payload: dict) -> int:
+    """Check a ``flagsheaf/certificate-report/1`` payload from its JSON
+    alone, with no term walk, and return the number of listed terms.
+    A broken rule raises ``AssertionError``.  The rules:
+
+    * each term l listed in H_I(d) has center class 0, x_j <= -[j in I]
+      for j >= 2, its printed action <l, lam e_1> and degree -D(l), and
+      action + d >= 0; a list runs in (action, degree, coords) order;
+    * nesting: H_I(d) is H_()(d) filtered by x_j <= -1 on I - {1}, in
+      the same order;
+    * tail: H_I(d) is H_I(d_max) filtered by action + d >= 0;
+    * each ``graded`` is the degree count of its listed terms;
+    * ``full_hom[d]`` is the sum over I of g(I) tensor graded(I, d), with
+      g(I) from ``elementary_space``;
+    * each witness follows the residue rule: x_j = -[j in I] for j >= 2,
+      and x_1 the least integer with action >= 0 and center class 0,
+      repeated for every d.
+    """
+    assert payload["schema"] == "flagsheaf/certificate-report/1"
+    params = payload["params"]
+    n, lam = params["n"], Fraction(params["lambda"])
+    assert params == {"group": f"SU({n})", "n": n, "lambda": str(lam)}
+    assert lam > 0 and payload["normalization_shift"] == n * n - n
+    assert payload["verdict"] is True
+    grid = [Fraction(d) for d in payload["d_grid"]]
+    assert payload["d_grid"] == [str(d) for d in grid]
+    assert grid and grid == sorted(set(grid)) and grid[0] >= 0, grid
+    subsets = [
+        c for r in range(n) for c in itertools.combinations(range(1, n), r)
+    ]
+    labels = [",".join(map(str, s)) for s in subsets]
+    order = [(str(d), label) for d in grid for label in labels]
+
+    def action(coords):
+        return lam * sum(Fraction(x * (n - k), n)
+                         for k, x in enumerate(coords, 1))
+
+    def degree(coords):  # -D(l)
+        return sum(x * 2 * k * (n - k) for k, x in enumerate(coords, 1))
+
+    def center(coords):
+        return -sum(k * x for k, x in enumerate(coords, 1)) % n
+
+    records = payload["records"]
+    assert [(r["d"], r["i"]) for r in records] == order
+    for subset, label in zip(subsets, labels):
+        tail = tuple(-1 if j in subset else 0 for j in range(2, n))
+        x1 = math.ceil(-action((0, *tail)) * n / lam / (n - 1))
+        while center((x1, *tail)) != 0:
+            x1 += 1
+        coords = (x1, *tail)
+        assert action(coords) >= 0 > action((x1 - n, *tail)), coords
+        witness = {
+            "structure_map_nonzero": True,
+            "witness": [str(c) for c in coords],
+            "witness_action": str(action(coords)),
+            "witness_degree": degree(coords),
+            "certified_empty": False,
+        }
+        for d in payload["d_grid"]:
+            got = records[order.index((d, label))]
+            assert got == {"i": label, "d": d, **witness}, got
+
+    listed, graded = {}, {}
+    facts = {}  # per listed point: (action, degree, coords), checked once
+    assert [(r["d"], r["i"]) for r in payload["h_graded"]] == order
+    for r, subset in zip(payload["h_graded"], subsets * len(grid)):
+        d, terms, counts = Fraction(r["d"]), [], {}
+        for e in r["elements"]:
+            assert set(e) == {"l", "action", "degree"}, e
+            point = tuple(e["l"])
+            if point not in facts:
+                coords = tuple(int(c) for c in point)
+                assert point == tuple(map(str, coords)), e
+                assert len(coords) == n - 1 and center(coords) == 0, e
+                facts[point] = (action(coords), degree(coords), coords)
+            term = facts[point]
+            act, deg, coords = term
+            assert all(coords[j - 1] <= -(j in subset)
+                       for j in range(2, n)), (subset, e)
+            assert e["action"] == str(act) and e["degree"] == deg, e
+            assert act + d >= 0, (d, e)
+            terms.append(term)
+            counts[deg] = counts.get(deg, 0) + 1
+        assert terms == sorted(terms), (r["i"], r["d"])
+        assert r["graded"] == {str(k): v for k, v in counts.items()}, r["i"]
+        listed[r["d"], r["i"]], graded[r["d"], r["i"]] = terms, counts
+
+    top = str(grid[-1])
+    for d in grid:
+        for subset, label in zip(subsets, labels):
+            terms = listed[str(d), label]
+            assert terms == [
+                t for t in listed[str(d), ""]
+                if all(t[2][j - 1] <= -1 for j in subset if j >= 2)
+            ], ("nesting", label, d)
+            assert terms == [
+                t for t in listed[top, label] if t[0] + d >= 0
+            ], ("tail", label, d)
+
+    assert set(payload["full_hom"]) == {str(d) for d in grid}
+    for d in payload["d_grid"]:
+        total = {}
+        for subset, label in zip(subsets, labels):
+            for a, x in elementary_space(n, subset).items():
+                for b, y in graded[d, label].items():
+                    total[a + b] = total.get(a + b, 0) + x * y
+        assert payload["full_hom"][d] == {
+            str(k): v for k, v in total.items()
+        }, ("full_hom", d)
+    return sum(map(len, listed.values()))
 
 
 # -- the box walk the triangular lattice walk replaced ------------------------

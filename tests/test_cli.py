@@ -277,6 +277,36 @@ def test_rejected_inputs_exit_1(capsys, argv):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+# a bad seed or z is refused while parsing, with its option named, before
+# any work runs
+_PARSE_TIME_REJECTS = {
+    "numerics-seed-neg": (["numerics", "--seed", "-1"], "--seed"),
+    "numerics-seed-text": (["numerics", "--seed", "x"], "--seed"),
+    "crosscheck-seed-neg": (["pipeline", "crosscheck", "--seed", "-1"],
+                            "--seed"),
+    "crosscheck-z-fraction": (["pipeline", "crosscheck", "--z", "1.5"],
+                              "--z"),
+    "crosscheck-z-text": (["pipeline", "crosscheck", "--z", "al"], "--z"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, option", _PARSE_TIME_REJECTS.values(),
+    ids=_PARSE_TIME_REJECTS.keys(),
+)
+def test_bad_seed_and_z_name_their_option(capsys, monkeypatch, argv, option):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran on a rejected value")
+
+    monkeypatch.setattr(cli, "run_trials", no_work)
+    monkeypatch.setattr(cli, "crosscheck_stalks", no_work)
+    code = main([*argv, "--n", "3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"configuration error: argument {option}: ")
+
+
 def test_crosscheck_jobs_keep_output(capsys):
     args = ["pipeline", "crosscheck", "--n", "2", "--samples", "5"]
     serial = run(capsys, *args, "--jobs", "1")

@@ -19,10 +19,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flagsheaf import root_system
 from flagsheaf.flag_schubert import FlagType, betti
 from flagsheaf.pipeline import (
     build_cone_model,
+    crosscheck_stalks,
     jump_required_box,
+    model_jump,
     required_stalk_box,
     sample_c_minus_interior,
     stalk_flag_sum,
@@ -32,7 +35,6 @@ from flagsheaf.root_system import (
     cartan,
     f_vec,
     in_c_minus,
-    integer_profile,
     lattice_center,
     lattice_degree,
     pair_e,
@@ -95,7 +97,7 @@ def test_scaled_profile_is_n_times_pair_e(point):
     want = tuple(n * pair_e(v, k) for k in range(1, n))
     assert scaled_profile(n, v.coords) == want
     # and over the common denominator, on ints
-    profile, d = integer_profile(v)
+    profile, d = v.integer_profile
     assert all(type(c) is int for c in profile)
     assert all(d % c.denominator == 0 for c in v.coords)
     assert tuple(Q(c, d) for c in profile) == want
@@ -321,3 +323,27 @@ def test_jump_bounds_match_fraction_forms(n):
             assert (bound, exact) == fraction_jump_bound(n, idx, m), (m, idx)
             assert all(type(b) is int for j, b in enumerate(bound, 1)
                        if j not in exact or b == int(b)), (m, idx)
+
+
+def test_each_query_point_computes_its_profile_once(monkeypatch):
+    # the integer profile is a cached property of the point: a crosscheck
+    # point reads it in required_stalk_box, stalk_bound and stalk_flag_sum,
+    # a jump in jump_required_box and jump_bound, and each computes it once
+    rng = np.random.default_rng(7)
+    points = [sample_c_minus_interior(3, rng) for _ in range(5)]
+    computed = []
+    scaled = root_system.scaled_profile
+
+    def counted(n, coords):
+        computed.append(tuple(coords))
+        return scaled(n, coords)
+
+    monkeypatch.setattr(root_system, "scaled_profile", counted)
+    report = crosscheck_stalks(3, CenterClass(3, 1), points)
+    assert report.compared == len(points)
+    assert len(computed) == len(points)
+    for coords, idx in [((0, 0), (1, 2)), ((-3, -3), (1,)),
+                        ((Q(-1, 2), Q(-5, 3)), ())]:
+        computed.clear()
+        model_jump(3, CenterClass(3, 1), idx, cartan(3, coords))
+        assert len(computed) == 1, (coords, idx)

@@ -335,10 +335,12 @@ def test_integer_apex_pruning_matches_profile_pruning(n, window, u_bounds):
 
 
 def test_certificate_holds_each_fact_once(monkeypatch):
-    # a witness per subset, not per (I, d), and per d one graded sum in
-    # place of a tensor and a sum per (I, d): at N = 4, 8 witnesses (40
-    # per (I, d)) and at most 60 GradedDims (134 with one tensor and one
-    # sum per (I, d)); the g(I) caches are warm
+    # a witness per subset, not per (I, d), per d one graded sum in place
+    # of a tensor and a sum per (I, d), and one graded count per (mask,
+    # d) shared by I and I + {1}: at N = 4, 8 witnesses (40 per (I, d))
+    # and at most 30 GradedDims (26: the walk's, 4 masks x 5 d and 5
+    # sums; 54 with a count per (I, d), 134 with one tensor and one sum
+    # per (I, d)); the g(I) caches are warm
     params = OrbitParams(4, Fraction(5, 2))
     pipeline.certificate(params)
     witnesses, built = [], []
@@ -358,5 +360,5 @@ def test_certificate_holds_each_fact_once(monkeypatch):
     report = pipeline.certificate(params)
     monkeypatch.undo()
     assert witnesses == pipeline._all_subsets(4)
-    assert len(built) <= 60
+    assert len(built) <= 30
     assert len(report.to_json()["records"]) == 40
