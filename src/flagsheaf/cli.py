@@ -17,10 +17,11 @@ seed.  FLAGSHEAF_OUTDIR sets the default directory for --out paths.
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import functools
 import io
-import math
+import json
 import os
 import sys
 from fractions import Fraction
@@ -162,57 +163,74 @@ def _join(indices) -> str:
     return ",".join(map(str, indices))
 
 
+# exact type -> text; other scalars, and subclasses, take json.dumps
+_LEAVES = {str: encode_basestring_ascii, int: int.__repr__}
+
+
 def _json_text(payload) -> str:
     """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte,
     rendering each container once per depth.  A certificate lists each
     term in several records, as one shared dict, so a term's text is
-    built once and then only joined.  The memo is keyed by ``(id,
-    depth)`` and lives for one call, in which the payload keeps every
-    id alive.  Keys must be ``str``: any other key raises ``TypeError``
-    (``json`` would convert some of them)."""
-    memo: dict[tuple[int, int], str] = {}
+    built once and then only joined.  The rules:
+
+    - the memo is keyed by identity and depth, and lives for one call,
+      in which the payload keeps every id alive; list bodies look it up
+      inline, without a call per listed item;
+    - ``str`` and ``int`` leaves are printed from a table keyed by their
+      exact type;
+    - a dict's sorted key order, and a format of its key prefixes, are
+      built once per (key tuple, depth);
+    - a node that carries ``json_text`` (its ``json.dumps`` text at
+      depth 0) is re-indented to its depth, never re-rendered;
+    - keys must be ``str``: any other key raises ``TypeError`` (``json``
+      would convert some of them)."""
+    memos = collections.defaultdict(dict)  # depth -> {id: text}
+    shapes = {}  # (keys, depth) -> (sorted keys, format of the body)
 
     def render(node, depth: int) -> str:
-        if isinstance(node, str):
-            return encode_basestring_ascii(node)
-        if node is None:
-            return "null"
-        if node is True:
-            return "true"
-        if node is False:
-            return "false"
-        if isinstance(node, int):
-            return int.__repr__(node)
-        if isinstance(node, float):
-            if node != node:
-                return "NaN"
-            if node == math.inf:
-                return "Infinity"
-            if node == -math.inf:
-                return "-Infinity"
-            return float.__repr__(node)
-        key = (id(node), depth)
-        if key not in memo:
-            memo[key] = container(node, depth)
-        return memo[key]
+        leaf = _LEAVES.get(type(node))
+        if leaf is not None:
+            return leaf(node)
+        memo = memos[depth]
+        text = memo.get(id(node))
+        if text is None:
+            text = memo[id(node)] = container(node, depth)
+        return text
 
     def container(node, depth: int) -> str:
         pad = "\n" + "  " * depth
+        if type(node) not in (list, tuple, dict):
+            carried = getattr(node, "json_text", None)
+            if carried is not None:
+                return carried.replace("\n", pad)
+            if node is None or isinstance(node, (str, int, float)):
+                return json.dumps(node)
         inner = pad + "  "
         if isinstance(node, (list, tuple)):
             if not node:
                 return "[]"
-            body = [render(item, depth + 1) for item in node]
-            return "[" + inner + ("," + inner).join(body) + pad + "]"
+            get = memos[depth + 1].get
+            body = [get(id(item)) or render(item, depth + 1) for item in node]
+            # one copy of the items: the brackets go on the end items
+            body[0] = "[" + inner + body[0]
+            body[-1] += pad + "]"
+            return ("," + inner).join(body)
         if isinstance(node, dict):
             if not node:
                 return "{}"
-            # encode_basestring_ascii raises TypeError on a non-str key
-            body = [
-                encode_basestring_ascii(k) + ": " + render(node[k], depth + 1)
-                for k in sorted(node)
-            ]
-            return "{" + inner + ("," + inner).join(body) + pad + "}"
+            keys = tuple(node)
+            shape = shapes.get((keys, depth))
+            if shape is None:
+                order = sorted(keys)
+                # encode_basestring_ascii raises TypeError on a non-str key
+                heads = [inner + encode_basestring_ascii(k).replace("%", "%%")
+                         for k in order]
+                form = "{" + ": %s,".join(heads) + ": %s" + pad + "}"
+                shape = shapes[keys, depth] = (order, form)
+            order, form = shape
+            value = functools.partial(render, depth=depth + 1)
+            return form % tuple([_LEAVES.get(type(v), value)(v)
+                                 for v in map(node.__getitem__, order)])
         raise TypeError(
             f"Object of type {type(node).__name__} is not JSON serializable"
         )

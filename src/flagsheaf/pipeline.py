@@ -18,12 +18,13 @@ required box itself.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import __version__ as _package_version
 from .flag_schubert import FlagType, _all_subsets, betti, g_space
@@ -369,19 +370,38 @@ def model_jump(
 # Novikov records
 
 
-@dataclass(frozen=True)
-class NovikovElement:
-    coords: tuple[int, ...]
-    action: Fraction
-    degree: int  # -D(l)
+class _JSONObject(dict):
+    """A dict that carries its text as ``json.dumps(sort_keys=True,
+    indent=2)`` prints it at depth 0; the CLI writer indents that text
+    instead of walking the dict."""
+
+    __slots__ = ("json_text",)
+
+
+# json.dumps(term, sort_keys=True, indent=2) for the dict below
+_TERM_TEXT = (
+    '{\n  "action": "%s",\n  "degree": %d,\n  "l": [\n    "%s"\n  ]\n}'
+)
+
+
+class NovikovElement(NamedTuple("_Term", [
+    ("coords", tuple[int, ...]), ("action", Fraction), ("degree", int),
+])):
+    """A listed term, a tuple (coords, action, degree = -D(l)); its JSON
+    dict is built on first use, with its text, and then shared."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"NovikovElement is immutable ({name!r})")
 
     @cached_property
     def _json(self) -> dict:
-        return {
-            "l": [str(c) for c in self.coords],
-            "action": str(self.action),
-            "degree": self.degree,
-        }
+        # every string is ASCII digits, '-' and '/': nothing to escape
+        l = [str(c) for c in self.coords]
+        term = _JSONObject(l=l, action=str(self.action), degree=self.degree)
+        term.json_text = _TERM_TEXT % (
+            term["action"], self.degree, '",\n    "'.join(l)
+        )
+        return term
 
     def to_json(self) -> dict:
         """Built once per term object and shared, so not to be mutated:
@@ -400,7 +420,7 @@ class NovikovRecord:
         return {
             "i": ",".join(str(k) for k in self.indices),
             "d": str(self.d),
-            "elements": [e.to_json() for e in self.elements],
+            "elements": [e._json for e in self.elements],  # a read per listing
             "graded": self.graded.to_json(),
         }
 
@@ -409,7 +429,7 @@ def action_of(params: OrbitParams, coords: Sequence[int]) -> Fraction:
     """<l, lam * e_1> = lam * sum_k x_k (N - k) / N for the lattice
     point l with integer coordinates ``coords``, as one Fraction."""
     n, lam = params.n, params.lam
-    scaled = sum(x * (n - k) for k, x in enumerate(coords, 1))
+    scaled = sum(map(operator.mul, coords, range(n - 1, 0, -1)))
     return Fraction(lam.numerator * scaled, lam.denominator * n)
 
 

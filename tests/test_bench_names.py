@@ -139,3 +139,15 @@ def test_traced_round_runs_clean(workload):
     info, last = run.stdout.splitlines()[-2:]
     assert json.loads(info.removeprefix("info "))["fail_ratio"] == 0.0
     assert json.loads(last)["failed"] == 0
+
+
+def test_benchmark_corruptions_fail_their_oracles(monkeypatch):
+    # the smoke test's corruption check alone: a corrupted action_of or
+    # module_terms must still reach the certificate outputs the oracle
+    # reads (and each other workload's corruption its own); the smoke
+    # test's other checks are left to a change of the benchmark
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # run.py sets them on import
+    selftest = importlib.import_module("selftest")
+    selftest.check_corruption()

@@ -30,6 +30,9 @@ CORPUS = [
     "pipeline certificate --n 3 --lambda 3/2 --d-grid 5,0,1/2,0",
     "pipeline certificate --n 4 --lambda 1",
     "pipeline certificate --n 4 --lambda 5/2",
+    "pipeline certificate --n 5 --lambda 3",
+    "pipeline certificate --n 4 --lambda 3/2 --degree-window -12:20"
+    " --action-window -4:5/2 --d-grid 0",
     "pipeline pair --n 3 --lambda 3/2 --d 1/2",
     "pipeline pair --n 3 --lambda 3/2 --d 1/2 --side-b clifford_torus",
     "pipeline pair --n 3 --lambda 3/2 --d 1/2 --side-b real_projective"
@@ -40,9 +43,17 @@ CORPUS = [
     " --side-b real_projective --char2",
     "pipeline pair --n 3 --lambda 3/2 --d 1/2 --side-a real_projective"
     " --side-b real_projective --char2",
+    "pipeline pair --n 4 --lambda 5/2 --d 1 --side-b clifford_torus"
+    " --format csv",
     "pipeline hom --n 2 --lambda 1 --d 1/2",
     "pipeline hom --n 3 --lambda 3/2 --i 1,2 --d 1",
     "pipeline hom --n 4 --lambda 5/2 --i 2 --d 2",
+    "pipeline hom --n 4 --lambda 3/2 --i 1,3 --d 1",
+    "pipeline hom --n 4 --lambda 3/2 --i 1,3 --d 1 --format pretty",
+    "pipeline hom --n 4 --lambda 3/2 --i 1,3 --d 1 --format csv",
+    "pipeline hom --n 5 --lambda 7/3 --i 2,4 --d 1/2",
+    "pipeline hom --n 5 --lambda 7/3 --i 2,4 --d 1/2 --format pretty",
+    "pipeline hom --n 5 --lambda 7/3 --i 2,4 --d 1/2 --format csv",
     "pipeline spectrum --n 2 --lambda 1",
     "pipeline spectrum --n 3 --lambda 3/2 --i 1",
     "pipeline spectrum --n 4 --lambda 5/2 --i 1,3",
@@ -82,6 +93,10 @@ GOLDEN = {
         '0 693ebd12b6b3d75a7bbc27290601497de5775f7d9fdc35f40875f85f5b40be21',
     'pipeline certificate --n 4 --lambda 5/2':
         '0 5ff2fe170afe13050794915346042e4b48dcb90d14e5754af9cdf694740ae3be',
+    'pipeline certificate --n 5 --lambda 3':
+        '0 44b0233259be0b8fdb73b566bcf4c5785b5bb6386cc8a1296793ea08e41a362c',
+    'pipeline certificate --n 4 --lambda 3/2 --degree-window -12:20 --action-window -4:5/2 --d-grid 0':
+        '0 de34d9bcf500ec9fb301812f3dd3d85db7ab1ef999bf5822dae7e7b1364a06e1',
     'pipeline pair --n 3 --lambda 3/2 --d 1/2':
         '0 b7540e83c4bfab096f058542e9e72cb0c837c19107da27cdb421a9dee9abc74d',
     'pipeline pair --n 3 --lambda 3/2 --d 1/2 --side-b clifford_torus':
@@ -94,12 +109,26 @@ GOLDEN = {
         '0 351cb4380db95e27813b4af6e5140eb1d679516e3535504dc36c00eba367974f',
     'pipeline pair --n 3 --lambda 3/2 --d 1/2 --side-a real_projective --side-b real_projective --char2':
         '0 512c8cee3c9d21da2f061fb1245d64006cc31d6f86bdc6d0f879991262129466',
+    'pipeline pair --n 4 --lambda 5/2 --d 1 --side-b clifford_torus --format csv':
+        '0 4903e1c4dd9d8ff2af35076fc31b9afbf1fb7c4379fb5e82782aa1fcac5d850b',
     'pipeline hom --n 2 --lambda 1 --d 1/2':
         '0 779d8604abe1672d6c5ba7b2a8c07240cda4faaad57eb6312fd739e5f4f3b85a',
     'pipeline hom --n 3 --lambda 3/2 --i 1,2 --d 1':
         '0 8e17a8e5c802fa92f268ebac78d4b22e0e135357b1fc7fa947aacbec98c678f4',
     'pipeline hom --n 4 --lambda 5/2 --i 2 --d 2':
         '0 fa1347f5559df7326fffe9b7f95e863177a41ed224e8e16c810a810ecc32edd1',
+    'pipeline hom --n 4 --lambda 3/2 --i 1,3 --d 1':
+        '0 fb4d4a35934799d82e5eda2e20333e45559921ce127882f033eaeeca844d6c4b',
+    'pipeline hom --n 4 --lambda 3/2 --i 1,3 --d 1 --format pretty':
+        '0 85ad17eba01db228f845796d4f2d654530aeb34ba7a143a29c92bbfb0ccd3c05',
+    'pipeline hom --n 4 --lambda 3/2 --i 1,3 --d 1 --format csv':
+        '0 2be691001125cdc34edde37831f1e87b93c19bda3ea19d2881a7144ecb38d066',
+    'pipeline hom --n 5 --lambda 7/3 --i 2,4 --d 1/2':
+        '0 a3dec070728c101ab7277a174c205a396711e7ff046afc77cc335e4ff792a088',
+    'pipeline hom --n 5 --lambda 7/3 --i 2,4 --d 1/2 --format pretty':
+        '0 36a933a9094ad65fad4ee041492dc3354f4c9a65eefc469b7986e81c49bd31aa',
+    'pipeline hom --n 5 --lambda 7/3 --i 2,4 --d 1/2 --format csv':
+        '0 27abf0a59b84ed3ba05d550807c19e6738c206e4ba086e342756eec8acf2094b',
     'pipeline spectrum --n 2 --lambda 1':
         '0 5c4a2cffa33d02484385ca0b5d061b685c79aa7dd184abe5e52ece4adfe3076a',
     'pipeline spectrum --n 3 --lambda 3/2 --i 1':

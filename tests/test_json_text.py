@@ -20,7 +20,7 @@ _TEXTS = st.one_of(
     st.text(),
     st.sampled_from(
         ["", '"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é", "—", " ",
-         "\ud800", "😀", "10", "9", "-1/2"]
+         "\ud800", "😀", "10", "9", "-1/2", "%", "%s", "%%"]
     ),
 )
 # True/False beside 1/0, both signs of zero, nan and the infinities
@@ -34,11 +34,30 @@ _SCALARS = st.one_of(
 )
 
 
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Carried(dict):
+    """A dict carrying its depth-0 text, as the Novikov terms do; json
+    walks it like any dict, the writer only re-indents the text."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.json_text = dumps(data)
+
+
 def _containers(children):
     return st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
+        st.lists(children, max_size=4).map(_List),
         st.dictionaries(_TEXTS, children, max_size=4),
+        st.dictionaries(_TEXTS, children, max_size=4).map(_Dict),
     )
 
 
@@ -57,8 +76,31 @@ def _aliased(draw):
     )
 
 
+@st.composite
+def _reordered(draw):
+    """Dicts with one key set in different insertion orders, and other
+    values: the writer caches a key order per (key tuple, depth)."""
+    first = draw(st.dictionaries(_TEXTS, _VALUES, min_size=2, max_size=5))
+    keys = draw(st.permutations(list(first)))
+    second = {k: draw(_VALUES) for k in keys}
+    return draw(st.permutations([first, second, [second, {"x": first}]]))
+
+
+@st.composite
+def _carried(draw):
+    """A carried-text dict nested at depth 0 to 4; a list level lists it
+    twice."""
+    node = _Carried(draw(st.dictionaries(_TEXTS, _VALUES, max_size=4)))
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            node = [node, draw(_VALUES), node]
+        else:
+            node = {draw(_TEXTS): node}
+    return node
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(_VALUES, _aliased()))
+@given(st.one_of(_VALUES, _aliased(), _reordered(), _carried()))
 def test_writer_prints_json_dumps_bytes(payload):
     assert _json_text(payload) == dumps(payload)
 

@@ -2,13 +2,17 @@
 lists, H_I(d), the one term list a certificate or pairing shares across
 its subsets, and the integer apex pruning of the jump cone model."""
 
+import contextlib
+import io
+import json
 import math
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from flagsheaf import pipeline
+from flagsheaf import cli, pipeline
 from flagsheaf.graded import GradedDims
 from flagsheaf.pipeline import (
     DEFAULT_ACTION_WINDOW,
@@ -362,3 +366,78 @@ def test_certificate_holds_each_fact_once(monkeypatch):
     assert witnesses == pipeline._all_subsets(4)
     assert len(built) <= 30
     assert len(report.to_json()["records"]) == 40
+
+
+_WINDOWS = [
+    (DEFAULT_DEGREE_WINDOW, DEFAULT_ACTION_WINDOW),
+    ((-12, 20), (Fraction(-4), Fraction(5, 2))),
+    ((-30, 6), (Fraction(-1, 3), Fraction(7))),
+]
+
+
+@pytest.mark.parametrize("degree_window, action_window", _WINDOWS)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_listed_terms_carry_their_json_text(n, degree_window, action_window):
+    # every term a certificate or a hom query lists: its dict is the one
+    # each term was printed from before it carried a text (keys in this
+    # order, for the pretty format), and the text is json's
+    listed = {}
+    for lam in (Fraction(1), Fraction(3, 2), Fraction(5, 2), Fraction(7, 3)):
+        params = OrbitParams(n, lam)
+        report = pipeline.certificate(
+            params, degree_window=degree_window, action_window=action_window
+        )
+        records = list(report.h_records)
+        for subset in pipeline._all_subsets(n):
+            records.append(h_graded(params, subset, Fraction(5),
+                                    degree_window, action_window))
+        for rec in records:
+            listed.update((id(e), (params, e)) for e in rec.elements)
+    assert listed
+    for params, e in listed.values():
+        term = e.to_json()
+        assert e.action == pipeline.action_of(params, e.coords)
+        parent = {
+            "l": [str(c) for c in e.coords],
+            "action": str(e.action),
+            "degree": e.degree,
+        }
+        assert term == parent and list(term) == list(parent)
+        assert term.json_text == json.dumps(term, sort_keys=True, indent=2)
+        assert e.to_json() is term
+
+
+def test_certificate_builds_one_term_text_per_point(monkeypatch):
+    # N = 4, lambda = 5/2: 7,412 listings of 230 lattice points.  Each
+    # point's dict is built once, with its text, and the writer only
+    # re-indents that text: it never encodes a term's keys
+    built, encoded = [], []
+    build = NovikovElement._json.func
+
+    def counted_build(self):
+        term = build(self)
+        built.append(term)
+        return term
+
+    counted = cached_property(counted_build)
+    counted.__set_name__(NovikovElement, "_json")
+    encode = cli.encode_basestring_ascii
+
+    def counted_encode(text):
+        encoded.append(text)
+        return encode(text)
+
+    monkeypatch.setattr(NovikovElement, "_json", counted)
+    monkeypatch.setattr(cli, "encode_basestring_ascii", counted_encode)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["pipeline", "certificate", "--n", "4",
+                         "--lambda", "5/2"]) == 0
+    monkeypatch.undo()
+    assert out.getvalue().count('"action": ') == 7412
+    assert len(built) == len({tuple(t["l"]) for t in built}) == 230
+    assert encoded.count("action") == 0
+    assert all(
+        getattr(t, "json_text", None)
+        == json.dumps(t, sort_keys=True, indent=2) for t in built
+    )
