@@ -86,6 +86,7 @@ def normalization_shift(n: int) -> int:
 
 _betti_cache: dict[tuple[int, tuple[int, ...]], GradedDims] = {}
 _g_cache: dict[tuple[int, tuple[int, ...]], GradedDims] = {}
+_cone_mults: dict[int, dict[tuple[int, ...], GradedDims]] = {}  # N -> g(I)
 
 
 def betti_cached(n: int, indices: Iterable[int]) -> GradedDims:
@@ -124,8 +125,9 @@ def cone_table(
     that contains the query's required profile range the summands
     cancel); the walk then visits only what it keeps.
     """
-    mults = {subset: g_space_cached(n, subset) for subset in _all_subsets(n)}
-    return apex_table(n, z, window, mults, profile_box)
+    if n not in _cone_mults:
+        _cone_mults[n] = {s: g_space_cached(n, s) for s in _all_subsets(n)}
+    return apex_table(n, z, window, _cone_mults[n], profile_box)
 
 
 def build_cone_model(

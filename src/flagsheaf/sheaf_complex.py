@@ -59,6 +59,7 @@ determine the section complex entirely.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -72,7 +73,6 @@ from .root_system import (
     IntegrityError,
     cartan,
     lattice_center,
-    lattice_degree,
     scaled_profile,
 )
 
@@ -283,25 +283,37 @@ def lattice_points(
 
 class ApexRow(NamedTuple):
     """One lattice apex m = (x_1, .., x_{N-1}) of an ``ApexTable``: its
-    coordinates, scaled profile N<m, e_j> (ints), D(m), and the bitmasks
-    (bit j - 1 for index j) of its positive and of its zero coordinates,
-    which give forced(I, m) for every subset I (``apex_table``)."""
+    coordinates, scaled profile N<m, e_j> (ints) and D(m)."""
 
     combo: tuple[int, ...]
     profile: tuple[int, ...]
     degree: int
-    positive: int
-    zeros: int
+
+
+class ApexColumn(NamedTuple):
+    """Bit-sliced index of an ``ApexTable`` on coordinate k (O'Neil and
+    Quass, SIGMOD 1997): bit i stands for rows[i].  ``values`` ascend, and
+    at_most[i] holds the rows with P_k = N<m, e_k> <= values[i - 1], so
+    P_k <= b on at_most[bisect_right(values, b)], < b on bisect_left."""
+
+    positive: int  # rows with x_k > 0
+    negative: int  # rows with x_k < 0
+    values: tuple[int, ...]
+    at_most: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class ApexTable:
     """The blocks of a cone complex (``cone_complex``): one per (subset
-    I of ``mults``, apex m of ``rows``), weighted by ``mults[I]``."""
+    I of ``mults``, apex m of ``rows``), weighted by ``mults[I]``, with
+    ``masks`` pairing the bitmask of each I (bit j - 1 for index j) with
+    its weight and ``columns[k - 1]`` the index on coordinate k."""
 
     n: int
     mults: dict[tuple[int, ...], GradedDims]
     rows: tuple[ApexRow, ...]
+    masks: tuple[tuple[int, GradedDims], ...]
+    columns: tuple[ApexColumn, ...]
 
 
 _STANDARD_MULTS = {(): GradedDims.line()}  # the single block I = ()
@@ -319,25 +331,38 @@ def apex_table(
     (default: the window's own profile range, which keeps every apex),
     in lexicographic order, with one block per subset of ``mults``
     (default: the standard complex's single block I = () of
-    multiplicity one line), from one ``lattice_points`` walk.
+    multiplicity one line), and its column index, from one
+    ``lattice_points`` walk: linear in the rows, and one sort of each
+    column's distinct values.
 
-    forced(I, m) = {k : x_k + [k in I] > 0} for m = (x_1, .., x_{N-1})
-    is positive(m) | (zeros(m) & I), so a row keeps the two masks and
-    ``block_cohomology`` matches the subsets against them."""
+    D(m) = -sum_j x_j 2j(N - j) is -4 sum_k P_k / N: P solves 2 P_k -
+    P_{k-1} - P_{k+1} = N x_k with P_0 = P_N = 0, whose Green's function
+    min(j, k)(N - max(j, k)) / N sums over k to j(N - j) / 2."""
     if mults is None:
         mults = _STANDARD_MULTS
     if profile_box is None:  # P_k is increasing in every coordinate
         profile_box = tuple(zip(*(scaled_profile(n, c) for c in zip(*window))))
     residue = None if z is None else z.residue
-    rows = tuple(
-        ApexRow(
-            combo, profile, lattice_degree(n, combo),
-            sum(1 << k for k, x in enumerate(combo) if x > 0),
-            sum(1 << k for k, x in enumerate(combo) if x == 0),
-        )
-        for combo, profile in lattice_points(n, residue, window, profile_box)
-    )
-    return ApexTable(n, dict(mults), rows)
+    rows = []
+    positive, negative = [0] * (n - 1), [0] * (n - 1)
+    levels: list[dict[int, int]] = [{} for _ in range(n - 1)]  # P_k -> rows
+    for combo, profile in lattice_points(n, residue, window, profile_box):
+        bit = 1 << len(rows)
+        for k, (x, p) in enumerate(zip(combo, profile)):
+            levels[k][p] = levels[k].get(p, 0) | bit
+            if x > 0:
+                positive[k] |= bit
+            elif x < 0:
+                negative[k] |= bit
+        rows.append(ApexRow(combo, profile, -4 * sum(profile) // n))
+    columns = []
+    for pos, neg, level in zip(positive, negative, levels):
+        values, at_most = sorted(level), [0]
+        for p in values:
+            at_most.append(at_most[-1] | level[p])
+        columns.append(ApexColumn(pos, neg, tuple(values), tuple(at_most)))
+    masks = tuple((sum(1 << (k - 1) for k in s), g) for s, g in mults.items())
+    return ApexTable(n, dict(mults), tuple(rows), masks, tuple(columns))
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +378,8 @@ def block_cohomology(
     cones K(J, m) with exact <= J, N<m, e_j> <= bound[j - 1] on J and
     N<m, e_k> = bound[k - 1] on ``exact``, moved down by |exact| (the
     ``_select`` -> ``_restrict`` rule), without building the complex.
+    ``bound`` has one entry per index 1..N-1 and ``exact`` is a set of
+    such indices; anything else is a ``ValueError``.
 
     With P = N<m, e_j>, the stalk at p takes bound floor(N<p, e_j>)
     (``stalk_bound``), the sections over a lower set of top x^ take
@@ -374,23 +401,43 @@ def block_cohomology(
     unless F | exact = A.  Then it is the one line J = A, in degree
     |A| - D(m) - |exact|, carrying g(I).  As F = positive | (zeros & I),
     an apex keeps a block only if positive | exact <= A <= positive |
-    zeros | exact, which is tested before its subsets are matched.
+    zeros | exact.
+
+    Lemma (the row filter, per coordinate).  That condition, with P =
+    bound on exact, holds iff for every k: P_k = bound[k - 1] when k is
+    in exact, and otherwise neither (x_k > 0 and P_k > bound[k - 1]) nor
+    (x_k < 0 and P_k <= bound[k - 1]).  For k in exact both inclusions
+    hold at k (k is in A).  For k off exact, k in positive must be in A,
+    and k in A must be in positive | zeros, that is k is not negative.
+    So the column index (``ApexColumn``) narrows a bitset of kept rows
+    coordinate by coordinate, and only the kept rows are read and
+    matched against the subsets.
     """
+    n = table.n
+    if len(bound) != n - 1 or not exact.issubset(range(1, n)):
+        raise ValueError(
+            f"a bound needs {n - 1} entries and exact indices in 1..{n - 1}"
+        )
+    keep = (1 << len(table.rows)) - 1
+    for k, (b, column) in enumerate(zip(bound, table.columns), 1):
+        values, at_most = column.values, column.at_most
+        below = at_most[bisect_right(values, b)]  # rows with P_k <= b
+        if k in exact:
+            keep &= below & ~at_most[bisect_left(values, b)]
+        else:
+            keep &= ~(column.positive & ~below | column.negative & below)
     exact_mask = sum(1 << (k - 1) for k in exact)
-    masks = [(sum(1 << (k - 1) for k in subset), mult)
-             for subset, mult in table.mults.items()]
+    rows, masks = table.rows, table.masks
     terms: list[tuple[int, int]] = []
-    for row in table.rows:
-        profile = row.profile
-        if any(profile[k - 1] != bound[k - 1] for k in exact):
-            continue
-        allowed = 0
-        for j, (a, b) in enumerate(zip(profile, bound)):
-            if a <= b:
-                allowed |= 1 << j
-        base, zeros = row.positive | exact_mask, row.zeros
-        if base & ~allowed or allowed & ~(base | zeros):
-            continue
+    while keep:
+        low = keep & -keep
+        keep ^= low
+        row = rows[low.bit_length() - 1]
+        allowed, base, zeros = 0, exact_mask, 0
+        for j, (x, a, b) in enumerate(zip(row.combo, row.profile, bound)):
+            allowed |= (a <= b) << j
+            base |= (x > 0) << j
+            zeros |= (x == 0) << j
         offset = allowed.bit_count() - row.degree - len(exact)
         for mask, mult in masks:
             if base | (zeros & mask) == allowed:

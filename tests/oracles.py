@@ -11,11 +11,13 @@ hull rule of section selection replaced; and the jump as the total
 complex over 2^|I| corners, which one restriction replaced; and the
 box walks (``window_points``, ``class_points`` plus a profile filter,
 ``enumerate_lattice``) that the triangular ``sheaf_complex.lattice_points``
-replaced in src/; the lemma-by-lemma matrix-lemma runner that
-``lie_numerics.run_trials``'s shared decomposition units replaced; and
-the round-robin cyclic Jacobi kernel that the gated LAPACK call
-``lie_numerics.eigh_stack`` replaced; and a checker of v1 certificate
-reports that reads their JSON alone (``check_certificate_report``).
+replaced in src/; the scan of every apex row (``scan_block_cohomology``)
+that the column index of the apex table replaced; the lemma-by-lemma
+matrix-lemma runner that ``lie_numerics.run_trials``'s shared
+decomposition units replaced; and the round-robin cyclic Jacobi
+kernel that the gated LAPACK call ``lie_numerics.eigh_stack``
+replaced; and a checker of v1 certificate reports that reads their
+JSON alone (``check_certificate_report``).
 Lemma code that no command reaches lives here too: the chamber-walk
 witness and the aligned partner of the pairing bound.
 """
@@ -587,6 +589,56 @@ def filtered_class_points(n, residue, window, profile_box):
         if all(lo <= c <= hi for c, (lo, hi) in zip(profile, profile_box)):
             out.append((combo, profile))
     return out
+
+
+# -- the row scan the column index of the apex table replaced ----------------
+
+
+def scan_kept_rows(table, bound, exact=frozenset()):
+    """(index, row, allowed, base, zeros) for every row of ``table`` that
+    keeps a block under ``bound`` and ``exact``, reading every row: P =
+    bound on ``exact`` and positive | exact <= allowed <= positive | zeros
+    | exact, with allowed = {j : P_j <= bound[j - 1]}, base = positive |
+    exact and the sign masks taken from the row's coordinates."""
+    exact_mask = sum(1 << (k - 1) for k in exact)
+    kept = []
+    for i, row in enumerate(table.rows):
+        profile = row.profile
+        if any(profile[k - 1] != bound[k - 1] for k in exact):
+            continue
+        allowed = sum(
+            1 << j for j, (a, b) in enumerate(zip(profile, bound)) if a <= b
+        )
+        signs = list(enumerate(row.combo))
+        base = exact_mask | sum(1 << j for j, x in signs if x > 0)
+        zeros = sum(1 << j for j, x in signs if x == 0)
+        if base & ~allowed or allowed & ~(base | zeros):
+            continue
+        kept.append((i, row, allowed, base, zeros))
+    return kept
+
+
+def scan_block_cohomology(table, bound, exact=frozenset()):
+    """``sheaf_complex.block_cohomology`` by a scan of every row
+    (``scan_kept_rows``), D(m) from ``lattice_degree`` and the subset
+    masks rebuilt on the call: a kept row adds g(I) in degree |allowed|
+    - D(m) - |exact| for every subset I with base | (zeros & I) =
+    allowed."""
+    from flagsheaf.graded import GradedDims
+    from flagsheaf.root_system import lattice_degree
+
+    masks = [
+        (sum(1 << (k - 1) for k in subset), mult)
+        for subset, mult in table.mults.items()
+    ]
+    terms = []
+    for _, row, allowed, base, zeros in scan_kept_rows(table, bound, exact):
+        degree = lattice_degree(table.n, row.combo)
+        offset = allowed.bit_count() - degree - len(exact)
+        for mask, mult in masks:
+            if base | (zeros & mask) == allowed:
+                terms.extend((d + offset, dim) for d, dim in mult.items())
+    return GradedDims(terms)
 
 
 # -- apex pruning by Fraction pairing profiles --------------------------------

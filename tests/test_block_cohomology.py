@@ -6,6 +6,7 @@ as a ``SheafComplex``, restricted by ``stalk_complex``,
 
 import ast
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -41,6 +42,7 @@ from flagsheaf.sheaf_complex import (
     apex_table,
     block_cohomology,
     build_standard_complex,
+    jump_bound,
     jump_complex,
     lattice_points,
     sections_bound,
@@ -49,26 +51,36 @@ from flagsheaf.sheaf_complex import (
     stalk_complex,
 )
 
-from oracles import class_points, filtered_class_points, window_points
+from oracles import (
+    class_points,
+    filtered_class_points,
+    scan_block_cohomology,
+    scan_kept_rows,
+    window_points,
+)
 
 
 def _subsets(n):
     return [c for r in range(n) for c in itertools.combinations(range(1, n), r)]
 
 
-@pytest.mark.parametrize("n", (2, 3, 4))
-def test_stalks_match_the_engine(n):
-    # the points and windows of acceptance 4: 100 per center class, drawn
-    # and windowed as crosscheck_stalks draws and windows them
-    nonzero = 0
+def _acceptance_4_windows(n):
+    """(z, window, points) of acceptance 4: 100 points per center class,
+    drawn and windowed as ``crosscheck_stalks`` draws and windows them."""
     for r in range(n):
-        z = CenterClass(n, r)
         rng = np.random.default_rng(1000 * n + r)
         points = [sample_c_minus_interior(n, rng) for _ in range(100)]
         boxes = [required_stalk_box(p) for p in points]
         window = tuple(
             (min(b[j][0] for b in boxes), 0) for j in range(n - 1)
         )
+        yield CenterClass(n, r), window, points
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_stalks_match_the_engine(n):
+    nonzero = 0
+    for z, window, points in _acceptance_4_windows(n):
         table = cone_table(n, z, window)
         model = build_cone_model(n, z, window)
         for p in points:
@@ -188,13 +200,120 @@ def test_rows_match_subsets_without_block_sums(monkeypatch):
     assert built == []
     nonzero = 0
     for table in tables:
-        assert any(row.zeros for row in table.rows)
+        assert any(0 in row.combo for row in table.rows)
         for bound in bounds:
             got = block_cohomology(table, bound)
             assert built == [got]
             built.clear()
             nonzero += not got.is_zero()
     assert nonzero == 5
+
+
+def test_bound_of_the_wrong_length_is_refused():
+    # zip would cut a short bound, and (-2,) on an N = 4 table would read
+    # as a full bound; an exact index outside 1..N-1 is refused as well
+    table = cone_table(4, CenterClass(4, 0), ((-2, 1),) * 3)
+    assert not block_cohomology(table, (-2, -2, -2)).is_zero()
+    for bound, exact in (
+        ((-2,), ()), ((-2, -2), ()), ((-2, -2, -2, -2), ()),
+        ((0, 0, 0), (0,)), ((0, 0, 0), (4,)), ((0, 0, 0), (1, 4)),
+    ):
+        with pytest.raises(ValueError, match="bound needs 3 entries"):
+            block_cohomology(table, bound, frozenset(exact))
+
+
+def _scan_cases(n, rows, rng):
+    """(bound, exact) pairs for the tables of one window: stalks,
+    sections over both lower sets and jumps at random rational points
+    (jump bounds that are not integers on I included), jumps at the
+    window's own apexes, and bounds below and above every profile."""
+    subsets = _subsets(n)
+
+    def point():
+        d = int(rng.integers(1, 5))
+        return cartan(n, [Q(int(rng.integers(-3 * d, 2 * d + 1)), d)
+                          for _ in range(n - 1)])
+
+    cases = []
+    for _ in range(4):
+        p = point()
+        cases.append((stalk_bound(n, p), frozenset()))
+        cases += [(sections_bound(n, u), frozenset())
+                  for u in (UOpen(p), UMinusOpen(p))]
+        cases.append(jump_bound(n, subsets[rng.integers(len(subsets))], p))
+    for _ in range(4):
+        m = cartan(n, rows[int(rng.integers(len(rows)))].combo)
+        cases.append(jump_bound(n, subsets[rng.integers(len(subsets))], m))
+    low = [min(col) - 1 for col in zip(*(row.profile for row in rows))]
+    high = [max(col) + 1 for col in zip(*(row.profile for row in rows))]
+    for bound in (low, high):
+        cases += [(bound, frozenset()), (bound, frozenset({n - 1}))]
+    return cases
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_index_matches_the_row_scan(n):
+    # the column index against the scan of every row, on windows that
+    # straddle 0, for every center class and None, on the cone model's
+    # blocks and on the standard single block
+    rng = np.random.default_rng(270 + n)
+    widths = 1 if n == 5 else 2
+    seen = {"nonzero": 0, "positive": 0, "fraction": 0, "kept": 0}
+    for _ in range(3):
+        lows = rng.integers(-widths - 1, 0, size=n - 1)
+        highs = rng.integers(1, widths + 1, size=n - 1)
+        window = tuple((int(a), int(b)) for a, b in zip(lows, highs))
+        rows = apex_table(n, None, window).rows
+        cases = _scan_cases(n, rows, rng)
+        for z in (None, *(CenterClass(n, r) for r in range(n))):
+            for table in (apex_table(n, z, window), cone_table(n, z, window)):
+                for bound, exact in cases:
+                    got = block_cohomology(table, bound, exact)
+                    assert got == scan_block_cohomology(table, bound, exact), (
+                        window, z, bound, exact,
+                    )
+                    kept = scan_kept_rows(table, bound, exact)
+                    seen["nonzero"] += not got.is_zero()
+                    seen["kept"] += len(kept)
+                    seen["positive"] += any(
+                        x > 0 for _, row, *_ in kept for x in row.combo
+                    )
+                    seen["fraction"] += any(
+                        Q(bound[k - 1]).denominator > 1 for k in exact
+                    )
+    assert all(seen.values()), seen
+
+
+class _ReadLog(tuple):
+    """Rows that log the index of every row read, and refuse a walk."""
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return tuple.__getitem__(self, i)
+
+    def __iter__(self):
+        raise AssertionError("a stalk query walked every row")
+
+
+def test_stalk_queries_read_only_the_rows_they_keep():
+    # on the acceptance-4 tables at N = 4, a stalk query reads the rows
+    # the row scan keeps, each once, and no other
+    n = 4
+    read = total = 0
+    for z, window, points in _acceptance_4_windows(n):
+        table = cone_table(n, z, window)
+        rows = _ReadLog(table.rows)
+        logged = dataclasses.replace(table, rows=rows)
+        for p in points:
+            bound = stalk_bound(n, p)
+            rows.read = []
+            got = block_cohomology(logged, bound)
+            kept = [i for i, *_ in scan_kept_rows(table, bound)]
+            assert sorted(rows.read) == kept, p.coords
+            assert got == scan_block_cohomology(table, bound)
+            read += len(kept)
+            total += len(table.rows)
+    assert 0 < 10 * read < total, (read, total)
 
 
 def _walk_cases(n, rng):
@@ -288,6 +407,33 @@ def test_one_lattice_walk():
                 )
     assert products == set()
     assert not named
+
+
+def test_exact_engine_imports_neither_numpy_nor_numerics():
+    # the exact engine stays on ints and Fractions: these modules import
+    # numpy nowhere, lie_numerics nowhere, and of the package only each
+    # other, so the guard covers what they import in turn
+    pure = {"sheaf_complex", "root_system", "graded", "flag_schubert",
+            "linalg"}
+    package = pathlib.Path(sheaf_complex.__file__).parent
+    for stem in sorted(pure):
+        tree = ast.parse((package / f"{stem}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                names = [f"flagsheaf.{node.module}"] if node.module else [
+                    f"flagsheaf.{alias.name}" for alias in node.names
+                ]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top, _, sub = name.partition(".")
+                assert top != "numpy", (stem, name)
+                if top == "flagsheaf":
+                    assert sub.partition(".")[0] in pure, (stem, name)
 
 
 def _refuse(*args, **kwargs):
