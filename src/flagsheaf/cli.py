@@ -51,17 +51,16 @@ from .pipeline import (
     normalization_shift,
     pair_hom,
     required_stalk_box,
-    cone_table,
+    cone_blocks,
     resolve_window,
 )
 from .root_system import CenterClass, IntegrityError, cartan
 from .sheaf_complex import (
     UMinusOpen,
     UOpen,
-    apex_table,
-    block_cohomology,
     sections_bound,
     stalk_bound,
+    walk_cohomology,
 )
 
 EXIT_OK = 0
@@ -358,7 +357,8 @@ def _sheaf_stalk(args) -> int:
         _lattice_window(args.window, n), required_stalk_box(p),
         f"stalk at {p}",
     )
-    dims = block_cohomology(cone_table(n, z, window), stalk_bound(n, p))
+    dims = walk_cohomology(n, z, window, stalk_bound(n, p),
+                           masks=cone_blocks(n)[1])
     return _emit(
         {
             "n": n,
@@ -377,7 +377,7 @@ def _sheaf_sections(args) -> int:
     window = _lattice_window(args.window, n)
     x = cartan(n, _coords(args.point, n))
     u = UMinusOpen(x) if args.u_kind == "uminus" else UOpen(x)
-    dims = block_cohomology(apex_table(n, z, window), sections_bound(n, u))
+    dims = walk_cohomology(n, z, window, sections_bound(n, u))
     return _emit(
         {
             "n": n,

@@ -50,6 +50,8 @@ from .sheaf_complex import (
     jump_bound,
     lattice_points,
     stalk_bound,
+    subset_masks,
+    walk_cohomology,
 )
 
 
@@ -86,7 +88,7 @@ def normalization_shift(n: int) -> int:
 
 _betti_cache: dict[tuple[int, tuple[int, ...]], GradedDims] = {}
 _g_cache: dict[tuple[int, tuple[int, ...]], GradedDims] = {}
-_cone_mults: dict[int, dict[tuple[int, ...], GradedDims]] = {}  # N -> g(I)
+_cone_blocks: dict[int, tuple[dict[tuple[int, ...], GradedDims], tuple]] = {}
 
 
 def betti_cached(n: int, indices: Iterable[int]) -> GradedDims:
@@ -107,6 +109,15 @@ def g_space_cached(n: int, indices: Iterable[int]) -> GradedDims:
 # the cone model of the central-fiber sheaf
 
 
+def cone_blocks(n: int) -> tuple[dict[tuple[int, ...], GradedDims], tuple]:
+    """The cone model's g(I) per subset I and their ``subset_masks``,
+    built once per N."""
+    if n not in _cone_blocks:
+        mults = {s: g_space_cached(n, s) for s in _all_subsets(n)}
+        _cone_blocks[n] = mults, subset_masks(mults)
+    return _cone_blocks[n]
+
+
 def cone_table(
     n: int,
     z: CenterClass | None,
@@ -125,9 +136,7 @@ def cone_table(
     that contains the query's required profile range the summands
     cancel); the walk then visits only what it keeps.
     """
-    if n not in _cone_mults:
-        _cone_mults[n] = {s: g_space_cached(n, s) for s in _all_subsets(n)}
-    return apex_table(n, z, window, _cone_mults[n], profile_box)
+    return apex_table(n, z, window, cone_blocks(n)[0], profile_box)
 
 
 def build_cone_model(
@@ -355,17 +364,13 @@ def model_jump(
     window: LatticeBox | None = None,
 ) -> GradedDims:
     """Jump of the cone model at (I, m), windowed with certified
-    margins, as a block sum (``block_cohomology``), which keeps only the
-    apexes with N<m', e_k> = M_k on I: the walk pins them there."""
+    margins, as a block sum over the apexes one lemma-pruned walk keeps
+    (``walk_cohomology``): no apex table."""
     required, profile_box = jump_required_box(n, m)
     window = resolve_window(window, required, f"jump at {m}")
     bound, exact = jump_bound(n, indices, m)
-    pinned = tuple(
-        (math.ceil(b), math.floor(b)) if j in exact else box
-        for j, (b, box) in enumerate(zip(bound, profile_box), 1)
-    )
-    table = cone_table(n, z, window, pinned)
-    return block_cohomology(table, bound, exact)
+    return walk_cohomology(n, z, window, bound, exact, cone_blocks(n)[1],
+                           profile_box)
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ class CartanVector:
 
 
 def cartan(n: int, coords: Sequence) -> CartanVector:
-    return CartanVector(n, tuple(_as_fraction(c) for c in coords))
+    return CartanVector(n, tuple(coords))
 
 
 def zero(n: int) -> CartanVector:

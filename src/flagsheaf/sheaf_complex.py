@@ -21,14 +21,14 @@ restrictions of it and inherit it (see ``_restrict``), while a
 ``FiniteComplex`` built by hand checks its own entries.
 
 Cone complexes (the standard complex Y and the cone model) need no
-complex at all: their blocks are read from an ``ApexTable``, one walk
-over the window's lattice apexes, and their stalks, sections and jumps
-are closed-form block sums (``block_cohomology``, whose docstring has
-the proof).  Every production query takes that path; the built
-``SheafComplex`` (``cone_complex`` on the same table), its restrictions
-and their unit-pivot cohomology stay as the oracle it is tested
-against, and as the engine for hand-built complexes with lower-set
-generators.
+complex at all: their stalks, sections and jumps are closed-form block
+sums (``block_cohomology``, whose docstring has the proof), over the
+apexes of one lemma-pruned lattice walk for a one-shot query
+(``walk_cohomology``), or read off an indexed ``ApexTable`` for a batch
+of stalks.  The built ``SheafComplex`` (``cone_complex`` on a table),
+its restrictions and their unit-pivot cohomology stay as the oracle
+both are tested against, and as the engine for hand-built complexes
+with lower-set generators.
 
 Supported regions (parameters are exact rational Cartan vectors):
 
@@ -73,6 +73,7 @@ from .root_system import (
     IntegrityError,
     cartan,
     lattice_center,
+    lattice_degree,
     scaled_profile,
 )
 
@@ -230,11 +231,15 @@ LatticeBox = tuple[tuple[int, int], ...]
 
 
 def lattice_points(
-    n: int, residue: int | None, coord_box: LatticeBox, profile_box: LatticeBox
+    n: int, residue: int | None, coord_box: LatticeBox,
+    profile_box: LatticeBox | None = None,
+    bound: Sequence | None = None, exact: frozenset[int] = frozenset(),
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(m, P) for the lattice points m of ``coord_box`` in center class
     ``residue`` (every class when None) with scaled profile P_k =
-    N<m, e_k> inside ``profile_box``, in lexicographic order of m.
+    N<m, e_k> inside ``profile_box`` (default: the window's range), in
+    lexicographic order of m; given a ``bound``, only the apexes the
+    lemma of ``block_cohomology`` keeps for (``bound``, ``exact``).
 
     A triangular walk (Cohen, A Course in Computational Algebraic Number
     Theory, 1993, 2.4) in the unimodular coordinates (P_1, x_1, ..,
@@ -242,11 +247,33 @@ def lattice_points(
     by N through the class; <m, f_k> = x_k gives P_{k+1} = 2 P_k -
     P_{k-1} - N x_k, so each x_k takes one range keeping P_{k+1} in its
     box; and x_{N-1} = (2 P_{N-1} - P_{N-2}) / N = c - 2 x_{N-2}, c an
-    integer, is kept in the window by the innermost range."""
+    integer, is kept in the window by the innermost range.
+
+    Given a bound, the walk yields exactly the rows that lemma keeps, in
+    the same order.  Each of its conditions reads one coordinate.  On
+    ``exact``, P_k = b_k is, for an int P_k, P_k in [ceil b_k, floor
+    b_k], which meets P_k's box before the walk (empty off the
+    integers).  Off it, x_k = 0, or x_k > 0 exactly when P_k <= b_k:
+    P_k is fixed once x_1, .., x_{k-1} are, so a partial point that
+    breaks the rule at x_k has no kept completion and is dropped where
+    x_k is chosen; x_{N-2} and x_{N-1}, chosen together, are checked
+    per point.  Dropping keeps the order."""
     if len(coord_box) != n - 1:
         raise ValueError(f"window must have {n - 1} coordinate ranges")
     if any(lo > hi for lo, hi in coord_box):
         raise ValueError("empty window")
+    if profile_box is None:  # P_k is increasing in every coordinate
+        profile_box = tuple(
+            zip(*(scaled_profile(n, c) for c in zip(*coord_box)))
+        )
+    signs = None  # k -> b_k off exact: x_k's sign rule
+    if bound is not None:
+        profile_box = tuple(  # P_k = b_k on exact
+            (max(lo, math.ceil(b)), min(hi, math.floor(b))) if k in exact
+            else (lo, hi)
+            for k, (lo, hi), b in zip(range(1, n), profile_box, bound)
+        )
+        signs = {k: b for k, b in enumerate(bound, 1) if k not in exact}
     lo, hi = profile_box[0]  # P_1 = sum_j (N - j) x_j, also in the window
     lo = max(lo, sum((n - j) * a for j, (a, _) in enumerate(coord_box, 1)))
     hi = min(hi, sum((n - j) * b for j, (_, b) in enumerate(coord_box, 1)))
@@ -254,40 +281,52 @@ def lattice_points(
     if residue is not None:  # from the class's first value
         lo += (residue - lo) % n
     if n == 2:
-        return [((p,), (p,)) for p in range(lo, hi + 1, step)]
-    # (P_{k-1}, P_k, (x_1, .., x_{k-1}), (P_1, .., P_k))
-    level = [(0, p, (), (p,)) for p in range(lo, hi + 1, step)]
-    for (x_lo, x_hi), (p_lo, p_hi) in zip(coord_box[:-2], profile_box[1:-1]):
-        level = [
-            (cur, t - n * x, combo + (x,), prof + (t - n * x,))
-            for prev, cur, combo, prof in level
-            for t in (2 * cur - prev,)
-            for x in range(
-                max(x_lo, -((p_hi - t) // n)), min(x_hi, (t - p_lo) // n) + 1
-            )
-        ]
-    (x_lo, x_hi), (y_lo, y_hi) = coord_box[-2:]
-    p_lo, p_hi = profile_box[-1]
-    points = []
-    for prev, cur, combo, prof in level:
-        t = 2 * cur - prev
-        c = (2 * t - cur) // n
-        for x in range(
-            max(x_lo, -((p_hi - t) // n), -((y_hi - c) // 2)),
-            min(x_hi, (t - p_lo) // n, (c - y_lo) // 2) + 1,
+        points = [((p,), (p,)) for p in range(lo, hi + 1, step)]
+    else:
+        # (P_{k-1}, P_k, (x_1, .., x_{k-1}), (P_1, .., P_k))
+        level = [(0, p, (), (p,)) for p in range(lo, hi + 1, step)]
+        for (x_lo, x_hi), (p_lo, p_hi) in zip(
+            coord_box[:-2], profile_box[1:-1]
         ):
-            points.append((combo + (x, c - 2 * x), prof + (t - n * x,)))
-    points.sort()
+            level = [
+                (cur, t - n * x, combo + (x,), prof + (t - n * x,))
+                for prev, cur, combo, prof in level
+                for t in (2 * cur - prev,)
+                for x in range(
+                    max(x_lo, -((p_hi - t) // n)),
+                    min(x_hi, (t - p_lo) // n) + 1,
+                )
+            ]
+            if signs and level and len(level[0][2]) in signs:
+                b = signs[len(level[0][2])]  # x_k = combo[-1], P_k = prev
+                level = [v for v in level
+                         if (x := v[2][-1]) == 0 or (x > 0) == (v[0] <= b)]
+        (x_lo, x_hi), (y_lo, y_hi) = coord_box[-2:]
+        p_lo, p_hi = profile_box[-1]
+        points = []
+        for prev, cur, combo, prof in level:
+            t = 2 * cur - prev
+            c = (2 * t - cur) // n
+            for x in range(
+                max(x_lo, -((p_hi - t) // n), -((y_hi - c) // 2)),
+                min(x_hi, (t - p_lo) // n, (c - y_lo) // 2) + 1,
+            ):
+                points.append((combo + (x, c - 2 * x), prof + (t - n * x,)))
+        points.sort()
+    for k in (n - 2, n - 1) if signs else ():  # x_{N-2}, x_{N-1}
+        if k in signs:
+            b = signs[k]
+            points = [q for q in points if (x := q[0][k - 1]) == 0
+                      or (x > 0) == (q[1][k - 1] <= b)]
     return points
 
 
 class ApexRow(NamedTuple):
     """One lattice apex m = (x_1, .., x_{N-1}) of an ``ApexTable``: its
-    coordinates, scaled profile N<m, e_j> (ints) and D(m)."""
+    coordinates and scaled profile N<m, e_j> (ints)."""
 
     combo: tuple[int, ...]
     profile: tuple[int, ...]
-    degree: int
 
 
 class ApexColumn(NamedTuple):
@@ -316,7 +355,13 @@ class ApexTable:
     columns: tuple[ApexColumn, ...]
 
 
+def subset_masks(mults: dict[tuple[int, ...], GradedDims]) -> tuple:
+    """(bitmask of I, bit j - 1 for index j, mults[I]) per subset I."""
+    return tuple((sum(1 << (k - 1) for k in s), g) for s, g in mults.items())
+
+
 _STANDARD_MULTS = {(): GradedDims.line()}  # the single block I = ()
+_STANDARD_MASKS = subset_masks(_STANDARD_MULTS)
 
 
 def apex_table(
@@ -333,15 +378,9 @@ def apex_table(
     (default: the standard complex's single block I = () of
     multiplicity one line), and its column index, from one
     ``lattice_points`` walk: linear in the rows, and one sort of each
-    column's distinct values.
-
-    D(m) = -sum_j x_j 2j(N - j) is -4 sum_k P_k / N: P solves 2 P_k -
-    P_{k-1} - P_{k+1} = N x_k with P_0 = P_N = 0, whose Green's function
-    min(j, k)(N - max(j, k)) / N sums over k to j(N - j) / 2."""
+    column's distinct values."""
     if mults is None:
         mults = _STANDARD_MULTS
-    if profile_box is None:  # P_k is increasing in every coordinate
-        profile_box = tuple(zip(*(scaled_profile(n, c) for c in zip(*window))))
     residue = None if z is None else z.residue
     rows = []
     positive, negative = [0] * (n - 1), [0] * (n - 1)
@@ -354,19 +393,48 @@ def apex_table(
                 positive[k] |= bit
             elif x < 0:
                 negative[k] |= bit
-        rows.append(ApexRow(combo, profile, -4 * sum(profile) // n))
+        rows.append(ApexRow(combo, profile))
     columns = []
     for pos, neg, level in zip(positive, negative, levels):
         values, at_most = sorted(level), [0]
         for p in values:
             at_most.append(at_most[-1] | level[p])
         columns.append(ApexColumn(pos, neg, tuple(values), tuple(at_most)))
-    masks = tuple((sum(1 << (k - 1) for k in s), g) for s, g in mults.items())
+    masks = subset_masks(mults)
     return ApexTable(n, dict(mults), tuple(rows), masks, tuple(columns))
 
 
 # ---------------------------------------------------------------------------
 # closed-form block cohomology
+
+
+def _check_bound(n: int, bound: Sequence, exact: frozenset[int]):
+    if len(bound) != n - 1 or not exact.issubset(range(1, n)):
+        raise ValueError(
+            f"a bound needs {n - 1} entries and exact indices in 1..{n - 1}"
+        )
+
+
+def _block_sum(
+    n: int, rows: Iterable, bound: Sequence, exact: frozenset[int], masks
+) -> GradedDims:
+    """The block match of ``block_cohomology`` on the apexes (x, P) its
+    lemma keeps.  D(m) = -sum_j x_j 2j(N - j) is -4 sum_k P_k / N: P
+    solves 2 P_k - P_{k-1} - P_{k+1} = N x_k with P_0 = P_N = 0, whose
+    Green's function min(j, k)(N - max(j, k)) / N sums to j(N - j) / 2."""
+    exact_mask = sum(1 << (k - 1) for k in exact)
+    terms: list[tuple[int, int]] = []
+    for combo, profile in rows:
+        allowed, base, zeros = 0, exact_mask, 0
+        for j, (x, a, b) in enumerate(zip(combo, profile, bound)):
+            allowed |= (a <= b) << j
+            base |= (x > 0) << j
+            zeros |= (x == 0) << j
+        offset = allowed.bit_count() + 4 * sum(profile) // n - len(exact)
+        for mask, mult in masks:
+            if base | (zeros & mask) == allowed:
+                terms.extend((d + offset, dim) for d, dim in mult.items())
+    return GradedDims(terms)
 
 
 def block_cohomology(
@@ -411,13 +479,10 @@ def block_cohomology(
     and k in A must be in positive | zeros, that is k is not negative.
     So the column index (``ApexColumn``) narrows a bitset of kept rows
     coordinate by coordinate, and only the kept rows are read and
-    matched against the subsets.
+    matched against the subsets (``_block_sum``); a one-shot query
+    has no table, and walks only the kept rows (``walk_cohomology``).
     """
-    n = table.n
-    if len(bound) != n - 1 or not exact.issubset(range(1, n)):
-        raise ValueError(
-            f"a bound needs {n - 1} entries and exact indices in 1..{n - 1}"
-        )
+    _check_bound(table.n, bound, exact)
     keep = (1 << len(table.rows)) - 1
     for k, (b, column) in enumerate(zip(bound, table.columns), 1):
         values, at_most = column.values, column.at_most
@@ -426,23 +491,26 @@ def block_cohomology(
             keep &= below & ~at_most[bisect_left(values, b)]
         else:
             keep &= ~(column.positive & ~below | column.negative & below)
-    exact_mask = sum(1 << (k - 1) for k in exact)
-    rows, masks = table.rows, table.masks
-    terms: list[tuple[int, int]] = []
+    rows, kept = table.rows, []
     while keep:
         low = keep & -keep
         keep ^= low
-        row = rows[low.bit_length() - 1]
-        allowed, base, zeros = 0, exact_mask, 0
-        for j, (x, a, b) in enumerate(zip(row.combo, row.profile, bound)):
-            allowed |= (a <= b) << j
-            base |= (x > 0) << j
-            zeros |= (x == 0) << j
-        offset = allowed.bit_count() - row.degree - len(exact)
-        for mask, mult in masks:
-            if base | (zeros & mask) == allowed:
-                terms.extend((d + offset, dim) for d, dim in mult.items())
-    return GradedDims(terms)
+        kept.append(rows[low.bit_length() - 1])
+    return _block_sum(table.n, kept, bound, exact, table.masks)
+
+
+def walk_cohomology(
+    n: int, z: CenterClass | None, window: LatticeBox, bound: Sequence,
+    exact: frozenset[int] = frozenset(), masks: tuple = _STANDARD_MASKS,
+    profile_box: LatticeBox | None = None,
+) -> GradedDims:
+    """``block_cohomology`` of ``apex_table(n, z, window, mults,
+    profile_box)``, ``masks`` = ``subset_masks(mults)``, with no table:
+    the lemma-pruned walk yields the rows the index keeps."""
+    _check_bound(n, bound, exact)
+    residue = None if z is None else z.residue
+    rows = lattice_points(n, residue, window, profile_box, bound, exact)
+    return _block_sum(n, rows, bound, exact, masks)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +537,8 @@ def cone_complex(table: ApexTable) -> SheafComplex:
     subsets = [(jc, frozenset(jc)) for jc in _all_subsets(n)]
     apexes = [
         (row.combo, cartan(n, row.combo),
-         CenterClass(n, lattice_center(n, row.combo)), row.degree)
+         CenterClass(n, lattice_center(n, row.combo)),
+         lattice_degree(n, row.combo))
         for row in table.rows
     ]
     generators: list[SheafGenerator] = []
@@ -848,7 +917,8 @@ def jump_bound(
             raise ValueError(f"index {k} out of range")
     profile, d = m.integer_profile
     bound = [
-        _exact(Fraction(s, d)) if j in exact else -(-s // d) - 1
+        (s // d if s % d == 0 else Fraction(s, d)) if j in exact
+        else -(-s // d) - 1
         for j, s in enumerate(profile, 1)
     ]
     return bound, exact

@@ -10,6 +10,7 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import pathlib
 from fractions import Fraction as Q
 
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 from flagsheaf import cli, pipeline, sheaf_complex
+from flagsheaf.flag_schubert import FlagType, betti
 from flagsheaf.pipeline import (
     build_cone_model,
     cone_table,
@@ -49,6 +51,7 @@ from flagsheaf.sheaf_complex import (
     sections_complex,
     stalk_bound,
     stalk_complex,
+    walk_cohomology,
 )
 
 from oracles import (
@@ -251,20 +254,25 @@ def _scan_cases(n, rows, rng):
     return cases
 
 
+def _scan_windows(n):
+    """(window, cases) at rank n: three seeded windows that straddle 0,
+    each with its ``_scan_cases``."""
+    rng = np.random.default_rng(270 + n)
+    widths = 1 if n == 5 else 2
+    for _ in range(3):
+        lows = rng.integers(-widths - 1, 0, size=n - 1)
+        highs = rng.integers(1, widths + 1, size=n - 1)
+        window = tuple((int(a), int(b)) for a, b in zip(lows, highs))
+        yield window, _scan_cases(n, apex_table(n, None, window).rows, rng)
+
+
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_index_matches_the_row_scan(n):
     # the column index against the scan of every row, on windows that
     # straddle 0, for every center class and None, on the cone model's
     # blocks and on the standard single block
-    rng = np.random.default_rng(270 + n)
-    widths = 1 if n == 5 else 2
     seen = {"nonzero": 0, "positive": 0, "fraction": 0, "kept": 0}
-    for _ in range(3):
-        lows = rng.integers(-widths - 1, 0, size=n - 1)
-        highs = rng.integers(1, widths + 1, size=n - 1)
-        window = tuple((int(a), int(b)) for a, b in zip(lows, highs))
-        rows = apex_table(n, None, window).rows
-        cases = _scan_cases(n, rows, rng)
+    for window, cases in _scan_windows(n):
         for z in (None, *(CenterClass(n, r) for r in range(n))):
             for table in (apex_table(n, z, window), cone_table(n, z, window)):
                 for bound, exact in cases:
@@ -282,6 +290,72 @@ def test_index_matches_the_row_scan(n):
                         Q(bound[k - 1]).denominator > 1 for k in exact
                     )
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_pruned_walk_yields_the_kept_rows(n):
+    # on the cases of the index test: the lemma-pruned walk yields the
+    # rows the row scan keeps, in table order, and its block sums equal
+    # the index's on the cone model and on the standard complex
+    seen = {"kept": 0, "empty": 0, "fraction": 0, "nonzero": 0}
+    for window, cases in _scan_windows(n):
+        for z in (None, *(CenterClass(n, r) for r in range(n))):
+            residue = None if z is None else z.residue
+            cone, plain = cone_table(n, z, window), apex_table(n, z, window)
+            for bound, exact in cases:
+                kept = scan_kept_rows(cone, bound, exact)
+                want = [tuple(row) for _, row, *_ in kept]
+                got = lattice_points(n, residue, window, None, bound, exact)
+                assert got == want, (window, z, bound, exact)
+                for dims, table in (
+                    (walk_cohomology(n, z, window, bound, exact, cone.masks),
+                     cone),
+                    (walk_cohomology(n, z, window, bound, exact), plain),
+                ):
+                    assert dims == block_cohomology(table, bound, exact)
+                    seen["nonzero"] += not dims.is_zero()
+                seen["kept"] += len(want)
+                seen["empty"] += not want
+                seen["fraction"] += any(
+                    Q(bound[k - 1]).denominator > 1 for k in exact
+                )
+    assert all(seen.values()), seen
+
+
+def _pinned_table_jump(n, z, indices, m):
+    """The jump at (I, m) read off a cone table by the column index: the
+    table pinned to P_k = M_k on I, as ``model_jump`` read it before its
+    walk took the lemma."""
+    window, profile_box = jump_required_box(n, m)
+    bound, exact = jump_bound(n, indices, m)
+    pinned = tuple(
+        (math.ceil(b), math.floor(b)) if j in exact else box
+        for j, (b, box) in enumerate(zip(bound, profile_box), 1)
+    )
+    return block_cohomology(cone_table(n, z, window, pinned), bound, exact)
+
+
+def test_walked_jump_matches_the_pinned_table():
+    # acceptance 5's apex box [-3, 0]^2 at N = 3 in its own and the next
+    # class, the origin at N = 2, 3, 4, every I; and a non-lattice m,
+    # whose jump is empty for every nonempty I
+    queries = [(zero(n), CenterClass(n, 0)) for n in (2, 3, 4)]
+    for c in itertools.product(range(-3, 1), repeat=2):
+        own = lattice_center(3, c)
+        queries += [(cartan(3, c), CenterClass(3, own + k)) for k in (0, 1)]
+    nonzero = 0
+    for m, z in queries:
+        for idx in _subsets(m.n):
+            got = model_jump(m.n, z, idx, m)
+            assert got == _pinned_table_jump(m.n, z, idx, m), (idx, m, z)
+            nonzero += not got.is_zero()
+    assert nonzero
+    m = cartan(3, (Q(-1, 2), Q(-1, 2)))  # N<m, e_k> = -3/2, -3/2
+    for r in range(3):
+        for idx in _subsets(3)[1:]:
+            got = model_jump(3, CenterClass(3, r), idx, m)
+            assert got.is_zero()
+            assert got == _pinned_table_jump(3, CenterClass(3, r), idx, m)
 
 
 class _ReadLog(tuple):
@@ -438,6 +512,30 @@ def test_exact_engine_imports_neither_numpy_nor_numerics():
 
 def _refuse(*args, **kwargs):
     raise AssertionError("a production path built a complex")
+
+
+def _refuse_table(*args, **kwargs):
+    raise AssertionError("a one-shot query built an apex table")
+
+
+def test_one_shot_queries_build_no_table(monkeypatch):
+    # model_jump on acceptance 5's queries and the golden sheaf commands
+    # print the same bytes and exit codes with every table build refused
+    from test_golden_bytes import CORPUS, GOLDEN, STDERR, _digest
+
+    for owner in (sheaf_complex, pipeline):
+        monkeypatch.setattr(owner, "apex_table", _refuse_table)
+    monkeypatch.setattr(sheaf_complex.ApexTable, "__init__", _refuse_table)
+    for n in (2, 3, 4):
+        for subset in _subsets(n):
+            got = model_jump(n, CenterClass(n, 0), subset, zero(n))
+            assert got == betti(FlagType(n, subset)), subset
+    commands = [c for c in CORPUS if c.startswith(
+        ("sheaf stalk", "sheaf sections", "sheaf delta")
+    )]
+    assert len(commands) == 7
+    for command in commands:
+        assert _digest(command) == (GOLDEN[command], STDERR.get(command, ""))
 
 
 def test_no_production_path_builds_a_model(monkeypatch, capsys):

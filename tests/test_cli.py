@@ -507,8 +507,8 @@ class _WorkRan(Exception):
 
 
 _WORK = (
-    "betti", "g_space", "verify_free_decomposition", "cone_table",
-    "apex_table", "model_jump", "crosscheck_stalks", "h_graded",
+    "betti", "g_space", "verify_free_decomposition", "walk_cohomology",
+    "model_jump", "crosscheck_stalks", "h_graded",
     "certificate", "pair_hom", "jump_spectrum", "run_trials",
 )
 _REQUIRED = {

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flagsheaf import root_system
+from flagsheaf import root_system, sheaf_complex
 from flagsheaf.flag_schubert import FlagType, betti
 from flagsheaf.pipeline import (
     build_cone_model,
@@ -295,11 +295,19 @@ def test_required_stalk_box_matches_fraction_form(n):
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
-def test_jump_bounds_match_fraction_forms(n):
+def test_jump_bounds_match_fraction_forms(n, monkeypatch):
     # seeded lattice and rational m, inside and outside C_-, with every I:
     # the coordinate box (which MarginError prints) is the Fraction
     # form's, the profile box its [ceil(N lo_u), floor(N hi_u)], and the
-    # jump bound equal entry by entry
+    # jump bound equal entry by entry; a lattice apex's bound is all int,
+    # built without a Fraction
+    built, rational = [], 0
+
+    def fraction(*args):
+        built.append(args)
+        return Q(*args)
+
+    monkeypatch.setattr(sheaf_complex, "Fraction", fraction)
     rng = np.random.default_rng(40 + n)
     ms = [cartan(n, (0,) * (n - 1)), cartan(n, (-1,) * (n - 1))]
     for denom in (1, 1, 2, 3, 5, 7):
@@ -319,10 +327,16 @@ def test_jump_bounds_match_fraction_forms(n):
             n - 1
         ), m
         for idx in subsets:
+            built.clear()
             bound, exact = jump_bound(n, idx, m)
             assert (bound, exact) == fraction_jump_bound(n, idx, m), (m, idx)
             assert all(type(b) is int for j, b in enumerate(bound, 1)
                        if j not in exact or b == int(b)), (m, idx)
+            if m.is_integral():
+                assert not built, (m, idx)
+                assert all(type(b) is int for b in bound), (m, idx)
+            rational += bool(built)
+    assert rational  # an exact M_k off the integers is a Fraction
 
 
 def test_each_query_point_computes_its_profile_once(monkeypatch):
