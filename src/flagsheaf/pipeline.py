@@ -119,24 +119,12 @@ def cone_blocks(n: int) -> tuple[dict[tuple[int, ...], GradedDims], tuple]:
 
 
 def cone_table(
-    n: int,
-    z: CenterClass | None,
-    window: LatticeBox,
-    profile_box: LatticeBox | None = None,
+    n: int, z: CenterClass | None, window: LatticeBox
 ) -> ApexTable:
-    """Apex table of the cone model: one windowed standard complex per
-    subset I, shifted by -e_I in both position and degree and weighted
-    by the elementary graded space of I.
-
-    A generator is indexed by (I, J, m): region KCone(J, m), center
-    exp(m), total degree |J| - D(m), multiplicity g(I); the apex m runs
-    over lattice points of the window with m + e_I in the J-admissible
-    sublattice.  ``profile_box`` optionally bounds the apexes' scaled
-    profiles N<m, e_k> on ints (a pure optimization: outside any box
-    that contains the query's required profile range the summands
-    cancel); the walk then visits only what it keeps.
-    """
-    return apex_table(n, z, window, cone_blocks(n)[0], profile_box)
+    """Apex table of the cone model (``build_cone_model``) over the
+    lattice points of the window in class z, with its column index: the
+    batch of stalks of ``crosscheck_stalks`` reads it."""
+    return apex_table(n, z, window, cone_blocks(n)[0])
 
 
 def build_cone_model(
@@ -145,10 +133,21 @@ def build_cone_model(
     window: LatticeBox,
     profile_box: LatticeBox | None = None,
 ) -> SheafComplex:
-    """The cone model of ``cone_table`` as a validated complex: the
-    oracle that ``block_cohomology`` on the same table is tested
-    against."""
-    return cone_complex(cone_table(n, z, window, profile_box))
+    """The cone model as a validated complex: one windowed standard
+    complex per subset I, shifted by -e_I in both position and degree
+    and weighted by the elementary graded space of I.
+
+    A generator is indexed by (I, J, m): region KCone(J, m), center
+    exp(m), total degree |J| - D(m), multiplicity g(I); the apex m runs
+    over the lattice points of the window in class z (every class when
+    None) whose scaled profile N<m, e_k> lies in ``profile_box``, with m
+    + e_I in the J-admissible sublattice.  Its apexes come from one
+    plain ``lattice_points`` walk, never from an apex table, so the
+    oracle shares no index with the block sums it checks."""
+    residue = None if z is None else z.residue
+    return cone_complex(
+        n, cone_blocks(n)[0], lattice_points(n, residue, window, profile_box)
+    )
 
 
 # ---------------------------------------------------------------------------

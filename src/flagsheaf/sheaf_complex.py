@@ -22,13 +22,14 @@ restrictions of it and inherit it (see ``_restrict``), while a
 
 Cone complexes (the standard complex Y and the cone model) need no
 complex at all: their stalks, sections and jumps are closed-form block
-sums (``block_cohomology``, whose docstring has the proof), over the
-apexes of one lemma-pruned lattice walk for a one-shot query
-(``walk_cohomology``), or read off an indexed ``ApexTable`` for a batch
-of stalks.  The built ``SheafComplex`` (``cone_complex`` on a table),
-its restrictions and their unit-pivot cohomology stay as the oracle
-both are tested against, and as the engine for hand-built complexes
-with lower-set generators.
+sums (``_block_sum``, whose docstring has the proof), over the apexes
+of one lemma-pruned lattice walk for a one-shot query
+(``walk_cohomology``), or read off the column index of an ``ApexTable``
+for a batch of stalks (``block_cohomology``).  The built
+``SheafComplex`` (``cone_complex`` on the rows of a plain walk), its
+restrictions and their unit-pivot cohomology stay as the oracle both
+are tested against, and as the engine for hand-built complexes with
+lower-set generators.
 
 Supported regions (parameters are exact rational Cartan vectors):
 
@@ -59,7 +60,7 @@ determine the section complex entirely.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -239,7 +240,7 @@ def lattice_points(
     ``residue`` (every class when None) with scaled profile P_k =
     N<m, e_k> inside ``profile_box`` (default: the window's range), in
     lexicographic order of m; given a ``bound``, only the apexes the
-    lemma of ``block_cohomology`` keeps for (``bound``, ``exact``).
+    row lemma of ``_block_sum`` keeps for (``bound``, ``exact``).
 
     A triangular walk (Cohen, A Course in Computational Algebraic Number
     Theory, 1993, 2.4) in the unimodular coordinates (P_1, x_1, ..,
@@ -333,7 +334,7 @@ class ApexColumn(NamedTuple):
     """Bit-sliced index of an ``ApexTable`` on coordinate k (O'Neil and
     Quass, SIGMOD 1997): bit i stands for rows[i].  ``values`` ascend, and
     at_most[i] holds the rows with P_k = N<m, e_k> <= values[i - 1], so
-    P_k <= b on at_most[bisect_right(values, b)], < b on bisect_left."""
+    P_k <= b on at_most[bisect_right(values, b)]."""
 
     positive: int  # rows with x_k > 0
     negative: int  # rows with x_k < 0
@@ -369,13 +370,10 @@ def apex_table(
     z: CenterClass | None,
     window: LatticeBox,
     mults: dict[tuple[int, ...], GradedDims] | None = None,
-    profile_box: LatticeBox | None = None,
 ) -> ApexTable:
     """Table of the lattice apexes of ``window`` in class z (every class
-    when None) whose scaled profile N<m, e_k> lies in ``profile_box``
-    (default: the window's own profile range, which keeps every apex),
-    in lexicographic order, with one block per subset of ``mults``
-    (default: the standard complex's single block I = () of
+    when None), in lexicographic order, with one block per subset of
+    ``mults`` (default: the standard complex's single block I = () of
     multiplicity one line), and its column index, from one
     ``lattice_points`` walk: linear in the rows, and one sort of each
     column's distinct values."""
@@ -385,7 +383,7 @@ def apex_table(
     rows = []
     positive, negative = [0] * (n - 1), [0] * (n - 1)
     levels: list[dict[int, int]] = [{} for _ in range(n - 1)]  # P_k -> rows
-    for combo, profile in lattice_points(n, residue, window, profile_box):
+    for combo, profile in lattice_points(n, residue, window):
         bit = 1 << len(rows)
         for k, (x, p) in enumerate(zip(combo, profile)):
             levels[k][p] = levels[k].get(p, 0) | bit
@@ -418,44 +416,22 @@ def _check_bound(n: int, bound: Sequence, exact: frozenset[int]):
 def _block_sum(
     n: int, rows: Iterable, bound: Sequence, exact: frozenset[int], masks
 ) -> GradedDims:
-    """The block match of ``block_cohomology`` on the apexes (x, P) its
-    lemma keeps.  D(m) = -sum_j x_j 2j(N - j) is -4 sum_k P_k / N: P
-    solves 2 P_k - P_{k-1} - P_{k+1} = N x_k with P_0 = P_N = 0, whose
-    Green's function min(j, k)(N - max(j, k)) / N sums to j(N - j) / 2."""
-    exact_mask = sum(1 << (k - 1) for k in exact)
-    terms: list[tuple[int, int]] = []
-    for combo, profile in rows:
-        allowed, base, zeros = 0, exact_mask, 0
-        for j, (x, a, b) in enumerate(zip(combo, profile, bound)):
-            allowed |= (a <= b) << j
-            base |= (x > 0) << j
-            zeros |= (x == 0) << j
-        offset = allowed.bit_count() + 4 * sum(profile) // n - len(exact)
-        for mask, mult in masks:
-            if base | (zeros & mask) == allowed:
-                terms.extend((d + offset, dim) for d, dim in mult.items())
-    return GradedDims(terms)
-
-
-def block_cohomology(
-    table: ApexTable,
-    bound: Sequence,
-    exact: frozenset[int] = frozenset(),
-) -> GradedDims:
-    """Cohomology of the cone complex of ``table`` restricted to the
+    """Cohomology of a cone complex (``cone_complex``) restricted to the
     cones K(J, m) with exact <= J, N<m, e_j> <= bound[j - 1] on J and
     N<m, e_k> = bound[k - 1] on ``exact``, moved down by |exact| (the
     ``_select`` -> ``_restrict`` rule), without building the complex.
-    ``bound`` has one entry per index 1..N-1 and ``exact`` is a set of
-    such indices; anything else is a ``ValueError``.
+    ``rows`` are the apexes (x, P), P_j = N<m, e_j>, that the row lemma
+    below keeps, and ``masks`` the ``subset_masks`` of the complex's
+    blocks.  Two row sources feed it: the column index of an
+    ``ApexTable`` (``block_cohomology``) and the lemma-pruned walk
+    (``walk_cohomology``).
 
-    With P = N<m, e_j>, the stalk at p takes bound floor(N<p, e_j>)
-    (``stalk_bound``), the sections over a lower set of top x^ take
-    ceil(N<x^, e_j>) - 1 on the standard complex (``sections_bound``),
-    and the jump at (I, m) takes exact = I, bound N<m, e_k> on I and
-    ceil(N<m, e_j>) - 1 off it (``jump_bound``), so it is moved down by
-    |I|; no integer profile equals a bound that is not an integer, so
-    then no cone is kept.
+    The stalk at p takes bound floor(N<p, e_j>) (``stalk_bound``), the
+    sections over a lower set of top x^ take ceil(N<x^, e_j>) - 1 on the
+    standard complex (``sections_bound``), and the jump at (I, m) takes
+    exact = I, bound N<m, e_k> on I and ceil(N<m, e_j>) - 1 off it
+    (``jump_bound``), so it is moved down by |I|; no integer profile
+    equals a bound that is not an integer, so then no cone is kept.
 
     Proof.  ``cone_complex`` has differential entries only inside a
     block (I, m): the signed restrictions K(J, m) -> K(J + {e}, m) with
@@ -477,26 +453,46 @@ def block_cohomology(
     (x_k < 0 and P_k <= bound[k - 1]).  For k in exact both inclusions
     hold at k (k is in A).  For k off exact, k in positive must be in A,
     and k in A must be in positive | zeros, that is k is not negative.
-    So the column index (``ApexColumn``) narrows a bitset of kept rows
-    coordinate by coordinate, and only the kept rows are read and
-    matched against the subsets (``_block_sum``); a one-shot query
-    has no table, and walks only the kept rows (``walk_cohomology``).
-    """
-    _check_bound(table.n, bound, exact)
+    So a row source drops the other rows one coordinate at a time, and
+    only the kept rows reach the subset match here.
+
+    D(m) = -sum_j x_j 2j(N - j) is -4 sum_k P_k / N: P solves 2 P_k -
+    P_{k-1} - P_{k+1} = N x_k with P_0 = P_N = 0, whose Green's function
+    min(j, k)(N - max(j, k)) / N sums to j(N - j) / 2."""
+    exact_mask = sum(1 << (k - 1) for k in exact)
+    terms: list[tuple[int, int]] = []
+    for combo, profile in rows:
+        allowed, base, zeros = 0, exact_mask, 0
+        for j, (x, a, b) in enumerate(zip(combo, profile, bound)):
+            allowed |= (a <= b) << j
+            base |= (x > 0) << j
+            zeros |= (x == 0) << j
+        offset = allowed.bit_count() + 4 * sum(profile) // n - len(exact)
+        for mask, mult in masks:
+            if base | (zeros & mask) == allowed:
+                terms.extend((d + offset, dim) for d, dim in mult.items())
+    return GradedDims(terms)
+
+
+def block_cohomology(table: ApexTable, bound: Sequence) -> GradedDims:
+    """``_block_sum`` of the cone complex of ``table`` under ``bound``, a
+    bound with no exact index (a stalk's or the sections'), over the rows
+    the column index keeps: by the row lemma, column k drops the rows
+    with x_k > 0 and P_k > bound[k - 1] and those with x_k < 0 and P_k <=
+    bound[k - 1], so one bisection per coordinate narrows a bitset of
+    rows, and only the rows left are read.  ``bound`` has one entry per
+    index 1..N-1; anything else is a ``ValueError``."""
+    _check_bound(table.n, bound, frozenset())
     keep = (1 << len(table.rows)) - 1
-    for k, (b, column) in enumerate(zip(bound, table.columns), 1):
-        values, at_most = column.values, column.at_most
-        below = at_most[bisect_right(values, b)]  # rows with P_k <= b
-        if k in exact:
-            keep &= below & ~at_most[bisect_left(values, b)]
-        else:
-            keep &= ~(column.positive & ~below | column.negative & below)
+    for b, column in zip(bound, table.columns):
+        below = column.at_most[bisect_right(column.values, b)]  # P_k <= b
+        keep &= ~(column.positive & ~below | column.negative & below)
     rows, kept = table.rows, []
     while keep:
         low = keep & -keep
         keep ^= low
         kept.append(rows[low.bit_length() - 1])
-    return _block_sum(table.n, kept, bound, exact, table.masks)
+    return _block_sum(table.n, kept, bound, frozenset(), table.masks)
 
 
 def walk_cohomology(
@@ -504,9 +500,10 @@ def walk_cohomology(
     exact: frozenset[int] = frozenset(), masks: tuple = _STANDARD_MASKS,
     profile_box: LatticeBox | None = None,
 ) -> GradedDims:
-    """``block_cohomology`` of ``apex_table(n, z, window, mults,
-    profile_box)``, ``masks`` = ``subset_masks(mults)``, with no table:
-    the lemma-pruned walk yields the rows the index keeps."""
+    """``_block_sum`` of the cone complex with blocks ``masks`` (default:
+    the standard complex's) on the lattice apexes of ``window`` in class
+    z whose profile lies in ``profile_box``, with no table: one
+    ``lattice_points`` walk yields only the rows the row lemma keeps."""
     _check_bound(n, bound, exact)
     residue = None if z is None else z.residue
     rows = lattice_points(n, residue, window, profile_box, bound, exact)
@@ -523,28 +520,29 @@ def _subset_sign(j_small: frozenset[int], added: int) -> int:
     return -1 if sigma % 2 else 1
 
 
-def cone_complex(table: ApexTable) -> SheafComplex:
+def cone_complex(
+    n: int, mults: dict[tuple[int, ...], GradedDims], rows: Iterable
+) -> SheafComplex:
     """Complex of constant sheaves on closed cones (Kashiwara-Schapira,
-    Sheaves on Manifolds, 1990), one block per (subset I, apex m) of
-    ``table``, subsets outermost: a generator KCone(J, m) for every J
-    containing forced(I, m) = {k : <m, f_k> + [k in I] > 0}, in total
-    degree |J| - D(m) at center exp(m), with multiplicity g(I) =
-    ``table.mults[I]``, labelled ("cone", I, J, m), with differential
-    the signed restrictions J -> J + {e} inside the block.  The result
-    is validated, d*d = 0 included."""
-    n = table.n
+    Sheaves on Manifolds, 1990), one block per (subset I of ``mults``,
+    apex m of ``rows``), subsets outermost: a generator KCone(J, m) for
+    every J containing forced(I, m) = {k : <m, f_k> + [k in I] > 0}, in
+    total degree |J| - D(m) at center exp(m), with multiplicity g(I) =
+    ``mults[I]``, labelled ("cone", I, J, m), with differential the
+    signed restrictions J -> J + {e} inside the block.  ``rows`` are
+    (m, P) pairs as ``lattice_points`` yields them.  The result is
+    validated, d*d = 0 included."""
     all_indices = range(1, n)
     subsets = [(jc, frozenset(jc)) for jc in _all_subsets(n)]
     apexes = [
-        (row.combo, cartan(n, row.combo),
-         CenterClass(n, lattice_center(n, row.combo)),
-         lattice_degree(n, row.combo))
-        for row in table.rows
+        (combo, cartan(n, combo), CenterClass(n, lattice_center(n, combo)),
+         lattice_degree(n, combo))
+        for combo, _ in rows
     ]
     generators: list[SheafGenerator] = []
     entries: list[Triplet] = []
     cones: dict[tuple[int, frozenset[int]], KCone] = {}  # one per (m, J)
-    blocks = ((i, g, apex) for i, g in table.mults.items() for apex in apexes)
+    blocks = ((i, g, apex) for i, g in mults.items() for apex in apexes)
     for subset, mult, (combo, m, cc, dm) in blocks:
         forced = frozenset(
             k for k in all_indices if combo[k - 1] + (k in subset) > 0
@@ -579,7 +577,7 @@ def build_standard_complex(n: int, window: LatticeBox) -> SheafComplex:
     """Windowed standard complex: the I = () block of the cone model,
     one line per cone K(J, l) for every lattice l in the window and
     every J containing {k : <l, f_k> > 0}."""
-    return cone_complex(apex_table(n, None, window))
+    return cone_complex(n, _STANDARD_MULTS, lattice_points(n, None, window))
 
 
 # ---------------------------------------------------------------------------

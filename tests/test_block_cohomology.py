@@ -10,7 +10,6 @@ import dataclasses
 import io
 import itertools
 import json
-import math
 import pathlib
 from fractions import Fraction as Q
 
@@ -115,6 +114,25 @@ def _jump_queries():
     return queries
 
 
+def test_jump_profile_box_is_a_pure_optimisation():
+    # both jump oracles are built inside the profile box the engine
+    # walks, so this half of the margin is checked on its own: the walk
+    # with the box and without it gives every jump of _jump_queries
+    nonzero = 0
+    for m, z in _jump_queries():
+        n = m.n
+        window, profile_box = jump_required_box(n, m)
+        masks = pipeline.cone_blocks(n)[1]
+        for idx in _subsets(n):
+            bound, exact = jump_bound(n, idx, m)
+            got = walk_cohomology(n, z, window, bound, exact, masks,
+                                  profile_box)
+            want = walk_cohomology(n, z, window, bound, exact, masks)
+            assert got == want, (idx, m.coords, z.residue)
+            nonzero += not got.is_zero()
+    assert nonzero
+
+
 def test_model_jump_matches_the_engine():
     nonzero = 0
     for m, z in _jump_queries():
@@ -214,15 +232,22 @@ def test_rows_match_subsets_without_block_sums(monkeypatch):
 
 def test_bound_of_the_wrong_length_is_refused():
     # zip would cut a short bound, and (-2,) on an N = 4 table would read
-    # as a full bound; an exact index outside 1..N-1 is refused as well
-    table = cone_table(4, CenterClass(4, 0), ((-2, 1),) * 3)
+    # as a full bound, on the index and on the walk; an exact index
+    # outside 1..N-1 is refused by the walk, the one reader of exact
+    z, window = CenterClass(4, 0), ((-2, 1),) * 3
+    table = cone_table(4, z, window)
+    masks = pipeline.cone_blocks(4)[1]
     assert not block_cohomology(table, (-2, -2, -2)).is_zero()
-    for bound, exact in (
-        ((-2,), ()), ((-2, -2), ()), ((-2, -2, -2, -2), ()),
-        ((0, 0, 0), (0,)), ((0, 0, 0), (4,)), ((0, 0, 0), (1, 4)),
-    ):
+    walked = walk_cohomology(4, z, window, (-2, -2, -2), masks=masks)
+    assert not walked.is_zero()
+    for bound in ((-2,), (-2, -2), (-2, -2, -2, -2)):
         with pytest.raises(ValueError, match="bound needs 3 entries"):
-            block_cohomology(table, bound, frozenset(exact))
+            block_cohomology(table, bound)
+        with pytest.raises(ValueError, match="bound needs 3 entries"):
+            walk_cohomology(4, z, window, bound, masks=masks)
+    for exact in ((0,), (4,), (1, 4)):
+        with pytest.raises(ValueError, match="bound needs 3 entries"):
+            walk_cohomology(4, z, window, (0, 0, 0), frozenset(exact), masks)
 
 
 def _scan_cases(n, rows, rng):
@@ -270,33 +295,34 @@ def _scan_windows(n):
 def test_index_matches_the_row_scan(n):
     # the column index against the scan of every row, on windows that
     # straddle 0, for every center class and None, on the cone model's
-    # blocks and on the standard single block
-    seen = {"nonzero": 0, "positive": 0, "fraction": 0, "kept": 0}
+    # blocks and on the standard single block, for every case without an
+    # exact index (the bounds the index serves)
+    seen = {"nonzero": 0, "positive": 0, "kept": 0}
     for window, cases in _scan_windows(n):
         for z in (None, *(CenterClass(n, r) for r in range(n))):
             for table in (apex_table(n, z, window), cone_table(n, z, window)):
                 for bound, exact in cases:
-                    got = block_cohomology(table, bound, exact)
-                    assert got == scan_block_cohomology(table, bound, exact), (
-                        window, z, bound, exact,
+                    if exact:
+                        continue
+                    got = block_cohomology(table, bound)
+                    assert got == scan_block_cohomology(table, bound), (
+                        window, z, bound,
                     )
-                    kept = scan_kept_rows(table, bound, exact)
+                    kept = scan_kept_rows(table, bound)
                     seen["nonzero"] += not got.is_zero()
                     seen["kept"] += len(kept)
                     seen["positive"] += any(
                         x > 0 for _, row, *_ in kept for x in row.combo
-                    )
-                    seen["fraction"] += any(
-                        Q(bound[k - 1]).denominator > 1 for k in exact
                     )
     assert all(seen.values()), seen
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_pruned_walk_yields_the_kept_rows(n):
-    # on the cases of the index test: the lemma-pruned walk yields the
-    # rows the row scan keeps, in table order, and its block sums equal
-    # the index's on the cone model and on the standard complex
+    # on the cases of the index test, exact ones included: the
+    # lemma-pruned walk yields the rows the row scan keeps, in table
+    # order, and its block sums equal the scan's on the cone model and
+    # on the standard complex
     seen = {"kept": 0, "empty": 0, "fraction": 0, "nonzero": 0}
     for window, cases in _scan_windows(n):
         for z in (None, *(CenterClass(n, r) for r in range(n))):
@@ -312,7 +338,7 @@ def test_pruned_walk_yields_the_kept_rows(n):
                      cone),
                     (walk_cohomology(n, z, window, bound, exact), plain),
                 ):
-                    assert dims == block_cohomology(table, bound, exact)
+                    assert dims == scan_block_cohomology(table, bound, exact)
                     seen["nonzero"] += not dims.is_zero()
                 seen["kept"] += len(want)
                 seen["empty"] += not want
@@ -323,16 +349,12 @@ def test_pruned_walk_yields_the_kept_rows(n):
 
 
 def _pinned_table_jump(n, z, indices, m):
-    """The jump at (I, m) read off a cone table by the column index: the
-    table pinned to P_k = M_k on I, as ``model_jump`` read it before its
-    walk took the lemma."""
-    window, profile_box = jump_required_box(n, m)
+    """The jump at (I, m) read off the cone table of its required window
+    by the scan of every row, which pins P_k = M_k on I itself: no
+    profile box and no lemma-pruned walk."""
+    window, _ = jump_required_box(n, m)
     bound, exact = jump_bound(n, indices, m)
-    pinned = tuple(
-        (math.ceil(b), math.floor(b)) if j in exact else box
-        for j, (b, box) in enumerate(zip(bound, profile_box), 1)
-    )
-    return block_cohomology(cone_table(n, z, window, pinned), bound, exact)
+    return scan_block_cohomology(cone_table(n, z, window), bound, exact)
 
 
 def test_walked_jump_matches_the_pinned_table():
@@ -520,7 +542,8 @@ def _refuse_table(*args, **kwargs):
 
 def test_one_shot_queries_build_no_table(monkeypatch):
     # model_jump on acceptance 5's queries and the golden sheaf commands
-    # print the same bytes and exit codes with every table build refused
+    # print the same bytes and exit codes with every table build refused,
+    # and the built-complex oracles still build from their walks
     from test_golden_bytes import CORPUS, GOLDEN, STDERR, _digest
 
     for owner in (sheaf_complex, pipeline):
@@ -530,12 +553,50 @@ def test_one_shot_queries_build_no_table(monkeypatch):
         for subset in _subsets(n):
             got = model_jump(n, CenterClass(n, 0), subset, zero(n))
             assert got == betti(FlagType(n, subset)), subset
+    m = cartan(3, (-1, -2))
+    window, profile_box = jump_required_box(3, m)
+    for model in (
+        build_cone_model(3, CenterClass(3, 1), ((-2, 0),) * 2),
+        build_cone_model(3, center_class(m), window, profile_box),
+        build_standard_complex(3, ((-2, 1),) * 2),
+    ):
+        assert model.generators and model.entries
     commands = [c for c in CORPUS if c.startswith(
         ("sheaf stalk", "sheaf sections", "sheaf delta")
     )]
     assert len(commands) == 7
     for command in commands:
         assert _digest(command) == (GOLDEN[command], STDERR.get(command, ""))
+
+
+def test_only_crosscheck_reads_the_index():
+    # the apex table and its column index serve crosscheck's batches of
+    # stalks alone: crosscheck_stalks is the one caller in src/ of
+    # block_cohomology and cone_table, and cone_table of apex_table
+    class Calls(ast.NodeVisitor):
+        def __init__(self, stem):
+            self.stem, self.scope = stem, ["<module>"]
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Call(self, node):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in callers:
+                callers[name].add((self.stem, self.scope[-1]))
+            self.generic_visit(node)
+
+    callers = {"block_cohomology": set(), "cone_table": set(),
+               "apex_table": set()}
+    package = pathlib.Path(sheaf_complex.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        Calls(path.stem).visit(ast.parse(path.read_text()))
+    crosscheck = {("pipeline", "crosscheck_stalks")}
+    assert callers == {"block_cohomology": crosscheck,
+                       "cone_table": crosscheck,
+                       "apex_table": {("pipeline", "cone_table")}}
 
 
 def test_no_production_path_builds_a_model(monkeypatch, capsys):
