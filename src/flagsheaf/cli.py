@@ -17,7 +17,6 @@ seed.  FLAGSHEAF_OUTDIR sets the default directory for --out paths.
 from __future__ import annotations
 
 import argparse
-import collections
 import csv
 import functools
 import io
@@ -35,7 +34,6 @@ from .flag_schubert import (
     g_space,
     verify_free_decomposition,
 )
-from .lie_numerics import NonConvergenceError, run_trials
 from .pipeline import (
     DEFAULT_ACTION_WINDOW,
     DEFAULT_D_GRID,
@@ -43,6 +41,7 @@ from .pipeline import (
     DEFAULT_SPECTRUM_WINDOW,
     MarginError,
     OrbitParams,
+    TermListing,
     certificate,
     crosscheck_stalks,
     model_jump,
@@ -54,7 +53,8 @@ from .pipeline import (
     cone_blocks,
     resolve_window,
 )
-from .root_system import CenterClass, IntegrityError, cartan
+from .root_system import (CenterClass, IntegrityError, NonConvergenceError,
+                          cartan)
 from .sheaf_complex import (
     UMinusOpen,
     UOpen,
@@ -167,36 +167,23 @@ _LEAVES = {str: encode_basestring_ascii, int: int.__repr__}
 
 
 def _json_text(payload) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte,
-    rendering each container once per depth.  A certificate lists each
-    term in several records, as one shared dict, so a term's text is
-    built once and then only joined.  The rules:
+    """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte:
 
-    - the memo is keyed by identity and depth, and lives for one call,
-      in which the payload keeps every id alive; list bodies look it up
-      inline, without a call per listed item;
     - ``str`` and ``int`` leaves are printed from a table keyed by their
       exact type;
     - a dict's sorted key order, and a format of its key prefixes, are
       built once per (key tuple, depth);
     - a node that carries ``json_text`` (its ``json.dumps`` text at
-      depth 0) is re-indented to its depth, never re-rendered;
+      depth 0, as a Novikov term listing does) is re-indented to its
+      depth, never re-rendered;
     - keys must be ``str``: any other key raises ``TypeError`` (``json``
       would convert some of them)."""
-    memos = collections.defaultdict(dict)  # depth -> {id: text}
     shapes = {}  # (keys, depth) -> (sorted keys, format of the body)
 
     def render(node, depth: int) -> str:
         leaf = _LEAVES.get(type(node))
         if leaf is not None:
             return leaf(node)
-        memo = memos[depth]
-        text = memo.get(id(node))
-        if text is None:
-            text = memo[id(node)] = container(node, depth)
-        return text
-
-    def container(node, depth: int) -> str:
         pad = "\n" + "  " * depth
         if type(node) not in (list, tuple, dict):
             carried = getattr(node, "json_text", None)
@@ -208,8 +195,7 @@ def _json_text(payload) -> str:
         if isinstance(node, (list, tuple)):
             if not node:
                 return "[]"
-            get = memos[depth + 1].get
-            body = [get(id(item)) or render(item, depth + 1) for item in node]
+            body = [render(item, depth + 1) for item in node]
             # one copy of the items: the brackets go on the end items
             body[0] = "[" + inner + body[0]
             body[-1] += pad + "]"
@@ -299,6 +285,7 @@ def _pretty(payload: dict) -> str:
         if isinstance(node, dict):
             for k in node:
                 v = node[k]
+                v = v.expand() if isinstance(v, TermListing) else v
                 if isinstance(v, (dict, list)) and v:
                     lines.append(f"{pad}{k}:")
                     walk(v, depth + 1)
@@ -452,7 +439,7 @@ def _pipeline_hom(args) -> int:
             "d": str(rec.d),
             "normalization_shift": normalization_shift(args.n),
             "h_graded": rec.graded.to_json(),
-            "elements": [e.to_json() for e in rec.elements],
+            "elements": rec.listing(),
         },
         args,
     )
@@ -499,6 +486,12 @@ def _pipeline_spectrum(args) -> int:
         },
         args,
     )
+
+
+def run_trials(*args, **kwargs):
+    """``lie_numerics.run_trials``: only ``numerics`` loads numpy."""
+    from .lie_numerics import run_trials
+    return run_trials(*args, **kwargs)
 
 
 def _numerics(args) -> int:

@@ -39,6 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .root_system import NonConvergenceError  # cli catches it without numpy
+
 TWO_PI = 2.0 * math.pi
 
 # ---------------------------------------------------------------------------
@@ -68,12 +70,6 @@ WINDOW_TOL = 1e-8         # arguments may lie this far outside a window
 # sampling
 RESCALE_SLACK = 0.95      # rescaled_to_bound lands this far inside the bound
 FEASIBILITY_SLACK = 1e-12  # N * window / 2pi widened by this before rounding
-
-
-class NonConvergenceError(RuntimeError):
-    """A decomposition failed its gates: the eigensolver did not
-    converge, or a frame, eigenpair or unitary diagonalization residual
-    exceeded its tolerance."""
 
 
 # ---------------------------------------------------------------------------

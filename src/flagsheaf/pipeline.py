@@ -24,6 +24,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, compress
 from typing import Iterable, NamedTuple, Sequence
 
 from . import __version__ as _package_version
@@ -376,43 +377,67 @@ def model_jump(
 # Novikov records
 
 
-class _JSONObject(dict):
-    """A dict that carries its text as ``json.dumps(sort_keys=True,
-    indent=2)`` prints it at depth 0; the CLI writer indents that text
-    instead of walking the dict."""
-
-    __slots__ = ("json_text",)
-
-
-# json.dumps(term, sort_keys=True, indent=2) for the dict below
-_TERM_TEXT = (
-    '{\n  "action": "%s",\n  "degree": %d,\n  "l": [\n    "%s"\n  ]\n}'
-)
-
-
 class NovikovElement(NamedTuple("_Term", [
     ("coords", tuple[int, ...]), ("action", Fraction), ("degree", int),
 ])):
-    """A listed term, a tuple (coords, action, degree = -D(l)); its JSON
-    dict is built on first use, with its text, and then shared."""
+    """A listed term, a tuple (coords, action, degree = -D(l))."""
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"NovikovElement is immutable ({name!r})")
-
-    @cached_property
-    def _json(self) -> dict:
-        # every string is ASCII digits, '-' and '/': nothing to escape
-        l = [str(c) for c in self.coords]
-        term = _JSONObject(l=l, action=str(self.action), degree=self.degree)
-        term.json_text = _TERM_TEXT % (
-            term["action"], self.degree, '",\n    "'.join(l)
-        )
-        return term
+    __slots__ = ()
 
     def to_json(self) -> dict:
-        """Built once per term object and shared, so not to be mutated:
-        a certificate's records list each lattice point as one dict."""
-        return self._json
+        return {"l": [str(c) for c in self.coords],
+                "action": str(self.action), "degree": self.degree}
+
+
+# json.dumps(sort_keys=True, indent=2) text of a term as an item of a list
+# at depth 0 (no string to escape), and of the separator of two items
+_ITEM = ('{\n    "action": "%s",\n    "degree": %d,\n    "l": [\n      "%s"'
+         '\n    ]\n  }')
+_SEP = ",\n  "
+
+
+class TermBlock:
+    """The v1 listings of the suffixes of the action-sorted ``terms`` (the
+    records of one constraint mask, ``_h_records``): on first print, slices
+    of one join of item texts, one per term of the root block, which a
+    block cut from it (the terms whose ``keep`` flag is set) shares."""
+
+    def __init__(self, terms: tuple, root=None, keep=None):
+        self.terms, self._root, self._keep = terms, root, keep
+
+    @cached_property
+    def _joined(self) -> tuple[list[str], str, list[int]]:
+        if self._root is not None:
+            items = list(compress(self._root._joined[0], self._keep))
+        else:
+            items, action = [], None
+            for e in self.terms:
+                if e.action is not action:  # a run of terms shares it
+                    action, shown = e.action, str(e.action)
+                items.append(_ITEM % (
+                    shown, e.degree, '",\n      "'.join(map(str, e.coords))))
+        before = list(accumulate(map(len, items), initial=0))  # prefix sums
+        return items, _SEP.join(items), before
+
+
+class TermListing(NamedTuple):
+    """``block.terms[start:]`` as v1 lists it: the CLI writer re-indents
+    ``json_text``, its ``json.dumps(sort_keys=True, indent=2)`` text at
+    depth 0, and ``pretty`` prints the term dicts of ``expand``."""
+
+    block: TermBlock
+    start: int
+
+    @property
+    def json_text(self) -> str:
+        if self.start == len(self.block.terms):
+            return "[]"
+        _, joined, before = self.block._joined
+        at = before[self.start] + len(_SEP) * self.start
+        return "[\n  " + joined[at:] + "\n]"
+
+    def expand(self) -> list[dict]:
+        return [e.to_json() for e in self.block.terms[self.start:]]
 
 
 @dataclass(frozen=True)
@@ -421,12 +446,17 @@ class NovikovRecord:
     d: Fraction
     elements: tuple[NovikovElement, ...]
     graded: GradedDims
+    block: TermBlock | None = field(default=None, compare=False, repr=False)
+
+    def listing(self) -> TermListing:
+        block = self.block or TermBlock(self.elements)
+        return TermListing(block, len(block.terms) - len(self.elements))
 
     def to_json(self) -> dict:
         return {
             "i": ",".join(str(k) for k in self.indices),
             "d": str(self.d),
-            "elements": [e._json for e in self.elements],  # a read per listing
+            "elements": self.listing(),
             "graded": self.graded.to_json(),
         }
 
@@ -479,8 +509,8 @@ def module_terms(
 
     Terms are listed by (action, degree, coords), sorted on the int a in
     place of the action: lam > 0 (``OrbitParams``), so the two order the
-    terms alike.  The action of each listed term then comes from one
-    ``action_of`` call on its integer coordinates.
+    terms alike.  Each distinct a takes its action from one ``action_of``
+    call on its first term's integer coordinates; its terms share it.
     """
     n = params.n
     idx = frozenset(indices)
@@ -519,13 +549,15 @@ def module_terms(
 
     walk(2, d1 * a_hi - (n - 1) * dlo, 0, 0, 0, ())
     keyed.sort()
+    elements, last = [], None
+    for a, degree, coords in keyed:
+        if a != last:
+            last, action = a, action_of(params, coords)
+        elements.append(NovikovElement(coords, action, degree))
     return NovikovRecord(
         indices=tuple(sorted(idx)),
         d=Fraction(0),
-        elements=tuple(
-            NovikovElement(coords, action_of(params, coords), degree)
-            for _, degree, coords in keyed
-        ),
+        elements=tuple(elements),
         graded=GradedDims(Counter(degree for _, degree, _ in keyed)),
     )
 
@@ -556,7 +588,8 @@ def _h_records(
     lemma of ``module_terms``).  The tail of the largest d is filtered
     once per constraint mask, which I and I + {1} share (mask 0 keeps
     it whole); each smaller d keeps a suffix, counted as the previous
-    d's counts plus the terms between the two cuts."""
+    d's counts plus the terms between the two cuts.  The records of one
+    mask share one ``TermBlock`` over its filtered tail."""
     if grid[0] < 0:
         raise ValueError("the structure maps exist for d >= 0 only")
     tail = base.elements[
@@ -569,16 +602,17 @@ def _h_records(
         sum(1 << j for j, x in enumerate(e.coords, 1) if x < 0)
         for e in tail
     ] if any(needs) else []
-    by_mask = {}  # per constraint mask, per d: (elements, graded)
+    by_mask = {}  # per constraint mask, per d: (elements, graded, block)
+    root = TermBlock(tail)
     for need in dict.fromkeys(needs):
-        kept = tuple(
-            e for e, m in zip(tail, masks) if m & need == need
-        ) if need else tail
+        keep = [m & need == need for m in masks] if need else None
+        kept = tuple(compress(tail, keep)) if need else tail
+        block = TermBlock(kept, root, keep) if need else root
         rows, counts, end = [], Counter(), len(kept)
         for d in grid:
             start = bisect_left(kept, -d, key=lambda e: e.action)
             counts.update(e.degree for e in kept[start:end])
-            rows.append((kept[start:], GradedDims(counts)))
+            rows.append((kept[start:], GradedDims(counts), block))
             end = start
         by_mask[need] = rows
     return [NovikovRecord(subset, d, *by_mask[need][k])

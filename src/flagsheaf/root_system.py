@@ -36,6 +36,10 @@ class IntegrityError(RuntimeError):
     """An internal invariant failed; indicates an implementation bug."""
 
 
+class NonConvergenceError(RuntimeError):
+    """A decomposition in ``lie_numerics`` failed its gates."""
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floats are not allowed in exact Cartan coordinates")

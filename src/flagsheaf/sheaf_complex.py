@@ -345,12 +345,11 @@ class ApexColumn(NamedTuple):
 @dataclass(frozen=True)
 class ApexTable:
     """The blocks of a cone complex (``cone_complex``): one per (subset
-    I of ``mults``, apex m of ``rows``), weighted by ``mults[I]``, with
-    ``masks`` pairing the bitmask of each I (bit j - 1 for index j) with
-    its weight and ``columns[k - 1]`` the index on coordinate k."""
+    I, apex m of ``rows``), with ``masks`` pairing the bitmask of each I
+    (bit j - 1 for index j) with its weight g(I), and ``columns[k - 1]``
+    the index on coordinate k."""
 
     n: int
-    mults: dict[tuple[int, ...], GradedDims]
     rows: tuple[ApexRow, ...]
     masks: tuple[tuple[int, GradedDims], ...]
     columns: tuple[ApexColumn, ...]
@@ -398,8 +397,7 @@ def apex_table(
         for p in values:
             at_most.append(at_most[-1] | level[p])
         columns.append(ApexColumn(pos, neg, tuple(values), tuple(at_most)))
-    masks = subset_masks(mults)
-    return ApexTable(n, dict(mults), tuple(rows), masks, tuple(columns))
+    return ApexTable(n, tuple(rows), subset_masks(mults), tuple(columns))
 
 
 # ---------------------------------------------------------------------------

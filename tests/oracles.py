@@ -620,23 +620,24 @@ def scan_kept_rows(table, bound, exact=frozenset()):
 
 def scan_block_cohomology(table, bound, exact=frozenset()):
     """``sheaf_complex.block_cohomology`` by a scan of every row
-    (``scan_kept_rows``), D(m) from ``lattice_degree`` and the subset
-    masks rebuilt on the call: a kept row adds g(I) in degree |allowed|
-    - D(m) - |exact| for every subset I with base | (zeros & I) =
-    allowed."""
+    (``scan_kept_rows``), D(m) from ``lattice_degree`` and each subset I
+    decoded from its bitmask in ``table.masks``: a kept row adds g(I) in
+    degree |allowed| - D(m) - |exact| for every I with base | (zeros &
+    I) = allowed, as sets of indices."""
     from flagsheaf.graded import GradedDims
     from flagsheaf.root_system import lattice_degree
 
-    masks = [
-        (sum(1 << (k - 1) for k in subset), mult)
-        for subset, mult in table.mults.items()
-    ]
+    def indices(bits):
+        return {k for k in range(1, table.n) if bits >> (k - 1) & 1}
+
+    subsets = [(indices(mask), mult) for mask, mult in table.masks]
     terms = []
     for _, row, allowed, base, zeros in scan_kept_rows(table, bound, exact):
         degree = lattice_degree(table.n, row.combo)
         offset = allowed.bit_count() - degree - len(exact)
-        for mask, mult in masks:
-            if base | (zeros & mask) == allowed:
+        base, zeros, allowed = indices(base), indices(zeros), indices(allowed)
+        for subset, mult in subsets:
+            if base | (zeros & subset) == allowed:
                 terms.extend((d + offset, dim) for d, dim in mult.items())
     return GradedDims(terms)
 

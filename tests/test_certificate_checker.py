@@ -12,7 +12,6 @@ from fractions import Fraction
 import pytest
 
 from flagsheaf import pipeline
-from flagsheaf.pipeline import OrbitParams
 
 from oracles import check_certificate_report, elementary_space
 from test_golden_bytes import CORPUS, GOLDEN, _run
@@ -82,8 +81,7 @@ def test_seeded_certificates_pass_the_checker():
 def report():
     """An N = 3 report as parsed JSON: no dict is shared between
     records, so a corruption touches one listing."""
-    payload = pipeline.certificate(OrbitParams(3, Fraction(3, 2))).to_json()
-    return json.loads(json.dumps(payload))
+    return _payload("pipeline certificate --n 3 --lambda 3/2")
 
 
 def _record(payload, key, i, d):

@@ -573,6 +573,37 @@ def test_parser_is_built_once_per_process(capsys, monkeypatch):
     assert probe.stdout == "0\n"
 
 
+_NUMPY_PROBE = """
+import contextlib, io, json, shlex, sys
+from flagsheaf.cli import main
+for command in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stderr(io.StringIO()):
+            main(shlex.split(command))
+print("numpy" in sys.modules)
+"""
+
+
+def _loads_numpy(commands) -> bool:
+    probe = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(commands)],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    return {"True\n": True, "False\n": False}[probe.stdout]
+
+
+def test_only_numerics_and_crosscheck_load_numpy():
+    # numpy is most of a cold start, and only numerics and crosscheck's
+    # sampler use it: the golden corpus, every other command in every
+    # format and exit code, runs without importing it
+    from test_golden_bytes import CORPUS
+
+    assert not _loads_numpy(CORPUS)
+    assert _loads_numpy(["numerics --n 2 --trials 1"])
+    assert _loads_numpy(["pipeline crosscheck --n 2 --samples 1"])
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 

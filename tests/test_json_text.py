@@ -43,7 +43,7 @@ class _List(list):
 
 
 class _Carried(dict):
-    """A dict carrying its depth-0 text, as the Novikov terms do; json
+    """A dict carrying its depth-0 text, as Novikov term listings do; json
     walks it like any dict, the writer only re-indents the text."""
 
     def __init__(self, data):

@@ -3,9 +3,11 @@ lists, H_I(d), the one term list a certificate or pairing shares across
 its subsets, and the integer apex pruning of the jump cone model."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
+import random
 from fractions import Fraction
 from functools import cached_property
 
@@ -24,6 +26,8 @@ from flagsheaf.pipeline import (
     NovikovElement,
     NovikovRecord,
     OrbitParams,
+    TermBlock,
+    TermListing,
     build_cone_model,
     g_space_cached,
     h_graded,
@@ -129,6 +133,18 @@ def _oracle_record(n, lam, subset, d, degree_window, action_window):
     )
 
 
+def _expanded(payload):
+    """A JSON payload with every term listing expanded to its term
+    dicts, as the pretty format prints it."""
+    if isinstance(payload, TermListing):
+        return payload.expand()
+    if isinstance(payload, dict):
+        return {k: _expanded(v) for k, v in payload.items()}
+    if isinstance(payload, list):
+        return [_expanded(v) for v in payload]
+    return payload
+
+
 def _assembled_report(params, grid, record):
     """The certificate of ``params`` over the sorted ``grid`` from the
     records ``record(I, d)``: a witness per I, checked equal for every d,
@@ -203,7 +219,7 @@ def test_shared_walk_matches_the_box_per_subset(query):
         ),
     )
     report = pipeline.certificate(params, grid, degree_window, action_window)
-    assert report.to_json() == expected.to_json()
+    assert _expanded(report.to_json()) == _expanded(expected.to_json())
     factor = {DIAGONAL: GradedDims.line(0), TORUS: torus_factor(n),
               PROJECTIVE: so_factor(n)}[side]
     for d in grid:
@@ -227,9 +243,17 @@ def test_windows_past_every_term_list_nothing():
     assert [e.coords for e in rec.elements] == [(-4,), (-2,), (0,), (2,), (4,)]
 
 
+def _first_of_each_action(elements):
+    firsts = {}
+    for e in elements:
+        firsts.setdefault(e.action, e)
+    return list(firsts.values())
+
+
 def test_module_terms_builds_no_cartan_vector(monkeypatch):
-    # each listed term gets its action from one action_of call on its
-    # integer coordinates, and no CartanVector is built on the way
+    # one action_of call per distinct action, in ascending order, on the
+    # integer coordinates of its first term; every term of that action
+    # lists the same Fraction, and no CartanVector is built on the way
     built, actions = [], []
     post_init = CartanVector.__post_init__
     action_of = pipeline.action_of
@@ -248,7 +272,10 @@ def test_module_terms_builds_no_cartan_vector(monkeypatch):
     monkeypatch.undo()
     assert rec.elements
     assert built == []
-    assert sorted(actions) == sorted(e.coords for e in rec.elements)
+    firsts = _first_of_each_action(rec.elements)
+    assert actions == [e.coords for e in firsts] and len(firsts) > 1
+    shared = {e.action: e.action for e in firsts}
+    assert all(e.action is shared[e.action] for e in rec.elements)
 
 
 def test_certificate_builds_each_term_list_once(monkeypatch):
@@ -272,12 +299,13 @@ def test_certificate_builds_each_term_list_once(monkeypatch):
         params, report.d_grid,
         lambda subset, d: h_graded(params, subset, d),
     )
-    assert report.to_json() == expected.to_json()
+    assert _expanded(report.to_json()) == _expanded(expected.to_json())
 
 
 def test_certificate_shares_one_walk_across_subsets(monkeypatch):
-    # one action_of call per point of the I = () list, where a walk per
-    # subset made 1,638; every subset's record lists those very objects
+    # one action_of call per distinct action of the I = () list: 9 for
+    # its 237 points, where a call per point made 237 and a walk per
+    # subset 1,638; every subset's record lists those very objects
     params = OrbitParams(4, Fraction(5, 2))
     actions = []
     action_of = pipeline.action_of
@@ -289,11 +317,14 @@ def test_certificate_shares_one_walk_across_subsets(monkeypatch):
     monkeypatch.setattr(pipeline, "action_of", counted_action)
     report = pipeline.certificate(params)
     monkeypatch.undo()
-    points = [e.coords for e in module_terms(params, ()).elements]
+    root = module_terms(params, ()).elements
+    points = [e.coords for e in root]
     assert len(points) == len(set(points)) == 237
-    # the rest are the witnesses of the non-vanishing checks
+    # the witnesses of the non-vanishing checks come first
     witnesses = [r.witness for r in report.witnesses]
-    assert sorted(actions) == sorted(points + witnesses)
+    firsts = _first_of_each_action(root)
+    assert actions == witnesses + [e.coords for e in firsts]
+    assert len(firsts) == 9
     listed = [e for rec in report.h_records for e in rec.elements]
     assert len({id(e) for e in listed}) == len({e.coords for e in listed})
     for rec in report.h_records:
@@ -303,16 +334,19 @@ def test_certificate_shares_one_walk_across_subsets(monkeypatch):
         assert all(id(e) in kept for e in rec.elements)
 
 
-def test_certificate_json_lists_one_dict_per_lattice_point():
+def test_certificate_json_lists_suffixes_of_one_block_per_mask():
     report = pipeline.certificate(OrbitParams(4, Fraction(5, 2)))
     records = report.to_json()["h_graded"]
     # the same records as each term rendered on its own
-    assert [r["elements"] for r in records] == [
+    assert [r["elements"].expand() for r in records] == [
         [e.to_json() for e in rec.elements] for rec in report.h_records
     ]
-    listed = [e for r in records for e in r["elements"]]
-    points = {tuple(e["l"]) for e in listed}
-    assert len({id(e) for e in listed}) == len(points) < len(listed)
+    # each record lists a suffix of its constraint mask's block, and I
+    # and I + {1} share a mask: 4 blocks for the 8 subsets at N = 4
+    for r, rec in zip(records, report.h_records):
+        listing = r["elements"]
+        assert listing.block.terms[listing.start:] == rec.elements
+    assert len({id(r["elements"].block) for r in records}) == 4
 
 
 @pytest.mark.parametrize(
@@ -375,59 +409,101 @@ _WINDOWS = [
 ]
 
 
+def _nested(node, depth):
+    for k in range(depth):
+        node = [node] if k % 2 else {"x": node}
+    return node
+
+
 @pytest.mark.parametrize("degree_window, action_window", _WINDOWS)
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_listed_terms_carry_their_json_text(n, degree_window, action_window):
-    # every term a certificate or a hom query lists: its dict is the one
-    # each term was printed from before it carried a text (keys in this
-    # order, for the pretty format), and the text is json's
-    listed = {}
-    for lam in (Fraction(1), Fraction(3, 2), Fraction(5, 2), Fraction(7, 3)):
+    # every listing a certificate or a hom query prints, and the empty
+    # suffix of each block: its text, re-indented by the writer at depths
+    # 0 to 4, is json's text of the term dicts it expands to (keys in the
+    # order the pretty format prints), and every action is action_of's
+    rng = random.Random(f"listings:{n}:{degree_window}:{action_window}")
+    listings = []
+    for _ in range(3):
+        lam = Fraction(rng.randint(2, 12), rng.randint(1, 2))
         params = OrbitParams(n, lam)
-        report = pipeline.certificate(
-            params, degree_window=degree_window, action_window=action_window
-        )
+        grid = {Fraction(rng.randint(0, 12), rng.randint(1, 4))
+                for _ in range(rng.randint(1, 4))}
+        report = pipeline.certificate(params, grid, degree_window,
+                                      action_window)
         records = list(report.h_records)
         for subset in pipeline._all_subsets(n):
-            records.append(h_graded(params, subset, Fraction(5),
+            records.append(h_graded(params, subset, max(grid),
                                     degree_window, action_window))
         for rec in records:
-            listed.update((id(e), (params, e)) for e in rec.elements)
-    assert listed
-    for params, e in listed.values():
-        term = e.to_json()
-        assert e.action == pipeline.action_of(params, e.coords)
-        parent = {
-            "l": [str(c) for c in e.coords],
-            "action": str(e.action),
-            "degree": e.degree,
-        }
-        assert term == parent and list(term) == list(parent)
-        assert term.json_text == json.dumps(term, sort_keys=True, indent=2)
-        assert e.to_json() is term
+            listing = rec.listing()
+            listings.append(listing)
+            block = listing.block
+            listings.append(TermListing(block, len(block.terms)))
+            assert all(e.action == pipeline.action_of(params, e.coords)
+                       for e in rec.elements)
+    assert any(listing.expand() for listing in listings)
+    assert any(not listing.expand() for listing in listings)
+    for listing in listings:
+        terms = listing.expand()
+        assert all(list(t) == ["l", "action", "degree"] for t in terms)
+        for depth in range(5):
+            assert cli._json_text(_nested(listing, depth)) == json.dumps(
+                _nested(terms, depth), sort_keys=True, indent=2
+            )
+
+
+def test_listings_follow_a_replaced_term_list(monkeypatch):
+    # the benchmark's smoke test drops the last term of module_terms'
+    # record by dataclasses.replace: each printed listing must follow the
+    # replaced list, so no block may be cached with that record
+    original = pipeline.module_terms
+
+    def dropped(*args, **kwargs):
+        rec = original(*args, **kwargs)
+        return dataclasses.replace(rec, elements=rec.elements[:-1])
+
+    params = OrbitParams(3, Fraction(3, 2))
+    last = original(params, ()).elements[-1]
+    monkeypatch.setattr(pipeline, "module_terms", dropped)
+    records = [*pipeline.certificate(params).h_records,
+               h_graded(params, (), Fraction(5))]
+    monkeypatch.undo()
+    for rec in records:
+        assert rec.elements and last not in rec.elements
+        assert json.loads(cli._json_text(rec.listing())) == [
+            e.to_json() for e in rec.elements
+        ]
 
 
 def test_certificate_builds_one_term_text_per_point(monkeypatch):
     # N = 4, lambda = 5/2: 7,412 listings of 230 lattice points.  Each
-    # point's dict is built once, with its text, and the writer only
-    # re-indents that text: it never encodes a term's keys
-    built, encoded = [], []
-    build = NovikovElement._json.func
+    # point's item text is formatted once, the items of each of the 4
+    # constraint masks are joined once, and the writer only re-indents
+    # each record's slice of its join: it never encodes a term's keys
+    formatted, joined, encoded = [], [], []
 
-    def counted_build(self):
-        term = build(self)
-        built.append(term)
-        return term
+    class CountedItem(str):
+        def __mod__(self, values):
+            formatted.append(values)
+            return str.__mod__(self, values)
 
-    counted = cached_property(counted_build)
-    counted.__set_name__(NovikovElement, "_json")
+    join = TermBlock._joined.func
+
+    def counted_join(self):
+        joined.append(self)
+        return join(self)
+
+    counted = cached_property(counted_join)
+    counted.__set_name__(TermBlock, "_joined")
     encode = cli.encode_basestring_ascii
 
     def counted_encode(text):
         encoded.append(text)
         return encode(text)
 
-    monkeypatch.setattr(NovikovElement, "_json", counted)
+    monkeypatch.setattr(pipeline, "_ITEM", CountedItem(pipeline._ITEM))
+    monkeypatch.setattr(TermBlock, "_joined", counted)
     monkeypatch.setattr(cli, "encode_basestring_ascii", counted_encode)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -435,9 +511,7 @@ def test_certificate_builds_one_term_text_per_point(monkeypatch):
                          "--lambda", "5/2"]) == 0
     monkeypatch.undo()
     assert out.getvalue().count('"action": ') == 7412
-    assert len(built) == len({tuple(t["l"]) for t in built}) == 230
+    # (action text, degree, coordinate text) per formatted item
+    assert len(formatted) == len({v[2] for v in formatted}) == 230
+    assert len(joined) == len(set(map(id, joined))) == 4
     assert encoded.count("action") == 0
-    assert all(
-        getattr(t, "json_text", None)
-        == json.dumps(t, sort_keys=True, indent=2) for t in built
-    )
