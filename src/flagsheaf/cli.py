@@ -17,11 +17,13 @@ seed.  FLAGSHEAF_OUTDIR sets the default directory for --out paths.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
 import json
 import os
+import stat
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -163,95 +165,139 @@ def _join(indices) -> str:
 
 
 # exact type -> text; other scalars, and subclasses, take json.dumps
-_LEAVES = {str: encode_basestring_ascii, int: int.__repr__}
+_LEAVES = {str: encode_basestring_ascii, int: int.__repr__,
+           bool: {True: "true", False: "false"}.get,
+           type(None): {None: "null"}.get}
+_FLUSH = 1 << 16  # characters of pending chunks joined into one write
 
 
-def _json_text(payload) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2)``, byte for byte:
+def _write_json(payload, put) -> None:
+    """``json.dumps(payload, sort_keys=True, indent=2)`` and a newline,
+    byte for byte, put as chunks in one walk:
 
-    - ``str`` and ``int`` leaves are printed from a table keyed by their
-      exact type;
-    - a dict's sorted key order, and a format of its key prefixes, are
-      built once per (key tuple, depth);
-    - a node that carries ``json_text`` (its ``json.dumps`` text at
-      depth 0, as a Novikov term listing does) is re-indented to its
-      depth, never re-rendered;
+    - leaves of a type in ``_LEAVES`` are printed from that table;
+    - a container's heads (separators, with the key for a dict) and
+      their format are built once per (key tuple or length, depth): a
+      container of leaves is one chunk through the format, any other
+      puts each head and then its value;
+    - a node that carries ``json_text`` (a Novikov term listing) puts
+      ``node.json_text(pad)``, its text at the indent ``pad``;
     - keys must be ``str``: any other key raises ``TypeError`` (``json``
       would convert some of them)."""
-    shapes = {}  # (keys, depth) -> (sorted keys, format of the body)
+    shapes = {}  # (keys or length, depth) -> (sorted keys, heads, format)
 
-    def render(node, depth: int) -> str:
+    def walk(node, depth: int) -> None:
         leaf = _LEAVES.get(type(node))
         if leaf is not None:
-            return leaf(node)
+            return put(leaf(node))
         pad = "\n" + "  " * depth
         if type(node) not in (list, tuple, dict):
             carried = getattr(node, "json_text", None)
             if carried is not None:
-                return carried.replace("\n", pad)
-            if node is None or isinstance(node, (str, int, float)):
-                return json.dumps(node)
-        inner = pad + "  "
+                return put(carried(pad))
+            if isinstance(node, (str, int, float)):
+                return put(json.dumps(node))
         if isinstance(node, (list, tuple)):
-            if not node:
-                return "[]"
-            body = [render(item, depth + 1) for item in node]
-            # one copy of the items: the brackets go on the end items
-            body[0] = "[" + inner + body[0]
-            body[-1] += pad + "]"
-            return ("," + inner).join(body)
-        if isinstance(node, dict):
-            if not node:
-                return "{}"
-            keys = tuple(node)
-            shape = shapes.get((keys, depth))
-            if shape is None:
-                order = sorted(keys)
-                # encode_basestring_ascii raises TypeError on a non-str key
-                heads = [inner + encode_basestring_ascii(k).replace("%", "%%")
+            ends, key = "[]", (len(node), depth)
+        elif isinstance(node, dict):
+            ends, key = "{}", (tuple(node), depth)
+        else:
+            raise TypeError(f"Object of type {type(node).__name__} "
+                            "is not JSON serializable")
+        if not node:
+            return put(ends)
+        shape = shapes.get(key)
+        if shape is None:
+            if ends == "{}":  # a non-str key raises TypeError here
+                order = sorted(key[0])
+                heads = [f"{pad}  {encode_basestring_ascii(k)}: "
                          for k in order]
-                form = "{" + ": %s,".join(heads) + ": %s" + pad + "}"
-                shape = shapes[keys, depth] = (order, form)
-            order, form = shape
-            value = functools.partial(render, depth=depth + 1)
-            return form % tuple([_LEAVES.get(type(v), value)(v)
-                                 for v in map(node.__getitem__, order)])
-        raise TypeError(
-            f"Object of type {type(node).__name__} is not JSON serializable"
-        )
+            else:
+                order, heads = None, [pad + "  "] * key[0]
+            heads = [ends[0] + heads[0]] + ["," + h for h in heads[1:]]
+            form = "%s".join(h.replace("%", "%%") for h in heads)
+            shape = shapes[key] = order, heads, form + "%s" + pad + ends[1]
+        order, heads, form = shape
+        values = node if order is None else list(map(node.__getitem__, order))
+        leaves = list(map(_LEAVES.get, map(type, values)))
+        if None not in leaves:
+            return put(form % tuple([f(v) for f, v in zip(leaves, values)]))
+        for head, value, leaf in zip(heads, values, leaves):
+            if leaf is None:
+                put(head)
+                walk(value, depth + 1)
+            else:
+                put(head + leaf(value))
+        put(pad + ends[1])
 
-    return render(payload, 0)
+    walk(payload, 0)
+    put("\n")
+
+
+def _json_text(payload) -> str:
+    """The join of ``_write_json``'s chunks, without the final newline."""
+    chunks = []
+    _write_json(payload, chunks.append)
+    return "".join(chunks)[:-1]
 
 
 def _emit(payload: dict, args, ok: bool = True) -> int:
-    """Write the report; the exit code says whether its check passed."""
-    if args.format == "json":
-        text = _json_text(payload) + "\n"
-    elif args.format == "csv":
-        text = _to_csv(payload)
-    else:
-        text = _pretty(payload)
-    out = args.out
-    if out:
-        outdir = os.environ.get("FLAGSHEAF_OUTDIR", ".")
-        path = out if os.path.isabs(out) else os.path.join(outdir, out)
-        try:
-            with open(path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write {path!r}: {exc.strerror}")
-    else:
-        sys.stdout.write(text)
+    """Write the report as it is rendered, in joins of ``_FLUSH`` or more
+    characters; the exit code says whether its check passed."""
+    render = {"json": _write_json, "csv": _write_csv,
+              "pretty": _write_pretty}[args.format]
+    pending, size = [], 0
+
+    def put(chunk: str) -> None:
+        nonlocal size
+        pending.append(chunk)
+        size += len(chunk)
+        if size >= _FLUSH:
+            write("".join(pending))
+            pending.clear()
+            size = 0
+
+    with _report_target(args.out) as write:
+        render(payload, put)
+        write("".join(pending))
     return EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def _to_csv(payload: dict) -> str:
+@contextlib.contextmanager
+def _report_target(out: str | None):
+    """``write`` of stdout, or of the ``--out`` file.  A plain file, or a
+    new one, is replaced whole: through a temporary file beside it, which
+    a failed write removes.  Any other path (a link, a device, a
+    directory) is opened in place."""
+    if not out:
+        yield sys.stdout.write
+        return
+    outdir = os.environ.get("FLAGSHEAF_OUTDIR", ".")
+    path = out if os.path.isabs(out) else os.path.join(outdir, out)
+    try:
+        plain = stat.S_ISREG(os.lstat(path).st_mode)
+    except OSError:
+        plain = not path.endswith(os.sep)
+    tmp = f"{path}.{os.getpid()}.tmp" if plain else None
+    try:
+        with open(tmp or path, "x" if plain else "w") as fh:
+            yield fh.write
+        if plain:
+            os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror}")
+    finally:
+        if plain and os.path.lexists(tmp):
+            os.remove(tmp)
+
+
+def _write_csv(payload: dict, put) -> None:
+    """The graded tables as one chunk: they are small, so csv stays whole."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    rows = _csv_rows(payload)
     writer.writerow(["key", "degree", "dim"])
-    writer.writerows(rows)
-    return buf.getvalue()
+    writer.writerows(_csv_rows(payload))
+    put(buf.getvalue())
 
 
 def _csv_rows(payload, prefix="") -> list:
@@ -277,8 +323,9 @@ def _is_int_key(k) -> bool:
         return False
 
 
-def _pretty(payload: dict) -> str:
-    lines = []
+def _write_pretty(payload: dict, put) -> None:
+    """One line per key or list item; a term listing is expanded to its
+    term dicts when its key is reached, and dropped once written."""
 
     def walk(node, depth):
         pad = "  " * depth
@@ -287,20 +334,19 @@ def _pretty(payload: dict) -> str:
                 v = node[k]
                 v = v.expand() if isinstance(v, TermListing) else v
                 if isinstance(v, (dict, list)) and v:
-                    lines.append(f"{pad}{k}:")
+                    put(f"{pad}{k}:\n")
                     walk(v, depth + 1)
                 else:
-                    lines.append(f"{pad}{k}: {v}")
+                    put(f"{pad}{k}: {v}\n")
         elif isinstance(node, list):
             for item in node:
                 if isinstance(item, (dict, list)):
                     walk(item, depth + 1)
-                    lines.append("")
+                    put("\n")
                 else:
-                    lines.append(f"{pad}- {item}")
+                    put(f"{pad}- {item}\n")
 
     walk(payload, 0)
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,15 @@ class GradedDims:
     __slots__ = ("_data",)
 
     def __init__(self, data: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = data.items() if isinstance(data, Mapping) else data
+        # a dict (Counter too) skips the slower Mapping ABC check
+        mapping = isinstance(data, dict) or isinstance(data, Mapping)
         clean: dict[int, int] = {}
-        for deg, dim in items:
+        for deg, dim in data.items() if mapping else data:
             if dim < 0:
                 raise ValueError(f"negative dimension {dim} in degree {deg}")
             if dim:
-                clean[int(deg)] = clean.get(int(deg), 0) + dim
+                deg = int(deg)
+                clean[deg] = clean.get(deg, 0) + dim
         self._data = dict(sorted(clean.items()))
 
     @classmethod

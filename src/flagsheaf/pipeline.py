@@ -23,7 +23,6 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate, compress
 from typing import Iterable, NamedTuple, Sequence
 
@@ -390,51 +389,57 @@ class NovikovElement(NamedTuple("_Term", [
 
 
 # json.dumps(sort_keys=True, indent=2) text of a term as an item of a list
-# at depth 0 (no string to escape), and of the separator of two items
+# at depth 0 (no string to escape), of the separator of its coordinates,
+# and of the separator of two items; "\n" + "  " * depth indents them
 _ITEM = ('{\n    "action": "%s",\n    "degree": %d,\n    "l": [\n      "%s"'
          '\n    ]\n  }')
+_COORD = '",\n      "'
 _SEP = ",\n  "
 
 
 class TermBlock:
     """The v1 listings of the suffixes of the action-sorted ``terms`` (the
-    records of one constraint mask, ``_h_records``): on first print, slices
-    of one join of item texts, one per term of the root block, which a
-    block cut from it (the terms whose ``keep`` flag is set) shares."""
+    records of one constraint mask, ``_h_records``), printed at the indent
+    ``pad``: per pad, one item text per term of the root block, which a
+    block cut from it (the terms whose ``keep`` flag is set) shares, one
+    join of the block's items and their prefix sums."""
 
     def __init__(self, terms: tuple, root=None, keep=None):
         self.terms, self._root, self._keep = terms, root, keep
+        self._at = {}  # pad -> (item texts, their join, prefix sums)
 
-    @cached_property
-    def _joined(self) -> tuple[list[str], str, list[int]]:
-        if self._root is not None:
-            items = list(compress(self._root._joined[0], self._keep))
-        else:
-            items, action = [], None
-            for e in self.terms:
-                if e.action is not action:  # a run of terms shares it
-                    action, shown = e.action, str(e.action)
-                items.append(_ITEM % (
-                    shown, e.degree, '",\n      "'.join(map(str, e.coords))))
-        before = list(accumulate(map(len, items), initial=0))  # prefix sums
-        return items, _SEP.join(items), before
+    def text_at(self, pad: str) -> tuple[list[str], str, list[int]]:
+        if pad not in self._at:
+            if self._root is not None:
+                items = list(compress(self._root.text_at(pad)[0], self._keep))
+            else:
+                item, coord = (t.replace("\n", pad) for t in (_ITEM, _COORD))
+                items, action = [], None
+                for e in self.terms:
+                    if e.action is not action:  # a run of terms shares it
+                        action, shown = e.action, str(e.action)
+                    items.append(item % (
+                        shown, e.degree, coord.join(map(str, e.coords))))
+            self._at[pad] = (items, _SEP.replace("\n", pad).join(items),
+                             list(accumulate(map(len, items), initial=0)))
+        return self._at[pad]
 
 
 class TermListing(NamedTuple):
-    """``block.terms[start:]`` as v1 lists it: the CLI writer re-indents
-    ``json_text``, its ``json.dumps(sort_keys=True, indent=2)`` text at
-    depth 0, and ``pretty`` prints the term dicts of ``expand``."""
+    """``block.terms[start:]`` as v1 lists it: the CLI writer prints
+    ``json_text(pad)``, its ``json.dumps(sort_keys=True, indent=2)`` text
+    at the indent ``pad`` (a slice of the block's join there), and
+    ``pretty`` prints the term dicts of ``expand``."""
 
     block: TermBlock
     start: int
 
-    @property
-    def json_text(self) -> str:
+    def json_text(self, pad: str) -> str:
         if self.start == len(self.block.terms):
             return "[]"
-        _, joined, before = self.block._joined
-        at = before[self.start] + len(_SEP) * self.start
-        return "[\n  " + joined[at:] + "\n]"
+        _, joined, before = self.block.text_at(pad)
+        at = before[self.start] + (len(pad) + 3) * self.start  # separators
+        return "[" + pad + "  " + joined[at:] + pad + "]"
 
     def expand(self) -> list[dict]:
         return [e.to_json() for e in self.block.terms[self.start:]]
@@ -572,11 +577,12 @@ def h_graded(
     """Graded dimensions of H_I(d): the terms of the module with
     action + d >= 0, in degree -D(l)."""
     base = module_terms(params, indices, degree_window, action_window)
-    (record,) = _h_records(base, (base.indices,), (Fraction(d),))
+    (record,) = _h_records(params, base, (base.indices,), (Fraction(d),))
     return record
 
 
 def _h_records(
+    params: OrbitParams,
     base: NovikovRecord,
     subsets: Sequence[tuple[int, ...]],
     grid: Sequence[Fraction],
@@ -585,16 +591,24 @@ def _h_records(
     that contains ``base.indices``, by d and then by subset: the terms of
     ``base`` with action + d >= 0, a tail of the list (it is sorted by
     action), and x_j <= -1 on I - base.indices, j >= 2 (the nesting
-    lemma of ``module_terms``).  The tail of the largest d is filtered
+    lemma of ``module_terms``).  Tails are cut on the int key a = N *
+    action / lam = sum_k x_k (N - k) of ``module_terms``: action + d >= 0
+    iff a >= ceil(-N d / lam).  The tail of the largest d is filtered
     once per constraint mask, which I and I + {1} share (mask 0 keeps
     it whole); each smaller d keeps a suffix, counted as the previous
     d's counts plus the terms between the two cuts.  The records of one
     mask share one ``TermBlock`` over its filtered tail."""
     if grid[0] < 0:
         raise ValueError("the structure maps exist for d >= 0 only")
-    tail = base.elements[
-        bisect_left(base.elements, -grid[-1], key=lambda e: e.action):
-    ]
+    n, lam, weights = params.n, params.lam, range(params.n - 1, 0, -1)
+
+    def cut(terms, d):  # the first term with a >= ceil(-N d / lam)
+        a = -(n * d.numerator * lam.denominator
+              // (d.denominator * lam.numerator))
+        return bisect_left(terms, a, key=lambda e: sum(
+            map(operator.mul, e.coords, weights)))
+
+    tail = base.elements[cut(base.elements, grid[-1]):]
     needs = [sum(1 << j for j in subset if j > 1 and j not in base.indices)
              for subset in subsets]
     # bit j of a term's mask: x_j <= -1; read only if some I filters
@@ -610,7 +624,7 @@ def _h_records(
         block = TermBlock(kept, root, keep) if need else root
         rows, counts, end = [], Counter(), len(kept)
         for d in grid:
-            start = bisect_left(kept, -d, key=lambda e: e.action)
+            start = cut(kept, d)
             counts.update(e.degree for e in kept[start:end])
             rows.append((kept[start:], GradedDims(counts), block))
             end = start
@@ -737,7 +751,7 @@ def certificate(
     subsets = _all_subsets(n)
     witnesses = [structure_map_nonzero(params, s, 0) for s in subsets]
     root = module_terms(params, (), degree_window, action_window)
-    hs = _h_records(root, subsets, grid)
+    hs = _h_records(params, root, subsets, grid)
     k = len(subsets)
     full = {d: _flag_sum(n, hs[i * k:(i + 1) * k]) for i, d in enumerate(grid)}
     return CertificateReport(
@@ -795,7 +809,8 @@ def pair_hom(
         )
     n = params.n
     root = module_terms(params, (), degree_window, action_window)
-    total = _flag_sum(n, _h_records(root, _all_subsets(n), (Fraction(d),)))
+    total = _flag_sum(
+        n, _h_records(params, root, _all_subsets(n), (Fraction(d),)))
     for side in sides:
         if side == TORUS:
             total = total.tensor(torus_factor(n))
@@ -819,7 +834,12 @@ def jump_spectrum(
         degree_window=degree_window,
         action_window=(-hi, -lo),
     )
-    values = sorted(
-        {-e.action for e in base.elements if lo <= -e.action < hi}
-    )
-    return values
+    # terms ascend in action, and a run of equal actions shares one
+    # Fraction (module_terms): one value per run, read in descending order
+    values, action = [], None
+    for e in base.elements:
+        if e.action is not action:
+            action = e.action
+            if lo <= (value := -action) < hi:
+                values.append(value)
+    return values[::-1]

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -359,6 +360,60 @@ def test_out_file(tmp_path, capsys, monkeypatch):
     assert code == 0
     data = json.loads((tmp_path / "betti.json").read_text())
     assert data["betti"]["1"] == {"0": 1, "2": 1}
+
+
+def test_out_file_holds_the_stdout_bytes_of_the_golden_corpus(tmp_path):
+    # with --out, each golden command writes its stdout bytes to the file
+    # (no file where it fails before the report), prints nothing, exits
+    # and warns as it does on stdout, and leaves no temporary file behind
+    from test_golden_bytes import CORPUS, GOLDEN, STDERR, _run
+
+    written = []
+    for k, command in enumerate(CORPUS):
+        out = tmp_path / f"{k}.out"
+        code, stdout, stderr = _run(f"{command} --out "
+                                    f"{shlex.quote(str(out))}")
+        data = out.read_bytes() if out.exists() else b""
+        written += [out.name] if out.exists() else []
+        assert (f"{code} {hashlib.sha256(data).hexdigest()}", stdout,
+                stderr.decode()) == (GOLDEN[command], b"",
+                                     STDERR.get(command, ""))
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(written)
+    assert len(written) == sum(g.startswith("0 ") for g in GOLDEN.values())
+
+
+_SIZE_LIMITED = """
+import resource, signal, sys
+from flagsheaf.cli import main
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # writes past it fail: EFBIG
+hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]
+resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[1]), hard))
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("existing", [None, "old report\n"])
+def test_out_write_failing_partway_leaves_no_report(tmp_path, existing):
+    # a file size limit of 256 KiB stops the 1.17 MB N = 4 certificate
+    # after a few writes: the exit code and error are those of any path
+    # that cannot be written, and neither a partial report nor the
+    # temporary file is left; a file already there keeps its bytes
+    out = tmp_path / "cert.json"
+    if existing is not None:
+        out.write_text(existing)
+    argv = ["pipeline", "certificate", "--n", "4", "--lambda", "5/2",
+            "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SIZE_LIMITED, str(1 << 18), *argv],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", f"configuration error: cannot write {str(out)!r}: "
+        "File too large\n")
+    assert [p.name for p in tmp_path.iterdir()] == (
+        [] if existing is None else ["cert.json"])
+    assert existing is None or out.read_text() == existing
 
 
 @pytest.mark.parametrize("error", (IntegrityError, NonConvergenceError))

@@ -1,12 +1,16 @@
 """The CLI's JSON writer against ``json.dumps(sort_keys=True, indent=2)``,
 the byte contract of every JSON report (docs/schemas.md)."""
 
+import argparse
+import contextlib
 import json
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flagsheaf import cli
 from flagsheaf.cli import _json_text
 
 
@@ -43,12 +47,12 @@ class _List(list):
 
 
 class _Carried(dict):
-    """A dict carrying its depth-0 text, as Novikov term listings do; json
-    walks it like any dict, the writer only re-indents the text."""
+    """A dict that prints its own text at the indent ``pad``, as Novikov
+    term listings do; json walks it like any dict, the writer only puts
+    the text it returns."""
 
-    def __init__(self, data):
-        super().__init__(data)
-        self.json_text = dumps(data)
+    def json_text(self, pad):
+        return dumps(dict(self)).replace("\n", pad)
 
 
 def _containers(children):
@@ -134,3 +138,47 @@ def test_unserializable_values_raise_type_error(value):
         dumps({"v": value})
     with pytest.raises(TypeError):
         _json_text({"v": value})
+
+
+class _Recorder:
+    """A stdout that keeps each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+def _emitted(payload, flush: int) -> list[str]:
+    sink = _Recorder()
+    args = argparse.Namespace(format="json", out=None)
+    with mock.patch.object(cli, "_FLUSH", flush), \
+            contextlib.redirect_stdout(sink):
+        assert cli._emit(payload, args) == 0
+    return sink.writes
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(_VALUES, _carried()), st.sampled_from([1, 7, 64, 1 << 16]))
+def test_emitted_writes_join_to_json_dumps_bytes(payload, flush):
+    # every write but the last holds at least flush characters, and the
+    # writes join to json's text and a newline
+    writes = _emitted(payload, flush)
+    assert "".join(writes) == dumps(payload) + "\n"
+    assert all(len(w) >= flush for w in writes[:-1])
+
+
+def test_certificate_reaches_stdout_in_several_writes():
+    # N = 4, lambda = 5/2: 1,167,992 bytes, streamed as they are rendered;
+    # no write holds the whole report
+    sink = _Recorder()
+    with contextlib.redirect_stdout(sink):
+        assert cli.main(["pipeline", "certificate", "--n", "4",
+                         "--lambda", "5/2"]) == 0
+    text = "".join(sink.writes)
+    assert len(text) == 1167992
+    assert text == dumps(json.loads(text)) + "\n"
+    assert len(sink.writes) > 1
+    assert max(map(len, sink.writes)) < len(text)

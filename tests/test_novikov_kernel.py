@@ -9,7 +9,6 @@ import json
 import math
 import random
 from fractions import Fraction
-from functools import cached_property
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,7 +25,6 @@ from flagsheaf.pipeline import (
     NovikovElement,
     NovikovRecord,
     OrbitParams,
-    TermBlock,
     TermListing,
     build_cone_model,
     g_space_cached,
@@ -419,7 +417,7 @@ def _nested(node, depth):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_listed_terms_carry_their_json_text(n, degree_window, action_window):
     # every listing a certificate or a hom query prints, and the empty
-    # suffix of each block: its text, re-indented by the writer at depths
+    # suffix of each block: its text, printed by the writer at depths
     # 0 to 4, is json's text of the term dicts it expands to (keys in the
     # order the pretty format prints), and every action is action_of's
     rng = random.Random(f"listings:{n}:{degree_window}:{action_window}")
@@ -477,25 +475,34 @@ def test_listings_follow_a_replaced_term_list(monkeypatch):
 
 
 def test_certificate_builds_one_term_text_per_point(monkeypatch):
-    # N = 4, lambda = 5/2: 7,412 listings of 230 lattice points.  Each
-    # point's item text is formatted once, the items of each of the 4
-    # constraint masks are joined once, and the writer only re-indents
-    # each record's slice of its join: it never encodes a term's keys
-    formatted, joined, encoded = [], [], []
+    # N = 4, lambda = 5/2: 7,412 listings of 230 lattice points, printed
+    # at depth 3.  At that indent each point's item text is formatted once
+    # and the items of each of the 4 constraint masks are joined once; no
+    # listing text is re-indented, and the writer never encodes a term key
+    formatted, joins, replaced, encoded = [], [], [], []
+
+    class Watched(str):
+        def replace(self, old, new, *count):
+            replaced.append(len(self))
+            return str.replace(self, old, new, *count)
 
     class CountedItem(str):
+        def replace(self, old, new):
+            return CountedItem(str.replace(self, old, new))
+
         def __mod__(self, values):
             formatted.append(values)
             return str.__mod__(self, values)
 
-    join = TermBlock._joined.func
+    class CountedSep(str):
+        def replace(self, old, new):
+            return CountedSep(str.replace(self, old, new))
 
-    def counted_join(self):
-        joined.append(self)
-        return join(self)
+        def join(self, items):
+            joins.append(str(self))
+            return Watched(str.join(self, items))
 
-    counted = cached_property(counted_join)
-    counted.__set_name__(TermBlock, "_joined")
+    json_text = TermListing.json_text
     encode = cli.encode_basestring_ascii
 
     def counted_encode(text):
@@ -503,7 +510,9 @@ def test_certificate_builds_one_term_text_per_point(monkeypatch):
         return encode(text)
 
     monkeypatch.setattr(pipeline, "_ITEM", CountedItem(pipeline._ITEM))
-    monkeypatch.setattr(TermBlock, "_joined", counted)
+    monkeypatch.setattr(pipeline, "_SEP", CountedSep(pipeline._SEP))
+    monkeypatch.setattr(TermListing, "json_text",
+                        lambda self, pad: Watched(json_text(self, pad)))
     monkeypatch.setattr(cli, "encode_basestring_ascii", counted_encode)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -513,5 +522,6 @@ def test_certificate_builds_one_term_text_per_point(monkeypatch):
     assert out.getvalue().count('"action": ') == 7412
     # (action text, degree, coordinate text) per formatted item
     assert len(formatted) == len({v[2] for v in formatted}) == 230
-    assert len(joined) == len(set(map(id, joined))) == 4
+    assert joins == [",\n" + " " * 8] * 4
+    assert replaced == []
     assert encoded.count("action") == 0
