@@ -14,11 +14,12 @@ stacks and spectra float (b, n) stacks, each row descending.  Every
 decomposition and every check takes stacks and returns b results, so a
 check decomposes all of its matrices in one stacked call per stage, and
 run_trials a unit of trials of all four lemmas in three, read by the
-checks' own rules; each stack is validated once, as a whole, and so is
-a caller's bound spectrum (n,).  Only the constructors
-(random_skew_hermitian, sample_unitary_in_window) make one (n, n)
-matrix.  Every tolerance the decisions use is a module constant in the
-table below; none is a parameter.
+checks' own rules, each one stacked expression; each stack is validated
+once, as a whole, and a bound spectrum (n,) once per call.  A unit draws
+its pair lemmas' Gaussians in one call and skew-projects them with the
+interval frames' in one more (_skew_from_normals); only an interval
+window draws alone.  Every tolerance the decisions use is a module
+constant in the table below; none is a parameter.
 
 Checked statements:
 
@@ -198,15 +199,15 @@ def eig_unitary(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     equal cosines.  The skew part separates the phases inside each
     cluster, one call per cluster of each matrix.
     """
-    b, n, _ = p.shape
+    n = p.shape[-1]
     turn = 1j * np.exp(-1j * np.angle(np.trace(p, axis1=1, axis2=2)))
     q = p * turn[:, None, None]
     cos, u = eigh_stack((q + q.conj().swapaxes(1, 2)) / 2.0)
-    for i in range(b):
+    # cosines descend; a cluster is a run within CLUSTER_TOL of its first
+    # cosine, so only a matrix with two neighbours that close has one
+    for i in np.flatnonzero((cos[:, :-1] - cos[:, 1:] <= CLUSTER_TOL).any(1)):
         start = 0
         for stop in range(1, n + 1):
-            # cosines descend; a cluster is a run within CLUSTER_TOL of
-            # its first cosine
             if stop < n and cos[i, start] - cos[i, stop] <= CLUSTER_TOL:
                 continue
             if stop - start > 1:
@@ -272,13 +273,16 @@ def _triangle_rule(sx, sy, s_sum) -> list[CheckResult]:
             for worst in dominance_gap(s_sum, sx, sy).tolist()]
 
 
-def _aligned_in_frame(u: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    """The conjugate of i*diag(spectrum) in a frame u diagonalizing
-    -i omega, columns in descending eigenvalue order: the partner that
-    realizes equality in the pairing bound."""
-    x = u @ np.diag(1j * spectrum) @ u.conj().T
-    x = (x - x.conj().T) / 2.0
-    return x - np.trace(x) / len(u) * np.eye(len(u))
+def _aligned_in_frame(u: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+    """The conjugates of i*diag(spectrum) in frames u (b, n, n)
+    diagonalizing -i omega, columns in descending eigenvalue order: the
+    partners that realize equality in the pairing bound."""
+    n = u.shape[-1]
+    d = np.zeros_like(u)  # u @ d keeps np.diag's bits; u * row might not
+    d[:, range(n), range(n)] = 1j * spectra
+    x = u @ d @ u.conj().swapaxes(1, 2)
+    x = (x - x.conj().swapaxes(1, 2)) / 2.0
+    return x - (np.trace(x, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
 
 
 def check_pairing_bound(
@@ -287,24 +291,21 @@ def check_pairing_bound(
     """<w, X> = -Tr(wX) <= <||w||, ||X||>; on the aligned partner of
     w with the spectrum of X, equality within EQUALITY_TOL.  One result
     per pair of the stacks (b, n, n)."""
-    b = len(xs)
-    spectra, frames = hermitian_eigs(np.concatenate([xs, omegas]))
-    return _pairing_rule(omegas, xs, spectra[b:], spectra[:b], frames[b:])
+    b, a = len(xs), np.concatenate([xs, omegas])
+    spectra, frames = hermitian_eigs(a)
+    return _pairing_rule(a[b:], a[:b], spectra[b:], spectra[:b], frames[b:])
 
 
 def _pairing_rule(omegas, xs, s_omega, s_x, f_omega) -> list[CheckResult]:
     """check_pairing_bound's verdicts from ||w||, ||X|| and w's frames."""
-    results = []
-    for w, v, so, sx, f in zip(omegas, xs, s_omega, s_x, f_omega):
-        rhs = float(np.dot(so, sx))  # <||w||, ||X||>
-        gap = float(np.real(-np.trace(w @ v))) - rhs
-        aligned = _aligned_in_frame(f, sx)
-        eq_gap = abs(float(np.real(-np.trace(w @ aligned))) - rhs)
-        results.append(CheckResult(
-            ok=gap <= PAIRING_TOL and eq_gap <= EQUALITY_TOL,
-            residual=max(gap, eq_gap, 0.0),
-        ))
-    return results
+    rhs = (s_omega[:, None, :] @ s_x[:, :, None])[:, 0, 0]  # <||w||, ||X||>
+    gaps = (np.real(-np.trace(omegas @ xs, axis1=1, axis2=2)) - rhs).tolist()
+    aligned = _aligned_in_frame(f_omega, s_x)
+    eq_gaps = np.abs(np.real(-np.trace(omegas @ aligned, axis1=1, axis2=2))
+                     - rhs).tolist()
+    return [CheckResult(ok=gap <= PAIRING_TOL and eq_gap <= EQUALITY_TOL,
+                        residual=max(gap, eq_gap, 0.0))
+            for gap, eq_gap in zip(gaps, eq_gaps)]
 
 
 def check_klyachko(
@@ -322,7 +323,7 @@ def check_klyachko(
     """
     b, a = len(xs), np.concatenate([xs, ys])
     spectra, frames = hermitian_eigs(a)
-    prods = _klyachko_products(a, spectra, frames, bound)
+    prods = _klyachko_products(a, spectra, frames, _capped_bound(bound))
     zs, at_cut = log_unitary_small(prods)
     if at_cut.any():
         raise NonConvergenceError("log product at the branch cut")
@@ -330,13 +331,18 @@ def check_klyachko(
                           spectra[b:])
 
 
+def _capped_bound(bound: np.ndarray) -> np.ndarray:
+    """A checked bound spectrum (_bound_spectrum) below e_1 / (100 N)."""
+    bound = _bound_spectrum(bound)
+    cap = coroot_spectrum(len(bound), 1) * (1.0 / (100.0 * len(bound)))
+    if dominance_gap(bound, cap) > 0.0:
+        raise ValueError("bound must lie strictly below e_1 / (100 N)")
+    return bound
+
+
 def _klyachko_products(a: np.ndarray, spectra: np.ndarray,
                        frames: np.ndarray, bound: np.ndarray) -> np.ndarray:
     """e^X e^Y for the pairs of a = [*xs, *ys], once checked in bound."""
-    n, bound = a.shape[-1], _bound_spectrum(bound)
-    cap = coroot_spectrum(n, 1) * (1.0 / (100.0 * n))
-    if dominance_gap(bound, cap) > 0.0:
-        raise ValueError("bound must lie strictly below e_1 / (100 N)")
     if (dominance_gap(spectra, bound) > BOUND_MARGIN).any():
         raise ValueError("inputs exceed the stated norm bound")
     e = _exp_in_frame(a, frames)
@@ -347,7 +353,7 @@ def _klyachko_rule(zs, sz, uz, prods, sx, sy) -> list[CheckResult]:
     """check_klyachko's verdicts on the logarithms zs of the products,
     from the spectra sz and frames uz of zs and ||X||, ||Y||."""
     recon = np.abs(_exp_in_frame(zs, uz) - prods).max(axis=(1, 2))
-    traces = [abs(np.trace(z)) for z in zs]
+    traces = np.abs(np.trace(zs, axis1=1, axis2=2)).tolist()
     return [CheckResult(ok=(res <= KLYACHKO_TOL and worst <= KLYACHKO_TOL
                             and tr <= TRACE_TOL),
                         residual=max(res, worst, tr, 0.0))
@@ -356,13 +362,11 @@ def _klyachko_rule(zs, sz, uz, prods, sx, sy) -> list[CheckResult]:
                                       traces)]
 
 
-def _window_excess(phis: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """How far each argument lies outside [lo, hi] modulo 2*pi; 0 for
-    one that some 2*pi-translate puts in [lo - WINDOW_TOL,
-    hi + WINDOW_TOL]."""
-    width = hi - lo
-    if width >= TWO_PI:
-        return np.zeros_like(phis)
+def _window_excess(phis, lo, hi) -> np.ndarray:
+    """How far each argument of a row phis[i] lies outside [lo[i], hi[i]]
+    modulo 2*pi; 0 if some 2*pi-translate puts it in [lo - WINDOW_TOL,
+    hi + WINDOW_TOL], as it puts every argument for a full-turn window."""
+    lo, width = lo[:, None], (hi - lo)[:, None]
     shifted = (phis - lo) % TWO_PI
     inside = (shifted <= width + WINDOW_TOL) | (shifted >= TWO_PI - WINDOW_TOL)
     return np.where(inside, 0.0,
@@ -386,29 +390,33 @@ def check_interval_product(
 def _interval_rule(phis1, phis2, phis12, windows1, windows2):
     """check_interval_product's verdicts from the eigenvalue arguments
     of g1, g2 and g1 g2."""
-    results = []
-    for phi1, phi2, phi12, w1, w2 in zip(phis1, phis2, phis12, windows1,
-                                         windows2):
-        for phi, (lo, hi) in ((phi1, w1), (phi2, w2)):
-            if _window_excess(phi, lo, hi).any():
-                raise ValueError("factor violates its stated window")
-        # a sum window of a full turn or more admits every argument
-        worst = float(_window_excess(phi12, w1[0] + w2[0], w1[1] + w2[1])
-                      .max())
-        results.append(CheckResult(ok=worst == 0.0, residual=worst))
-    return results
+    w1 = np.array(windows1, dtype=float).reshape(-1, 2)
+    w2 = np.array(windows2, dtype=float).reshape(-1, 2)
+    ws, b = np.concatenate([w1, w2, w1 + w2]), len(phis12)
+    excess = _window_excess(np.concatenate([phis1, phis2, phis12]), *ws.T)
+    if excess[:2 * b].any():
+        raise ValueError("factor violates its stated window")
+    return [CheckResult(ok=r == 0.0, residual=r)
+            for r in excess[2 * b:].max(axis=1).tolist()]
 
 
 # ---------------------------------------------------------------------------
 # sampling
 
 
+def _skew_from_normals(g: np.ndarray) -> np.ndarray:
+    """A (b, n, n) stack from Gaussian draws g (b, 2, n, n), real parts
+    before imaginary: each matrix skew-symmetrized and trace-projected."""
+    n = g.shape[-1]
+    m = g[:, 0] + 1j * g[:, 1]
+    a = (m - m.conj().swapaxes(1, 2)) / 2.0
+    return a - (np.trace(a, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
+
+
 def random_skew_hermitian(n: int, rng: np.random.Generator) -> np.ndarray:
     """One (n, n) matrix: Gaussian entries, skew-symmetrized and
     trace-projected."""
-    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    a = (m - m.conj().T) / 2.0
-    return a - np.trace(a) / n * np.eye(n)
+    return _skew_from_normals(rng.normal(size=(1, 2, n, n)))[0]
 
 
 def rescaled_to_bound(
@@ -418,12 +426,12 @@ def rescaled_to_bound(
     ||cX|| <= RESCALE_SLACK * bound in dominance order, with the
     decomposition (spectra, frames) of the results: cX keeps X's frame,
     and its spectrum is c times X's."""
-    return _rescaled(xs, *hermitian_eigs(xs), bound)
+    return _rescaled(xs, *hermitian_eigs(xs), _bound_spectrum(bound))
 
 
 def _rescaled(xs, spectra, frames, bound) -> tuple[np.ndarray, tuple]:
     """rescaled_to_bound from the (spectra, frames) of xs."""
-    pb = np.cumsum(_bound_spectrum(bound))[:-1]
+    pb = np.cumsum(bound)[:-1]
     ps = np.cumsum(spectra, axis=1)[:, :-1]
     ratios = np.divide(pb, ps, out=np.full_like(ps, np.inf),
                        where=ps > 1e-300)
@@ -437,7 +445,7 @@ def _draw_in_window(
     n: int, window: tuple[float, float], rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """The eigenvalue arguments of a sample_unitary_in_window draw, then
-    the generator X of its frame e^X, drawn in that order."""
+    the Gaussian draws (1, 2, n, n) of its frame's generator, in order."""
     lo, hi = window
     if hi < lo:
         raise ValueError("empty window")
@@ -447,7 +455,8 @@ def _draw_in_window(
         raise ValueError(
             f"window {window} admits no special-unitary spectrum for N={n}"
         )
-    k = min(range(k_lo, k_hi + 1), key=lambda kk: abs(kk - n * (lo + hi) / 2))
+    # the feasible 2*pi*k/N nearest the window's midpoint
+    k = min(max(round(n * (lo + hi) / (4 * math.pi)), k_lo), k_hi)
     center = TWO_PI * k / n
     margin = min(center - lo, hi - center)
     dev = rng.uniform(-1.0, 1.0, size=n)
@@ -457,7 +466,7 @@ def _draw_in_window(
         dev = dev * (0.98 * margin / peak)
     else:
         dev = np.zeros(n)
-    return center + dev, random_skew_hermitian(n, rng)
+    return center + dev, rng.normal(size=(1, 2, n, n))
 
 
 def _unitaries(phis: np.ndarray, xs: np.ndarray, frames: np.ndarray
@@ -481,8 +490,9 @@ def sample_unitary_in_window(
     2*pi*k lies in [N*lo, N*hi]; arguments are drawn around 2*pi*k/N
     with zero-sum deviations confined to the window.
     """
-    phi, x = _draw_in_window(n, window, rng)
-    return _unitaries(phi[None], x[None], hermitian_eigs(x[None])[1])[0]
+    phi, g = _draw_in_window(n, window, rng)
+    x = _skew_from_normals(g)
+    return _unitaries(phi[None], x, hermitian_eigs(x)[1])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +527,10 @@ def _tally(stats: LemmaStats, results: list[CheckResult]) -> None:
     """Add a unit's results to a lemma's running counts."""
     # the maximum folds left, as max over all the lemma's residuals would
     seen = [stats.max_residual] if stats.trials else []
-    stats.max_residual = max([*seen, *(r.residual for r in results)],
+    stats.max_residual = max(seen + [r.residual for r in results],
                              default=0.0)
     stats.trials += len(results)
-    stats.failures += sum(not r.ok for r in results)
+    stats.failures += [r.ok for r in results].count(False)
 
 
 def run_trials(
@@ -531,13 +541,16 @@ def run_trials(
     The trials form one lemma-major stream, ``trials`` of each lemma in
     turn, drawn in the order a loop of single trials draws them, and
     cut into units of at most ``_CHUNK`` trials; a unit may hold the
-    tail of one lemma and the head of the next.  The checks' rules read
-    three stacked calls per unit: stage A, hermitian_eigs of the
-    triangle's X, Y and X + Y, the pairing's w and X, the log-product's
-    X and Y (to rescale them) and the interval frames' generators;
-    stage B, eig_unitary of the log-product's e^X e^Y and the
-    interval's g1, g2 and g1 g2; stage C, hermitian_eigs of the
-    logarithms Z.
+    tail of one lemma and the head of the next.  A unit draws all its
+    triangle, pairing and log-product Gaussians in one call, then per
+    interval trial its windows, arguments and frame Gaussians.  Its
+    rules, each one stacked expression, read three stacked calls:
+    stage A, hermitian_eigs of the triangle's X, Y and X + Y, the
+    pairing's w and X, the log-product's X and Y (to rescale them) and
+    the interval frames' generators; stage B, eig_unitary of the
+    log-product's e^X e^Y and the interval's g1, g2 and g1 g2; stage C,
+    hermitian_eigs of the logarithms Z.  The bound is checked once per
+    call, before the first unit.
 
     No log-product pair reaches the branch cut: its bound lies below
     e_1 / (100 N), so X and Y have operator norm below 0.01 and every
@@ -548,50 +561,56 @@ def run_trials(
     branch, to exercise the failure path end to end.
     """
     rng = np.random.default_rng(seed)
-    bound = coroot_spectrum(n, 1) * (0.9 / (100.0 * n))
+    bound = _capped_bound(coroot_spectrum(n, 1) * (0.9 / (100.0 * n)))
     stats = [LemmaStats(name, 0, 0, 0, 0.0) for name in
              ("triangle", "pairing", "log_product", "interval_product")]
     for start in range(0, 4 * trials, _CHUNK):
         stop = min(start + _CHUNK, 4 * trials)
-        counts = [max(0, min(stop, (k + 1) * trials) - max(start, k * trials))
-                  for k in range(4)]
-        # pairs (count, 2, n, n), x drawn before y
-        tri, pair, log = [np.array(
-            [random_skew_hermitian(n, rng) for _ in range(2 * count)],
-            dtype=complex).reshape(count, 2, n, n) for count in counts[:3]]
+        # the unit's triangle, pairing, log-product and interval trials
+        t, p, q, m = [max(0, min(stop, (k + 1) * trials)
+                          - max(start, k * trials)) for k in range(4)]
+        # the pair lemmas' (x, y) pairs in one draw, x drawn before y
+        normals = rng.normal(size=(2 * (t + p + q), 2, n, n))
         windows, draws = [], []
-        for _ in range(counts[3]):
-            # windows centered on feasible determinant targets 2*pi*k/N
+        for _ in range(m):
             ks = int(rng.integers(-1, 2)), int(rng.integers(-1, 2))
             widths = rng.uniform(0.2, 1.2), rng.uniform(0.2, 1.2)
-            windows += [(TWO_PI * k / n - w / 2, TWO_PI * k / n + w / 2)
-                        for k, w in zip(ks, widths)]
-            draws += [_draw_in_window(n, w, rng) for w in windows[-2:]]
-        gens = np.reshape([x for _, x in draws], (-1, n, n))
-        log_xy = log.swapaxes(0, 1).reshape(-1, n, n)  # [*xs, *ys]
-        parts = [tri[:, 0], tri[:, 1], tri[:, 0] + tri[:, 1], pair[:, 0],
-                 pair[:, 1], log_xy, gens]
-        cuts = np.cumsum([len(part) for part in parts])[:-1]
-        sa, fa = (np.split(a, cuts)
-                  for a in hermitian_eigs(np.concatenate(parts)))
-        pairing = _pairing_rule(pair[:, 0], pair[:, 1], sa[3], sa[4], fa[3])
+            for k, w in zip(ks, widths):
+                # windows centered on feasible determinant targets 2*pi*k/N
+                c = TWO_PI * k / n
+                windows.append((c - w / 2, c + w / 2))
+                draws.append(_draw_in_window(n, windows[-1], rng))
+        mats = _skew_from_normals(
+            np.concatenate([normals] + [d[1] for d in draws]))
+        xs, ys, tp = mats[:len(normals):2], mats[1:len(normals):2], t + p
+        # stage A: triangle X, Y, X + Y at 0, t, 2t; pairing w, X at w0,
+        # w0 + p; log-product X, Y at l0, l0 + q; interval generators at g0
+        a = np.concatenate([xs[:t], ys[:t], xs[:t] + ys[:t], xs[t:tp],
+                            ys[t:tp], xs[tp:], ys[tp:], mats[len(normals):]])
+        w0, l0, g0 = 3 * t, 3 * t + 2 * p, 3 * t + 2 * p + 2 * q
+        sa, fa = hermitian_eigs(a)
+        pairing = _pairing_rule(a[w0:w0 + p], a[w0 + p:l0], sa[w0:w0 + p],
+                                sa[w0 + p:l0], fa[w0:w0 + p])
         if corrupt and pairing and not stats[1].trials:
             # break the aligned-equality branch on purpose
-            bad = float(abs(np.dot(sa[3][0], sa[4][0]))) + 1.0
+            bad = float(abs(np.dot(sa[w0], sa[w0 + p]))) + 1.0
             pairing[0] = CheckResult(ok=False, residual=bad)
-        scaled, (s_log, f_log) = _rescaled(log_xy, sa[5], fa[5], bound)
+        scaled, (s_log, f_log) = _rescaled(a[l0:g0], sa[l0:g0], fa[l0:g0],
+                                           bound)
         prods = _klyachko_products(_skew_stack(scaled), s_log, f_log, bound)
-        g = _unitaries(np.reshape([p for p, _ in draws], (-1, n)), gens,
-                       fa[6])
-        g1, g2, b = g[0::2], g[1::2], len(prods)
+        g = _unitaries(np.reshape([phi for phi, _ in draws], (-1, n)),
+                       a[g0:], fa[g0:])
+        g1, g2 = g[0::2], g[1::2]
         eig, u = eig_unitary(np.concatenate([prods, g1, g2, g1 @ g2]))
-        zs, at_cut = _log_in_frame(eig[:b], u[:b])
+        zs, at_cut = _log_in_frame(eig[:q], u[:q])
         if at_cut.any():
             raise NonConvergenceError("log product at the branch cut")
-        verdicts = [_triangle_rule(sa[0], sa[1], sa[2]), pairing,
+        phis = np.angle(eig[q:])
+        verdicts = [_triangle_rule(sa[:t], sa[t:2 * t], sa[2 * t:w0]),
+                    pairing,
                     _klyachko_rule(zs, *hermitian_eigs(zs), prods,
-                                   s_log[:b], s_log[b:]),
-                    _interval_rule(*np.split(np.angle(eig[b:]), 3),
+                                   s_log[:q], s_log[q:]),
+                    _interval_rule(phis[:m], phis[m:2 * m], phis[2 * m:],
                                    windows[0::2], windows[1::2])]
         for lemma, results in zip(stats, verdicts):
             _tally(lemma, results)

@@ -14,10 +14,11 @@ box walks (``window_points``, ``class_points`` plus a profile filter,
 replaced in src/; the scan of every apex row (``scan_block_cohomology``)
 that the column index of the apex table replaced; the lemma-by-lemma
 matrix-lemma runner that ``lie_numerics.run_trials``'s shared
-decomposition units replaced; and the round-robin cyclic Jacobi
-kernel that the gated LAPACK call ``lie_numerics.eigh_stack``
-replaced; and a checker of v1 certificate reports that reads their
-JSON alone (``check_certificate_report``).
+decomposition units replaced, with the per-matrix skew projection,
+aligned partner and rules that its stacked expressions replaced; and
+the round-robin cyclic Jacobi kernel that the gated LAPACK call
+``lie_numerics.eigh_stack`` replaced; and a checker of v1 certificate
+reports that reads their JSON alone (``check_certificate_report``).
 Lemma code that no command reaches lives here too: the chamber-walk
 witness and the aligned partner of the pairing bound.
 """
@@ -975,13 +976,92 @@ def sequential_run_trials(n, trials, seed, corrupt=False, chunk=256):
             draws += [ln._draw_in_window(n, w1, rng),
                       ln._draw_in_window(n, w2, rng)]
         phis = np.array([phi for phi, _ in draws])
-        frames = ln.exp_skew(np.array([x for _, x in draws]))
+        frames = ln.exp_skew(np.array([skew_from_normals(*g[0])
+                                       for _, g in draws]))
         g = (frames * np.exp(1j * phis)[:, None, :]) @ (
             frames.conj().swapaxes(1, 2))
         results += ln.check_interval_product(
             g[0::2], g[1::2], windows[0::2], windows[1::2])
     stats.append(lemma_stats("interval_product", results))
     return stats
+
+
+# -- the matrix-lemma code that works one matrix at a time ---------------
+#
+# lie_numerics projects, pairs and windows whole stacks; these are the
+# per-matrix forms those stacked expressions must match bit for bit.
+
+
+def skew_from_normals(re, im):
+    """The skew-Hermitian traceless (n, n) matrix of Gaussian draws re
+    and im, as random_skew_hermitian built it one matrix at a time."""
+    n = len(re)
+    m = re + 1j * im
+    a = (m - m.conj().T) / 2.0
+    return a - np.trace(a) / n * np.eye(n)
+
+
+def random_skew_hermitian_alone(n, rng):
+    """A skew-Hermitian traceless (n, n) matrix from two (n, n) draws of
+    rng, real parts first."""
+    return skew_from_normals(rng.normal(size=(n, n)), rng.normal(size=(n, n)))
+
+
+def aligned_in_frame(u, spectrum):
+    """The conjugate of i*diag(spectrum) in a frame u (n, n)
+    diagonalizing -i omega: the partner that realizes equality in the
+    pairing bound."""
+    x = u @ np.diag(1j * spectrum) @ u.conj().T
+    x = (x - x.conj().T) / 2.0
+    return x - np.trace(x) / len(u) * np.eye(len(u))
+
+
+def pairing_rule_per_pair(omegas, xs, s_omega, s_x, f_omega):
+    """``lie_numerics._pairing_rule`` one pair at a time."""
+    from flagsheaf import lie_numerics as ln
+
+    results = []
+    for w, v, so, sx, f in zip(omegas, xs, s_omega, s_x, f_omega):
+        rhs = float(np.dot(so, sx))  # <||w||, ||X||>
+        gap = float(np.real(-np.trace(w @ v))) - rhs
+        aligned = aligned_in_frame(f, sx)
+        eq_gap = abs(float(np.real(-np.trace(w @ aligned))) - rhs)
+        results.append(ln.CheckResult(
+            ok=gap <= ln.PAIRING_TOL and eq_gap <= ln.EQUALITY_TOL,
+            residual=max(gap, eq_gap, 0.0),
+        ))
+    return results
+
+
+def window_excess_alone(phis, lo, hi):
+    """How far each argument of phis (n,) lies outside [lo, hi] modulo
+    2*pi, as ``lie_numerics._window_excess`` reads one row."""
+    from flagsheaf import lie_numerics as ln
+
+    width = hi - lo
+    if width >= ln.TWO_PI:
+        return np.zeros_like(phis)
+    shifted = (phis - lo) % ln.TWO_PI
+    inside = ((shifted <= width + ln.WINDOW_TOL)
+              | (shifted >= ln.TWO_PI - ln.WINDOW_TOL))
+    return np.where(inside, 0.0,
+                    np.minimum(shifted - width, ln.TWO_PI - shifted))
+
+
+def interval_rule_per_product(phis1, phis2, phis12, windows1, windows2):
+    """``lie_numerics._interval_rule`` one product at a time."""
+    from flagsheaf import lie_numerics as ln
+
+    results = []
+    for phi1, phi2, phi12, w1, w2 in zip(phis1, phis2, phis12, windows1,
+                                         windows2):
+        for phi, (lo, hi) in ((phi1, w1), (phi2, w2)):
+            if window_excess_alone(phi, lo, hi).any():
+                raise ValueError("factor violates its stated window")
+        worst = float(window_excess_alone(phi12, w1[0] + w2[0],
+                                          w1[1] + w2[1]).max())
+        results.append(ln.CheckResult(ok=worst == 0.0, residual=worst))
+    return results
 
 
 # -- round-robin cyclic Jacobi ----------------------------------------------
@@ -1124,4 +1204,4 @@ def aligned_partner(omega, spectrum):
     (n, n) matrix omega; realizes equality in the pairing bound."""
     from flagsheaf import lie_numerics as ln
 
-    return ln._aligned_in_frame(ln.hermitian_eigs(omega[None])[1][0], spectrum)
+    return aligned_in_frame(ln.hermitian_eigs(omega[None])[1][0], spectrum)

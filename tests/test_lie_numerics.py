@@ -1,5 +1,7 @@
 import ast
+import collections
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +28,12 @@ from flagsheaf.lie_numerics import (
 )
 from oracles import (
     _round_robin,
+    aligned_in_frame,
     aligned_partner,
+    interval_rule_per_product,
     jacobi_eigh,
+    pairing_rule_per_pair,
+    random_skew_hermitian_alone,
     sequential_run_trials,
 )
 
@@ -412,14 +418,6 @@ def test_each_lemma_checks_the_inputs_a_loop_of_single_trials_draws(
     monkeypatch,
 ):
     n, trials, seed = 4, 5, 21
-    drawn = []
-    draw = lie_numerics.random_skew_hermitian
-
-    def recorded_draw(*args):
-        drawn.append(draw(*args))
-        return drawn[-1]
-
-    monkeypatch.setattr(lie_numerics, "random_skew_hermitian", recorded_draw)
     stages, windows = _record_stages(monkeypatch)
     stats = run_trials(n, trials, seed)
     monkeypatch.undo()
@@ -427,8 +425,6 @@ def test_each_lemma_checks_the_inputs_a_loop_of_single_trials_draws(
     assert all(s.trials == trials and s.failures == 0 and s.rejected == 0
                for s in stats)
     triangle, pairing, log, interval = _reference_draws(n, trials, seed)
-    # three generators per pair lemma trial, two per interval trial
-    assert len(drawn) == 2 * 3 * trials + 2 * trials
     # all 4 * trials trials fit one unit: stages A, B and C
     assert [name for name, _ in stages] == [
         "hermitian_eigs", "eig_unitary", "hermitian_eigs"]
@@ -754,3 +750,174 @@ def test_run_trials_across_chunk_boundaries(monkeypatch, n):
 def test_run_trials_corrupt_fixture_fails():
     stats = run_trials(3, 5, seed=1, corrupt=True)
     assert sum(s.failures for s in stats) >= 1
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_stacked_skew_projection_matches_one_matrix_at_a_time(n):
+    # one (b, 2, n, n) draw holds the values, in order, of 2b draws of
+    # (n, n), and its projection the bits of the per-matrix projection
+    stacked, alone = np.random.default_rng(n), np.random.default_rng(n)
+    for b in (1, 2, 7):
+        xs = lie_numerics._skew_from_normals(
+            stacked.normal(size=(b, 2, n, n)))
+        want = [random_skew_hermitian_alone(n, alone) for _ in range(b)]
+        assert xs.shape == (b, n, n)
+        assert all(np.array_equal(x, w) for x, w in zip(xs, want))
+        assert np.array_equal(random_skew_hermitian(n, stacked),
+                              random_skew_hermitian_alone(n, alone))
+        assert stacked.bit_generator.state == alone.bit_generator.state
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_stacked_pairing_rule_matches_the_per_pair_rule(n):
+    rng = np.random.default_rng(700 + n)
+    omegas = np.array([random_skew_hermitian(n, rng) for _ in range(6)])
+    xs = np.array([random_skew_hermitian(n, rng) for _ in range(6)])
+    s_omega, f_omega = hermitian_eigs(omegas)
+    s_x, _ = hermitian_eigs(xs)
+    aligned = lie_numerics._aligned_in_frame(f_omega, s_x)
+    assert all(np.array_equal(a, aligned_in_frame(f, s))
+               for a, f, s in zip(aligned, f_omega, s_x))
+    # random partners, then the aligned ones, which meet the bound with
+    # equality, and a corrupted one that breaks it
+    xs = np.concatenate([xs, aligned, aligned[:1] * 2.0])
+    s_x = np.concatenate([s_x, s_x, s_x[:1]])
+    args = (np.concatenate([omegas, omegas, omegas[:1]]), xs,
+            np.concatenate([s_omega, s_omega, s_omega[:1]]), s_x,
+            np.concatenate([f_omega, f_omega, f_omega[:1]]))
+    got = lie_numerics._pairing_rule(*args)
+    want = pairing_rule_per_pair(*args)
+    assert [(r.ok, r.residual) for r in got] == [
+        (r.ok, r.residual) for r in want]
+    assert not got[-1].ok and all(r.ok for r in got[:-1])
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_stacked_interval_rule_matches_the_per_product_rule(n):
+    rng = np.random.default_rng(800 + n)
+    b = 9
+    lo1, lo2 = rng.uniform(-1.0, 0.0, size=(2, b))
+    w1 = np.stack([lo1, lo1 + rng.uniform(0.0, 1.5, size=b)], axis=1)
+    w2 = np.stack([lo2, lo2 + rng.uniform(0.0, 1.5, size=b)], axis=1)
+    w1[0], w2[0] = (-3.5, 3.5), (-1.0, 2.0)  # a sum window of a full turn
+    phis1 = rng.uniform(w1[:, :1], w1[:, 1:], size=(b, n))
+    phis2 = rng.uniform(w2[:, :1], w2[:, 1:], size=(b, n))
+    # products inside, near and far outside the sum window, wrapped
+    phis12 = rng.uniform(w1[:, :1] + w2[:, :1] - 0.5,
+                         w1[:, 1:] + w2[:, 1:] + 0.5, size=(b, n))
+    phis12 = np.angle(np.exp(1j * phis12))
+    windows1, windows2 = list(map(tuple, w1)), list(map(tuple, w2))
+    args = (phis1, phis2, phis12, windows1, windows2)
+    got = lie_numerics._interval_rule(*args)
+    want = interval_rule_per_product(*args)
+    assert [(r.ok, r.residual) for r in got] == [
+        (r.ok, r.residual) for r in want]
+    assert got[0].ok and got[0].residual == 0.0
+    assert any(not r.ok for r in got)
+    # a factor argument past its window's upper or lower end
+    bad1, bad2 = phis1.copy(), phis2.copy()
+    bad1[-1, 0], bad2[-1, 0] = w1[-1, 1] + 1e-6, w2[-1, 0] - 1e-6
+    for factors in ((bad1, phis2), (phis1, bad2)):
+        for rule in (lie_numerics._interval_rule, interval_rule_per_product):
+            with pytest.raises(ValueError, match="factor violates"):
+                rule(*factors, phis12, windows1, windows2)
+
+
+@pytest.mark.parametrize("n, window, k", [
+    (12, (2 * math.pi / 12 - 0.6, 2 * math.pi / 12 + 0.6), 1),
+    (11, (-2 * math.pi / 11 - 0.6, -2 * math.pi / 11 + 0.6), -1),
+    (3, (0.0, 1.8 * math.pi), 1),
+])
+def test_window_draws_center_on_the_target_nearest_the_midpoint(n, window, k):
+    # the widest margin comes from the feasible 2*pi*k/N nearest the
+    # window's midpoint: a draw centres there and uses 98% of the margin
+    lo, hi = window
+    center = 2 * math.pi * k / n
+    phi, _ = lie_numerics._draw_in_window(n, window, np.random.default_rng(n))
+    assert abs(phi.mean() - center) < 1e-12
+    margin = min(center - lo, hi - center)
+    assert abs(np.abs(phi - center).max() - 0.98 * margin) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_run_trials_windows_admit_one_target_up_to_rank_10(n):
+    # run_trials centres its windows on 2*pi*k/N, k in {-1, 0, 1}, with
+    # half-widths up to 0.6: only from N = 11 on does a second target
+    # 2*pi*k'/N fit, so only there did the centring rule decide
+    rng = np.random.default_rng(n)
+    for k in (-1, 0, 1):
+        c = 2 * math.pi * k / n
+        lo, hi = c - 0.6, c + 0.6
+        k_lo = math.ceil(n * lo / (2 * math.pi) - 1e-12)
+        k_hi = math.floor(n * hi / (2 * math.pi) + 1e-12)
+        assert (k_hi > k_lo) == (n >= 11)
+        phi, _ = lie_numerics._draw_in_window(n, (lo, hi), rng)
+        assert abs(phi.mean() - c) < 1e-12
+
+
+def _entries(run):
+    """The lie_numerics functions entered while run() runs, in order,
+    generator and comprehension frames included."""
+    names = []
+
+    def profile(frame, event, arg):
+        if (event == "call"
+                and frame.f_code.co_filename == lie_numerics.__file__):
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_a_unit_makes_a_fixed_number_of_calls(monkeypatch, seed):
+    # a unit's calls do not grow with its triangle, pairing and
+    # log-product trials; each interval trial adds its two window draws
+    one = collections.Counter(_entries(lambda: run_trials(6, 1, seed)))
+    many = collections.Counter(_entries(lambda: run_trials(6, 60, seed)))
+    assert many - one == collections.Counter({"_draw_in_window": 2 * 59})
+    assert not one - many
+    # the bound and its cap are checked once per call, before any unit
+    monkeypatch.setattr(lie_numerics, "_CHUNK", 3)
+    names = _entries(lambda: run_trials(6, 7, seed))
+    # ten units, each validating stage A, the rescaled log-product pairs
+    # and stage C
+    assert names.count("hermitian_eigs") == 2 * 10
+    assert names.count("_skew_stack") == 3 * 10
+    for check in ("_capped_bound", "_bound_spectrum"):
+        assert names.count(check) == 1
+        assert names.index(check) < names.index("_skew_from_normals")
+
+
+def test_klyachko_checks_the_cap_on_its_bound():
+    # inputs well inside a bound that itself exceeds e_1 / (100 N)
+    n = 3
+    x = 1j * np.diag([1e-4, 0.0, -1e-4])
+    for bound in (coroot_spectrum(n, 1), coroot_spectrum(n, 2) / 50):
+        with pytest.raises(ValueError, match="strictly below"):
+            check_klyachko(x[None], x[None], bound)
+    assert check_klyachko(x[None], x[None],
+                          coroot_spectrum(n, 1) * (0.9 / (100 * n)))[0].ok
+
+
+def test_eig_unitary_runs_the_cluster_pass_on_every_cluster(monkeypatch):
+    # two phases this close give turned cosines closer than CLUSTER_TOL
+    # (a cluster) or not (none); the pass runs once per cluster, and a
+    # matrix without one skips it
+    rng = np.random.default_rng(66)
+    n, gaps = 5, (0.0, 3e-8, 5e-6)
+    frames = exp_skew(np.array([random_skew_hermitian(n, rng)
+                                for _ in gaps]))
+    phis = np.array([[0.4, 0.4 + gap, -0.1, -0.3, -0.4 - gap]
+                     for gap in gaps])
+    g = (frames * np.exp(1j * phis)[:, None, :]) @ (
+        frames.conj().swapaxes(1, 2))
+    calls, inside = _count_solver(monkeypatch)
+    eig, _ = lie_numerics.eig_unitary(g)
+    assert inside == [1 + 2]
+    assert calls[1:] == [(1, 2, 2), (1, 2, 2)]
+    assert np.abs(np.sort(np.angle(eig)) - np.sort(phis)).max() < 1e-9
