@@ -442,27 +442,15 @@ def _sheaf_delta(args) -> int:
     )
 
 
-def _crosscheck_task(n, samples, seed, window, z):
-    return crosscheck_stalks(
-        n, CenterClass(n, z), samples, seed=seed, window=window
-    )
-
-
 def _pipeline_crosscheck(args) -> int:
     n = args.n
     residues = range(n) if args.z == "all" else [args.z]
     window = _lattice_window(args.window, n)
-    task = functools.partial(
-        _crosscheck_task, n, args.samples, args.seed, window
-    )
-    if args.jobs > 1 and len(residues) > 1:
-        # order-preserving map keeps output deterministic
-        import multiprocessing
-
-        with multiprocessing.Pool(min(args.jobs, len(residues))) as pool:
-            reports = pool.map(task, residues)
-    else:
-        reports = [task(z) for z in residues]
+    reports = [
+        crosscheck_stalks(n, CenterClass(n, z), args.samples,
+                          seed=args.seed, window=window)
+        for z in residues
+    ]
     payload = {
         "n": n,
         "seed": args.seed,
@@ -613,7 +601,6 @@ def _build_parser() -> _Parser:
     crosscheck.add_argument("--seed", type=_int_at_least(0), default=0)
     crosscheck.add_argument("--samples", type=_int_at_least(1), default=100)
     crosscheck.add_argument("--window", default=None)
-    crosscheck.add_argument("--jobs", type=_int_at_least(1), default=1)
 
     def orbit(name, run, graded=True, action_window=DEFAULT_ACTION_WINDOW):
         # the orbit of scale --lambda and the windows of its Novikov module

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import operator
+import random
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
@@ -252,15 +253,17 @@ def sample_c_minus_interior(
     n: int, rng, depth: Fraction = Fraction(5, 2), denom: int = 16
 ) -> CartanVector:
     """Random rational point of the open negative chamber with pairing
-    profile bounded below by -depth.
+    profile bounded below by -depth, drawn from a ``random.Random``.
 
-    Sampling is exact: the coordinates are negative rationals, which
-    lands in the open chamber automatically, and the point is rescaled
-    when its profile dips below the requested depth.
+    Sampling is exact: coordinates k = 1..N-1 are
+    -rng.randint(1, 2 * denom) / denom, drawn in that order, negative
+    rationals, which land in the open chamber automatically; the point
+    is scaled by 15/16 of depth / -min profile when its profile dips
+    below -depth.  Python does not promise to keep ``randint``'s stream
+    across versions; the golden crosscheck bytes pin it.
     """
     coords = [
-        -Fraction(int(rng.integers(1, 2 * denom + 1)), denom)
-        for _ in range(n - 1)
+        -Fraction(rng.randint(1, 2 * denom), denom) for _ in range(n - 1)
     ]
     p = cartan(n, coords)
     low = min(e_profile(p))
@@ -306,16 +309,16 @@ def crosscheck_stalks(
 ) -> CrosscheckReport:
     """Compare cone-model stalk cohomology, read off the model's apex
     table as block sums (``block_cohomology``), against the direct-sum
-    description at random (or given) points of the open chamber.
+    description at points of the open chamber: the given ones, or
+    ``samples`` points that ``sample_c_minus_interior`` draws one after
+    another from ``random.Random(seed)``.
 
     Points whose required box is not inside the window are excluded
     from the comparison, not failed.  No points, or a window that
     excludes every point, is a ``ValueError``: it would check nothing.
     """
     if isinstance(samples, int):
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
+        rng = random.Random(seed)
         points = [sample_c_minus_interior(n, rng) for _ in range(samples)]
     else:
         points = list(samples)

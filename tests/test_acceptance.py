@@ -9,10 +9,10 @@ import contextlib
 import io
 import itertools
 import json
+import random
 import time
 from fractions import Fraction as Q
 
-import numpy as np
 from flagsheaf.cli import main
 from flagsheaf.flag_schubert import (
     all_flag_types,
@@ -85,7 +85,7 @@ def test_acceptance_3_y_acyclicity():
     started = time.time()
     radius = 3
     for n in (2, 3, 4):
-        rng = np.random.default_rng(100 + n)
+        rng = random.Random(100 + n)
         points = [
             sample_c_minus_interior(n, rng, depth=Q(5, 2))
             for _ in range(50)

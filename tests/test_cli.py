@@ -226,7 +226,6 @@ _REJECTED_VALUES = {
         "certificate", "--action-window", "0:1/0"
     ],
     "certificate-d-grid": ["certificate", "--d-grid", "x"],
-    "crosscheck-jobs-0": ["crosscheck", "--jobs", "0"],
     "crosscheck-samples-0": ["crosscheck", "--samples", "0"],
 }
 
@@ -251,10 +250,11 @@ _REJECTED_INPUTS = {
     "crosscheck-empty-window": [
         "pipeline", "crosscheck", "--n", "3", "--window", "-2:0,1:0"
     ],
-    # a window that excludes every sample would check nothing
+    # a window that excludes every sample would check nothing; no point
+    # of the open chamber needs only the box at 0
     "crosscheck-window-excludes-all": [
         "pipeline", "crosscheck", "--n", "2", "--samples", "3",
-        "--window", "-1:0"
+        "--window", "0:0"
     ],
     # crosscheck does not read --lambda, whatever its value
     "crosscheck-lambda-0": [
@@ -306,13 +306,6 @@ def test_bad_seed_and_z_name_their_option(capsys, monkeypatch, argv, option):
     assert code == 1 and captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith(f"configuration error: argument {option}: ")
-
-
-def test_crosscheck_jobs_keep_output(capsys):
-    args = ["pipeline", "crosscheck", "--n", "2", "--samples", "5"]
-    serial = run(capsys, *args, "--jobs", "1")
-    assert serial[0] == 0
-    assert run(capsys, *args, "--jobs", "2") == serial
 
 
 def test_csv_format(capsys):
@@ -455,7 +448,7 @@ _GRAMMAR = {
     ("sheaf", "sections"): {"--z", "--point", "--u-kind", "--window"},
     ("sheaf", "delta"): {"--z", "--i", "--m", "--window"},
     ("pipeline", "crosscheck"): {
-        "--z", "--seed", "--samples", "--window", "--jobs"
+        "--z", "--seed", "--samples", "--window"
     },
     ("pipeline", "hom"): {
         "--lambda", "--i", "--d", "--degree-window", "--action-window"
@@ -505,7 +498,7 @@ def test_each_leaf_accepts_exactly_its_options():
         for key, leaf in _leaves().items()
     }
     assert accepted == {key: _COMMON | opts for key, opts in _GRAMMAR.items()}
-    assert sum(map(len, accepted.values())) == 76
+    assert sum(map(len, accepted.values())) == 75
     for key, leaf in _leaves().items():
         (fmt,) = [a for a in leaf._actions if "--format" in a.option_strings]
         csv = () if key in _NO_CSV else ("csv",)
@@ -573,8 +566,9 @@ _REQUIRED = {
 }
 _NO_VALUE = {"--char2", "--corrupt"}
 # options that no leaf reads: --eps set the corner width of sheaf
-# delta, which takes the width's limit
-_REMOVED = {"--eps"}
+# delta, which takes the width's limit; --jobs ran crosscheck's center
+# classes in a process pool, where a shell loop over --z does the same
+_REMOVED = {"--eps", "--jobs"}
 _UNREAD = [
     (key, option)
     for key, opts in _GRAMMAR.items()
@@ -648,15 +642,14 @@ def _loads_numpy(commands) -> bool:
     return {"True\n": True, "False\n": False}[probe.stdout]
 
 
-def test_only_numerics_and_crosscheck_load_numpy():
-    # numpy is most of a cold start, and only numerics and crosscheck's
-    # sampler use it: the golden corpus, every other command in every
-    # format and exit code, runs without importing it
+def test_only_numerics_loads_numpy():
+    # numpy is most of a cold start, and only numerics uses it: the
+    # golden corpus, every other command in every format and exit code,
+    # crosscheck among them, runs without importing it
     from test_golden_bytes import CORPUS
 
     assert not _loads_numpy(CORPUS)
     assert _loads_numpy(["numerics --n 2 --trials 1"])
-    assert _loads_numpy(["pipeline crosscheck --n 2 --samples 1"])
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"

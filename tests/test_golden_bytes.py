@@ -3,17 +3,24 @@ stdout (``GOLDEN``, by its sha256) and stderr (``STDERR``, empty where
 not listed), and exits with the code, recorded below; and equivalent
 argv print equal bytes.
 
-``numerics`` and ``crosscheck`` are left out: the former's
-``max_residual`` digits depend on the LAPACK build, the latter samples
-with numpy's RNG.  After a change that means to alter the output,
-regenerate the table with ``python tests/test_golden_bytes.py``
+``numerics`` is left out: its ``max_residual`` digits depend on the
+LAPACK build.  ``crosscheck`` draws its points from
+``random.Random(seed)``, so its entries also pin CPython's
+``randint`` stream.  Every command runs, with the same bytes, where
+numpy cannot be imported.  After a change that means to alter the
+output, regenerate the table with ``python tests/test_golden_bytes.py``
 (``PYTHONPATH=src``) and say why in the change log.
 """
 
 import contextlib
 import hashlib
 import io
+import json
+import os
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,9 +73,16 @@ CORPUS = [
     "sheaf sections --n 2 --u-kind uminus --point -1 --window -2:0",
     "sheaf delta --n 3 --i 1,2 --m 0,0",
     "sheaf delta --n 3 --z 1 --m -3,-3 --i 1",
+    "pipeline crosscheck --n 2 --z all",
+    "pipeline crosscheck --n 3 --z all",
+    "pipeline crosscheck --n 4 --z all",
+    "pipeline crosscheck --n 3 --z 2 --samples 25 --seed 9 --window -3:0"
+    " --format pretty",
     # exit 1: a negative d; exit 3: a window short of the required box
     "pipeline certificate --n 3 --d-grid -1,0",
     "sheaf stalk --n 2 --point -5/2 --window -1:0",
+    # exit 1: no point of the open chamber needs only the box at 0
+    "pipeline crosscheck --n 3 --window 0:0",
 ]
 
 # '<exit code> <sha256 of stdout>'; regenerate as the module docstring says
@@ -153,10 +167,20 @@ GOLDEN = {
         '0 c0d60a18a39af8d19678046207f15e5be2abb42f3397855d4c0794cf9b6298f0',
     'sheaf delta --n 3 --z 1 --m -3,-3 --i 1':
         '0 1e75e2e7b751b14d1040e16ff5590db35fb0c7a6dfb8760544745081afb9e1ec',
+    'pipeline crosscheck --n 2 --z all':
+        '0 ff26caaf00af272effbde7df98928c54e23a69634693dcf9816f369207dfcae0',
+    'pipeline crosscheck --n 3 --z all':
+        '0 2d42862a2d3787e2ca72ffb692868ef4214faeba9c167a6fbbdac59ad1d3e924',
+    'pipeline crosscheck --n 4 --z all':
+        '0 b845a8ad92a99d5270e88e08c7b5b0be42fda8ba85057e9f2c0dc529a5b962d0',
+    'pipeline crosscheck --n 3 --z 2 --samples 25 --seed 9 --window -3:0 --format pretty':
+        '0 3b009fb0900971ac46e6b6d990a7dae831fb8c6a05d9a344f437054bf9df5bea',
     'pipeline certificate --n 3 --d-grid -1,0':
         '1 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
     'sheaf stalk --n 2 --point -5/2 --window -1:0':
         '3 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+    'pipeline crosscheck --n 3 --window 0:0':
+        '1 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
 }
 
 STDERR = {
@@ -164,6 +188,8 @@ STDERR = {
         'configuration error: the structure maps exist for d >= 0 only\n',
     'sheaf stalk --n 2 --point -5/2 --window -1:0':
         'margin violation: window ((-1, 0),) does not contain the required box ((-3, 0),) for stalk at (-5/2)\n',
+    'pipeline crosscheck --n 3 --window 0:0':
+        'configuration error: window ((0, 0), (0, 0)) excludes all 100 sample points\n',
 }
 
 
@@ -207,6 +233,10 @@ EQUIVALENT = [
      "pipeline spectrum --n 3 --action-window 0:3"),
     ("sheaf sections --n 3 --point -1/2,-1/2 --window -3:0",
      "sheaf sections --n 3 --point -1/2,-1/2 --window -3:0,-3:0"),
+    ("pipeline crosscheck --n 3 --z 4",
+     "pipeline crosscheck --n 3 --z 1"),
+    ("pipeline crosscheck --n 3 --window -5:0",
+     "pipeline crosscheck --n 3 --window -5:0,-5:0"),
 ]
 
 
@@ -215,6 +245,30 @@ def test_equivalent_argv_print_equal_bytes(left, right):
     got = _run(left)
     assert got[0] == 0 and got[1]
     assert got == _run(right)
+
+
+_WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None  # so that any import of numpy fails
+from test_golden_bytes import CORPUS, _digest
+print(json.dumps({command: _digest(command) for command in CORPUS}))
+"""
+
+
+def test_golden_bytes_without_numpy():
+    # every command of the corpus prints its bytes, stderr and exit code
+    # in a process that cannot import numpy
+    tests = Path(__file__).resolve().parent
+    src = tests.parent / "src"
+    probe = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": f"{src}{os.pathsep}{tests}"},
+    )
+    assert json.loads(probe.stdout) == {
+        command: [GOLDEN[command], STDERR.get(command, "")]
+        for command in CORPUS
+    }
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ against their Fraction forms.
 
 import itertools
 import math
+import random
 from fractions import Fraction as Q
 
 import numpy as np
@@ -196,7 +197,7 @@ def _probe_points(n, model, rng, samples=3):
 
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_selection_matches_fraction_rule(n):
-    rng = np.random.default_rng(n)
+    rng = random.Random(n)
     window = ((-2, 1),) * (n - 1) if n < 4 else ((-2, 0),) * (n - 1)
     model = build_cone_model(n, None, window)
     ties = 0
@@ -262,7 +263,7 @@ def test_chamber_sections_match_fourier_motzkin(n, points, cones):
 
 @pytest.mark.parametrize("n", (2, 3, 4))
 def test_stalk_flag_sum_matches_fraction_form(n):
-    rng = np.random.default_rng(10 + n)
+    rng = random.Random(10 + n)
     points = [sample_c_minus_interior(n, rng) for _ in range(4)]
     base = cartan(n, (-1,) * (n - 1))
     points += [base, cartan(n, (-2,) + (-1,) * (n - 2))]
@@ -278,7 +279,7 @@ def test_required_stalk_box_matches_fraction_form(n):
     # seeded points of C_-^o at several depths and denominators, points
     # whose scaled profile is an integer, and points outside C_-^o, which
     # both forms refuse
-    rng = np.random.default_rng(30 + n)
+    rng = random.Random(30 + n)
     points = [
         sample_c_minus_interior(n, rng, depth=Q(depth, 2), denom=denom)
         for depth in (1, 3, 5, 8) for denom in (1, 3, 16) for _ in range(5)
@@ -343,7 +344,7 @@ def test_each_query_point_computes_its_profile_once(monkeypatch):
     # the integer profile is a cached property of the point: a crosscheck
     # point reads it in required_stalk_box, stalk_bound and stalk_flag_sum,
     # a jump in jump_required_box and jump_bound, and each computes it once
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     points = [sample_c_minus_interior(3, rng) for _ in range(5)]
     computed = []
     scaled = root_system.scaled_profile

@@ -1,6 +1,8 @@
+import importlib
+import random
 from fractions import Fraction as Q
+from pathlib import Path
 
-import numpy as np
 import pytest
 
 from flagsheaf.flag_schubert import FlagType, betti
@@ -112,11 +114,32 @@ def test_crosscheck_window_excluding_every_point_fails():
 
 
 def test_sampler_lands_in_open_chamber():
-    rng = np.random.default_rng(3)
+    rng = random.Random(3)
     for n in (2, 3, 4):
         for _ in range(20):
             p = sample_c_minus_interior(n, rng)
             assert weyl_chamber(p) is WeylPosition.INTERIOR_MINUS
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_sampler_is_the_benchmark_sampler(monkeypatch):
+    # crosscheck and the benchmark's crosscheck workload draw points by
+    # one rule: the same seed gives the same stream of points at every
+    # depth the workload samples (the benchmark files are only read)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    for n in (2, 3, 4, 5):
+        for depth in workloads.CROSSCHECK_DEPTHS:
+            for seed in (0, 1, 7, 1000 * n):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                for _ in range(4):
+                    assert sample_c_minus_interior(
+                        n, ours, depth=depth
+                    ) == workloads.sample_point(n, theirs, depth), (
+                        n, depth, seed,
+                    )
 
 
 # -- jump of the model ----------------------------------------------------------

@@ -10,9 +10,9 @@ cone model and not per stalk or section.
 """
 
 import itertools
+import random
 from fractions import Fraction as Q
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -70,7 +70,7 @@ def rank_calls(monkeypatch):
     "n,points,centers", [(3, 4, (0, 1, 2)), (4, 3, (0, 1, 2, 3))]
 )
 def test_stalks_match_expanded_oracle(n, points, centers, rank_calls):
-    rng = np.random.default_rng(20)
+    rng = random.Random(20)
     # lattice points put profiles of p and of apexes level, where the
     # closed cone conditions decide
     lattice = [cartan(n, (-1,) * (n - 1)), cartan(n, (-2,) + (-1,) * (n - 2))]
