@@ -94,7 +94,7 @@ def _d_grid(text: str) -> tuple[Fraction, ...]:
 
 
 def _coords(text: str, n: int) -> tuple[Fraction, ...]:
-    parts = [p for p in text.split(",") if p.strip() != ""]
+    parts = text.split(",")  # an empty entry is not a rational
     if len(parts) != n - 1:
         raise ConfigError(
             f"expected {n - 1} comma-separated rationals, got {text!r}"

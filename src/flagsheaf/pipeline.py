@@ -828,8 +828,8 @@ def jump_spectrum(
     action_window: ActionWindow = DEFAULT_SPECTRUM_WINDOW,
     degree_window: DegreeWindow = DEFAULT_DEGREE_WINDOW,
 ) -> list[Fraction]:
-    """Sorted distinct nonnegative actions -a(l) of the module's terms
-    inside [lo, hi): the filtration values where H_I(d) grows."""
+    """Sorted distinct values -a(l) of the module's terms inside
+    [max(lo, 0), hi): the filtration values d >= 0 where H_I(d) grows."""
     lo, hi = (Fraction(a) for a in action_window)
     base = module_terms(
         params,
@@ -837,6 +837,7 @@ def jump_spectrum(
         degree_window=degree_window,
         action_window=(-hi, -lo),
     )
+    lo = max(lo, 0)  # the structure maps exist for d >= 0 only
     # terms ascend in action, and a run of equal actions shares one
     # Fraction (module_terms): one value per run, read in descending order
     values, action = [], None

@@ -1,26 +1,17 @@
-"""Independent oracles used by the test suite.
-
-Deliberately separate code paths: polynomial q-factorials for cell
-counts, literal diagonal matrices for the invariant pairing, GF(2)
-cellular chain complexes for the mod-2 series of small SO(N), and, for
-finite-complex cohomology, multiplicity-expanded complexes ranked by
-Fraction Gaussian elimination and the component-split Bareiss ranks
-that unit-pivot reduction replaced; Fourier-Motzkin feasibility for
-cones meeting the chamber set UMinusOpen(x), the solver the chamber
-hull rule of section selection replaced; and the jump as the total
-complex over 2^|I| corners, which one restriction replaced; and the
-box walks (``window_points``, ``class_points`` plus a profile filter,
-``enumerate_lattice``) that the triangular ``sheaf_complex.lattice_points``
-replaced in src/; the scan of every apex row (``scan_block_cohomology``)
-that the column index of the apex table replaced; the lemma-by-lemma
-matrix-lemma runner that ``lie_numerics.run_trials``'s shared
-decomposition units replaced, with the per-matrix skew projection,
-aligned partner and rules that its stacked expressions replaced; and
-the round-robin cyclic Jacobi kernel that the gated LAPACK call
-``lie_numerics.eigh_stack`` replaced; and a checker of v1 certificate
-reports that reads their JSON alone (``check_certificate_report``).
-Lemma code that no command reaches lives here too: the chamber-walk
-witness and the aligned partner of the pairing bound.
+"""Independent oracles used by the test suite: deliberately separate
+code paths, most of them the forms that faster code in src/ replaced.
+Literal diagonal matrices for the invariant pairing; GF(2) cellular
+chain complexes for the mod-2 series of small SO(N); multiplicity-
+expanded complexes ranked by Fraction elimination, and component-split
+Bareiss ranks, for finite-complex cohomology; Fourier-Motzkin
+feasibility for cones meeting UMinusOpen(x); the jump as the total
+complex over 2^|I| corners; box walks, an apex-row scan and Fraction
+pairings for the lattice rules; the lemma-by-lemma matrix-lemma runner,
+per-matrix rules and round-robin Jacobi kernel; and lemma code no
+command reaches: the chamber-walk witness and the aligned partner of
+the pairing bound.  Certificates and their closed forms (Gaussian
+multinomials, g(I), term lists) are checked by the standard-library
+``certificate_checker``, which imports nothing from here.
 """
 
 from __future__ import annotations
@@ -33,50 +24,6 @@ from fractions import Fraction
 import numpy as np
 
 from flagsheaf.lie_numerics import NonConvergenceError
-
-
-# -- polynomial helpers (dense integer coefficient lists) -------------------
-
-
-def poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def poly_divexact(num: list[int], den: list[int]) -> list[int]:
-    num = num[:]
-    out = [0] * (len(num) - len(den) + 1)
-    for shift in range(len(out) - 1, -1, -1):
-        coeff, rem = divmod(num[shift + len(den) - 1], den[-1])
-        assert rem == 0, "inexact polynomial division"
-        out[shift] = coeff
-        for j, y in enumerate(den):
-            num[shift + j] -= coeff * y
-    assert all(c == 0 for c in num), "inexact polynomial division"
-    return out
-
-
-def q_int(n: int) -> list[int]:
-    return [1] * n
-
-
-def q_factorial(n: int) -> list[int]:
-    out = [1]
-    for k in range(1, n + 1):
-        out = poly_mul(out, q_int(k))
-    return out
-
-
-def gaussian_multinomial(n: int, sizes: tuple[int, ...]) -> list[int]:
-    """[n]_q! / prod [s]_q!, exact."""
-    assert sum(sizes) == n
-    num = q_factorial(n)
-    for s in sizes:
-        num = poly_divexact(num, q_factorial(s))
-    return num
 
 
 # -- diagonal-matrix pairing oracle -----------------------------------------
@@ -330,194 +277,6 @@ def component_cohomology(complex_) -> dict[int, int]:
         }
         result = result + GradedDims(dims).tensor(mult)
     return dict(result.items())
-
-
-# -- Fraction reference for the Novikov term lists ---------------------------
-
-
-def fraction_module_terms(n, lam, indices, degree_window, action_window):
-    """Terms (coords, action, degree) of the one-parameter module for I,
-    sorted by (action, degree, coords): the Fraction enumeration the
-    integer kernel replaced.  Every candidate of the certified box
-    becomes a CartanVector and is tested with ``center_class``; the
-    action is the Gram pairing with lam * e_1 and the degree is
-    -``d_degree``."""
-    from flagsheaf.root_system import cartan, center_class, d_degree, gram_e
-
-    def floor(x):
-        return x.numerator // x.denominator
-
-    def ceil(x):
-        return -((-x.numerator) // x.denominator)
-
-    lam = Fraction(lam)
-    idx = frozenset(indices)
-    dlo, dhi = degree_window
-    alo, ahi = (Fraction(a) for a in action_window)
-    dk = [2 * k * (n - k) for k in range(1, n)]
-    ck = [Fraction(n - k, n) for k in range(1, n)]
-    w = {
-        j: ck[0] * dk[j - 1] - Fraction(dk[0]) * ck[j - 1]
-        for j in range(2, n)
-    }
-    m_hi = Fraction(dk[0]) * ahi / lam - ck[0] * Fraction(dlo)
-    t_ranges = []
-    for j in range(2, n):
-        t_min = 1 if j in idx else 0
-        t_max = floor(m_hi / w[j]) if m_hi >= 0 else t_min - 1
-        t_ranges.append(range(t_min, max(t_min - 1, t_max) + 1))
-    terms = []
-    for tail in itertools.product(*t_ranges):
-        sum_td = sum(t * dk[j - 1] for j, t in zip(range(2, n), tail))
-        sum_tc = sum(t * ck[j - 1] for j, t in zip(range(2, n), tail))
-        x1_lo = ceil(Fraction(dlo + sum_td, dk[0]))
-        x1_hi = floor(Fraction(dhi + sum_td, dk[0]))
-        x1_lo = max(x1_lo, ceil((alo / lam + sum_tc) / ck[0]))
-        x1_hi = min(x1_hi, floor((ahi / lam + sum_tc) / ck[0]))
-        for x1 in range(x1_lo, x1_hi + 1):
-            coords = (x1,) + tuple(-t for t in tail)
-            l = cartan(n, coords)
-            if center_class(l).residue != 0:
-                continue
-            action = lam * sum(
-                (x * gram_e(n, k, 1) for k, x in enumerate(l.coords, 1)),
-                Fraction(0),
-            )
-            terms.append((coords, action, -d_degree(l)))
-    terms.sort(key=lambda t: (t[1], t[2], t[0]))
-    return terms
-
-
-# -- a v1 certificate checker that reads the JSON alone ----------------------
-
-
-def elementary_space(n, subset):
-    """g(I) as {degree: dim}, by Moebius inversion of the free
-    decomposition H(I) = sum over J inside I of g(J), where the Betti
-    table of FL(J) is the Gaussian multinomial of its block sizes in
-    q = t^2."""
-    out = {}
-    for r in range(len(subset) + 1):
-        for sub in itertools.combinations(subset, r):
-            cuts = (0, *sub, n)
-            sizes = tuple(b - a for a, b in zip(cuts, cuts[1:]))
-            sign = (-1) ** (len(subset) - r)
-            for k, dim in enumerate(gaussian_multinomial(n, sizes)):
-                out[2 * k] = out.get(2 * k, 0) + sign * dim
-    return {deg: dim for deg, dim in out.items() if dim}
-
-
-def check_certificate_report(payload: dict) -> int:
-    """Check a ``flagsheaf/certificate-report/1`` payload from its JSON
-    alone, with no term walk, and return the number of listed terms.
-    A broken rule raises ``AssertionError``.  The rules:
-
-    * each term l listed in H_I(d) has center class 0, x_j <= -[j in I]
-      for j >= 2, its printed action <l, lam e_1> and degree -D(l), and
-      action + d >= 0; a list runs in (action, degree, coords) order;
-    * nesting: H_I(d) is H_()(d) filtered by x_j <= -1 on I - {1}, in
-      the same order;
-    * tail: H_I(d) is H_I(d_max) filtered by action + d >= 0;
-    * each ``graded`` is the degree count of its listed terms;
-    * ``full_hom[d]`` is the sum over I of g(I) tensor graded(I, d), with
-      g(I) from ``elementary_space``;
-    * each witness follows the residue rule: x_j = -[j in I] for j >= 2,
-      and x_1 the least integer with action >= 0 and center class 0,
-      repeated for every d.
-    """
-    assert payload["schema"] == "flagsheaf/certificate-report/1"
-    params = payload["params"]
-    n, lam = params["n"], Fraction(params["lambda"])
-    assert params == {"group": f"SU({n})", "n": n, "lambda": str(lam)}
-    assert lam > 0 and payload["normalization_shift"] == n * n - n
-    assert payload["verdict"] is True
-    grid = [Fraction(d) for d in payload["d_grid"]]
-    assert payload["d_grid"] == [str(d) for d in grid]
-    assert grid and grid == sorted(set(grid)) and grid[0] >= 0, grid
-    subsets = [
-        c for r in range(n) for c in itertools.combinations(range(1, n), r)
-    ]
-    labels = [",".join(map(str, s)) for s in subsets]
-    order = [(str(d), label) for d in grid for label in labels]
-
-    def action(coords):
-        return lam * sum(Fraction(x * (n - k), n)
-                         for k, x in enumerate(coords, 1))
-
-    def degree(coords):  # -D(l)
-        return sum(x * 2 * k * (n - k) for k, x in enumerate(coords, 1))
-
-    def center(coords):
-        return -sum(k * x for k, x in enumerate(coords, 1)) % n
-
-    records = payload["records"]
-    assert [(r["d"], r["i"]) for r in records] == order
-    for subset, label in zip(subsets, labels):
-        tail = tuple(-1 if j in subset else 0 for j in range(2, n))
-        x1 = math.ceil(-action((0, *tail)) * n / lam / (n - 1))
-        while center((x1, *tail)) != 0:
-            x1 += 1
-        coords = (x1, *tail)
-        assert action(coords) >= 0 > action((x1 - n, *tail)), coords
-        witness = {
-            "structure_map_nonzero": True,
-            "witness": [str(c) for c in coords],
-            "witness_action": str(action(coords)),
-            "witness_degree": degree(coords),
-            "certified_empty": False,
-        }
-        for d in payload["d_grid"]:
-            got = records[order.index((d, label))]
-            assert got == {"i": label, "d": d, **witness}, got
-
-    listed, graded = {}, {}
-    facts = {}  # per listed point: (action, degree, coords), checked once
-    assert [(r["d"], r["i"]) for r in payload["h_graded"]] == order
-    for r, subset in zip(payload["h_graded"], subsets * len(grid)):
-        d, terms, counts = Fraction(r["d"]), [], {}
-        for e in r["elements"]:
-            assert set(e) == {"l", "action", "degree"}, e
-            point = tuple(e["l"])
-            if point not in facts:
-                coords = tuple(int(c) for c in point)
-                assert point == tuple(map(str, coords)), e
-                assert len(coords) == n - 1 and center(coords) == 0, e
-                facts[point] = (action(coords), degree(coords), coords)
-            term = facts[point]
-            act, deg, coords = term
-            assert all(coords[j - 1] <= -(j in subset)
-                       for j in range(2, n)), (subset, e)
-            assert e["action"] == str(act) and e["degree"] == deg, e
-            assert act + d >= 0, (d, e)
-            terms.append(term)
-            counts[deg] = counts.get(deg, 0) + 1
-        assert terms == sorted(terms), (r["i"], r["d"])
-        assert r["graded"] == {str(k): v for k, v in counts.items()}, r["i"]
-        listed[r["d"], r["i"]], graded[r["d"], r["i"]] = terms, counts
-
-    top = str(grid[-1])
-    for d in grid:
-        for subset, label in zip(subsets, labels):
-            terms = listed[str(d), label]
-            assert terms == [
-                t for t in listed[str(d), ""]
-                if all(t[2][j - 1] <= -1 for j in subset if j >= 2)
-            ], ("nesting", label, d)
-            assert terms == [
-                t for t in listed[top, label] if t[0] + d >= 0
-            ], ("tail", label, d)
-
-    assert set(payload["full_hom"]) == {str(d) for d in grid}
-    for d in payload["d_grid"]:
-        total = {}
-        for subset, label in zip(subsets, labels):
-            for a, x in elementary_space(n, subset).items():
-                for b, y in graded[d, label].items():
-                    total[a + b] = total.get(a + b, 0) + x * y
-        assert payload["full_hom"][d] == {
-            str(k): v for k, v in total.items()
-        }, ("full_hom", d)
-    return sum(map(len, listed.values()))
 
 
 # -- the box walk the triangular lattice walk replaced ------------------------

@@ -13,7 +13,7 @@ import random
 import time
 from fractions import Fraction as Q
 
-from flagsheaf.cli import main
+from flagsheaf.cli import _json_text, main
 from flagsheaf.flag_schubert import (
     all_flag_types,
     betti,
@@ -52,7 +52,7 @@ from flagsheaf.sheaf_complex import (
 )
 from flagsheaf.lie_numerics import run_trials
 
-from oracles import gaussian_multinomial
+from certificate_checker import check_certificate_report, gaussian_multinomial
 
 
 def _report(number, name, started):
@@ -173,8 +173,9 @@ def test_acceptance_6_certificate():
     for n in (2, 3, 4):
         for lam in (Q(1), Q(3, 2)):
             params = OrbitParams(n, lam)
-            report = certificate(params, grid)
-            assert report.to_json()["verdict"] is True
+            payload = certificate(params, grid).to_json()
+            assert payload["verdict"] is True
+            assert check_certificate_report(json.loads(_json_text(payload)))
             for subset in _all_subsets(n):
                 for d in grid:
                     res = structure_map_nonzero(params, subset, d)
@@ -185,7 +186,9 @@ def test_acceptance_6_certificate():
         code = main(["pipeline", "certificate", "--n", "4", "--lambda",
                      "3/2"])
     assert code == 0
-    assert json.loads(buf.getvalue())["verdict"] is True
+    payload = json.loads(buf.getvalue())
+    assert payload["verdict"] is True
+    assert check_certificate_report(payload)
     _report(6, "non-vanishing certificate with explicit witnesses "
                "(N in {2,3,4}, lambda in {1, 3/2})", started)
 

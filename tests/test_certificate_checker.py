@@ -1,19 +1,24 @@
-"""The v1 certificate checker (``oracles.check_certificate_report``) on
-every certificate of the golden corpus and on a seeded set of CLI
-certificates, and against corrupted reports, each of which must fail
-one of its rules."""
+"""The standard-library v1 certificate checker (``certificate_checker``)
+on every certificate of the golden corpus and on a seeded set of CLI
+certificates, each with its own windows, and against corrupted reports,
+each of which must fail one of its rules."""
 
+import ast
 import copy
 import json
 import random
 import shlex
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from flagsheaf import pipeline
 
-from oracles import check_certificate_report, elementary_space
+import certificate_checker
+from certificate_checker import check_certificate_report, elementary_space
 from test_golden_bytes import CORPUS, GOLDEN, _run
 
 
@@ -21,6 +26,30 @@ def _payload(command):
     code, out, _ = _run(command)
     assert code == 0
     return json.loads(out)
+
+
+def _windows(argv):
+    """The degree and action windows a certificate argv asks for, the
+    CLI's defaults where it names none."""
+    opts = dict(zip(argv, argv[1:]))
+    dlo, dhi = opts.get("--degree-window", "-40:40").split(":")
+    alo, ahi = opts.get("--action-window", "-10:10").split(":")
+    return (int(dlo), int(dhi)), (Fraction(alo), Fraction(ahi))
+
+
+def test_checker_imports_only_the_standard_library():
+    # independent of the engine: no flagsheaf, numpy or oracles
+    tree = ast.parse(Path(certificate_checker.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "relative import"
+            names.add(node.module.split(".")[0])
+        assert not (isinstance(node, ast.Name) and node.id == "__import__")
+    assert names and names <= sys.stdlib_module_names, names
+    assert "importlib" not in names
 
 
 def test_elementary_space_matches_the_engine():
@@ -39,7 +68,8 @@ _GOLDEN_CERTIFICATES = [
 
 @pytest.mark.parametrize("command", _GOLDEN_CERTIFICATES)
 def test_golden_certificates_pass_the_checker(command):
-    assert check_certificate_report(_payload(command)) > 0
+    windows = _windows(shlex.split(command))
+    assert check_certificate_report(_payload(command), *windows) > 0
 
 
 def _seeded_queries(seed=24, count=18):
@@ -62,18 +92,18 @@ def _seeded_queries(seed=24, count=18):
         if k % 4 == 0:
             lo = rng.randint(-24, 4)
             argv += ["--action-window", f"{lo}/4:{rng.randint(lo, 24)}/4"]
-        queries.append((argv, grid))
+        queries.append((argv, grid, _windows(argv)))
     return queries
 
 
 def test_seeded_certificates_pass_the_checker():
     unsorted = 0
     listed = 0
-    for argv, grid in _seeded_queries():
+    for argv, grid, windows in _seeded_queries():
         payload = _payload(shlex.join(argv))
         assert payload["d_grid"] == [str(d) for d in sorted(set(grid))]
         unsorted += grid != sorted(set(grid))
-        listed += check_certificate_report(payload)
+        listed += check_certificate_report(payload, *windows)
     assert unsorted >= 9 and listed > 1000
 
 
@@ -141,10 +171,37 @@ def _printed_action(payload):
     e["action"] = str(Fraction(e["action"]) + 1)
 
 
+def _truncated_tails(payload):
+    # every listing cut where the smallest d cuts it, with graded and
+    # full_hom recomputed: every rule that reads the JSON alone holds
+    n, first = payload["params"]["n"], payload["d_grid"][0]
+    for rec in payload["h_graded"]:
+        rec["elements"] = _record(payload, "h_graded", rec["i"],
+                                  first)["elements"]
+        _recount(rec)
+    for d in payload["d_grid"]:
+        total = Counter()
+        for rec in payload["h_graded"]:
+            if rec["d"] == d:
+                subset = tuple(int(j) for j in rec["i"].split(",") if j)
+                for a, x in elementary_space(n, subset).items():
+                    for b, y in rec["graded"].items():
+                        total[str(a + int(b))] += x * y
+        payload["full_hom"][d] = dict(total)
+
+
+def _narrower_action_window(payload):
+    # the same query's report with --action-window -5:5, checked
+    # against the default windows
+    payload.update(_payload("pipeline certificate --n 3 --lambda 3/2"
+                            " --action-window -5:5"))
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [_graded_count, _dropped_term, _term_below_the_cut,
-     _unconstrained_subset, _later_witness, _full_hom, _printed_action],
+     _unconstrained_subset, _later_witness, _full_hom, _printed_action,
+     _truncated_tails, _narrower_action_window],
 )
 def test_corrupted_reports_fail_the_checker(report, corrupt):
     assert check_certificate_report(report) > 0

@@ -236,6 +236,13 @@ _REJECTED_INPUTS = {
     },
     "numerics-trials-0": ["numerics", "--n", "2", "--trials", "0"],
     "stalk-no-point": ["sheaf", "stalk", "--n", "2"],
+    # an empty coordinate is refused, not dropped
+    "stalk-empty-coordinate": [
+        "sheaf", "stalk", "--n", "3", "--point", "-1,,-2"
+    ],
+    "stalk-trailing-comma": [
+        "sheaf", "stalk", "--n", "3", "--point", "-1,-2,"
+    ],
     "sections-no-point": ["sheaf", "sections", "--n", "2", "--window", "-2:0"],
     "delta-no-m": ["sheaf", "delta", "--n", "2"],
     "out-missing-dir": [

@@ -19,7 +19,7 @@ from flagsheaf.flag_schubert import (
 )
 from flagsheaf.graded import GradedDims, poincare_in_q
 
-from oracles import gaussian_multinomial
+from certificate_checker import gaussian_multinomial
 
 
 def test_flag_type_validation():

@@ -1,6 +1,7 @@
-"""The integer Novikov kernel against its Fraction reference: term
-lists, H_I(d), the one term list a certificate or pairing shares across
-its subsets, and the integer apex pruning of the jump cone model."""
+"""The integer Novikov kernel against the box enumeration of
+``certificate_checker.expected_terms``: term lists, H_I(d), the one term
+list a certificate or pairing shares across its subsets, and the integer
+apex pruning of the jump cone model."""
 
 import contextlib
 import dataclasses
@@ -37,14 +38,15 @@ from flagsheaf.pipeline import (
 )
 from flagsheaf.root_system import CartanVector, CenterClass
 
-from oracles import fraction_module_terms, profile_pruned_apexes
+from certificate_checker import expected_terms
+from oracles import profile_pruned_apexes
 
 
 @st.composite
 def module_queries(draw):
     n = draw(st.integers(2, 5))
     # lam >= 1 and windows inside the default degree window and [-6, 6]
-    # keep the certified box small enough for the Fraction reference;
+    # keep the enumerated box small enough for the reference;
     # the windows straddle 0, where the terms are
     lam = Fraction(draw(st.integers(2, 12)), draw(st.integers(1, 2)))
     indices = tuple(sorted(draw(st.sets(st.integers(1, n - 1)))))
@@ -62,7 +64,7 @@ def module_queries(draw):
 def test_integer_module_terms_match_fraction_reference(query):
     n, lam, indices, degree_window, action_window, d = query
     params = OrbitParams(n, lam)
-    want = fraction_module_terms(n, lam, indices, degree_window, action_window)
+    want = expected_terms(n, lam, indices, degree_window, action_window)
     rec = module_terms(params, indices, degree_window, action_window)
     assert [(e.coords, e.action, e.degree) for e in rec.elements] == want
     assert rec.graded == GradedDims((deg, 1) for _, _, deg in want)
@@ -78,7 +80,7 @@ def test_default_windows_match_fraction_reference(n, lam):
     params = OrbitParams(n, lam)
     for subset in pipeline._all_subsets(n):
         rec = module_terms(params, subset)
-        want = fraction_module_terms(
+        want = expected_terms(
             n, lam, subset, DEFAULT_DEGREE_WINDOW, DEFAULT_ACTION_WINDOW
         )
         assert want
@@ -107,7 +109,7 @@ def test_integer_sort_key_matches_fraction_order(
     tied = 0
     for subset in pipeline._all_subsets(n):
         rec = module_terms(params, subset, degree_window, action_window)
-        want = fraction_module_terms(
+        want = expected_terms(
             n, lam, subset, degree_window, action_window
         )
         assert [(e.coords, e.action, e.degree) for e in rec.elements] == want
@@ -116,9 +118,9 @@ def test_integer_sort_key_matches_fraction_order(
 
 
 def _oracle_record(n, lam, subset, d, degree_window, action_window):
-    """H_I(d) from the Fraction box enumeration of I's own term list."""
+    """H_I(d) from the box enumeration of I's own term list."""
     terms = [
-        t for t in fraction_module_terms(
+        t for t in expected_terms(
             n, lam, subset, degree_window, action_window
         )
         if t[1] + d >= 0
@@ -200,12 +202,12 @@ def shared_walk_queries(draw):
 def test_shared_walk_matches_the_box_per_subset(query):
     # module_terms on every I, and the certificate and pairing that
     # derive every I from the one list for I = (), against a per-subset
-    # assembly from the Fraction box enumeration
+    # assembly from the box enumeration
     n, lam, degree_window, action_window, grid, side = query
     params = OrbitParams(n, lam)
     for subset in pipeline._all_subsets(n):
         rec = module_terms(params, subset, degree_window, action_window)
-        want = fraction_module_terms(
+        want = expected_terms(
             n, lam, subset, degree_window, action_window
         )
         assert [(e.coords, e.action, e.degree) for e in rec.elements] == want

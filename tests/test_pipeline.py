@@ -379,6 +379,9 @@ def test_jump_spectrum_examples():
                            action_window=(Q(0), Q(9, 2)))
     assert scaled == [Q(0), Q(3, 2), Q(3)]
     assert jump_spectrum(par, (), action_window=(Q(0), Q(0))) == []
+    # no value is negative: the structure maps exist for d >= 0 only
+    assert jump_spectrum(par, (), action_window=(Q(-3), Q(-1))) == []
+    assert jump_spectrum(par, (), action_window=(Q(-1), Q(1))) == [Q(0)]
 
 
 def test_jump_spectrum_window_stability():
