@@ -9,10 +9,11 @@ class GradedDims:
     """Map from integer degrees to nonnegative dimensions.
 
     Zero entries are dropped eagerly, so two values agree iff their
-    supports and dimensions agree.  Instances are immutable.
+    supports and dimensions agree.  Instances are immutable, so each
+    keeps the JSON text of its table per indent (``to_json``).
     """
 
-    __slots__ = ("_data",)
+    __slots__ = ("_data", "_texts")
 
     def __init__(self, data: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         # a dict (Counter too) skips the slower Mapping ABC check
@@ -25,6 +26,7 @@ class GradedDims:
                 deg = int(deg)
                 clean[deg] = clean.get(deg, 0) + dim
         self._data = dict(sorted(clean.items()))
+        self._texts = None  # pad -> json_text, built on first print
 
     @classmethod
     def line(cls, degree: int = 0, dim: int = 1) -> "GradedDims":
@@ -83,11 +85,34 @@ class GradedDims:
         return all(self[d] >= m for d, m in other.items())
 
     def to_json(self) -> dict[str, int]:
-        return {str(deg): dim for deg, dim in self._data.items()}
+        """The table as a dict ``{str(degree): dim}`` that also carries
+        ``json_text``: a table printed many times builds its text once
+        per indent."""
+        table = _Table({str(deg): dim for deg, dim in self._data.items()})
+        table.json_text = self._json_text
+        return table
+
+    def _json_text(self, pad: str) -> str:
+        """``json.dumps(sort_keys=True, indent=2)`` of ``to_json()`` at the
+        indent ``pad``: keys sort as strings ("-2" < "10" < "2")."""
+        if self._texts is None:
+            self._texts = {}
+        if pad not in self._texts:
+            head = pad + '  "'
+            body = ("," + head).join(f'{key}": {dim}' for key, dim in sorted(
+                (str(deg), dim) for deg, dim in self._data.items()))
+            self._texts[pad] = "{" + head + body + pad + "}" if body else "{}"
+        return self._texts[pad]
 
     def __repr__(self):
         body = ", ".join(f"{d}: {m}" for d, m in self._data.items())
         return f"GradedDims({{{body}}})"
+
+
+class _Table(dict):
+    """A graded table as JSON sees it, carrying its text (``to_json``)."""
+
+    __slots__ = ("json_text",)
 
 
 def poincare_in_q(betti_dims: GradedDims) -> GradedDims:

@@ -598,9 +598,12 @@ def _h_records(
     action / lam = sum_k x_k (N - k) of ``module_terms``: action + d >= 0
     iff a >= ceil(-N d / lam).  The tail of the largest d is filtered
     once per constraint mask, which I and I + {1} share (mask 0 keeps
-    it whole); each smaller d keeps a suffix, counted as the previous
-    d's counts plus the terms between the two cuts.  The records of one
-    mask share one ``TermBlock`` over its filtered tail."""
+    it whole), by per-coordinate lists of x_j < 0 built once per j; each
+    smaller d keeps a suffix, counted as the previous d's counts plus
+    the terms between the two cuts.  A mask builds a ``GradedDims`` only
+    when its cut moves: a d with the previous d's cut shares its table.
+    The records of one mask share one ``TermBlock`` over its filtered
+    tail."""
     if grid[0] < 0:
         raise ValueError("the structure maps exist for d >= 0 only")
     n, lam, weights = params.n, params.lam, range(params.n - 1, 0, -1)
@@ -612,24 +615,25 @@ def _h_records(
             map(operator.mul, e.coords, weights)))
 
     tail = base.elements[cut(base.elements, grid[-1]):]
-    needs = [sum(1 << j for j in subset if j > 1 and j not in base.indices)
+    needs = [tuple(j for j in subset if j > 1 and j not in base.indices)
              for subset in subsets]
-    # bit j of a term's mask: x_j <= -1; read only if some I filters
-    masks = [
-        sum(1 << j for j, x in enumerate(e.coords, 1) if x < 0)
-        for e in tail
-    ] if any(needs) else []
+    negative = {j: [e.coords[j - 1] < 0 for e in tail]
+                for j in {j for need in needs for j in need}}
     by_mask = {}  # per constraint mask, per d: (elements, graded, block)
     root = TermBlock(tail)
     for need in dict.fromkeys(needs):
-        keep = [m & need == need for m in masks] if need else None
+        keep = negative[need[0]] if need else None
+        for j in need[1:]:
+            keep = list(map(operator.and_, keep, negative[j]))
         kept = tuple(compress(tail, keep)) if need else tail
         block = TermBlock(kept, root, keep) if need else root
-        rows, counts, end = [], Counter(), len(kept)
+        rows, counts, end, graded = [], Counter(), len(kept), None
         for d in grid:
             start = cut(kept, d)
-            counts.update(e.degree for e in kept[start:end])
-            rows.append((kept[start:], GradedDims(counts), block))
+            if graded is None or start < end:
+                counts.update(e.degree for e in kept[start:end])
+                graded = GradedDims(counts)
+            rows.append((kept[start:], graded, block))
             end = start
         by_mask[need] = rows
     return [NovikovRecord(subset, d, *by_mask[need][k])
@@ -696,13 +700,16 @@ def structure_map_nonzero(
 
 
 def _flag_sum(n: int, records: Iterable[NovikovRecord]) -> GradedDims:
-    """The direct sum over the records of g(I) tensor H_I(d)."""
-    terms = []
+    """The direct sum over the records of g(I) tensor H_I(d), tensored
+    once per distinct table object: the records that share a table sum
+    their g(I) first, as sum g(I) tensor H = (sum g(I)) tensor H."""
+    shared = {}  # id of a table -> (the table, the sum of its g(I))
     for rec in records:
-        mult = g_space_cached(n, rec.indices)
-        terms.extend((a + b, x * y) for a, x in mult.items()
-                     for b, y in rec.graded.items())
-    return GradedDims(terms)
+        _, mult = shared.setdefault(id(rec.graded), (rec.graded, Counter()))
+        for deg, dim in g_space_cached(n, rec.indices).items():
+            mult[deg] += dim
+    return GradedDims((a + b, x * y) for table, mult in shared.values()
+                      for a, x in mult.items() for b, y in table.items())
 
 
 @dataclass
@@ -746,7 +753,8 @@ def certificate(
     """Run the non-vanishing check once for every subset I (its witness
     does not depend on d); per d in the grid, sum g(I) tensor H_I(d)
     over I.  Every H_I(d) is derived from the term list for I = ()
-    (``_h_records``).  An empty grid is a ``ValueError``."""
+    (``_h_records``); a d whose tables are all the previous d's objects
+    shares its sum.  An empty grid is a ``ValueError``."""
     n = params.n
     grid = tuple(sorted({Fraction(d) for d in d_grid}))
     if not grid:
@@ -755,8 +763,13 @@ def certificate(
     witnesses = [structure_map_nonzero(params, s, 0) for s in subsets]
     root = module_terms(params, (), degree_window, action_window)
     hs = _h_records(params, root, subsets, grid)
-    k = len(subsets)
-    full = {d: _flag_sum(n, hs[i * k:(i + 1) * k]) for i, d in enumerate(grid)}
+    k, full, last = len(subsets), {}, None
+    for i, d in enumerate(grid):
+        rows = hs[i * k:(i + 1) * k]
+        tables = [r.graded for r in rows]
+        if last is None or any(map(operator.is_not, tables, last)):
+            total = _flag_sum(n, rows)
+        full[d], last = total, tables
     return CertificateReport(
         params=params,
         d_grid=grid,

@@ -506,6 +506,28 @@ def test_one_lattice_walk():
     assert not named
 
 
+def _imports(node, in_function=False):
+    """(imported module names, inside a function body) for every import
+    statement under ``node``; relative imports read as flagsheaf.*."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            yield [alias.name for alias in child.names], in_function
+        elif isinstance(child, ast.ImportFrom) and child.level:
+            yield ([f"flagsheaf.{child.module}"] if child.module else [
+                f"flagsheaf.{alias.name}" for alias in child.names
+            ]), in_function
+        elif isinstance(child, ast.ImportFrom):  # from flagsheaf import x
+            yield [child.module] + [f"{child.module}.{alias.name}"
+                                    for alias in child.names], in_function
+        yield from _imports(child, in_function or isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+
+def _module_tree(stem):
+    package = pathlib.Path(sheaf_complex.__file__).parent
+    return ast.parse((package / f"{stem}.py").read_text())
+
+
 def test_exact_engine_imports_neither_numpy_nor_numerics():
     # the exact engine stays on ints and Fractions: these modules import
     # numpy nowhere, lie_numerics nowhere, and of the package only each
@@ -513,20 +535,8 @@ def test_exact_engine_imports_neither_numpy_nor_numerics():
     # what they import in turn
     pure = {"sheaf_complex", "root_system", "graded", "flag_schubert",
             "linalg", "pipeline"}
-    package = pathlib.Path(sheaf_complex.__file__).parent
     for stem in sorted(pure):
-        tree = ast.parse((package / f"{stem}.py").read_text())
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and node.level:
-                names = [f"flagsheaf.{node.module}"] if node.module else [
-                    f"flagsheaf.{alias.name}" for alias in node.names
-                ]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module]
-            else:
-                continue
+        for names, _ in _imports(_module_tree(stem)):
             for name in names:
                 top, _, sub = name.partition(".")
                 assert top != "numpy", (stem, name)
@@ -535,6 +545,20 @@ def test_exact_engine_imports_neither_numpy_nor_numerics():
                     assert module in pure or (stem, module) == (
                         "pipeline", "__version__"
                     ), (stem, name)
+
+
+def test_cli_loads_numerics_only_inside_a_function():
+    # cli imports numpy nowhere and lie_numerics only in a function body
+    # (today run_trials), so every command but numerics starts without
+    # numpy
+    deferred = []
+    for names, in_function in _imports(_module_tree("cli")):
+        for name in names:
+            assert name.partition(".")[0] != "numpy", name
+            if name == "flagsheaf.lie_numerics":
+                assert in_function, name
+                deferred.append(name)
+    assert deferred == ["flagsheaf.lie_numerics"]
 
 
 def _refuse(*args, **kwargs):

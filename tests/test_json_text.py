@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from flagsheaf import cli
 from flagsheaf.cli import _json_text
+from flagsheaf.graded import GradedDims
 
 
 def dumps(payload) -> str:
@@ -103,10 +104,42 @@ def _carried(draw):
     return node
 
 
+# degrees whose string order differs from their int order, and others
+_DEGREES = st.one_of(st.sampled_from([-10, -2, 0, 2, 10]), st.integers())
+
+
+@st.composite
+def _tables(draw):
+    """``GradedDims.to_json()`` tables (the empty one too) of one value,
+    listed twice at one depth and once deeper, nested at depth 0 to 4:
+    each prints the text its ``GradedDims`` keeps per indent."""
+    dims = GradedDims(draw(st.dictionaries(
+        _DEGREES, st.integers(0, 10**12), max_size=6)))
+    node = [dims.to_json(), draw(_VALUES), {"deep": [dims.to_json()]},
+            dims.to_json()]
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            node = [node, draw(_VALUES)]
+        else:
+            node = {draw(_TEXTS): node}
+    return node
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(_VALUES, _aliased(), _reordered(), _carried()))
+@given(st.one_of(_VALUES, _aliased(), _reordered(), _carried(), _tables()))
 def test_writer_prints_json_dumps_bytes(payload):
     assert _json_text(payload) == dumps(payload)
+
+
+def test_graded_tables_print_keys_in_string_order():
+    # "-10" < "-2" < "10" < "2" as text, unlike as ints; the empty table
+    dims = GradedDims({10: 4, -2: 2, 2: 3, -10: 1})
+    payload = {"t": dims.to_json(), "e": GradedDims().to_json(),
+               "deep": [[dims.to_json()], {"t": dims.to_json()}]}
+    assert list(dims.to_json()) == ["-10", "-2", "2", "10"]
+    assert _json_text(payload) == dumps(payload)
+    assert _json_text(dims.to_json()) == (
+        '{\n  "-10": 1,\n  "-2": 2,\n  "10": 4,\n  "2": 3\n}')
 
 
 def test_shared_container_keeps_the_indent_of_each_depth():

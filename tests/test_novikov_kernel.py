@@ -373,12 +373,13 @@ def test_integer_apex_pruning_matches_profile_pruning(n, window, u_bounds):
 
 
 def test_certificate_holds_each_fact_once(monkeypatch):
-    # a witness per subset, not per (I, d), per d one graded sum in place
-    # of a tensor and a sum per (I, d), and one graded count per (mask,
-    # d) shared by I and I + {1}: at N = 4, 8 witnesses (40 per (I, d))
-    # and at most 30 GradedDims (26: the walk's, 4 masks x 5 d and 5
-    # sums; 54 with a count per (I, d), 134 with one tensor and one sum
-    # per (I, d)); the g(I) caches are warm
+    # a witness per subset, not per (I, d), per d at most one graded sum
+    # in place of a tensor and a sum per (I, d), and at most one graded
+    # count per (mask, d) shared by I and I + {1}: at N = 4, 8 witnesses
+    # (40 per (I, d)) and at most 30 GradedDims (11: the walk's, 8
+    # tables and 2 sums; 26 with a count per (mask, d) and a sum per d,
+    # 54 with a count per (I, d), 134 with one tensor and one sum per
+    # (I, d)); the g(I) caches are warm
     params = OrbitParams(4, Fraction(5, 2))
     pipeline.certificate(params)
     witnesses, built = [], []
@@ -400,6 +401,36 @@ def test_certificate_holds_each_fact_once(monkeypatch):
     assert witnesses == pipeline._all_subsets(4)
     assert len(built) <= 30
     assert len(report.to_json()["records"]) == 40
+
+
+@pytest.mark.parametrize("n, lam, tables, sums, texts", [
+    (4, Fraction(5, 2), 8, 2, 10),
+    (3, Fraction(3, 2), 6, 3, 9),
+])
+def test_certificate_counts_sums_and_prints_each_table_once(
+        monkeypatch, n, lam, tables, sums, texts):
+    # a mask builds a table only when its cut moves, a d whose tables
+    # are all the previous d's shares its flag sum, and printing builds
+    # one text per distinct table and indent: at N = 4, 10 texts for
+    # the 45 tables (40 records and 5 sums) a certificate prints
+    report = pipeline.certificate(OrbitParams(n, lam))
+    distinct = {id(r.graded): r.graded for r in report.h_records}
+    assert len(report.h_records) == 5 * 2 ** (n - 1)
+    assert len(distinct) == tables
+    assert len({id(g) for g in report.full_hom.values()}) == sums
+    distinct.update((id(g), g) for g in report.full_hom.values())
+    printed = []
+    json_text = GradedDims._json_text
+
+    def counted(self, pad):
+        printed.append(pad)
+        return json_text(self, pad)
+
+    monkeypatch.setattr(GradedDims, "_json_text", counted)
+    cli._json_text(report.to_json())
+    monkeypatch.undo()
+    assert len(printed) == len(report.h_records) + 5
+    assert sum(len(g._texts or ()) for g in distinct.values()) == texts
 
 
 _WINDOWS = [
